@@ -13,7 +13,7 @@ experiments (`concentration`), and a batch CLI (`cli`).
 
 __version__ = "0.1.0"
 
-from .coefficients import BumpOnBackgroundQ, CoefficientQ, ConstantQ, SampledQ, sample_Q
+from .coefficients import BumpOnBackgroundQ, CoefficientQ, ConstantQ, sample_Q
 from .concentration import (
     LevelRow,
     LevelTable,
@@ -21,7 +21,6 @@ from .concentration import (
     level_table,
     locate_peak,
     profile_distance,
-    reconstruct_profile,
     run_sweep,
     single_bubble_check,
     single_bubble_fraction,
@@ -39,7 +38,6 @@ from .dual import (
     limit_ground_state,
     nehari_project,
     nehari_scale,
-    quad_form,
     random_initial_guess,
     solve_ground_state,
 )

@@ -8,10 +8,9 @@ rescaled problem approaches the constant-background one.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
 
 from .errors import NegativeCoefficientError
 from .grid import RealField, TorusGrid
@@ -118,59 +117,6 @@ class BumpOnBackgroundQ(CoefficientQ):
     @property
     def maxima(self):
         return [tuple(c) for c in self.centers]
-
-
-@dataclass(frozen=True)
-class SampledQ(CoefficientQ):
-    """Coefficient given by a sampled field, linearly interpolated.
-
-    Off-grid points wrap periodically (the reference grid is a torus).
-    The supremum and the value at infinity cannot be recovered from a
-    finite sample, so both can be declared by the caller; the sup
-    defaults to the sample maximum.
-    """
-
-    values: RealField = field(repr=False)
-    sup: float | None = None
-    background: float = 0.0
-
-    def __post_init__(self):
-        if np.any(self.values.values < 0):
-            raise NegativeCoefficientError("sampled coefficient has negative values")
-        if self.background < 0:
-            raise NegativeCoefficientError("declared background must be nonnegative")
-
-    def evaluate(self, *coords):
-        coords = [np.asarray(c, dtype=float) for c in coords]
-        grid = self.values.grid
-        if len(coords) != grid.dim:
-            raise ValueError(f"need {grid.dim} coordinates, got {len(coords)}")
-        shape = np.broadcast_shapes(*(c.shape for c in coords))
-        # fractional index of each point on the reference grid; flattened
-        # because map_coordinates wants rank >= 1 coordinate arrays
-        idx = [
-            ((np.broadcast_to(c, shape).ravel() + grid.half_width) / grid.spacing)
-            for c in coords
-        ]
-        out = ndimage.map_coordinates(self.values.values, np.stack(idx), order=1, mode="grid-wrap")
-        return out.reshape(shape)
-
-    @property
-    def sup_value(self):
-        if self.sup is not None:
-            return self.sup
-        return float(np.max(self.values.values))
-
-    @property
-    def background_value(self):
-        return self.background
-
-    @property
-    def maxima(self):
-        grid = self.values.grid
-        flat = int(np.argmax(self.values.values))
-        idx = np.unravel_index(flat, grid.shape)
-        return [tuple(float(grid.coordinate_axis[i]) for i in idx)]
 
 
 def sample_Q(Q: CoefficientQ, grid: TorusGrid, eps: float = 1.0) -> RealField:

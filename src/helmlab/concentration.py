@@ -84,20 +84,6 @@ def profile_distance(field: RealField, reference: RealField, norm_exponent: floa
     return float(best / ref_norm)
 
 
-def reconstruct_profile(gs: GroundState, Qfield: RealField, spec: ResolventSpec) -> RealField:
-    """Rescaled profile R(Q^(1/p) v) recovered from the dual field of a solve.
-
-    Recomputes the reconstruction from scratch; on a converged state it
-    reproduces `gs.u_rescaled` and, pointwise, sgn(v)|v|^(p'-1) equals
-    Q^(1/p) times this profile up to the solver tolerance.
-    """
-    from .grid import apply_multiplier_values
-
-    v = gs.v
-    weighted = RealField(v.grid, Qfield.values ** (1.0 / gs.exps.p) * v.values)
-    return apply_multiplier_values(weighted, spec.symbol_values(v.grid))
-
-
 @dataclass(frozen=True)
 class SweepRecord:
     """One wavenumber step of a concentration sweep."""
@@ -141,6 +127,32 @@ def single_bubble_check(record: SweepRecord, gs: GroundState | None = None, frac
     return single_bubble_fraction(gs, center=record.peak_rescaled) >= fraction
 
 
+def _warm_solve(
+    Q: CoefficientQ,
+    step_exps: Exponents,
+    grid: TorusGrid,
+    spec: ResolventSpec,
+    tol: float,
+    max_iter: int,
+    previous: GroundState | None,
+) -> GroundState:
+    """Solve with Q sampled at step_exps.eps, from `previous` rolled onto the maximum of Q."""
+    Qfield = sample_Q(Q, grid, step_exps.eps)
+    init = None
+    if previous is not None:
+        init = previous.v
+        spread = float(np.max(Qfield.values) - np.min(Qfield.values))
+        if spread > 1e-12 * max(float(np.max(Qfield.values)), 1.0):
+            # re-center the previous bubble onto the new coefficient maximum;
+            # a (near-)constant coefficient has no meaningful argmax, so the
+            # bubble stays wherever the last solve left it
+            q_node = np.unravel_index(int(np.argmax(Qfield.values)), grid.shape)
+            p_node = np.unravel_index(int(np.argmax(np.abs(previous.u_rescaled.values))), grid.shape)
+            shift = tuple(int(q - p) for q, p in zip(q_node, p_node))
+            init = RealField(grid, np.roll(previous.v.values, shift, axis=range(grid.dim)))
+    return solve_ground_state(Qfield, step_exps, spec, init=init, tol=tol, max_iter=max_iter)
+
+
 def _sweep_step(
     Q: CoefficientQ,
     k: float,
@@ -154,20 +166,7 @@ def _sweep_step(
 ) -> SweepRecord:
     step_exps = exps.with_k(float(k))
     eps = step_exps.eps
-    Qfield = sample_Q(Q, grid, eps)
-    init = None
-    if previous is not None:
-        init = previous.v
-        spread = float(np.max(Qfield.values) - np.min(Qfield.values))
-        if spread > 1e-12 * max(float(np.max(Qfield.values)), 1.0):
-            # re-center the previous bubble onto the new coefficient maximum;
-            # a (near-)constant coefficient has no meaningful argmax, so the
-            # bubble stays wherever the last solve left it
-            q_node = np.unravel_index(int(np.argmax(Qfield.values)), grid.shape)
-            p_node = np.unravel_index(int(np.argmax(np.abs(previous.u_rescaled.values))), grid.shape)
-            shift = tuple(int(q - p) for q, p in zip(q_node, p_node))
-            init = RealField(grid, np.roll(previous.v.values, shift, axis=range(grid.dim)))
-    gs = solve_ground_state(Qfield, step_exps, spec, init=init, tol=tol, max_iter=max_iter)
+    gs = _warm_solve(Q, step_exps, grid, spec, tol, max_iter, previous)
     dist = profile_distance(gs.u_rescaled, limit.u_rescaled, exps.p)
     return SweepRecord(
         k=float(k),
@@ -280,7 +279,12 @@ def level_table(
     max_iter: int = 500,
     warm_start: bool = True,
 ) -> LevelTable:
-    """Ground-state levels for a family of eps against both constant limits."""
+    """Ground-state levels for a family of eps against both constant limits.
+
+    Rows are solved in order; with warm starts each one is seeded from the
+    last converged row exactly as a `run_sweep` step is, so the row at eps
+    reproduces the sweep's level at k = 1/eps.
+    """
     if spec is None:
         spec = ResolventSpec(s=exps.s, delta=auto_delta(grid, exps.s))
     if Q.background_value <= 0:
@@ -292,9 +296,7 @@ def level_table(
     previous: GroundState | None = None
     for eps in eps_list:
         step_exps = exps.with_k(1.0 / float(eps))
-        Qfield = sample_Q(Q, grid, step_exps.eps)
-        init = previous.v if (warm_start and previous is not None) else None
-        gs = solve_ground_state(Qfield, step_exps, spec, init=init, tol=tol, max_iter=max_iter)
+        gs = _warm_solve(Q, step_exps, grid, spec, tol, max_iter, previous if warm_start else None)
         rows.append(
             LevelRow(
                 eps=float(eps),

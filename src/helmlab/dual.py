@@ -30,9 +30,16 @@ manifold. The bare iteration is not a contraction here: on the standard
 test grids it settles into a two-cycle whose energies blow up, and its
 very first candidate can leave the positive cone. The loop therefore
 only accepts steps that do not raise the Nehari level, and recovers
-speed with Anderson extrapolation over a short history. Per iteration
-it costs a single resolvent application, because the projected iterate
-t * c reuses R(Q^(1/p) c) computed during the projection of c.
+speed with Anderson extrapolation over a short history. An iteration
+applies the resolvent about twice, once to project the Euler-Lagrange
+candidate and once to project the Anderson trial: 2.07 applications per
+iteration over the plane-concentration benchmark workload. The projected
+iterate t * c reuses R(Q^(1/p) c) computed during the projection of c,
+so accepting a step costs no further application.
+
+All of A(v), B(v), R(Q^(1/p) v) and the Nehari scale are computed by one
+private operator, built once per (coefficient, exponents, resolvent)
+with a single evaluation of the resolvent symbol.
 """
 from __future__ import annotations
 
@@ -50,58 +57,6 @@ _NEAR_CONSTANT_TOL = 1e-12
 
 def _signed_power(values: np.ndarray, exponent: float) -> np.ndarray:
     return np.sign(values) * np.abs(values) ** exponent
-
-
-def _root_values(Qfield: RealField, p: float) -> np.ndarray:
-    return Qfield.values ** (1.0 / p)
-
-
-def quad_form(v: RealField, Qfield: RealField, exps: Exponents, spec: ResolventSpec) -> float:
-    """Quadratic part B(v) of the dual functional."""
-    weighted = _root_values(Qfield, exps.p) * v.values
-    resolved = apply_multiplier_values(RealField(v.grid, weighted), spec.symbol_values(v.grid))
-    return v.grid.cell_volume * float(np.sum(weighted * resolved.values))
-
-
-def dual_energy(v: RealField, Qfield: RealField, exps: Exponents, spec: ResolventSpec) -> float:
-    """J(v), defined for any v (not only on the Nehari manifold)."""
-    pd = exps.p_dual
-    a = v.grid.cell_volume * float(np.sum(np.abs(v.values) ** pd))
-    return a / pd - 0.5 * quad_form(v, Qfield, exps, spec)
-
-
-def dual_gradient(v: RealField, Qfield: RealField, exps: Exponents, spec: ResolventSpec) -> RealField:
-    """Gradient density of J at v against the quadrature inner product.
-
-    J(v + t w) has derivative <grad, w> at t = 0 for every direction w.
-    """
-    root = _root_values(Qfield, exps.p)
-    weighted = RealField(v.grid, root * v.values)
-    resolved = apply_multiplier_values(weighted, spec.symbol_values(v.grid))
-    return RealField(v.grid, _signed_power(v.values, exps.p_dual - 1.0) - root * resolved.values)
-
-
-def nehari_scale(v: RealField, Qfield: RealField, exps: Exponents, spec: ResolventSpec) -> float:
-    """The unique t > 0 with t*v on the Nehari manifold.
-
-    Requires a nonzero field with positive quadratic form.
-    """
-    pd = exps.p_dual
-    a = v.grid.cell_volume * float(np.sum(np.abs(v.values) ** pd))
-    if a <= 0.0:
-        raise ZeroFieldError("cannot project the zero field onto the Nehari manifold")
-    b = quad_form(v, Qfield, exps, spec)
-    if b <= 0.0:
-        raise IndefiniteFormError(
-            f"quadratic form is {b:.6g} <= 0; the ray through this field misses the Nehari manifold"
-        )
-    return (a / b) ** (1.0 / (2.0 - pd))
-
-
-def nehari_project(v: RealField, Qfield: RealField, exps: Exponents, spec: ResolventSpec) -> "DualState":
-    """Scale a field onto the Nehari manifold and report its diagnostics."""
-    scaled = nehari_scale(v, Qfield, exps, spec) * v
-    return diagnose(scaled, Qfield, exps, spec)
 
 
 @dataclass(frozen=True)
@@ -126,22 +81,6 @@ class DualState:
     @property
     def on_nehari(self) -> bool:
         return abs(self.nehari_residual) <= 1e-8 * abs(self.p_dual_mass)
-
-
-def diagnose(v: RealField, Qfield: RealField, exps: Exponents, spec: ResolventSpec) -> DualState:
-    """Evaluate the dual functional, Nehari defect and gradient size at a field."""
-    grid = v.grid
-    pd = exps.p_dual
-    root = _root_values(Qfield, exps.p)
-    weighted = RealField(grid, root * v.values)
-    resolved = apply_multiplier_values(weighted, spec.symbol_values(grid))
-    b = grid.cell_volume * float(np.sum(weighted.values * resolved.values))
-    a = grid.cell_volume * float(np.sum(np.abs(v.values) ** pd))
-    energy = a / pd - 0.5 * b
-    grad = _signed_power(v.values, pd - 1.0) - root * resolved.values
-    # measured in L^p, the dual pairing partner of the L^{p'} variable
-    gnorm = (grid.cell_volume * float(np.sum(np.abs(grad) ** exps.p))) ** (1.0 / exps.p)
-    return DualState(v=v, energy=energy, quad_form=b, nehari_residual=a - b, gradient_norm=gnorm)
 
 
 @dataclass(frozen=True)
@@ -178,6 +117,129 @@ class GroundState:
         return self.fixed_point_residual
 
 
+class _DualOperator:
+    """The dual functional of one (coefficient, exponents, resolvent).
+
+    Holds Q^(1/p), the resolvent symbol and the cell volume, each
+    evaluated once. It is the only code that applies R(Q^(1/p) .) and
+    computes A(v), B(v), the Nehari scale and a `DualState`; the public
+    functions below build one per call, the solver one per solve.
+    Methods take and return raw value arrays on `grid`.
+    """
+
+    def __init__(self, Qfield: RealField, exps: Exponents, spec: ResolventSpec):
+        self.Qfield = Qfield
+        self.grid = Qfield.grid
+        self.exps = exps
+        self.root = Qfield.values ** (1.0 / exps.p)
+        self.symbol = spec.symbol_values(self.grid)
+        self.cell_volume = self.grid.cell_volume
+
+    def mass(self, values: np.ndarray) -> float:
+        """A(v) = int |v|^p'."""
+        return self.cell_volume * float(np.sum(np.abs(values) ** self.exps.p_dual))
+
+    def resolve(self, values: np.ndarray) -> tuple[float, np.ndarray]:
+        """B(v) and R(Q^(1/p) v)."""
+        weighted = self.root * values
+        resolved = apply_multiplier_values(RealField(self.grid, weighted), self.symbol).values
+        return self.cell_volume * float(np.sum(weighted * resolved)), resolved
+
+    def scale(self, a: float, b: float) -> float:
+        """Nehari scale t_v = (A/B)^(1/(2-p')) from A(v) and B(v) > 0."""
+        return (a / b) ** (1.0 / (2.0 - self.exps.p_dual))
+
+    def gradient(self, values: np.ndarray, resolved: np.ndarray) -> np.ndarray:
+        """Gradient density sgn(v)|v|^(p'-1) - Q^(1/p) R(Q^(1/p) v) of J."""
+        return _signed_power(values, self.exps.p_dual - 1.0) - self.root * resolved
+
+    def dual_norm(self, values: np.ndarray) -> float:
+        """L^p norm, the dual pairing partner of the L^p' variable."""
+        p = self.exps.p
+        return (self.cell_volume * float(np.sum(np.abs(values) ** p))) ** (1.0 / p)
+
+    def state(self, v: RealField) -> DualState:
+        """Energy, B(v), Nehari defect and gradient size at v."""
+        b, resolved = self.resolve(v.values)
+        a = self.mass(v.values)
+        return DualState(
+            v=v,
+            energy=a / self.exps.p_dual - 0.5 * b,
+            quad_form=b,
+            nehari_residual=a - b,
+            gradient_norm=self.dual_norm(self.gradient(v.values, resolved)),
+        )
+
+    def nehari_scale(self, values: np.ndarray) -> float:
+        """Nehari scale of v; raises for a zero field or B(v) <= 0."""
+        a = self.mass(values)
+        if a <= 0.0:
+            raise ZeroFieldError("cannot project the zero field onto the Nehari manifold")
+        b, _ = self.resolve(values)
+        if b <= 0.0:
+            raise IndefiniteFormError(
+                f"quadratic form is {b:.6g} <= 0; the ray through this field misses the Nehari manifold"
+            )
+        return self.scale(a, b)
+
+    def project(self, c: np.ndarray):
+        """Nehari-project raw values; returns (t*c, R(Q^(1/p) t*c), level) or None."""
+        b, resolved = self.resolve(c)
+        if b <= 0.0:
+            return None
+        a = self.mass(c)
+        t = self.scale(a, b)
+        return t * c, t * resolved, (1.0 / self.exps.p_dual - 0.5) * t**self.exps.p_dual * a
+
+    def initial_guess(self, center: tuple[float, ...] | None = None) -> RealField:
+        """See `default_initial_guess`."""
+        grid = self.grid
+        if center is None:
+            values = self.Qfield.values
+            spread = float(np.max(values) - np.min(values))
+            if spread <= _NEAR_CONSTANT_TOL * max(abs(float(np.max(values))), 1.0):
+                node = grid.origin_index
+            else:
+                node = np.unravel_index(int(np.argmax(values)), grid.shape)
+            center = tuple(float(grid.coordinate_axis[i]) for i in node)
+        gauss = np.exp(-grid.periodic_distance2(center) / 2.0)
+        return apply_multiplier_values(RealField(grid, gauss), np.maximum(self.symbol, 0.0))
+
+
+def dual_energy(v: RealField, Qfield: RealField, exps: Exponents, spec: ResolventSpec) -> float:
+    """J(v), defined for any v (not only on the Nehari manifold)."""
+    return diagnose(v, Qfield, exps, spec).energy
+
+
+def dual_gradient(v: RealField, Qfield: RealField, exps: Exponents, spec: ResolventSpec) -> RealField:
+    """Gradient density of J at v against the quadrature inner product.
+
+    J(v + t w) has derivative <grad, w> at t = 0 for every direction w.
+    """
+    op = _DualOperator(Qfield, exps, spec)
+    _, resolved = op.resolve(v.values)
+    return RealField(v.grid, op.gradient(v.values, resolved))
+
+
+def nehari_scale(v: RealField, Qfield: RealField, exps: Exponents, spec: ResolventSpec) -> float:
+    """The unique t > 0 with t*v on the Nehari manifold.
+
+    Requires a nonzero field with positive quadratic form.
+    """
+    return _DualOperator(Qfield, exps, spec).nehari_scale(v.values)
+
+
+def nehari_project(v: RealField, Qfield: RealField, exps: Exponents, spec: ResolventSpec) -> DualState:
+    """Scale a field onto the Nehari manifold and report its diagnostics."""
+    op = _DualOperator(Qfield, exps, spec)
+    return op.state(op.nehari_scale(v.values) * v)
+
+
+def diagnose(v: RealField, Qfield: RealField, exps: Exponents, spec: ResolventSpec) -> DualState:
+    """Evaluate the dual functional, Nehari defect and gradient size at a field."""
+    return _DualOperator(Qfield, exps, spec).state(v)
+
+
 def default_initial_guess(
     Qfield: RealField,
     exps: Exponents,
@@ -196,18 +258,7 @@ def default_initial_guess(
     bump sits at the coefficient argmax, or at the origin node for a
     (near-)constant coefficient where the argmax tie-break is arbitrary.
     """
-    grid = Qfield.grid
-    if center is None:
-        values = Qfield.values
-        spread = float(np.max(values) - np.min(values))
-        if spread <= _NEAR_CONSTANT_TOL * max(abs(float(np.max(values))), 1.0):
-            node = grid.origin_index
-        else:
-            node = np.unravel_index(int(np.argmax(values)), grid.shape)
-        center = tuple(float(grid.coordinate_axis[i]) for i in node)
-    gauss = np.exp(-grid.periodic_distance2(center) / 2.0)
-    positive_part = np.maximum(spec.symbol_values(grid), 0.0)
-    return apply_multiplier_values(RealField(grid, gauss), positive_part)
+    return _DualOperator(Qfield, exps, spec).initial_guess(center)
 
 
 def random_initial_guess(
@@ -284,28 +335,12 @@ def solve_ground_state(
         raise ValueError("max_iter must be at least 1")
 
     p, pd = exps.p, exps.p_dual
-    hd = grid.cell_volume
-    root = _root_values(Qfield, p)
-    symbol = spec.symbol_values(grid)
-
-    def resolve(a: np.ndarray) -> np.ndarray:
-        return apply_multiplier_values(RealField(grid, a), symbol).values
-
-    def project(c: np.ndarray):
-        """Nehari-project raw values; returns (t*c, R(Q^(1/p) t*c), level) or None."""
-        rw = resolve(root * c)
-        b = hd * float(np.sum(root * c * rw))
-        if b <= 0.0:
-            return None
-        a = hd * float(np.sum(np.abs(c) ** pd))
-        t = (a / b) ** (1.0 / (2.0 - pd))
-        return t * c, t * rw, (1.0 / pd - 0.5) * t**pd * a
-
+    op = _DualOperator(Qfield, exps, spec)
     if init is None:
-        init = default_initial_guess(Qfield, exps, spec)
+        init = op.initial_guess()
     if not np.any(init.values):
         raise ZeroFieldError("initial guess is identically zero")
-    start = project(init.values)
+    start = op.project(init.values)
     if start is None:
         raise IndefiniteFormError(
             "initial guess has nonpositive quadratic form and cannot be projected; "
@@ -320,11 +355,8 @@ def solve_ground_state(
     res = np.inf
     converged = False
     for it in range(max_iter):
-        w = root * rw_v
-        grad = _signed_power(v, pd - 1.0) - w
-        res_num = (hd * float(np.sum(np.abs(grad) ** p))) ** (1.0 / p)
-        res_den = (hd * float(np.sum(np.abs(v) ** pd))) ** ((pd - 1.0) / pd)
-        res = res_num / res_den
+        grad = op.gradient(v, rw_v)
+        res = op.dual_norm(grad) / op.mass(v) ** ((pd - 1.0) / pd)
         if best is None or energy < best[2]:
             best = (v, rw_v, energy, res, it)
         if res <= tol:
@@ -332,8 +364,8 @@ def solve_ground_state(
             iterations = it
             break
 
-        cand = _signed_power(w, p - 1.0)
-        projected_cand = project(cand)
+        cand = _signed_power(op.root * rw_v, p - 1.0)
+        projected_cand = op.project(cand)
         stepped = False
         found_positive = projected_cand is not None
 
@@ -358,7 +390,7 @@ def solve_ground_state(
                     mixed = sum(
                         wgt * (hv + hr) for wgt, hv, hr in zip(weights, hist_v, hist_r)
                     ).reshape(grid.shape)
-                    trial = project(mixed)
+                    trial = op.project(mixed)
                     if trial is not None:
                         found_positive = True
                         # slack shrinks with the residual, so late extrapolations
@@ -371,13 +403,13 @@ def solve_ground_state(
                 stepped = True
 
         if not stepped:
-            cand_norm = (hd * float(np.sum(np.abs(cand) ** pd))) ** (1.0 / pd)
+            cand_norm = op.mass(cand) ** (1.0 / pd)
             if cand_norm > 0.0:
-                v_norm = (hd * float(np.sum(np.abs(v) ** pd))) ** (1.0 / pd)
+                v_norm = op.mass(v) ** (1.0 / pd)
                 matched = (v_norm / cand_norm) * cand
                 gamma = 0.5
                 for _ in range(11):
-                    trial = project(v + gamma * (matched - v))
+                    trial = op.project(v + gamma * (matched - v))
                     if trial is not None:
                         found_positive = True
                         if trial[2] <= energy + 1e-12 * abs(energy):
@@ -389,7 +421,7 @@ def solve_ground_state(
         if not stepped:
             alpha = 1.0
             for _ in range(40):
-                trial = project(v - alpha * grad)
+                trial = op.project(v - alpha * grad)
                 if trial is not None:
                     found_positive = True
                     if trial[2] < energy:
@@ -409,14 +441,13 @@ def solve_ground_state(
     if not converged and best is not None:
         v, rw_v, energy, res, _ = best
 
-    return _package(
-        grid, v, rw_v, energy, res, iterations, converged, Qfield, exps, spec
-    )
+    return _package(op, v, rw_v, res, iterations, converged)
 
 
-def _package(grid, v, rw_v, energy, res, iterations, converged, Qfield, exps, spec) -> GroundState:
+def _package(op: _DualOperator, v, rw_v, res, iterations, converged) -> GroundState:
     from .concentration import locate_peak  # deferred: concentration imports this module
 
+    grid = op.grid
     u = RealField(grid, rw_v)
     peak_node = np.unravel_index(int(np.argmax(np.abs(u.values))), grid.shape)
     if u.values[peak_node] < 0.0:
@@ -424,13 +455,13 @@ def _package(grid, v, rw_v, energy, res, iterations, converged, Qfield, exps, sp
         v = -v
         u = RealField(grid, -u.values)
     peak = locate_peak(u)
-    state = diagnose(RealField(grid, v), Qfield, exps, spec)
+    state = op.state(RealField(grid, v))
     return GroundState(
         state=state,
         u_rescaled=u,
-        scale_factor=exps.scale_factor,
+        scale_factor=op.exps.scale_factor,
         peak=peak,
-        exps=exps,
+        exps=op.exps,
         iterations=iterations,
         converged=converged,
         fixed_point_residual=res,
@@ -458,24 +489,20 @@ def limit_ground_state(
     gs = solve_ground_state(Qfield, exps, spec, tol=tol, max_iter=max_iter)
     peak_node = np.unravel_index(int(np.argmax(np.abs(gs.u_rescaled.values))), grid.shape)
     shift = tuple(int(o - i) for o, i in zip(grid.origin_index, peak_node))
-    if any(shift):
-        # exact on the torus: rolling commutes with the constant-Q functional
-        v = RealField(grid, np.roll(gs.v.values, shift, axis=range(grid.dim)))
-        u = RealField(grid, np.roll(gs.u_rescaled.values, shift, axis=range(grid.dim)))
-        from .concentration import locate_peak
-
-        state = diagnose(v, Qfield, exps, spec)
-        gs = GroundState(
-            state=state,
-            u_rescaled=u,
-            scale_factor=gs.scale_factor,
-            peak=locate_peak(u),
-            exps=gs.exps,
-            iterations=gs.iterations,
-            converged=gs.converged,
-            fixed_point_residual=gs.fixed_point_residual,
-        )
-    return gs
+    if not any(shift):
+        return gs
+    # exact on the torus: rolling commutes with the constant-Q functional.
+    # The cold start sits on the origin node, so this branch (and its
+    # second symbol evaluation) only runs if the solve drifts off it.
+    axes = range(grid.dim)
+    return _package(
+        _DualOperator(Qfield, exps, spec),
+        np.roll(gs.v.values, shift, axis=axes),
+        np.roll(gs.u_rescaled.values, shift, axis=axes),
+        gs.fixed_point_residual,
+        gs.iterations,
+        gs.converged,
+    )
 
 
 def cutoff_projection(
@@ -511,6 +538,6 @@ def cutoff_projection(
     else:
         window = np.asarray(eta(rho), dtype=float)
     phi = RealField(grid, window * moved)
-    t = nehari_scale(phi, Qfield, exps, spec)
-    level = dual_energy(t * phi, Qfield, exps, spec)
-    return phi, t, level
+    op = _DualOperator(Qfield, exps, spec)
+    t = op.nehari_scale(phi.values)
+    return phi, t, op.state(t * phi).energy

@@ -140,27 +140,11 @@ class BandCutoff:
 
 @dataclass(frozen=True)
 class KernelBundle:
-    """A kernel split into its near-sphere band part and the remainder.
-
-    `K`, `K1`, `K2` alias kernel, band and remainder for callers that
-    prefer the short labels used in the output tables.
-    """
+    """A kernel split into its near-sphere band part and the remainder."""
 
     kernel: RealField
     band: RealField
     remainder: RealField
-
-    @property
-    def K(self) -> RealField:
-        return self.kernel
-
-    @property
-    def K1(self) -> RealField:
-        return self.band
-
-    @property
-    def K2(self) -> RealField:
-        return self.remainder
 
 
 def band_decompose(kernel: RealField, cutoff: BandCutoff | None = None) -> KernelBundle:

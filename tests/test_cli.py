@@ -331,3 +331,10 @@ def test_installed_console_script_runs(tmp_path):
     done = run_script(shutil.which("helmlab"), "validate-params", "--config", cfg)
     assert done.returncode == 0, done.stderr
     assert "pass" in done.stdout
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    # numpy is the only runtime dependency; scipy is a test-only extra
+    done = run_script(sys.executable, "-c", "import sys, helmlab.cli; print('scipy' in sys.modules)")
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"

@@ -6,8 +6,6 @@ from helmlab import (
     BumpOnBackgroundQ,
     ConstantQ,
     NegativeCoefficientError,
-    RealField,
-    SampledQ,
     build_grid,
     sample_Q,
 )
@@ -56,39 +54,6 @@ def test_bump_with_two_centers():
 def test_bump_validation(kwargs):
     with pytest.raises((ValueError, NegativeCoefficientError)):
         BumpOnBackgroundQ(**kwargs)
-
-
-def test_sampled_interpolates_linearly():
-    grid = build_grid(1, 16.0, 32)
-    ramp = RealField(grid, 1.0 + np.abs(grid.coordinate_axis) / 16.0)
-    Q = SampledQ(values=ramp)
-    # exact at nodes
-    x0 = float(grid.coordinate_axis[5])
-    assert Q.evaluate(np.array(x0))[()] == pytest.approx(ramp.values[5])
-    # halfway between two nodes: the average
-    mid = x0 + 0.5 * grid.spacing
-    want = 0.5 * (ramp.values[5] + ramp.values[6])
-    assert Q.evaluate(np.array(mid))[()] == pytest.approx(want)
-
-
-def test_sampled_declared_values():
-    grid = build_grid(1, 16.0, 32)
-    field = RealField(grid, np.ones(32))
-    assert SampledQ(values=field).sup_value == pytest.approx(1.0)
-    assert SampledQ(values=field, sup=3.0).sup_value == 3.0
-    assert SampledQ(values=field, background=0.25).background_value == 0.25
-    with pytest.raises(NegativeCoefficientError):
-        SampledQ(values=RealField(grid, -np.ones(32)))
-    with pytest.raises(NegativeCoefficientError):
-        SampledQ(values=field, background=-1.0)
-
-
-def test_sampled_maxima_in_coordinates():
-    grid = build_grid(2, 16.0, 16)
-    values = np.zeros(grid.shape)
-    values[3, 7] = 2.0
-    Q = SampledQ(values=RealField(grid, values))
-    assert Q.maxima == [(float(grid.coordinate_axis[3]), float(grid.coordinate_axis[7]))]
 
 
 def test_sample_rescaling_flattens_bumps():

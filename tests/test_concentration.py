@@ -8,7 +8,6 @@ from helmlab.concentration import (
     level_table,
     locate_peak,
     profile_distance,
-    reconstruct_profile,
     run_sweep,
     single_bubble_check,
     single_bubble_fraction,
@@ -90,35 +89,6 @@ def test_distance_grid_mismatch_rejected(limit2d):
 def test_distance_zero_reference_rejected(limit2d, grid2d):
     with pytest.raises(ZeroFieldError):
         profile_distance(limit2d.u_rescaled, RealField.zeros(grid2d))
-
-
-# -------------------------------------------------------- reconstruct_profile
-
-
-def test_reconstruction_matches_stored_profile(limit2d, unitQ, spec2d):
-    rebuilt = reconstruct_profile(limit2d, unitQ, spec2d)
-    assert np.max(np.abs(rebuilt.values - limit2d.u_rescaled.values)) < 1e-10
-
-
-def test_reconstruction_of_zero_dual_field(limit2d, unitQ, spec2d, exps2d, grid2d):
-    silent = GroundState(
-        state=DualState(
-            v=RealField.zeros(grid2d),
-            energy=0.0,
-            quad_form=0.0,
-            nehari_residual=0.0,
-            gradient_norm=0.0,
-        ),
-        u_rescaled=RealField.zeros(grid2d),
-        scale_factor=1.0,
-        peak=(0.0, 0.0),
-        exps=exps2d,
-        iterations=0,
-        converged=False,
-        fixed_point_residual=0.0,
-    )
-    rebuilt = reconstruct_profile(silent, unitQ, spec2d)
-    assert not np.any(rebuilt.values)
 
 
 # ------------------------------------------------------- single-bubble checks
@@ -266,3 +236,16 @@ def test_level_table_rejects_zero_background(grid2d, exps2d, spec2d):
     flat_bottom = BumpOnBackgroundQ(background=0.0, amplitude=1.0, width=1.0)
     with pytest.raises(ValueError):
         level_table(flat_bottom, [0.5], exps2d, grid2d, spec=spec2d)
+
+
+def test_off_origin_level_table_matches_the_sweep(grid2d, exps2d, spec2d):
+    # each row warm-starts from the last bubble rolled onto the new maximum
+    # of Q, as a sweep step does; left where it was, the rows at eps = 1/4
+    # and 1/8 ran to max_iter for this centre
+    Q = BumpOnBackgroundQ(background=0.5, amplitude=1.0, width=1.0, centers=((0.25, 0.125),))
+    table = level_table(Q, [0.5, 0.25, 0.125], exps2d, grid2d, spec=spec2d)
+    records = run_sweep(Q, [2.0, 4.0, 8.0], exps2d, grid2d, spec=spec2d)
+    for row, record in zip(table.rows, records):
+        assert row.converged and record.converged
+        assert row.eps == record.eps
+        assert row.level == pytest.approx(record.level, rel=1e-9)

@@ -22,8 +22,8 @@ from helmlab import (
     lq_norm,
     nehari_project,
     nehari_scale,
-    quad_form,
     random_initial_guess,
+    real_resolvent,
     sample_Q,
     solve_ground_state,
     translate,
@@ -53,7 +53,7 @@ def cone_field(grid, seed=5):
 def test_energy_of_zero_field_is_zero():
     grid = small_grid()
     assert dual_energy(RealField.zeros(grid), bump_field(grid), EXPS, SPEC) == 0.0
-    assert quad_form(RealField.zeros(grid), bump_field(grid), EXPS, SPEC) == 0.0
+    assert diagnose(RealField.zeros(grid), bump_field(grid), EXPS, SPEC).quad_form == 0.0
 
 
 def test_energy_homogeneity_in_both_terms():
@@ -62,7 +62,7 @@ def test_energy_homogeneity_in_both_terms():
     v = cone_field(grid)
     pd = EXPS.p_dual
     a = lq_norm(v, pd) ** pd
-    b = quad_form(v, Qf, EXPS, SPEC)
+    b = diagnose(v, Qf, EXPS, SPEC).quad_form
     for t in (0.5, 1.0, 2.0):
         want = (t**pd / pd) * a - 0.5 * t * t * b
         got = dual_energy(t * v, Qf, EXPS, SPEC)
@@ -98,8 +98,8 @@ def test_quad_form_sign_follows_symbol():
     Qf = RealField(grid, np.ones(64))
     inside = RealField(grid, np.cos((np.pi * 2 / 16.0) * grid.coordinate_axis))  # mu < 1
     outside = RealField(grid, np.cos((np.pi * 9 / 16.0) * grid.coordinate_axis))  # mu > 1
-    assert quad_form(inside, Qf, exps, spec) < 0.0
-    assert quad_form(outside, Qf, exps, spec) > 0.0
+    assert diagnose(inside, Qf, exps, spec).quad_form < 0.0
+    assert diagnose(outside, Qf, exps, spec).quad_form > 0.0
 
 
 def test_quad_form_single_mode_value():
@@ -110,7 +110,7 @@ def test_quad_form_single_mode_value():
     v = RealField(grid, np.cos(xi * grid.coordinate_axis))
     Qf = RealField(grid, np.ones(64))
     want = (1.0 / (xi * xi - 1.0)) * lq_norm(v, 2) ** 2
-    assert quad_form(v, Qf, exps, spec) == pytest.approx(want, rel=1e-10)
+    assert diagnose(v, Qf, exps, spec).quad_form == pytest.approx(want, rel=1e-10)
 
 
 # ---------------------------------------------------------------- gradient
@@ -154,7 +154,7 @@ def test_nehari_scale_is_one_when_terms_balance():
     v = cone_field(grid)
     pd = EXPS.p_dual
     a = lq_norm(v, pd) ** pd
-    b = quad_form(v, Qf, EXPS, SPEC)
+    b = diagnose(v, Qf, EXPS, SPEC).quad_form
     assert b > 0.0
     balanced = (b / a) ** (1.0 / (pd - 2.0)) * v
     assert nehari_scale(balanced, Qf, EXPS, SPEC) == pytest.approx(1.0, rel=1e-10)
@@ -242,7 +242,8 @@ def test_diagnose_consistency():
     v = cone_field(grid, seed=13)
     state = diagnose(v, Qf, EXPS, SPEC)
     assert state.energy == pytest.approx(dual_energy(v, Qf, EXPS, SPEC), rel=1e-12)
-    assert state.quad_form == pytest.approx(quad_form(v, Qf, EXPS, SPEC), rel=1e-12)
+    weighted = RealField(grid, Qf.values ** (1.0 / EXPS.p) * v.values)
+    assert state.quad_form == pytest.approx(inner_product(weighted, real_resolvent(weighted, SPEC)), rel=1e-12)
     pd = EXPS.p_dual
     a = lq_norm(v, pd) ** pd
     assert state.nehari_residual == pytest.approx(a - state.quad_form, rel=1e-12)
@@ -257,7 +258,7 @@ def test_default_initial_guess_lies_in_cone():
     grid = small_grid()
     Qf = bump_field(grid)
     init = default_initial_guess(Qf, EXPS, SPEC)
-    assert quad_form(init, Qf, EXPS, SPEC) > 0.0
+    assert diagnose(init, Qf, EXPS, SPEC).quad_form > 0.0
     # bump Q puts the guess at the coefficient argmax
     peak = np.unravel_index(int(np.argmax(np.abs(init.values))), grid.shape)
     assert peak == grid.origin_index
@@ -271,7 +272,7 @@ def test_random_initial_guess_seeded_and_admissible():
     c = random_initial_guess(grid, SPEC, 124)
     assert np.array_equal(a.values, b.values)
     assert not np.array_equal(a.values, c.values)
-    assert quad_form(a, Qf, EXPS, SPEC) > 0.0
+    assert diagnose(a, Qf, EXPS, SPEC).quad_form > 0.0
 
 
 def test_dihedral_average_is_symmetric():

@@ -226,10 +226,6 @@ def test_band_split_adds_back_to_kernel():
     bundle = band_decompose(extract_kernel(ResolventSpec(s=1.0, delta=0.2), grid))
     total = bundle.band.values + bundle.remainder.values
     assert np.allclose(total, bundle.kernel.values, atol=1e-13 * np.max(np.abs(bundle.kernel.values)))
-    # short aliases point at the same parts
-    assert bundle.K is bundle.kernel
-    assert bundle.K1 is bundle.band
-    assert bundle.K2 is bundle.remainder
 
 
 def test_band_part_is_spectrally_confined():

@@ -12,10 +12,12 @@ from helmlab import (
     auto_delta,
     build_grid,
     limit_ground_state,
+    real_resolvent,
     sample_Q,
     solve_ground_state,
     translate,
 )
+from helmlab import dual
 from conftest import STANDARD_LEVEL
 
 
@@ -38,6 +40,13 @@ def test_reported_state_is_consistent(ground2d):
     assert np.allclose(ground2d.peak, coords, atol=grid.spacing)
     # sign convention: positive at the peak
     assert ground2d.u_rescaled.values[node] > 0.0
+
+
+def test_profile_is_the_resolvent_of_the_weighted_dual_field(ground2d, unitQ, spec2d):
+    # u = R(Q^(1/p) v), recomputed from scratch from the returned dual field
+    weighted = RealField(unitQ.grid, unitQ.values ** (1.0 / ground2d.exps.p) * ground2d.v.values)
+    rebuilt = real_resolvent(weighted, spec2d)
+    assert np.max(np.abs(rebuilt.values - ground2d.u_rescaled.values)) < 1e-10
 
 
 def test_restart_from_solution_terminates_immediately(ground2d, unitQ, exps2d, spec2d):
@@ -113,3 +122,34 @@ def test_limit_level_decreases_in_coefficient(grid2d, exps2d, spec2d, limit2d):
 def test_limit_rejects_nonpositive_coefficient(grid2d, exps2d, spec2d):
     with pytest.raises(ValueError):
         limit_ground_state(0.0, grid2d, exps2d, spec2d)
+
+
+def test_limit_recentres_an_off_origin_solve(monkeypatch, ground2d, unitQ, grid2d, exps2d, spec2d):
+    # the cold start keeps the constant-Q peak on the origin node, so the
+    # roll back onto it is only reached through a solve that ends elsewhere
+    moved = solve_ground_state(unitQ, exps2d, spec2d, init=translate(ground2d.v, (5, -3)), max_iter=50)
+    monkeypatch.setattr(dual, "solve_ground_state", lambda *args, **kwargs: moved)
+    gs = limit_ground_state(1.0, grid2d, exps2d, spec2d)
+    node = np.unravel_index(int(np.argmax(np.abs(gs.u_rescaled.values))), grid2d.shape)
+    assert node == grid2d.origin_index
+    assert np.array_equal(gs.v.values, np.roll(moved.v.values, (-5, 3), axis=(0, 1)))
+    assert gs.level == pytest.approx(moved.level, rel=1e-12)
+    assert (gs.iterations, gs.converged) == (moved.iterations, moved.converged)
+
+
+def test_symbol_is_evaluated_once_per_solve(monkeypatch, unitQ, grid2d, exps2d, spec2d):
+    # one dual operator per solve: the projection, the residual, the cold
+    # start and the packaged diagnosis all share its symbol
+    calls = []
+    original = ResolventSpec.symbol_values
+
+    def counted(self, grid):
+        calls.append(grid)
+        return original(self, grid)
+
+    monkeypatch.setattr(ResolventSpec, "symbol_values", counted)
+    assert solve_ground_state(unitQ, exps2d, spec2d).converged
+    assert len(calls) == 1
+    del calls[:]
+    assert limit_ground_state(1.0, grid2d, exps2d, spec2d).converged
+    assert len(calls) == 1

@@ -247,7 +247,7 @@ def _solve_with_seeds(cfg: RunConfig, Qfield, exps, spec, Q):
                 for m in maxima
             ]
         else:
-            starts = [default_initial_guess(Qfield, exps, spec)]
+            starts = [None]  # the solver's cold start is default_initial_guess's, on the same operator
     best = None
     for start in starts:
         gs = solve_ground_state(Qfield, exps, spec, init=start, tol=cfg.tol, max_iter=cfg.max_iter)

@@ -30,12 +30,20 @@ manifold. The bare iteration is not a contraction here: on the standard
 test grids it settles into a two-cycle whose energies blow up, and its
 very first candidate can leave the positive cone. The loop therefore
 only accepts steps that do not raise the Nehari level, and recovers
-speed with Anderson extrapolation over a short history. An iteration
-applies the resolvent about twice, once to project the Euler-Lagrange
-candidate and once to project the Anderson trial: 2.07 applications per
-iteration over the plane-concentration benchmark workload. The projected
-iterate t * c reuses R(Q^(1/p) c) computed during the projection of c,
-so accepting a step costs no further application.
+speed with Anderson extrapolation over a short history of m iterates
+(`anderson_memory`, 5 by default). Its mixing coefficients theta
+minimize |r - D theta|, with r the newest fixed-point residual and D
+the m - 1 increments between consecutive residuals. They come from the
+Gram form D^T D theta = D^T r (Walker & Ni, SIAM J. Numer. Anal. 49,
+2011): one dot product per entry of an (m - 1) x (m - 1) system,
+solved by least squares so that a rank-deficient history still gets
+the minimum-norm theta. Each increment is formed once, when its
+residual enters the history. An iteration applies the resolvent about
+twice, once to project the Euler-Lagrange candidate and once to
+project the Anderson trial: 2.07 applications per iteration over the
+plane-concentration benchmark workload. The projected iterate t * c
+reuses R(Q^(1/p) c) computed during the projection of c, so accepting a
+step costs no further application.
 
 All of A(v), B(v), R(Q^(1/p) v) and the Nehari scale are computed by one
 private operator, built once per (coefficient, exponents, resolvent)
@@ -350,6 +358,7 @@ def solve_ground_state(
 
     hist_v: list[np.ndarray] = []
     hist_r: list[np.ndarray] = []
+    hist_d: list[np.ndarray] = []  # increments hist_r[k + 1] - hist_r[k]
     best = None
     iterations = max_iter
     res = np.inf
@@ -370,20 +379,23 @@ def solve_ground_state(
         found_positive = projected_cand is not None
 
         if projected_cand is not None:
+            r = (projected_cand[0] - v).ravel()
+            if hist_r:
+                hist_d.append(r - hist_r[-1])
             hist_v.append(v.ravel().copy())
-            hist_r.append((projected_cand[0] - v).ravel())
+            hist_r.append(r)
             if len(hist_v) > anderson_memory:
                 hist_v.pop(0)
                 hist_r.pop(0)
-            if len(hist_v) >= 2:
-                residual_matrix = np.stack(hist_r, axis=1)
-                increments = residual_matrix[:, 1:] - residual_matrix[:, :-1]
+                del hist_d[:1]
+            if hist_d:
+                gram = np.array([[np.dot(a, b) for b in hist_d] for a in hist_d])
                 try:
-                    theta, *_ = np.linalg.lstsq(increments, residual_matrix[:, -1], rcond=None)
+                    theta, *_ = np.linalg.lstsq(gram, np.array([np.dot(a, r) for a in hist_d]), rcond=None)
                 except np.linalg.LinAlgError:
                     theta = None
                 if theta is not None:
-                    weights = np.zeros(residual_matrix.shape[1])
+                    weights = np.zeros(len(hist_r))
                     weights[-1] = 1.0
                     weights[:-1] -= theta
                     weights[1:] += theta

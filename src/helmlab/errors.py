@@ -10,7 +10,8 @@ class GridMismatchError(ValueError):
 
 
 class SymmetryViolationError(ValueError):
-    """An inverse transform produced a significant imaginary residue."""
+    """A spectrum that would not give a real field: an inverse transform
+    left a significant imaginary residue, or a multiplier is not even."""
 
 
 class SingularModeError(ValueError):

@@ -3,6 +3,15 @@
 All computations live on the torus [-L, L)^dim sampled with n points per
 axis. Transforms use the unitary (norm-preserving) FFT convention, and
 integrals are plain quadrature sums weighted by the cell volume h^dim.
+
+Fourier multipliers are real and even, m(-xi) = m(xi), so they keep
+fields real: `apply_multiplier_values` uses the real transform pair
+rfftn/irfftn on the half spectrum, with no imaginary residue to check.
+`multiplier_values` rejects an uneven callable; raw values must be even,
+as the resolvent symbol and the band cutoff are by construction. The
+explicit `SpectralField` transforms stay complex and check Hermitian
+symmetry. Geometry and multipliers are evaluated on open (broadcast) 1D
+axes, not on full per-axis meshes.
 """
 from __future__ import annotations
 
@@ -16,9 +25,9 @@ from .errors import GridMismatchError, SymmetryViolationError
 
 _SUPPORTED_DIMS = (1, 2, 3)
 
-# Relative imaginary residue tolerated when casting an inverse transform
-# back to a real field.
-_IMAG_TOL = 1e-8
+# Relative asymmetry tolerated in a real field's spectrum: the imaginary
+# residue of a complex inverse transform, or m(xi) - m(-xi) of a multiplier.
+_SYMMETRY_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -75,18 +84,18 @@ class TorusGrid:
     def coordinate_mesh(self) -> tuple[np.ndarray, ...]:
         return tuple(np.meshgrid(*([self.coordinate_axis] * self.dim), indexing="ij"))
 
-    @cached_property
-    def frequency_mesh(self) -> tuple[np.ndarray, ...]:
-        return tuple(np.meshgrid(*([self.frequency_axis] * self.dim), indexing="ij"))
+    def _open_axes(self, axis: np.ndarray) -> list[np.ndarray]:
+        """One copy of a 1D axis per dimension, shaped to broadcast over the grid."""
+        return np.meshgrid(*([axis] * self.dim), indexing="ij", sparse=True)
 
     @cached_property
     def radius(self) -> np.ndarray:
         """Euclidean distance of every node from the origin."""
-        return np.sqrt(sum(m * m for m in self.coordinate_mesh))
+        return np.sqrt(sum(a * a for a in self._open_axes(self.coordinate_axis)))
 
     @cached_property
     def frequency_norm(self) -> np.ndarray:
-        return np.sqrt(sum(m * m for m in self.frequency_mesh))
+        return np.sqrt(sum(a * a for a in self._open_axes(self.frequency_axis)))
 
     def periodic_distance2(self, center) -> np.ndarray:
         """Squared torus distance of every node from an arbitrary point."""
@@ -94,11 +103,11 @@ class TorusGrid:
         if center.shape != (self.dim,):
             raise ValueError(f"center must have {self.dim} components")
         span = 2.0 * self.half_width
-        out = np.zeros(self.shape)
-        for mesh, c in zip(self.coordinate_mesh, center):
-            d = np.mod(mesh - c + self.half_width, span) - self.half_width
-            out += d * d
-        return out
+        offsets = (
+            np.mod(a - c + self.half_width, span) - self.half_width
+            for a, c in zip(self._open_axes(self.coordinate_axis), center)
+        )
+        return sum(d * d for d in offsets)
 
     def nearest_index(self, point) -> tuple[int, ...]:
         """Index tuple of the grid node closest to a point (periodic wrap)."""
@@ -180,20 +189,6 @@ def forward_transform(field: RealField) -> SpectralField:
     return SpectralField(field.grid, np.fft.fftn(field.values, norm="ortho"))
 
 
-def _to_real(grid: TorusGrid, complex_values: np.ndarray, reference: float) -> RealField:
-    # The residue is judged against the input coefficient scale, not the
-    # output: a multiplier may legitimately annihilate the field, leaving
-    # pure roundoff where any output-relative test would misfire.
-    scale = max(float(np.max(np.abs(complex_values))), reference)
-    if scale > 0.0:
-        residue = float(np.max(np.abs(complex_values.imag))) / scale
-        if residue > _IMAG_TOL:
-            raise SymmetryViolationError(
-                f"imaginary residue {residue:.3e} exceeds {_IMAG_TOL:.0e}; spectrum is not Hermitian"
-            )
-    return RealField(grid, np.ascontiguousarray(complex_values.real))
-
-
 def inverse_transform(field: SpectralField) -> RealField:
     """Unitary inverse FFT, discarding a small imaginary residue.
 
@@ -201,32 +196,62 @@ def inverse_transform(field: SpectralField) -> RealField:
     to the coefficient magnitude, which indicates the coefficients did
     not satisfy the Hermitian symmetry of a real field.
     """
-    reference = float(np.max(np.abs(field.coeffs)))
-    return _to_real(field.grid, np.fft.ifftn(field.coeffs, norm="ortho"), reference)
+    complex_values = np.fft.ifftn(field.coeffs, norm="ortho")
+    # judged against the coefficient scale too: an output that cancels to
+    # roundoff would make an output-relative test misfire
+    scale = max(float(np.max(np.abs(complex_values))), float(np.max(np.abs(field.coeffs))))
+    if scale > 0.0:
+        residue = float(np.max(np.abs(complex_values.imag))) / scale
+        if residue > _SYMMETRY_TOL:
+            raise SymmetryViolationError(
+                f"imaginary residue {residue:.3e} exceeds {_SYMMETRY_TOL:.0e}; spectrum is not Hermitian"
+            )
+    return RealField(field.grid, np.ascontiguousarray(complex_values.real))
 
 
 def multiplier_values(grid: TorusGrid, multiplier) -> np.ndarray:
-    """Evaluate a wavenumber multiplier on the grid's frequency mesh."""
-    values = np.asarray(multiplier(*grid.frequency_mesh), dtype=float)
-    values = np.broadcast_to(values, grid.shape)
+    """Evaluate an even wavenumber multiplier on the grid's frequencies.
+
+    The callable receives one open frequency axis per dimension, the
+    wavenumbers along axis i shaped to broadcast over the grid, and may
+    return anything that broadcasts to the grid shape. Raises
+    SymmetryViolationError when m(-xi) differs from m(xi) by more than
+    1e-8 relative to max |m|, pairing index j with (-j) mod n on every
+    axis: such a multiplier does not keep fields real.
+    """
+    values = np.asarray(multiplier(*grid._open_axes(grid.frequency_axis)), dtype=float)
     if not np.all(np.isfinite(values)):
         raise ValueError("multiplier takes non-finite values on the grid")
-    return values
+    mirrored = values[np.ix_(*((-np.arange(k)) % k for k in values.shape))]
+    asymmetry = float(np.max(np.abs(values - mirrored)))
+    if asymmetry > _SYMMETRY_TOL * float(np.max(np.abs(values))):
+        raise SymmetryViolationError(
+            f"multiplier is not even: |m(xi) - m(-xi)| reaches {asymmetry:.3e}; it would not keep fields real"
+        )
+    return np.broadcast_to(values, grid.shape)
 
 
 def apply_multiplier_values(field: RealField, values: np.ndarray) -> RealField:
-    """Apply precomputed multiplier values to a real field."""
-    spectrum = np.fft.fftn(field.values, norm="ortho")
-    reference = float(np.max(np.abs(spectrum)))
-    return _to_real(field.grid, np.fft.ifftn(values * spectrum, norm="ortho"), reference)
+    """Apply precomputed multiplier values to a real field.
+
+    `values` holds m(xi) on the full grid in FFT layout and must be even,
+    m(-xi) = m(xi); the real transform pair reads only the half spectrum
+    values[..., :n//2 + 1], so the odd part of uneven values is lost
+    without notice.
+    """
+    grid = field.grid
+    axes = tuple(range(grid.dim))
+    half = values[..., : grid.points_per_axis // 2 + 1]
+    spectrum = np.fft.rfftn(field.values, axes=axes, norm="ortho")
+    return RealField(grid, np.fft.irfftn(half * spectrum, s=grid.shape, axes=axes, norm="ortho"))
 
 
 def apply_multiplier(field: RealField, multiplier) -> RealField:
     """Apply a real Fourier multiplier m(xi) to a field.
 
-    The multiplier is a callable receiving one mesh array per axis and
-    returning real values; the result equals
-    inverse_transform(m * forward_transform(field)).
+    The multiplier is a callable receiving one open frequency axis per
+    dimension and returning real, even values (see `multiplier_values`);
+    the result equals inverse_transform(m * forward_transform(field)).
     """
     return apply_multiplier_values(field, multiplier_values(field.grid, multiplier))
 

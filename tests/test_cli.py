@@ -14,6 +14,7 @@ import pytest
 
 from helmlab.cli import main
 from helmlab.config import parse_config_text
+from helmlab.resolvent import ResolventSpec
 
 from conftest import STANDARD_LEVEL
 
@@ -123,6 +124,39 @@ def test_solve_writes_the_run_artifacts(tmp_path, capsys):
     assert echoed.kind == "constant"
     assert echoed.out_dir == str(out_dir)
     assert "level" in capsys.readouterr().out
+
+
+README_CONFIG = """grid.dim = 2
+grid.points = 128
+grid.half_width = 16.0
+model.s = 1.0
+model.p = 5.0
+model.k = 8.0
+model.delta = auto
+coefficient.kind = bump
+coefficient.background = 0.5
+coefficient.amplitude = 1.0
+coefficient.width = 1.0
+coefficient.centers = origin
+sweep.k_values = 2.0, 4.0, 8.0
+sweep.eps_values = 0.5, 0.25, 0.125
+"""
+
+
+def test_solve_evaluates_the_symbol_once(tmp_path, monkeypatch):
+    # a single-maximum solve starts from the solver's own cold start, so the
+    # start and the solve share one dual operator and one symbol evaluation
+    calls = []
+    original = ResolventSpec.symbol_values
+
+    def counted(self, grid):
+        calls.append(grid)
+        return original(self, grid)
+
+    monkeypatch.setattr(ResolventSpec, "symbol_values", counted)
+    cfg = write_cfg(tmp_path, "run.cfg", README_CONFIG)
+    assert main(["solve", "--config", cfg, "--out", str(tmp_path / "run"), "--force"]) == 0
+    assert len(calls) == 1
 
 
 def test_stalled_solve_exits_nonzero(tmp_path):

@@ -71,6 +71,22 @@ def test_periodic_distance_wraps_around_boundary():
     assert d2[node_at_minus_L] == pytest.approx(0.25)
 
 
+@pytest.mark.parametrize("dim,n", [(1, 64), (2, 32), (3, 16)])
+def test_geometry_matches_the_full_mesh_formulas(dim, n):
+    # the open-axis sums add the same terms in the same order as full meshes
+    grid = build_grid(dim, 16.0, n)
+    coords = grid.coordinate_mesh
+    freqs = np.meshgrid(*([grid.frequency_axis] * dim), indexing="ij")
+    assert np.array_equal(grid.radius, np.sqrt(sum(m * m for m in coords)))
+    assert np.array_equal(grid.frequency_norm, np.sqrt(sum(m * m for m in freqs)))
+    for center in [(15.5, -15.9, 0.3), (0.0, 0.0, 0.0), (-16.0, 7.25, -3.1)]:
+        expected = np.zeros(grid.shape)
+        for mesh, c in zip(coords, center[:dim]):
+            d = np.mod(mesh - c + 16.0, 32.0) - 16.0
+            expected += d * d
+        assert np.array_equal(grid.periodic_distance2(center[:dim]), expected)
+
+
 def test_field_validation():
     grid = build_grid(2, 16.0, 8)
     with pytest.raises(ValueError):
@@ -130,6 +146,34 @@ def test_multiplier_commutes_with_translation():
     lhs = translate(apply_multiplier_values(f, values), (5, -3))
     rhs = apply_multiplier_values(translate(f, (5, -3)), values)
     assert np.allclose(lhs.values, rhs.values, atol=1e-12)
+
+
+@pytest.mark.parametrize("dim,n", [(1, 64), (2, 32), (3, 16)])
+def test_real_pair_matches_the_complex_reference(dim, n):
+    # even, and nonzero on the Nyquist planes of the first and the halved last axis
+    grid = build_grid(dim, 16.0, n)
+    h = grid.spacing
+    f = random_field(grid, seed=20 + dim)
+    m = multiplier_values(grid, lambda *a: 1.0 + 0.5 * np.cos(h * a[0]) + 0.25 * np.cos(h * a[-1]))
+    real_pair = apply_multiplier_values(f, m)
+    reference = inverse_transform(SpectralField(grid, m * forward_transform(f).coeffs))
+    assert np.max(np.abs(real_pair.values - reference.values)) <= 1e-12 * np.max(np.abs(reference.values))
+
+
+def test_uneven_multiplier_rejected():
+    grid = build_grid(1, 16.0, 64)
+    f = random_field(grid, seed=5)
+    with pytest.raises(SymmetryViolationError):
+        apply_multiplier(f, lambda a: a)  # odd: m(-xi) = -m(xi)
+    plane = build_grid(2, 16.0, 32)
+    with pytest.raises(SymmetryViolationError):
+        multiplier_values(plane, lambda a, b: np.sin(b))  # odd along the broadcast axis only
+    # asymmetry is judged relative to max |m|: roundoff-sized odd parts pass
+    scale = np.max(np.abs(grid.frequency_axis))
+    multiplier_values(grid, lambda a: 1.0 + 1e-10 * a / scale)
+    with pytest.raises(SymmetryViolationError):
+        multiplier_values(grid, lambda a: 1.0 + 1e-6 * a / scale)
+    assert np.allclose(apply_multiplier(f, lambda a: 2.0).values, 2.0 * f.values, atol=1e-12)
 
 
 def test_translate_matches_sample_shift():

@@ -257,6 +257,9 @@ class LevelTable:
     `peak_level` is the constant-coefficient level at max Q, the floor
     the family descends to; `background_level` is the level at the
     background value of Q, strictly above it whenever the bump helps.
+    Constant-coefficient levels scale exactly as c(q) = q^(-2/(p-2)) c(1),
+    so `background_level` is `peak_level` rescaled, with no second solve,
+    and `background_converged` repeats `peak_converged`.
     Rows report c_eps with gap_low = c_eps - peak_level (should shrink
     to zero from above) and gap_high = background_level - c_eps (should
     become positive once eps resolves the bump).
@@ -290,7 +293,7 @@ def level_table(
     if Q.background_value <= 0:
         raise ValueError("background value must be positive to define the background limit level")
     peak_gs = limit_ground_state(Q.sup_value, grid, exps, spec, tol=tol, max_iter=max_iter)
-    background_gs = limit_ground_state(Q.background_value, grid, exps, spec, tol=tol, max_iter=max_iter)
+    background_level = (Q.background_value / Q.sup_value) ** (-2.0 / (exps.p - 2.0)) * peak_gs.level
 
     rows: list[LevelRow] = []
     previous: GroundState | None = None
@@ -302,7 +305,7 @@ def level_table(
                 eps=float(eps),
                 level=gs.level,
                 gap_low=gs.level - peak_gs.level,
-                gap_high=background_gs.level - gs.level,
+                gap_high=background_level - gs.level,
                 iterations=gs.iterations,
                 converged=gs.converged,
             )
@@ -311,8 +314,8 @@ def level_table(
             previous = gs
     return LevelTable(
         peak_level=peak_gs.level,
-        background_level=background_gs.level,
+        background_level=background_level,
         rows=tuple(rows),
         peak_converged=peak_gs.converged,
-        background_converged=background_gs.converged,
+        background_converged=peak_gs.converged,
     )

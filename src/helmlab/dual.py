@@ -31,19 +31,24 @@ test grids it settles into a two-cycle whose energies blow up, and its
 very first candidate can leave the positive cone. The loop therefore
 only accepts steps that do not raise the Nehari level, and recovers
 speed with Anderson extrapolation over a short history of m iterates
-(`anderson_memory`, 5 by default). Its mixing coefficients theta
-minimize |r - D theta|, with r the newest fixed-point residual and D
-the m - 1 increments between consecutive residuals. They come from the
-Gram form D^T D theta = D^T r (Walker & Ni, SIAM J. Numer. Anal. 49,
-2011): one dot product per entry of an (m - 1) x (m - 1) system,
-solved by least squares so that a rank-deficient history still gets
-the minimum-norm theta. Each increment is formed once, when its
-residual enters the history. An iteration applies the resolvent about
-twice, once to project the Euler-Lagrange candidate and once to
-project the Anderson trial: 2.07 applications per iteration over the
-plane-concentration benchmark workload. The projected iterate t * c
-reuses R(Q^(1/p) c) computed during the projection of c, so accepting a
-step costs no further application.
+(`anderson_memory`, 5 by default). With g_i = v_i + r_i the projected
+candidate of iterate v_i and r_i its fixed-point residual, the trial is
+
+    g_k - sum_j theta_j (g_{j+1} - g_j),
+
+whose linearised residual r_k - D theta is what theta minimizes; D
+holds the m - 1 increments r_{j+1} - r_j between consecutive
+residuals. Theta comes from the Gram form D^T D theta = D^T r_k
+(Walker & Ni, SIAM J. Numer. Anal. 49, 2011): one dot product per
+entry of an (m - 1) x (m - 1) system, solved by least squares so that
+a rank-deficient history still gets the minimum-norm theta. Each
+increment is formed once, when its residual enters the history. An
+iteration applies the resolvent about twice, once to project the
+Euler-Lagrange candidate and once to project the Anderson trial: 2.15
+applications per iteration over the plane-concentration benchmark
+workload. The projected iterate t * c reuses R(Q^(1/p) c) computed
+during the projection of c, so accepting a step costs no further
+application.
 
 All of A(v), B(v), R(Q^(1/p) v) and the Nehari scale are computed by one
 private operator, built once per (coefficient, exponents, resolvent)
@@ -395,10 +400,11 @@ def solve_ground_state(
                 except np.linalg.LinAlgError:
                     theta = None
                 if theta is not None:
+                    # g_k - sum_j theta_j (g_{j+1} - g_j) with g_i = v_i + r_i
                     weights = np.zeros(len(hist_r))
                     weights[-1] = 1.0
-                    weights[:-1] -= theta
-                    weights[1:] += theta
+                    weights[:-1] += theta
+                    weights[1:] -= theta
                     mixed = sum(
                         wgt * (hv + hr) for wgt, hv, hr in zip(weights, hist_v, hist_r)
                     ).reshape(grid.shape)

@@ -2,6 +2,7 @@
 import numpy as np
 import pytest
 
+from helmlab import concentration
 from helmlab.coefficients import BumpOnBackgroundQ, ConstantQ
 from helmlab.concentration import (
     SweepRecord,
@@ -230,6 +231,25 @@ def test_constant_level_table_has_zero_gaps(grid2d, exps2d, spec2d):
     assert row.eps == 0.5
     assert abs(row.gap_low) <= 1e-9 * table.peak_level
     assert abs(row.gap_high) <= 1e-9 * table.peak_level
+
+
+def test_level_table_scales_the_background_limit(monkeypatch, grid2d, exps2d, spec2d):
+    # c_inf comes from c_0 by the exact constant-coefficient scaling, so
+    # one limit solve serves both and c_inf still matches a direct solve
+    solved = []
+    original = concentration.limit_ground_state
+
+    def counted(value, *args, **kwargs):
+        solved.append(value)
+        return original(value, *args, **kwargs)
+
+    monkeypatch.setattr(concentration, "limit_ground_state", counted)
+    Q = BumpOnBackgroundQ(background=0.5, amplitude=1.0, width=1.0)
+    table = level_table(Q, [0.5], exps2d, grid2d, spec=spec2d)
+    assert solved == [Q.sup_value]
+    assert table.peak_converged and table.background_converged
+    direct = original(Q.background_value, grid2d, exps2d, spec2d)
+    assert table.background_level == pytest.approx(direct.level, rel=1e-10)
 
 
 def test_level_table_rejects_zero_background(grid2d, exps2d, spec2d):

@@ -84,18 +84,45 @@ def test_init_outside_cone_rejected(unitQ, exps2d, spec2d):
 
 
 def test_unresolved_grid_fails_honestly():
-    # h = 1 cannot resolve the oscillating tail: the solver must stall,
-    # say so, and still hand back its best Nehari iterate
+    # a budget of 5 iterations cannot reach tol = 1e-10 on the coarse
+    # h = 1 grid (the residual is still near 0.5 there): the solver must
+    # say so and still hand back its best Nehari iterate
     grid = build_grid(2, 16.0, 32)
     exps = Exponents(dim=2, s=1.0, p=5.0, k=1.0)
     spec = ResolventSpec(s=1.0, delta=auto_delta(grid, 1.0))
     Qf = sample_Q(ConstantQ(1.0), grid)
-    gs = solve_ground_state(Qf, exps, spec, tol=1e-10, max_iter=40)
+    gs = solve_ground_state(Qf, exps, spec, tol=1e-10, max_iter=5)
     assert not gs.converged
-    assert gs.iterations == 40
+    assert gs.iterations == 5
     assert gs.fixed_point_residual > 1e-10
     assert np.isfinite(gs.level)
     assert gs.state.quad_form > 0.0
+
+
+def test_anderson_mixing_beats_plain_iteration(ground2d, unitQ, exps2d, spec2d):
+    # one-iterate memory is the plain projected iteration; a mix that
+    # extrapolates toward the fixed point must take fewer iterations
+    plain = solve_ground_state(unitQ, exps2d, spec2d, tol=1e-6, max_iter=500, anderson_memory=1)
+    assert plain.converged
+    assert ground2d.iterations < plain.iterations
+    assert ground2d.level == pytest.approx(plain.level, rel=1e-9)
+
+
+def test_tight_tolerance_converges(unitQ, exps2d, spec2d):
+    # Anderson steps keep contracting far below the default tol = 1e-6
+    gs = solve_ground_state(unitQ, exps2d, spec2d, tol=1e-10, max_iter=500)
+    assert gs.converged
+    assert gs.fixed_point_residual <= 1e-10
+    assert gs.level == pytest.approx(STANDARD_LEVEL, rel=1e-9)
+
+
+def test_limit_level_scales_with_the_coefficient(grid2d, exps2d, spec2d, limit2d):
+    # J_q(v) = A(v)/p' - q^(2/p) B_1(v)/2, so the Nehari level of a
+    # constant coefficient q is c(q) = q^(-2/(p-2)) c(1) exactly
+    for q in (0.5, 1.5, 2.0, 3.0):
+        gs = limit_ground_state(q, grid2d, exps2d, spec2d)
+        assert gs.converged
+        assert gs.level == pytest.approx(q ** (-2.0 / (exps2d.p - 2.0)) * limit2d.level, rel=1e-10)
 
 
 def test_limit_state_is_centered(limit2d):

@@ -64,6 +64,7 @@ from .grid import (
     inner_product,
     inverse_transform,
     lq_norm,
+    multiplier_kernel,
     multiplier_values,
     translate,
 )
@@ -77,7 +78,6 @@ from .resolvent import (
     compact_bump,
     disjoint_interaction,
     exp_smoothstep,
-    extract_kernel,
     fit_decay_exponent,
     radial_envelope,
     real_resolvent,

@@ -38,7 +38,6 @@ from .resolvent import (
     band_decompose,
     compact_bump,
     disjoint_interaction,
-    extract_kernel,
     fit_decay_exponent,
     radial_envelope,
 )
@@ -132,7 +131,11 @@ def _hypothesis_lines(exps: Exponents) -> list[str]:
 
 
 def _gate(exps: Exponents, force: bool) -> int | None:
-    """Exit early unless the exponents are in range or --force was given."""
+    """Exit early unless the exponents are in range or --force was given.
+
+    Commands make their grid and spec first, so a config error (exit 2)
+    outranks this gate (exit 3).
+    """
     if exps.within_hypotheses:
         return None
     for line in _hypothesis_lines(exps):
@@ -160,14 +163,14 @@ def _cmd_validate_params(cfg: RunConfig, args) -> int:
 
 def _cmd_kernel_check(cfg: RunConfig, args) -> int:
     exps = make_exponents(cfg)
+    grid = make_grid(cfg)
+    spec = make_spec(cfg, grid)
     code = _gate(exps, args.force)
     if code is not None:
         return code
-    grid = make_grid(cfg)
-    spec = make_spec(cfg, grid)
     writer = _RunWriter("kernel-check", cfg, exps, grid, spec)
 
-    bundle = band_decompose(extract_kernel(spec, grid))
+    bundle = band_decompose(spec, grid)
     window = (cfg.window_lo, cfg.window_hi)
     if window[1] > 0.5 * grid.half_width:
         print(
@@ -200,11 +203,11 @@ def _cmd_kernel_check(cfg: RunConfig, args) -> int:
 
 def _cmd_interaction_check(cfg: RunConfig, args) -> int:
     exps = make_exponents(cfg)
+    grid = make_grid(cfg)
+    spec = make_spec(cfg, grid)
     code = _gate(exps, args.force)
     if code is not None:
         return code
-    grid = make_grid(cfg)
-    spec = make_spec(cfg, grid)
     radius = cfg.bump_radius
     farthest = 2.0 * radius + max(cfg.gaps) + grid.spacing + radius
     if farthest > grid.half_width:
@@ -216,12 +219,13 @@ def _cmd_interaction_check(cfg: RunConfig, args) -> int:
 
     origin = (0.0,) * grid.dim
     inner = compact_bump(grid, origin, radius)
-    rows = []
-    for gap in cfg.gaps:
-        center = (2.0 * radius + gap + grid.spacing,) + (0.0,) * (grid.dim - 1)
-        outer = compact_bump(grid, center, radius)
-        value = disjoint_interaction(inner, outer, spec, inner_radius=radius, gap=gap)
-        rows.append([gap, value])
+    outer = [
+        (gap, compact_bump(grid, (2.0 * radius + gap + grid.spacing,) + (0.0,) * (grid.dim - 1), radius))
+        for gap in cfg.gaps
+    ]
+    values = disjoint_interaction(inner, outer, spec, inner_radius=radius)
+    rows = [[gap, value] for gap, value in zip(cfg.gaps, values)]
+    for gap, value in rows:
         print(f"gap {gap:g}: interaction {value:.6e}")
     writer.table("interaction", ["gap", "interaction"], rows)
     slope = None
@@ -258,11 +262,11 @@ def _solve_with_seeds(cfg: RunConfig, Qfield, exps, spec, Q):
 
 def _cmd_solve(cfg: RunConfig, args) -> int:
     exps = make_exponents(cfg)
+    grid = make_grid(cfg)
+    spec = make_spec(cfg, grid)
     code = _gate(exps, args.force)
     if code is not None:
         return code
-    grid = make_grid(cfg)
-    spec = make_spec(cfg, grid)
     Q = make_coefficient(cfg)
     writer = _RunWriter("solve", cfg, exps, grid, spec)
 
@@ -296,11 +300,11 @@ def _cmd_solve(cfg: RunConfig, args) -> int:
 
 def _cmd_levels(cfg: RunConfig, args) -> int:
     exps = make_exponents(cfg)
+    grid = make_grid(cfg)
+    spec = make_spec(cfg, grid)
     code = _gate(exps, args.force)
     if code is not None:
         return code
-    grid = make_grid(cfg)
-    spec = make_spec(cfg, grid)
     Q = make_coefficient(cfg)
     writer = _RunWriter("levels", cfg, exps, grid, spec)
 
@@ -330,11 +334,11 @@ def _cmd_levels(cfg: RunConfig, args) -> int:
 
 def _cmd_sweep(cfg: RunConfig, args) -> int:
     exps = make_exponents(cfg)
+    grid = make_grid(cfg)
+    spec = make_spec(cfg, grid)
     code = _gate(exps, args.force)
     if code is not None:
         return code
-    grid = make_grid(cfg)
-    spec = make_spec(cfg, grid)
     Q = make_coefficient(cfg)
     writer = _RunWriter("sweep", cfg, exps, grid, spec)
 

@@ -234,6 +234,15 @@ def _validate(cfg: RunConfig) -> None:
     for gap in cfg.gaps:
         if gap < 1.0:
             raise ConfigError("interaction.gaps must all be at least 1", field="interaction.gaps")
+    # the amplitude factor k^(2s/(p-2)) of every wavenumber a command may use
+    for k in (cfg.k, *cfg.k_values, *(1.0 / eps for eps in cfg.eps_values)):
+        try:
+            make_exponents(cfg).with_k(k).scale_factor
+        except OverflowError:
+            raise ConfigError(
+                f"scale factor k^(2s/(p-2)) overflows at k = {k:g}; model.p is too close to 2",
+                field="model.p",
+            ) from None
 
 
 def render_config(cfg: RunConfig) -> str:
@@ -261,7 +270,14 @@ def make_exponents(cfg: RunConfig) -> Exponents:
 
 
 def make_spec(cfg: RunConfig, grid: TorusGrid) -> ResolventSpec:
-    delta = cfg.delta if cfg.delta is not None else auto_delta(grid, cfg.s)
+    if cfg.delta is not None:
+        return ResolventSpec(s=cfg.s, delta=cfg.delta)
+    try:
+        delta = auto_delta(grid, cfg.s)
+    except ValueError as exc:
+        raise ConfigError(
+            f"cannot derive model.delta = auto: {exc}; set a positive model.delta", field="model.delta"
+        ) from None
     return ResolventSpec(s=cfg.s, delta=delta)
 
 

@@ -5,13 +5,15 @@ axis. Transforms use the unitary (norm-preserving) FFT convention, and
 integrals are plain quadrature sums weighted by the cell volume h^dim.
 
 Fourier multipliers are real and even, m(-xi) = m(xi), so they keep
-fields real: `apply_multiplier_values` uses the real transform pair
-rfftn/irfftn on the half spectrum, with no imaginary residue to check.
-`multiplier_values` rejects an uneven callable; raw values must be even,
-as the resolvent symbol and the band cutoff are by construction. The
-explicit `SpectralField` transforms stay complex and check Hermitian
-symmetry. Geometry and multipliers are evaluated on open (broadcast) 1D
-axes, not on full per-axis meshes.
+fields real and live on the half spectrum: the rfftn layout of shape
+(n,)*(dim-1) + (n//2+1,), as `frequency_norm`, `multiplier_values` and
+the resolvent symbol return them. `apply_multiplier_values` uses the
+real pair rfftn/irfftn; `multiplier_kernel` applies a multiplier to
+the origin delta, whose spectrum is known, by one irfftn.
+`multiplier_values` checks evenness on the full spectrum before it
+keeps the half. The explicit `SpectralField` transforms stay complex,
+on the full spectrum, and check Hermitian symmetry. Geometry and
+multipliers are evaluated on open (broadcast) 1D axes.
 """
 from __future__ import annotations
 
@@ -93,9 +95,16 @@ class TorusGrid:
         """Euclidean distance of every node from the origin."""
         return np.sqrt(sum(a * a for a in self._open_axes(self.coordinate_axis)))
 
+    def _half_spectrum_axes(self, axis: np.ndarray) -> list[np.ndarray]:
+        """Open axes over the half spectrum: the last one keeps its first n//2 + 1 entries."""
+        axes = list(self._open_axes(axis))
+        axes[-1] = axes[-1][..., : self.points_per_axis // 2 + 1]
+        return axes
+
     @cached_property
     def frequency_norm(self) -> np.ndarray:
-        return np.sqrt(sum(a * a for a in self._open_axes(self.frequency_axis)))
+        """|xi| on the half spectrum, shape (n,)*(dim-1) + (n//2+1,)."""
+        return np.sqrt(sum(a * a for a in self._half_spectrum_axes(self.frequency_axis)))
 
     def periodic_distance2(self, center) -> np.ndarray:
         """Squared torus distance of every node from an arbitrary point."""
@@ -210,14 +219,16 @@ def inverse_transform(field: SpectralField) -> RealField:
 
 
 def multiplier_values(grid: TorusGrid, multiplier) -> np.ndarray:
-    """Evaluate an even wavenumber multiplier on the grid's frequencies.
+    """Evaluate an even wavenumber multiplier; returns its half spectrum.
 
     The callable receives one open frequency axis per dimension, the
-    wavenumbers along axis i shaped to broadcast over the grid, and may
-    return anything that broadcasts to the grid shape. Raises
+    wavenumbers along axis i shaped to broadcast over the full spectrum,
+    and may return anything that broadcasts to the grid shape. Raises
     SymmetryViolationError when m(-xi) differs from m(xi) by more than
     1e-8 relative to max |m|, pairing index j with (-j) mod n on every
-    axis: such a multiplier does not keep fields real.
+    axis: such a multiplier does not keep fields real. Returns the values
+    on the half spectrum, of shape (n,)*(dim-1) + (n//2+1,), as
+    `apply_multiplier_values` and `multiplier_kernel` take them.
     """
     values = np.asarray(multiplier(*grid._open_axes(grid.frequency_axis)), dtype=float)
     if not np.all(np.isfinite(values)):
@@ -228,22 +239,36 @@ def multiplier_values(grid: TorusGrid, multiplier) -> np.ndarray:
         raise SymmetryViolationError(
             f"multiplier is not even: |m(xi) - m(-xi)| reaches {asymmetry:.3e}; it would not keep fields real"
         )
-    return np.broadcast_to(values, grid.shape)
+    return np.broadcast_to(values, grid.shape)[..., : grid.points_per_axis // 2 + 1]
 
 
 def apply_multiplier_values(field: RealField, values: np.ndarray) -> RealField:
     """Apply precomputed multiplier values to a real field.
 
-    `values` holds m(xi) on the full grid in FFT layout and must be even,
-    m(-xi) = m(xi); the real transform pair reads only the half spectrum
-    values[..., :n//2 + 1], so the odd part of uneven values is lost
-    without notice.
+    `values` holds m(xi) on the half spectrum, the rfftn layout of shape
+    (n,)*(dim-1) + (n//2+1,) (see `multiplier_values`), and stands for
+    an even multiplier, m(-xi) = m(xi): the real transform pair computes
+    irfftn(values * rfftn(f)).
     """
     grid = field.grid
     axes = tuple(range(grid.dim))
-    half = values[..., : grid.points_per_axis // 2 + 1]
     spectrum = np.fft.rfftn(field.values, axes=axes, norm="ortho")
-    return RealField(grid, np.fft.irfftn(half * spectrum, s=grid.shape, axes=axes, norm="ortho"))
+    return RealField(grid, np.fft.irfftn(values * spectrum, s=grid.shape, axes=axes, norm="ortho"))
+
+
+def multiplier_kernel(grid: TorusGrid, values: np.ndarray) -> RealField:
+    """The multiplier applied to the unit-mass delta at the origin node.
+
+    The delta, 1/h^dim at `origin_index` = (n/2, ...), has the unitary
+    spectrum (-1)^(k_0 + ... + k_(dim-1)) / (h^dim sqrt(N)), so this is
+    one irfftn of values * (-1)^(k_0 + ... + k_(dim-1)), scaled by
+    1/h^dim: apply_multiplier_values(delta, values) without the forward
+    transform. `values` are half-spectrum values, as that function takes.
+    """
+    spectrum = values / grid.cell_volume
+    for sign in grid._half_spectrum_axes((-1.0) ** np.arange(grid.points_per_axis)):
+        spectrum = spectrum * sign
+    return RealField(grid, np.fft.irfftn(spectrum, s=grid.shape, axes=tuple(range(grid.dim))))
 
 
 def apply_multiplier(field: RealField, multiplier) -> RealField:

@@ -14,12 +14,12 @@ sits on the singular sphere.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .errors import InsufficientDataError, SingularModeError, SupportOverlapError
-from .grid import RealField, TorusGrid, apply_multiplier_values, inner_product
+from .grid import RealField, TorusGrid, apply_multiplier_values, inner_product, multiplier_kernel
 
 _SINGULAR_TOL = 1e-12
 
@@ -38,7 +38,12 @@ class ResolventSpec:
             raise ValueError("delta must be nonnegative")
 
     def symbol_values(self, grid: TorusGrid) -> np.ndarray:
-        """Symbol evaluated at every grid wavenumber."""
+        """Symbol on the grid's half spectrum, the layout `grid.frequency_norm` has.
+
+        Shape (n,)*(dim-1) + (n//2+1,), as `apply_multiplier_values` and
+        `multiplier_kernel` take it; the symbol is radial, so these
+        values determine it at every grid wavenumber.
+        """
         mu = grid.frequency_norm ** (2.0 * self.s)
         shifted = mu - 1.0
         if self.delta == 0.0:
@@ -75,22 +80,6 @@ def auto_delta(grid: TorusGrid, s: float) -> float:
 def real_resolvent(field: RealField, spec: ResolventSpec) -> RealField:
     """Apply the real resolvent multiplier to a field."""
     return apply_multiplier_values(field, spec.symbol_values(field.grid))
-
-
-def extract_kernel(spec: ResolventSpec, grid: TorusGrid) -> RealField:
-    """Convolution kernel of the resolvent on the grid.
-
-    The resolvent applied to the unit-mass discrete delta (value 1/h^dim
-    at the origin node), so that real_resolvent(f) equals the quadrature
-    circular convolution of the kernel with f. Requires delta > 0; at
-    delta = 0 the slowly decaying kernel is not meaningfully confined to
-    the box.
-    """
-    if spec.delta <= 0:
-        raise ValueError("kernel extraction requires delta > 0")
-    values = np.zeros(grid.shape)
-    values[grid.origin_index] = 1.0 / grid.cell_volume
-    return real_resolvent(RealField(grid, values), spec)
 
 
 def exp_smoothstep(t: np.ndarray) -> np.ndarray:
@@ -147,17 +136,26 @@ class KernelBundle:
     remainder: RealField
 
 
-def band_decompose(kernel: RealField, cutoff: BandCutoff | None = None) -> KernelBundle:
-    """Split a kernel as K = K1 + K2 with K1 spectrally supported near the sphere.
+def band_decompose(spec: ResolventSpec, grid: TorusGrid, cutoff: BandCutoff | None = None) -> KernelBundle:
+    """The resolvent kernel K, split as K = K1 + K2 with K1 spectrally supported near the sphere.
 
-    K1 carries the propagating near-sphere modes and decays like the
-    dimension's far-field envelope; K2 carries everything else and decays
-    faster.
+    K is the resolvent applied to the unit-mass discrete delta (value
+    1/h^dim at the origin node), so that real_resolvent(f) equals the
+    quadrature circular convolution of K with f. K1 carries the
+    propagating near-sphere modes and decays like the dimension's
+    far-field envelope; K2 = K - K1 carries everything else and decays
+    faster. Both K and K1 come from the known spectrum of the delta,
+    symbol and symbol * psi, by one inverse transform each
+    (`multiplier_kernel`). Requires delta > 0; at delta = 0 the slowly
+    decaying kernel is not meaningfully confined to the box.
     """
+    if spec.delta <= 0:
+        raise ValueError("kernel extraction requires delta > 0")
     if cutoff is None:
         cutoff = BandCutoff()
-    psi = cutoff.values(kernel.grid.frequency_norm)
-    band = apply_multiplier_values(kernel, psi)
+    symbol = spec.symbol_values(grid)
+    kernel = multiplier_kernel(grid, symbol)
+    band = multiplier_kernel(grid, cutoff.values(grid.frequency_norm) * symbol)
     return KernelBundle(kernel=kernel, band=band, remainder=kernel - band)
 
 
@@ -202,29 +200,32 @@ def fit_decay_exponent(envelope, window: tuple[float, float]) -> float:
 
 def disjoint_interaction(
     u: RealField,
-    v: RealField,
+    outer: Sequence[tuple[float, RealField]],
     spec: ResolventSpec,
     inner_radius: float,
-    gap: float,
-) -> float:
-    """|<u, R v>| for fields with disjoint radial supports.
+) -> list[float]:
+    """|<R u, v>| for each (gap, v) in `outer`, fields with disjoint radial supports.
 
-    u must vanish outside the ball of radius inner_radius and v inside
-    the ball of radius inner_radius + gap; both are checked against the
-    grid to 1e-14 of each field's maximum. The gap must be at least 1.
+    u must vanish outside the ball of radius inner_radius and each v
+    inside the ball of radius inner_radius + gap; both are checked
+    against the grid to 1e-14 of each field's maximum. Every gap must be
+    at least 1. R is self-adjoint, <u, R v> = <R u, v>, so R is applied
+    to u once for all pairs.
     """
-    if gap < 1.0:
-        raise ValueError("gap must be at least 1")
-    if u.grid != v.grid:
-        raise SupportOverlapError("fields live on different grids")
     r = u.grid.radius
     tol_u = 1e-14 * float(np.max(np.abs(u.values)))
-    tol_v = 1e-14 * float(np.max(np.abs(v.values)))
     if float(np.max(np.abs(np.where(r > inner_radius, u.values, 0.0)))) > tol_u:
         raise SupportOverlapError(f"u is nonzero outside the ball of radius {inner_radius}")
-    if float(np.max(np.abs(np.where(r < inner_radius + gap, v.values, 0.0)))) > tol_v:
-        raise SupportOverlapError(f"v is nonzero inside the ball of radius {inner_radius + gap}")
-    return abs(inner_product(u, real_resolvent(v, spec)))
+    for gap, v in outer:
+        if gap < 1.0:
+            raise ValueError("gap must be at least 1")
+        if u.grid != v.grid:
+            raise SupportOverlapError("fields live on different grids")
+        tol_v = 1e-14 * float(np.max(np.abs(v.values)))
+        if float(np.max(np.abs(np.where(r < inner_radius + gap, v.values, 0.0)))) > tol_v:
+            raise SupportOverlapError(f"v is nonzero inside the ball of radius {inner_radius + gap}")
+    resolved = real_resolvent(u, spec)
+    return [abs(inner_product(resolved, v)) for _, v in outer]
 
 
 def compact_bump(grid: TorusGrid, center, radius: float) -> RealField:

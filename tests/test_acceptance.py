@@ -43,7 +43,6 @@ from helmlab.resolvent import (
     band_decompose,
     compact_bump,
     disjoint_interaction,
-    extract_kernel,
     fit_decay_exponent,
     radial_envelope,
 )
@@ -246,7 +245,7 @@ def test_criterion_5_ground_state_fixed_point(verdict):
 
 def test_criterion_6_kernel_decay(wide_box_3d, verdict):
     spec = ResolventSpec(s=1.0, delta=0.2)
-    bundle = band_decompose(extract_kernel(spec, wide_box_3d))
+    bundle = band_decompose(spec, wide_box_3d)
     window = (4.0, 16.0)
     k1 = fit_decay_exponent(radial_envelope(bundle.band, 12), window)
     k2 = fit_decay_exponent(radial_envelope(bundle.remainder, 12), window)
@@ -264,11 +263,8 @@ def test_criterion_7_disjoint_interaction(wide_box_3d, verdict):
     radius = 2.0
     inner = compact_bump(grid, (0.0, 0.0, 0.0), radius)
     gaps = [2.0, 4.0, 8.0]
-    values = []
-    for gap in gaps:
-        center = (2.0 * radius + gap + grid.spacing, 0.0, 0.0)
-        outer = compact_bump(grid, center, radius)
-        values.append(disjoint_interaction(inner, outer, spec, inner_radius=radius, gap=gap))
+    outer = [(gap, compact_bump(grid, (2.0 * radius + gap + grid.spacing, 0.0, 0.0), radius)) for gap in gaps]
+    values = disjoint_interaction(inner, outer, spec, inner_radius=radius)
     slope = float(np.polyfit(np.log(gaps), np.log(values), 1)[0])
     verdict(
         7,

@@ -12,6 +12,9 @@ from pathlib import Path
 
 import pytest
 
+import helmlab.dual
+import helmlab.grid
+import helmlab.resolvent
 from helmlab.cli import main
 from helmlab.config import parse_config_text
 from helmlab.resolvent import ResolventSpec
@@ -71,6 +74,24 @@ def test_duplicate_key_is_a_config_error(tmp_path, capsys):
     assert main(["validate-params", "--config", cfg]) == 2
     err = capsys.readouterr().err
     assert "duplicate" in err and "line 2" in err
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["grid.points = 8\ngrid.half_width = 0.5\n", "model.p = 2.0001\n"],
+    ids=["auto-delta-infeasible", "scale-factor-overflow"],
+)
+@pytest.mark.parametrize("force", [False, True], ids=["gated", "forced"])
+def test_numerically_hopeless_config_is_a_one_line_config_error(tmp_path, text, force):
+    # the config error outranks the hypothesis gate, so --force changes nothing
+    cfg = write_cfg(tmp_path, "bad.cfg", text)
+    args = ["solve", "--config", cfg, "--out", str(tmp_path / "out")] + (["--force"] if force else [])
+    done = run_script(sys.executable, "-m", "helmlab.cli", *args)
+    assert done.returncode == 2, done.stderr
+    assert "Traceback" not in done.stderr
+    (line,) = done.stderr.splitlines()
+    assert line.startswith("config error: ")
+    assert not (tmp_path / "out").exists()
 
 
 def test_unknown_command_rejected_by_the_parser():
@@ -229,6 +250,47 @@ def test_kernel_window_past_half_box_warns(tmp_path, capsys):
     )
     assert main(["kernel-check", "--config", cfg, "--out", str(tmp_path / "w")]) == 0
     assert "wraparound" in capsys.readouterr().err
+
+
+def count_transforms(monkeypatch):
+    """Count symbol evaluations and forward/inverse multiplier pairs, wherever bound."""
+    calls = {"symbol": 0, "pair": 0}
+    symbol = ResolventSpec.symbol_values
+    pair = helmlab.grid.apply_multiplier_values
+
+    def counted_symbol(self, grid):
+        calls["symbol"] += 1
+        return symbol(self, grid)
+
+    def counted_pair(field, values):
+        calls["pair"] += 1
+        return pair(field, values)
+
+    monkeypatch.setattr(ResolventSpec, "symbol_values", counted_symbol)
+    for module in (helmlab.grid, helmlab.resolvent, helmlab.dual):
+        monkeypatch.setattr(module, "apply_multiplier_values", counted_pair)
+    return calls
+
+
+CUBE_CFG = "grid.dim = 3\ngrid.points = 32\ngrid.half_width = 16.0\nmodel.delta = 0.2\n"
+
+
+def test_kernel_check_transform_budget(tmp_path, monkeypatch):
+    # the kernel and its band part come from the symbol by inverse transforms only
+    calls = count_transforms(monkeypatch)
+    cfg = write_cfg(tmp_path, "k.cfg", CUBE_CFG + "kernel.window_lo = 2.0\nkernel.window_hi = 10.0\n")
+    assert main(["kernel-check", "--config", cfg, "--out", str(tmp_path / "k")]) == 0
+    assert calls == {"symbol": 1, "pair": 0}
+
+
+def test_interaction_check_transform_budget(tmp_path, monkeypatch):
+    # R is self-adjoint, so one application to the inner bump serves every gap
+    calls = count_transforms(monkeypatch)
+    cfg = write_cfg(
+        tmp_path, "i.cfg", CUBE_CFG + "interaction.gaps = 1.0, 2.0, 3.0\ninteraction.bump_radius = 1.5\n"
+    )
+    assert main(["interaction-check", "--config", cfg, "--out", str(tmp_path / "i")]) == 0
+    assert calls == {"symbol": 1, "pair": 1}
 
 
 # -------------------------------------------------------- interaction-check

@@ -131,11 +131,15 @@ def test_bad_values_rejected(line):
         ("sweep.k_values = 2.0, -4.0", "sweep.k_values"),
         ("sweep.eps_values = 0.5, 0.0", "sweep.eps_values"),
         ("interaction.gaps = 0.5", "interaction.gaps"),
+        ("model.p = 2.0001", "model.p"),  # 8^(2/0.0001) overflows
+        ("grid.points = 8\ngrid.half_width = 0.5", "model.delta"),  # no wavenumber near the sphere
     ],
 )
 def test_validation_failures(text, field):
+    # auto delta is derived once per command, by make_spec, so its failure shows there
     with pytest.raises(ConfigError) as err:
-        parse_config_text(text + "\n")
+        cfg = parse_config_text(text + "\n")
+        make_spec(cfg, make_grid(cfg))
     assert err.value.field == field
 
 

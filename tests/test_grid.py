@@ -16,6 +16,7 @@ from helmlab import (
     inner_product,
     inverse_transform,
     lq_norm,
+    multiplier_kernel,
     multiplier_values,
     translate,
 )
@@ -78,7 +79,8 @@ def test_geometry_matches_the_full_mesh_formulas(dim, n):
     coords = grid.coordinate_mesh
     freqs = np.meshgrid(*([grid.frequency_axis] * dim), indexing="ij")
     assert np.array_equal(grid.radius, np.sqrt(sum(m * m for m in coords)))
-    assert np.array_equal(grid.frequency_norm, np.sqrt(sum(m * m for m in freqs)))
+    # multipliers live on the half spectrum, the rfftn layout
+    assert np.array_equal(grid.frequency_norm, np.sqrt(sum(m * m for m in freqs))[..., : n // 2 + 1])
     for center in [(15.5, -15.9, 0.3), (0.0, 0.0, 0.0), (-16.0, 7.25, -3.1)]:
         expected = np.zeros(grid.shape)
         for mesh, c in zip(coords, center[:dim]):
@@ -154,10 +156,30 @@ def test_real_pair_matches_the_complex_reference(dim, n):
     grid = build_grid(dim, 16.0, n)
     h = grid.spacing
     f = random_field(grid, seed=20 + dim)
-    m = multiplier_values(grid, lambda *a: 1.0 + 0.5 * np.cos(h * a[0]) + 0.25 * np.cos(h * a[-1]))
+
+    def multiplier(*a):
+        return 1.0 + 0.5 * np.cos(h * a[0]) + 0.25 * np.cos(h * a[-1])
+
+    m = multiplier_values(grid, multiplier)
+    full = np.broadcast_to(multiplier(*np.meshgrid(*([grid.frequency_axis] * dim), indexing="ij")), grid.shape)
+    assert np.array_equal(m, full[..., : n // 2 + 1])
     real_pair = apply_multiplier_values(f, m)
-    reference = inverse_transform(SpectralField(grid, m * forward_transform(f).coeffs))
+    reference = inverse_transform(SpectralField(grid, full * forward_transform(f).coeffs))
     assert np.max(np.abs(real_pair.values - reference.values)) <= 1e-12 * np.max(np.abs(reference.values))
+
+
+@pytest.mark.parametrize("dim,n", [(1, 64), (2, 32), (3, 16)])
+def test_multiplier_kernel_matches_the_delta_through_the_pair(dim, n):
+    # the closed-form delta spectrum, with values on every Nyquist plane
+    grid = build_grid(dim, 16.0, n)
+    h = grid.spacing
+    m = multiplier_values(grid, lambda *a: 1.0 + 0.5 * np.cos(h * a[0]) + 0.25 * np.cos(h * a[-1]))
+    assert np.all(m[..., -1] != 0.0) and np.all(m[n // 2] != 0.0)
+    delta = np.zeros(grid.shape)
+    delta[grid.origin_index] = 1.0 / grid.cell_volume
+    reference = apply_multiplier_values(RealField(grid, delta), m)
+    kernel = multiplier_kernel(grid, m)
+    assert np.max(np.abs(kernel.values - reference.values)) <= 1e-12 * np.max(np.abs(reference.values))
 
 
 def test_uneven_multiplier_rejected():

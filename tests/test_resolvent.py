@@ -15,7 +15,6 @@ from helmlab import (
     compact_bump,
     disjoint_interaction,
     exp_smoothstep,
-    extract_kernel,
     fit_decay_exponent,
     forward_transform,
     inner_product,
@@ -157,12 +156,12 @@ def test_auto_delta_shrinks_with_box_size():
 def test_kernel_requires_absorption():
     grid = build_grid(1, 16.0, 64)
     with pytest.raises(ValueError):
-        extract_kernel(ResolventSpec(s=1.0, delta=0.0), grid)
+        band_decompose(ResolventSpec(s=1.0, delta=0.0), grid)
 
 
 def test_kernel_is_even():
     grid = build_grid(2, 16.0, 32)
-    k = extract_kernel(ResolventSpec(s=1.0, delta=0.2), grid).values
+    k = band_decompose(ResolventSpec(s=1.0, delta=0.2), grid).kernel.values
     # x -> -x is a flip plus a one-cell roll (the -L node has no mirror)
     mirrored = k
     for axis in range(2):
@@ -173,7 +172,7 @@ def test_kernel_is_even():
 def test_kernel_reproduces_resolvent_by_convolution():
     grid = build_grid(1, 16.0, 32)
     spec = ResolventSpec(s=1.0, delta=0.3)
-    kernel = extract_kernel(spec, grid).values
+    kernel = band_decompose(spec, grid).kernel.values
     f = np.random.default_rng(3).standard_normal(32)
     direct = real_resolvent(RealField(grid, f), spec).values
     n = 32
@@ -190,10 +189,10 @@ def test_kernel_reproduces_resolvent_by_convolution():
 def test_unit_symbol_kernel_is_discrete_delta():
     class UnitSymbol(ResolventSpec):
         def symbol_values(self, grid):
-            return np.ones(grid.shape)
+            return np.ones(grid.frequency_norm.shape)  # the half spectrum
 
     grid = build_grid(2, 16.0, 16)
-    kernel = extract_kernel(UnitSymbol(s=1.0, delta=0.1), grid)
+    kernel = band_decompose(UnitSymbol(s=1.0, delta=0.1), grid).kernel
     expected = np.zeros(grid.shape)
     expected[grid.origin_index] = 1.0 / grid.cell_volume
     assert np.allclose(kernel.values, expected, atol=1e-10)
@@ -223,16 +222,17 @@ def test_band_cutoff_plateau_and_support():
 
 def test_band_split_adds_back_to_kernel():
     grid = build_grid(2, 16.0, 32)
-    bundle = band_decompose(extract_kernel(ResolventSpec(s=1.0, delta=0.2), grid))
+    bundle = band_decompose(ResolventSpec(s=1.0, delta=0.2), grid)
     total = bundle.band.values + bundle.remainder.values
     assert np.allclose(total, bundle.kernel.values, atol=1e-13 * np.max(np.abs(bundle.kernel.values)))
 
 
 def test_band_part_is_spectrally_confined():
     grid = build_grid(2, 16.0, 32)
-    bundle = band_decompose(extract_kernel(ResolventSpec(s=1.0, delta=0.2), grid))
-    spectrum = forward_transform(bundle.band).coeffs
-    full = forward_transform(bundle.kernel).coeffs
+    bundle = band_decompose(ResolventSpec(s=1.0, delta=0.2), grid)
+    # compared on the half spectrum, where grid.frequency_norm lives
+    spectrum = forward_transform(bundle.band).coeffs[..., : grid.points_per_axis // 2 + 1]
+    full = forward_transform(bundle.kernel).coeffs[..., : grid.points_per_axis // 2 + 1]
     off_band = np.abs(grid.frequency_norm - 1.0) >= 0.25
     plateau = np.abs(grid.frequency_norm - 1.0) <= 1.0 / 6.0
     scale = np.max(np.abs(full))
@@ -242,8 +242,8 @@ def test_band_part_is_spectrally_confined():
 
 def test_band_split_with_trivial_profile():
     grid = build_grid(1, 16.0, 64)
-    kernel = extract_kernel(ResolventSpec(s=1.0, delta=0.2), grid)
-    bundle = band_decompose(kernel, BandCutoff(profile=lambda r: np.ones_like(r)))
+    bundle = band_decompose(ResolventSpec(s=1.0, delta=0.2), grid, BandCutoff(profile=lambda r: np.ones_like(r)))
+    kernel = bundle.kernel
     assert np.allclose(bundle.band.values, kernel.values, atol=1e-13)
     assert np.max(np.abs(bundle.remainder.values)) <= 1e-13 * np.max(np.abs(kernel.values))
 
@@ -323,7 +323,7 @@ def test_disjoint_interaction_matches_direct_pairing():
     spec = ResolventSpec(s=1.0, delta=0.1)
     u = compact_bump(grid, (0.0, 0.0), 2.0)
     v = compact_bump(grid, (8.0, 0.0), 2.0)
-    got = disjoint_interaction(u, v, spec, inner_radius=2.0, gap=4.0)
+    (got,) = disjoint_interaction(u, [(4.0, v)], spec, inner_radius=2.0)
     want = abs(inner_product(u, real_resolvent(v, spec)))
     assert got == pytest.approx(want, rel=1e-14)
     assert got > 0.0
@@ -335,11 +335,11 @@ def test_disjoint_interaction_rejects_overlap():
     u = compact_bump(grid, (0.0, 0.0), 2.0)
     near = compact_bump(grid, (3.0, 0.0), 2.0)  # leaks inside radius 2 + gap
     with pytest.raises(SupportOverlapError):
-        disjoint_interaction(u, near, spec, inner_radius=2.0, gap=4.0)
+        disjoint_interaction(u, [(4.0, near)], spec, inner_radius=2.0)
     wide = compact_bump(grid, (0.0, 0.0), 5.0)  # u escapes its own ball
     far = compact_bump(grid, (12.0, 0.0), 2.0)
     with pytest.raises(SupportOverlapError):
-        disjoint_interaction(wide, far, spec, inner_radius=2.0, gap=4.0)
+        disjoint_interaction(wide, [(4.0, far)], spec, inner_radius=2.0)
 
 
 def test_disjoint_interaction_gap_floor():
@@ -347,4 +347,4 @@ def test_disjoint_interaction_gap_floor():
     u = compact_bump(grid, (0.0, 0.0), 2.0)
     v = compact_bump(grid, (8.0, 0.0), 2.0)
     with pytest.raises(ValueError):
-        disjoint_interaction(u, v, ResolventSpec(s=1.0, delta=0.1), inner_radius=2.0, gap=0.5)
+        disjoint_interaction(u, [(0.5, v)], ResolventSpec(s=1.0, delta=0.1), inner_radius=2.0)

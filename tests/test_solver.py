@@ -3,6 +3,7 @@ import numpy as np
 import pytest
 
 from helmlab import (
+    ConeExitError,
     ConstantQ,
     Exponents,
     IndefiniteFormError,
@@ -180,3 +181,40 @@ def test_symbol_is_evaluated_once_per_solve(monkeypatch, unitQ, grid2d, exps2d, 
     del calls[:]
     assert limit_ground_state(1.0, grid2d, exps2d, spec2d).converged
     assert len(calls) == 1
+
+
+def test_cone_exit_when_no_step_keeps_the_form_positive(monkeypatch, unitQ, exps2d, spec2d):
+    # only the start projects; every later trial of every tier misses the cone
+    original = dual._DualOperator.project
+    calls = []
+
+    def project_start_only(self, c):
+        calls.append(len(calls))
+        return original(self, c) if len(calls) == 1 else None
+
+    monkeypatch.setattr(dual._DualOperator, "project", project_start_only)
+    with pytest.raises(ConeExitError):
+        solve_ground_state(unitQ, exps2d, spec2d, max_iter=50)
+    assert len(calls) > 2  # the candidate and at least one fallback were tried
+
+
+def test_stagnant_solve_returns_its_best_iterate(monkeypatch, unitQ, exps2d, spec2d):
+    # every trial after the start projects, but one level above the start,
+    # so no tier lowers the level: the loop stops on its first iteration
+    original = dual._DualOperator.project
+    start = []
+
+    def project_uphill(self, c):
+        out = original(self, c)
+        if not start:
+            start.append(out)
+            return out
+        return None if out is None else (out[0], out[1], start[0][2] + 1.0)
+
+    monkeypatch.setattr(dual._DualOperator, "project", project_uphill)
+    gs = solve_ground_state(unitQ, exps2d, spec2d, tol=1e-6, max_iter=50)
+    assert not gs.converged
+    assert gs.iterations == 0
+    assert gs.residual > 1e-6
+    assert np.array_equal(gs.v.values, start[0][0]) or np.array_equal(gs.v.values, -start[0][0])
+    assert gs.level == pytest.approx(start[0][2], rel=1e-12)

@@ -279,7 +279,7 @@ def _cmd_solve(cfg: RunConfig, args) -> int:
     )
     row = [
         gs.level,
-        gs.residual,
+        gs.fixed_point_residual,
         gs.iterations,
         gs.converged,
         gs.state.quad_form,
@@ -293,7 +293,7 @@ def _cmd_solve(cfg: RunConfig, args) -> int:
     peak_text = ", ".join(f"{c:.4f}" for c in gs.peak)
     print(
         f"level {gs.level:.8f} after {gs.iterations} iterations "
-        f"(residual {gs.residual:.2e}, converged {str(gs.converged).lower()}), peak ({peak_text})"
+        f"(residual {gs.fixed_point_residual:.2e}, converged {str(gs.converged).lower()}), peak ({peak_text})"
     )
     return 0 if gs.converged else 1
 
@@ -351,7 +351,6 @@ def _cmd_sweep(cfg: RunConfig, args) -> int:
         tol=cfg.tol,
         max_iter=cfg.max_iter,
         warm_start=cfg.warm_start,
-        parallel=args.parallel,
     )
     columns = (
         ["k", "eps", "level"]
@@ -401,9 +400,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", help="path to a flat key = value config file")
     parser.add_argument("--out", help="output directory (overrides output.dir)")
     parser.add_argument("--force", action="store_true", help="run even when exponents are out of range")
-    parser.add_argument(
-        "--parallel", action="store_true", help="sweep only: cold-started concurrent steps"
-    )
     return parser
 
 

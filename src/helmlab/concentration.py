@@ -20,7 +20,7 @@ from .dual import GroundState, limit_ground_state, solve_ground_state
 from .errors import ZeroFieldError
 from .grid import RealField, TorusGrid, lq_norm
 from .params import Exponents
-from .resolvent import ResolventSpec, auto_delta
+from .resolvent import ResolventSpec
 
 
 def locate_peak(field: RealField) -> tuple[float, ...]:
@@ -112,73 +112,56 @@ def single_bubble_fraction(gs: GroundState, center: tuple[float, ...] | None = N
     return near / total
 
 
-def single_bubble_check(record: SweepRecord, gs: GroundState | None = None, fraction: float = 0.9) -> bool:
+def single_bubble_check(record: SweepRecord, fraction: float = 0.9) -> bool:
     """Whether the record's dual mass sits in one bubble around its peak.
 
-    True when at least `fraction` of the p'-mass of v lies within
-    0.25 * half_width of the recorded peak; a second bubble of
-    comparable mass elsewhere pulls the fraction below any strict
-    threshold. `gs` defaults to the state stored on the record.
+    True when at least `fraction` of the p'-mass of the record's state
+    lies within 0.25 * half_width of the recorded peak; a second bubble
+    of comparable mass elsewhere pulls the fraction below any strict
+    threshold.
     """
-    if gs is None:
-        gs = record.state
-    if gs is None:
-        raise ValueError("record carries no ground state and none was passed")
-    return single_bubble_fraction(gs, center=record.peak_rescaled) >= fraction
+    if record.state is None:
+        raise ValueError("record carries no ground state")
+    return single_bubble_fraction(record.state, center=record.peak_rescaled) >= fraction
 
 
-def _warm_solve(
+def _solve_family(
     Q: CoefficientQ,
-    step_exps: Exponents,
-    grid: TorusGrid,
-    spec: ResolventSpec,
-    tol: float,
-    max_iter: int,
-    previous: GroundState | None,
-) -> GroundState:
-    """Solve with Q sampled at step_exps.eps, from `previous` rolled onto the maximum of Q."""
-    Qfield = sample_Q(Q, grid, step_exps.eps)
-    init = None
-    if previous is not None:
-        init = previous.v
-        spread = float(np.max(Qfield.values) - np.min(Qfield.values))
-        if spread > 1e-12 * max(float(np.max(Qfield.values)), 1.0):
-            # re-center the previous bubble onto the new coefficient maximum;
-            # a (near-)constant coefficient has no meaningful argmax, so the
-            # bubble stays wherever the last solve left it
-            q_node = np.unravel_index(int(np.argmax(Qfield.values)), grid.shape)
-            p_node = np.unravel_index(int(np.argmax(np.abs(previous.u_rescaled.values))), grid.shape)
-            shift = tuple(int(q - p) for q, p in zip(q_node, p_node))
-            init = RealField(grid, np.roll(previous.v.values, shift, axis=range(grid.dim)))
-    return solve_ground_state(Qfield, step_exps, spec, init=init, tol=tol, max_iter=max_iter)
-
-
-def _sweep_step(
-    Q: CoefficientQ,
-    k: float,
+    ks: list[float],
     exps: Exponents,
     grid: TorusGrid,
     spec: ResolventSpec,
     tol: float,
     max_iter: int,
-    limit: GroundState,
-    previous: GroundState | None,
-) -> SweepRecord:
-    step_exps = exps.with_k(float(k))
-    eps = step_exps.eps
-    gs = _warm_solve(Q, step_exps, grid, spec, tol, max_iter, previous)
-    dist = profile_distance(gs.u_rescaled, limit.u_rescaled, exps.p)
-    return SweepRecord(
-        k=float(k),
-        eps=eps,
-        level=gs.level,
-        peak_rescaled=gs.peak,
-        peak_physical=tuple(eps * c for c in gs.peak),
-        profile_distance=dist,
-        iterations=gs.iterations,
-        converged=gs.converged,
-        state=gs,
-    )
+    warm_start: bool,
+) -> list[GroundState]:
+    """Ground states with Q sampled at eps = 1/k, solved in the order of `ks`.
+
+    With `warm_start` each solve starts from the last converged state,
+    rolled so its profile peak lands on the maximum of the new Q.
+    """
+    states: list[GroundState] = []
+    previous: GroundState | None = None
+    for k in ks:
+        step_exps = exps.with_k(k)
+        Qfield = sample_Q(Q, grid, step_exps.eps)
+        init = None
+        if previous is not None:
+            init = previous.v
+            spread = float(np.max(Qfield.values) - np.min(Qfield.values))
+            if spread > 1e-12 * max(float(np.max(Qfield.values)), 1.0):
+                # re-center the previous bubble onto the new coefficient maximum;
+                # a (near-)constant coefficient has no meaningful argmax, so the
+                # bubble stays wherever the last solve left it
+                q_node = np.unravel_index(int(np.argmax(Qfield.values)), grid.shape)
+                p_node = np.unravel_index(int(np.argmax(np.abs(previous.u_rescaled.values))), grid.shape)
+                shift = tuple(int(q - p) for q, p in zip(q_node, p_node))
+                init = RealField(grid, np.roll(previous.v.values, shift, axis=range(grid.dim)))
+        gs = solve_ground_state(Qfield, step_exps, spec, init=init, tol=tol, max_iter=max_iter)
+        states.append(gs)
+        if warm_start and gs.converged:
+            previous = gs
+    return states
 
 
 def run_sweep(
@@ -186,56 +169,43 @@ def run_sweep(
     ks,
     exps: Exponents,
     grid: TorusGrid,
-    spec: ResolventSpec | None = None,
+    spec: ResolventSpec,
     tol: float = 1e-6,
     max_iter: int = 500,
     warm_start: bool = True,
-    parallel: bool = False,
     limit: GroundState | None = None,
 ) -> list[SweepRecord]:
     """Solve along increasing wavenumbers and compare against the limit profile.
 
-    Each step solves with the coefficient sampled at eps = 1/k, measures
-    the profile distance to the constant-coefficient state at the peak
-    value of Q, and reports the peak in both frames. With warm starts
-    (the default) the previous dual field, rolled onto the new
+    Walks the same warm-started family of solves as `level_table`, one
+    per k with the coefficient sampled at eps = 1/k; with warm starts
+    (the default) the previous converged dual field, rolled onto the new
     coefficient maximum, seeds the next solve, which cuts the iteration
-    count several-fold once the bubble has formed. `parallel=True`
-    instead runs the steps cold-started and concurrently (fan-out width
-    from the TOOL_THREADS environment variable, default the core count)
-    and merges the records in k-order. A step that stagnates is recorded
-    with converged=False and the sweep moves on.
+    count several-fold once the bubble has formed. Each step records
+    the profile distance to the constant-coefficient state at the peak
+    value of Q and the peak in both frames. A step that stagnates is
+    recorded with converged=False and the sweep moves on.
     """
     ks = [float(k) for k in ks]
     if not ks:
         raise ValueError("need at least one wavenumber")
-    if spec is None:
-        spec = ResolventSpec(s=exps.s, delta=auto_delta(grid, exps.s))
     if limit is None:
         limit = limit_ground_state(Q.sup_value, grid, exps, spec, tol=tol, max_iter=max_iter)
-
-    if parallel:
-        import os
-        from concurrent.futures import ThreadPoolExecutor
-
-        width = int(os.environ.get("TOOL_THREADS", os.cpu_count() or 1))
-        with ThreadPoolExecutor(max_workers=max(1, min(width, len(ks)))) as pool:
-            return list(
-                pool.map(
-                    lambda k: _sweep_step(Q, k, exps, grid, spec, tol, max_iter, limit, None), ks
-                )
-            )
-
-    records: list[SweepRecord] = []
-    previous: GroundState | None = None
-    for k in ks:
-        record = _sweep_step(
-            Q, k, exps, grid, spec, tol, max_iter, limit, previous if warm_start else None
+    states = _solve_family(Q, ks, exps, grid, spec, tol, max_iter, warm_start)
+    return [
+        SweepRecord(
+            k=k,
+            eps=gs.exps.eps,
+            level=gs.level,
+            peak_rescaled=gs.peak,
+            peak_physical=tuple(gs.exps.eps * c for c in gs.peak),
+            profile_distance=profile_distance(gs.u_rescaled, limit.u_rescaled, exps.p),
+            iterations=gs.iterations,
+            converged=gs.converged,
+            state=gs,
         )
-        records.append(record)
-        if record.converged:
-            previous = record.state
-    return records
+        for k, gs in zip(ks, states)
+    ]
 
 
 @dataclass(frozen=True)
@@ -277,45 +247,39 @@ def level_table(
     eps_list,
     exps: Exponents,
     grid: TorusGrid,
-    spec: ResolventSpec | None = None,
+    spec: ResolventSpec,
     tol: float = 1e-6,
     max_iter: int = 500,
     warm_start: bool = True,
 ) -> LevelTable:
     """Ground-state levels for a family of eps against both constant limits.
 
-    Rows are solved in order; with warm starts each one is seeded from the
-    last converged row exactly as a `run_sweep` step is, so the row at eps
-    reproduces the sweep's level at k = 1/eps.
+    Walks the same warm-started family of solves as `run_sweep`, at
+    k = 1/eps in the order given, so the row at eps reproduces the
+    sweep's level at k = 1/eps.
     """
-    if spec is None:
-        spec = ResolventSpec(s=exps.s, delta=auto_delta(grid, exps.s))
     if Q.background_value <= 0:
         raise ValueError("background value must be positive to define the background limit level")
     peak_gs = limit_ground_state(Q.sup_value, grid, exps, spec, tol=tol, max_iter=max_iter)
     background_level = (Q.background_value / Q.sup_value) ** (-2.0 / (exps.p - 2.0)) * peak_gs.level
 
-    rows: list[LevelRow] = []
-    previous: GroundState | None = None
-    for eps in eps_list:
-        step_exps = exps.with_k(1.0 / float(eps))
-        gs = _warm_solve(Q, step_exps, grid, spec, tol, max_iter, previous if warm_start else None)
-        rows.append(
-            LevelRow(
-                eps=float(eps),
-                level=gs.level,
-                gap_low=gs.level - peak_gs.level,
-                gap_high=background_level - gs.level,
-                iterations=gs.iterations,
-                converged=gs.converged,
-            )
+    eps_list = [float(eps) for eps in eps_list]
+    states = _solve_family(Q, [1.0 / eps for eps in eps_list], exps, grid, spec, tol, max_iter, warm_start)
+    rows = tuple(
+        LevelRow(
+            eps=eps,
+            level=gs.level,
+            gap_low=gs.level - peak_gs.level,
+            gap_high=background_level - gs.level,
+            iterations=gs.iterations,
+            converged=gs.converged,
         )
-        if gs.converged:
-            previous = gs
+        for eps, gs in zip(eps_list, states)
+    )
     return LevelTable(
         peak_level=peak_gs.level,
         background_level=background_level,
-        rows=tuple(rows),
+        rows=rows,
         peak_converged=peak_gs.converged,
         background_converged=peak_gs.converged,
     )

@@ -29,10 +29,16 @@ The solver iterates the fixed-point map projected back onto the Nehari
 manifold. The bare iteration is not a contraction here: on the standard
 test grids it settles into a two-cycle whose energies blow up, and its
 very first candidate can leave the positive cone. The loop therefore
-only accepts steps that do not raise the Nehari level, and recovers
-speed with Anderson extrapolation over a short history of m iterates
-(`anderson_memory`, 5 by default). With g_i = v_i + r_i the projected
-candidate of iterate v_i and r_i its fixed-point residual, the trial is
+only accepts steps that do not raise the Nehari level, trying three in
+turn: the Anderson trial below, the plain projected candidate, and a
+line search mixing the iterate toward the candidate (reached only with
+`anderson_memory=1` on the tested problems). When none is accepted the
+solve ends by one of two exits: it returns its best iterate unconverged
+if some trial stayed in the positive cone, and raises `ConeExitError`
+if none did. Speed comes from the Anderson extrapolation over a short
+history of m iterates (`anderson_memory`, 5 by default). With
+g_i = v_i + r_i the projected candidate of iterate v_i and r_i its
+fixed-point residual, the trial is
 
     g_k - sum_j theta_j (g_{j+1} - g_j),
 
@@ -124,10 +130,6 @@ class GroundState:
     @property
     def level(self) -> float:
         return self.state.energy
-
-    @property
-    def residual(self) -> float:
-        return self.fixed_point_residual
 
 
 class _DualOperator:
@@ -331,13 +333,13 @@ def solve_ground_state(
     """Minimize the dual functional over the Nehari manifold.
 
     Safeguarded fixed-point iteration: each step proposes the projected
-    Euler-Lagrange candidate, tries an Anderson-extrapolated combination
-    of recent iterates first, falls back to the plain candidate when it
-    does not raise the level, then to a line search mixing toward the
-    candidate, and finally to projected gradient descent. If no fallback
-    can lower the level the best iterate seen is returned with
-    `converged=False`; if the iteration cannot even stay where the
-    quadratic form is positive a `ConeExitError` is raised.
+    Euler-Lagrange candidate and takes the first of three steps that does
+    not raise the level: an Anderson-extrapolated combination of recent
+    iterates, the plain candidate, then a line search mixing toward the
+    candidate. If none is taken the loop ends by one of two exits: the
+    best iterate seen is returned with `converged=False` when some trial
+    kept the quadratic form positive, and a `ConeExitError` is raised
+    when none did.
     """
     grid = Qfield.grid
     if init is not None and init.grid != grid:
@@ -369,8 +371,7 @@ def solve_ground_state(
     res = np.inf
     converged = False
     for it in range(max_iter):
-        grad = op.gradient(v, rw_v)
-        res = op.dual_norm(grad) / op.mass(v) ** ((pd - 1.0) / pd)
+        res = op.dual_norm(op.gradient(v, rw_v)) / op.mass(v) ** ((pd - 1.0) / pd)
         if best is None or energy < best[2]:
             best = (v, rw_v, energy, res, it)
         if res <= tol:
@@ -437,24 +438,13 @@ def solve_ground_state(
                     gamma *= 0.5
 
         if not stepped:
-            alpha = 1.0
-            for _ in range(40):
-                trial = op.project(v - alpha * grad)
-                if trial is not None:
-                    found_positive = True
-                    if trial[2] < energy:
-                        v, rw_v, energy = trial
-                        stepped = True
-                        break
-                alpha *= 0.5
-            if not stepped:
-                if not found_positive:
-                    raise ConeExitError(
-                        "no trial step keeps the quadratic form positive; "
-                        "the iterate sits at the boundary of the admissible cone"
-                    )
-                iterations = it
-                break  # stagnant: nothing lowers the level
+            if not found_positive:
+                raise ConeExitError(
+                    "no trial step keeps the quadratic form positive; "
+                    "the iterate sits at the boundary of the admissible cone"
+                )
+            iterations = it
+            break  # stagnant: nothing lowers the level
 
     if not converged and best is not None:
         v, rw_v, energy, res, _ = best

@@ -234,7 +234,7 @@ def test_criterion_5_ground_state_fixed_point(verdict):
             init = dihedral_average(random_initial_guess(grid, spec, seed))
             gs = solve_ground_state(Qfield, exps, spec, init=init, tol=1e-6, max_iter=500)
             conditions[f"{label}_seed{seed}_converged"] = gs.converged
-            conditions[f"{label}_seed{seed}_residual"] = gs.residual <= 1e-6
+            conditions[f"{label}_seed{seed}_residual"] = gs.fixed_point_residual <= 1e-6
             conditions[f"{label}_seed{seed}_iterations"] = gs.iterations <= 500
             levels.append(gs.level)
         conditions[f"{label}_levels_agree"] = (

@@ -3,6 +3,7 @@
 Most tests run in process via main(); the packaging tests run the declared
 console script as a separate process.
 """
+import ast
 import json
 import os
 import shutil
@@ -329,15 +330,14 @@ def test_interaction_check_rejects_a_box_too_small(tmp_path, capsys):
 # ----------------------------------------------------------- sweep / levels
 
 
-def test_parallel_sweep_keeps_wavenumber_order(tmp_path, monkeypatch):
-    monkeypatch.setenv("TOOL_THREADS", "2")
+def test_sweep_command_keeps_wavenumber_order(tmp_path):
     out_dir = tmp_path / "sweep"
     cfg = write_cfg(
         tmp_path,
         "w.cfg",
         f"coefficient.kind = constant\nsweep.k_values = 2.0, 4.0\noutput.dir = {out_dir}\n",
     )
-    assert main(["sweep", "--config", cfg, "--force", "--parallel"]) == 0
+    assert main(["sweep", "--config", cfg, "--force"]) == 0
     columns, rows = read_rows(out_dir / "sweep.csv")
     assert [r[columns.index("k")] for r in rows] == ["2", "4"]
     assert all(r[columns.index("converged")] == "true" for r in rows)
@@ -434,3 +434,24 @@ def test_cli_import_leaves_scipy_unloaded():
     done = run_script(sys.executable, "-c", "import sys, helmlab.cli; print('scipy' in sys.modules)")
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "False"
+
+
+def test_package_reads_no_environment_variables():
+    # a run is set by its config file and command line alone
+    paths = sorted((REPO / "src" / "helmlab").glob("*.py"))
+    assert paths
+    reads = []
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (
+                isinstance(node, ast.Attribute)
+                and node.attr in ("environ", "getenv")
+                and isinstance(node.value, ast.Name)
+                and node.value.id == "os"
+            ) or (
+                isinstance(node, ast.ImportFrom)
+                and node.module == "os"
+                and any(alias.name in ("environ", "getenv") for alias in node.names)
+            ):
+                reads.append(f"{path.name}:{node.lineno}")
+    assert reads == []

@@ -201,17 +201,6 @@ def test_cold_sweep_matches_warm_sweep_levels(grid2d, exps2d, spec2d, limit2d):
         assert c.iterations > 1  # no warm start available
 
 
-def test_parallel_sweep_preserves_order(grid2d, exps2d, spec2d, limit2d, monkeypatch):
-    monkeypatch.setenv("TOOL_THREADS", "2")
-    records = run_sweep(
-        ConstantQ(1.0), [2.0, 4.0], exps2d, grid2d, spec=spec2d, limit=limit2d, parallel=True
-    )
-    assert [r.k for r in records] == [2.0, 4.0]
-    for record in records:
-        assert record.converged
-        assert record.level == pytest.approx(STANDARD_LEVEL, rel=1e-9)
-
-
 def test_sweep_needs_wavenumbers(grid2d, exps2d, spec2d):
     with pytest.raises(ValueError):
         run_sweep(ConstantQ(1.0), [], exps2d, grid2d, spec=spec2d)

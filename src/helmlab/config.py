@@ -234,6 +234,9 @@ def _validate(cfg: RunConfig) -> None:
     for gap in cfg.gaps:
         if gap < 1.0:
             raise ConfigError("interaction.gaps must all be at least 1", field="interaction.gaps")
+    # the decay slope is a fit against log(gap), which a repeated gap leaves undetermined
+    if len(set(cfg.gaps)) < len(cfg.gaps):
+        raise ConfigError("interaction.gaps must not repeat a value", field="interaction.gaps")
     # the amplitude factor k^(2s/(p-2)) of every wavenumber a command may use
     for k in (cfg.k, *cfg.k_values, *(1.0 / eps for eps in cfg.eps_values)):
         try:

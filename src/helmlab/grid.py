@@ -9,7 +9,10 @@ fields real and live on the half spectrum: the rfftn layout of shape
 (n,)*(dim-1) + (n//2+1,), as `frequency_norm`, `multiplier_values` and
 the resolvent symbol return them. `apply_multiplier_values` uses the
 real pair rfftn/irfftn; `multiplier_kernel` applies a multiplier to
-the origin delta, whose spectrum is known, by one irfftn.
+the origin delta, whose spectrum is known, by one irfftn;
+`apply_multiplier_boxed` applies one to a field supported on an index
+box and returns the result on another box, transforming each axis at
+the width of the box along the axes still untransformed.
 `multiplier_values` checks evenness on the full spectrum before it
 keeps the half. The explicit `SpectralField` transforms stay complex,
 on the full spectrum, and check Hermitian symmetry. Geometry and
@@ -20,6 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 import math
+from typing import Sequence
 
 import numpy as np
 
@@ -106,16 +110,17 @@ class TorusGrid:
         """|xi| on the half spectrum, shape (n,)*(dim-1) + (n//2+1,)."""
         return np.sqrt(sum(a * a for a in self._half_spectrum_axes(self.frequency_axis)))
 
-    def periodic_distance2(self, center) -> np.ndarray:
-        """Squared torus distance of every node from an arbitrary point."""
+    def periodic_offsets(self, center) -> list[np.ndarray]:
+        """Per axis, the signed torus offsets x_i - c in [-L, L) of the coordinate axis from a point."""
         center = np.atleast_1d(np.asarray(center, dtype=float))
         if center.shape != (self.dim,):
             raise ValueError(f"center must have {self.dim} components")
         span = 2.0 * self.half_width
-        offsets = (
-            np.mod(a - c + self.half_width, span) - self.half_width
-            for a, c in zip(self._open_axes(self.coordinate_axis), center)
-        )
+        return [np.mod(self.coordinate_axis - c + self.half_width, span) - self.half_width for c in center]
+
+    def periodic_distance2(self, center) -> np.ndarray:
+        """Squared torus distance of every node from an arbitrary point."""
+        offsets = np.meshgrid(*self.periodic_offsets(center), indexing="ij", sparse=True)
         return sum(d * d for d in offsets)
 
     def nearest_index(self, point) -> tuple[int, ...]:
@@ -269,6 +274,47 @@ def multiplier_kernel(grid: TorusGrid, values: np.ndarray) -> RealField:
     for sign in grid._half_spectrum_axes((-1.0) ** np.arange(grid.points_per_axis)):
         spectrum = spectrum * sign
     return RealField(grid, np.fft.irfftn(spectrum, s=grid.shape, axes=tuple(range(grid.dim))))
+
+
+def apply_multiplier_boxed(
+    grid: TorusGrid,
+    block: np.ndarray,
+    source: Sequence[np.ndarray],
+    values: np.ndarray,
+    target: Sequence[np.ndarray],
+) -> np.ndarray:
+    """Apply multiplier values to a field supported on an index box; return the result on another box.
+
+    A box is one sorted index array per axis; it may wrap the periodic
+    edge or have gaps. The field equals `block`, of shape
+    tuple(len(i) for i in source), on the box `source` and zero
+    elsewhere. `values` are half-spectrum values of an even multiplier,
+    as `apply_multiplier_values` takes them. The result, of shape
+    tuple(len(i) for i in target), equals
+    apply_multiplier_values(field, values).values[np.ix_(*target)] up to
+    rounding: the same unitary 1D transforms in the same axis order, but
+    the forward transform zero-embeds each axis only when it is
+    transformed, so the axes not yet transformed stay as wide as the
+    source box, and the inverse keeps only the target rows after each
+    axis.
+    """
+    n = grid.points_per_axis
+    last = grid.dim - 1
+
+    def embed(a: np.ndarray, axis: int) -> np.ndarray:
+        shape = list(a.shape)
+        shape[axis] = n
+        out = np.zeros(shape, dtype=a.dtype)
+        out[(slice(None),) * axis + (source[axis],)] = a
+        return out
+
+    spectrum = np.fft.rfft(embed(np.asarray(block, dtype=float), last), axis=last, norm="ortho")
+    for axis in range(last - 1, -1, -1):
+        spectrum = np.fft.fft(embed(spectrum, axis), axis=axis, norm="ortho")
+    spectrum *= values
+    for axis in range(last):
+        spectrum = np.take(np.fft.ifft(spectrum, axis=axis, norm="ortho"), target[axis], axis=axis)
+    return np.take(np.fft.irfft(spectrum, n=n, axis=last, norm="ortho"), target[last], axis=last)
 
 
 def apply_multiplier(field: RealField, multiplier) -> RealField:

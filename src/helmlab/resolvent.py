@@ -19,7 +19,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import InsufficientDataError, SingularModeError, SupportOverlapError
-from .grid import RealField, TorusGrid, apply_multiplier_values, inner_product, multiplier_kernel
+from .grid import RealField, TorusGrid, apply_multiplier_boxed, apply_multiplier_values, multiplier_kernel
 
 _SINGULAR_TOL = 1e-12
 
@@ -86,18 +86,17 @@ def exp_smoothstep(t: np.ndarray) -> np.ndarray:
     """C-infinity transition from 1 at t <= 0 to 0 at t >= 1.
 
     Built from the standard exponential bump f(t) = exp(-1/t) via
-    f(1-t) / (f(t) + f(1-t)).
+    f(1-t) / (f(t) + f(1-t)). Only the transition nodes 0 < t < 1 take
+    exponentials; t <= 0 gets the exact 1 and t >= 1 the exact 0, which
+    is what the formula gives on t clipped to [0, 1], bit for bit.
     """
-    t = np.clip(np.asarray(t, dtype=float), 0.0, 1.0)
-
-    def f(u):
-        out = np.zeros_like(u)
-        pos = u > 0
-        out[pos] = np.exp(-1.0 / u[pos])
-        return out
-
-    fa = f(1.0 - t)
-    return fa / (fa + f(t))
+    t = np.asarray(t, dtype=float)
+    out = np.asarray(t <= 0.0, dtype=float)
+    transition = (t > 0.0) & (t < 1.0)
+    inner = t[transition]
+    fa = np.exp(-1.0 / (1.0 - inner))
+    out[transition] = fa / (fa + np.exp(-1.0 / inner))
+    return out
 
 
 @dataclass(frozen=True)
@@ -164,7 +163,8 @@ def radial_envelope(field: RealField, shell_count: int) -> list[tuple[float, flo
 
     Returns (shell center radius, shell maximum) pairs; the origin node
     and nodes farther than half_width from it are ignored, and empty
-    shells report 0.
+    shells report 0. Ignored nodes go to an extra shell that is dropped,
+    so every node is binned in one pass with no gather.
     """
     if shell_count < 4:
         raise ValueError("shell_count must be at least 4")
@@ -172,11 +172,11 @@ def radial_envelope(field: RealField, shell_count: int) -> list[tuple[float, flo
     width = grid.half_width / shell_count
     r = grid.radius
     idx = np.minimum((r / width).astype(int), shell_count - 1)
-    mask = (r > 0.0) & (r <= grid.half_width)
-    env = np.zeros(shell_count)
-    np.maximum.at(env, idx[mask], np.abs(field.values)[mask])
+    np.putmask(idx, (r == 0.0) | (r > grid.half_width), shell_count)
+    env = np.zeros(shell_count + 1)
+    np.maximum.at(env, idx.ravel(), np.abs(field.values).ravel())
     centers = (np.arange(shell_count) + 0.5) * width
-    return [(float(c), float(e)) for c, e in zip(centers, env)]
+    return [(float(c), float(e)) for c, e in zip(centers, env[:shell_count])]
 
 
 def fit_decay_exponent(envelope, window: tuple[float, float]) -> float:
@@ -198,6 +198,27 @@ def fit_decay_exponent(envelope, window: tuple[float, float]) -> float:
     return float(np.polyfit(radii, vals, 1)[0])
 
 
+def _support(field: RealField):
+    """A field's nonzero index box, its nonzero nodes, and a mask of those above 1e-14 of max |f|.
+
+    One pass over the field finds the nonzero nodes; their box comes
+    from that mask's projections on the axes, and the nodes themselves
+    from the box alone.
+    """
+    nonzero = field.values != 0.0
+    axes = range(nonzero.ndim)
+    box = [np.flatnonzero(nonzero.any(axis=tuple(a for a in axes if a != k))) for k in axes]
+    nodes = tuple(b[i] for b, i in zip(box, np.nonzero(nonzero[np.ix_(*box)])))
+    magnitude = np.abs(field.values[nodes])
+    return box, nodes, magnitude > 1e-14 * magnitude.max(initial=0.0)
+
+
+def _node_radius(grid: TorusGrid, nodes: Sequence[np.ndarray]) -> np.ndarray:
+    """`grid.radius` at the given nodes, by the same expression."""
+    axis = grid.coordinate_axis
+    return np.sqrt(sum(axis[i] * axis[i] for i in nodes))
+
+
 def disjoint_interaction(
     u: RealField,
     outer: Sequence[tuple[float, RealField]],
@@ -207,37 +228,55 @@ def disjoint_interaction(
     """|<R u, v>| for each (gap, v) in `outer`, fields with disjoint radial supports.
 
     u must vanish outside the ball of radius inner_radius and each v
-    inside the ball of radius inner_radius + gap; both are checked
-    against the grid to 1e-14 of each field's maximum. Every gap must be
-    at least 1. R is self-adjoint, <u, R v> = <R u, v>, so R is applied
-    to u once for all pairs.
+    inside the ball of radius inner_radius + gap; both are checked on
+    every node to 1e-14 of each field's maximum, with the radii of
+    `grid.radius`. Every gap must be at least 1. R is self-adjoint,
+    <u, R v> = <R u, v>, so R is applied to u once for all pairs, and
+    only between supports: from the index box of u's nonzero nodes to
+    the union of the v's nonzero boxes (`apply_multiplier_boxed`).
+    Each pairing is h^dim times the sum over that target box.
     """
-    r = u.grid.radius
-    tol_u = 1e-14 * float(np.max(np.abs(u.values)))
-    if float(np.max(np.abs(np.where(r > inner_radius, u.values, 0.0)))) > tol_u:
+    grid = u.grid
+    source, nodes, above = _support(u)
+    if np.any(_node_radius(grid, [i[above] for i in nodes]) > inner_radius):
         raise SupportOverlapError(f"u is nonzero outside the ball of radius {inner_radius}")
+    target = [np.zeros(0, dtype=int)] * grid.dim
     for gap, v in outer:
         if gap < 1.0:
             raise ValueError("gap must be at least 1")
-        if u.grid != v.grid:
+        if grid != v.grid:
             raise SupportOverlapError("fields live on different grids")
-        tol_v = 1e-14 * float(np.max(np.abs(v.values)))
-        if float(np.max(np.abs(np.where(r < inner_radius + gap, v.values, 0.0)))) > tol_v:
+        box, nodes, above = _support(v)
+        if np.any(_node_radius(grid, [i[above] for i in nodes]) < inner_radius + gap):
             raise SupportOverlapError(f"v is nonzero inside the ball of radius {inner_radius + gap}")
-    resolved = real_resolvent(u, spec)
-    return [abs(inner_product(resolved, v)) for _, v in outer]
+        target = [np.union1d(t, b) for t, b in zip(target, box)]
+    block = u.values[np.ix_(*source)]
+    resolved = apply_multiplier_boxed(grid, block, source, spec.symbol_values(grid), target)
+    on_target = np.ix_(*target)
+    return [abs(float(grid.cell_volume * np.sum(resolved * v.values[on_target]))) for _, v in outer]
 
 
 def compact_bump(grid: TorusGrid, center, radius: float) -> RealField:
     """Smooth bump exactly supported in the ball of given radius around center.
 
-    The profile exp(-1/(1 - q^2)) with q the scaled distance; values are
-    exactly zero outside, which support-checked interactions rely on.
+    The profile exp(-1/(1 - q^2)) with q the scaled torus distance;
+    values are exactly zero outside, which support-checked interactions
+    rely on. The profile is evaluated only on the bump's index box, the
+    nodes whose per-axis term d^2/radius^2 is below 1 (offsets from
+    `grid.periodic_offsets`), which holds the whole support: the values
+    equal the full-grid formula bit for bit, and every node off the box
+    is an exact zero.
     """
     if radius <= 0:
         raise ValueError("radius must be positive")
-    q2 = grid.periodic_distance2(center) / (radius * radius)
-    values = np.zeros(grid.shape)
+    r2 = radius * radius
+    offsets = grid.periodic_offsets(center)
+    box = [np.flatnonzero(d * d / r2 < 1.0) for d in offsets]
+    near = np.meshgrid(*(d[i] for d, i in zip(offsets, box)), indexing="ij", sparse=True)
+    q2 = sum(d * d for d in near) / r2
+    block = np.zeros(q2.shape)
     inside = q2 < 1.0
-    values[inside] = np.exp(-1.0 / (1.0 - q2[inside]))
+    block[inside] = np.exp(-1.0 / (1.0 - q2[inside]))
+    values = np.zeros(grid.shape)
+    values[np.ix_(*box)] = block
     return RealField(grid, values)

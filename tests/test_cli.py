@@ -31,6 +31,9 @@ def write_cfg(tmp_path, name, text):
     return str(path)
 
 
+CUBE_CFG = "grid.dim = 3\ngrid.points = 32\ngrid.half_width = 16.0\nmodel.delta = 0.2\n"
+
+
 def read_rows(path):
     header, *rows = path.read_text(encoding="utf-8").splitlines()
     return header.split(","), [r.split(",") for r in rows]
@@ -78,15 +81,19 @@ def test_duplicate_key_is_a_config_error(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "text",
-    ["grid.points = 8\ngrid.half_width = 0.5\n", "model.p = 2.0001\n"],
-    ids=["auto-delta-infeasible", "scale-factor-overflow"],
+    "command, text",
+    [
+        ("solve", "grid.points = 8\ngrid.half_width = 0.5\n"),
+        ("solve", "model.p = 2.0001\n"),
+        ("interaction-check", CUBE_CFG + "interaction.gaps = 1.0, 1.0\n"),
+    ],
+    ids=["auto-delta-infeasible", "scale-factor-overflow", "repeated-gap"],
 )
 @pytest.mark.parametrize("force", [False, True], ids=["gated", "forced"])
-def test_numerically_hopeless_config_is_a_one_line_config_error(tmp_path, text, force):
+def test_numerically_hopeless_config_is_a_one_line_config_error(tmp_path, command, text, force):
     # the config error outranks the hypothesis gate, so --force changes nothing
     cfg = write_cfg(tmp_path, "bad.cfg", text)
-    args = ["solve", "--config", cfg, "--out", str(tmp_path / "out")] + (["--force"] if force else [])
+    args = [command, "--config", cfg, "--out", str(tmp_path / "out")] + (["--force"] if force else [])
     done = run_script(sys.executable, "-m", "helmlab.cli", *args)
     assert done.returncode == 2, done.stderr
     assert "Traceback" not in done.stderr
@@ -254,10 +261,11 @@ def test_kernel_window_past_half_box_warns(tmp_path, capsys):
 
 
 def count_transforms(monkeypatch):
-    """Count symbol evaluations and forward/inverse multiplier pairs, wherever bound."""
-    calls = {"symbol": 0, "pair": 0}
+    """Count symbol evaluations, full-grid multiplier pairs and boxed applications, wherever bound."""
+    calls = {"symbol": 0, "pair": 0, "boxed": 0}
     symbol = ResolventSpec.symbol_values
     pair = helmlab.grid.apply_multiplier_values
+    boxed = helmlab.grid.apply_multiplier_boxed
 
     def counted_symbol(self, grid):
         calls["symbol"] += 1
@@ -267,13 +275,16 @@ def count_transforms(monkeypatch):
         calls["pair"] += 1
         return pair(field, values)
 
+    def counted_boxed(*args):
+        calls["boxed"] += 1
+        return boxed(*args)
+
     monkeypatch.setattr(ResolventSpec, "symbol_values", counted_symbol)
     for module in (helmlab.grid, helmlab.resolvent, helmlab.dual):
         monkeypatch.setattr(module, "apply_multiplier_values", counted_pair)
+    for module in (helmlab.grid, helmlab.resolvent):
+        monkeypatch.setattr(module, "apply_multiplier_boxed", counted_boxed)
     return calls
-
-
-CUBE_CFG = "grid.dim = 3\ngrid.points = 32\ngrid.half_width = 16.0\nmodel.delta = 0.2\n"
 
 
 def test_kernel_check_transform_budget(tmp_path, monkeypatch):
@@ -281,17 +292,18 @@ def test_kernel_check_transform_budget(tmp_path, monkeypatch):
     calls = count_transforms(monkeypatch)
     cfg = write_cfg(tmp_path, "k.cfg", CUBE_CFG + "kernel.window_lo = 2.0\nkernel.window_hi = 10.0\n")
     assert main(["kernel-check", "--config", cfg, "--out", str(tmp_path / "k")]) == 0
-    assert calls == {"symbol": 1, "pair": 0}
+    assert calls == {"symbol": 1, "pair": 0, "boxed": 0}
 
 
 def test_interaction_check_transform_budget(tmp_path, monkeypatch):
-    # R is self-adjoint, so one application to the inner bump serves every gap
+    # R is self-adjoint, so one application to the inner bump serves every gap,
+    # and it runs from the inner bump's box to the outer bumps' boxes
     calls = count_transforms(monkeypatch)
     cfg = write_cfg(
         tmp_path, "i.cfg", CUBE_CFG + "interaction.gaps = 1.0, 2.0, 3.0\ninteraction.bump_radius = 1.5\n"
     )
     assert main(["interaction-check", "--config", cfg, "--out", str(tmp_path / "i")]) == 0
-    assert calls == {"symbol": 1, "pair": 1}
+    assert calls == {"symbol": 1, "pair": 0, "boxed": 1}
 
 
 # -------------------------------------------------------- interaction-check

@@ -131,6 +131,7 @@ def test_bad_values_rejected(line):
         ("sweep.k_values = 2.0, -4.0", "sweep.k_values"),
         ("sweep.eps_values = 0.5, 0.0", "sweep.eps_values"),
         ("interaction.gaps = 0.5", "interaction.gaps"),
+        ("interaction.gaps = 1.0, 1.0", "interaction.gaps"),  # the slope fit needs distinct gaps
         ("model.p = 2.0001", "model.p"),  # 8^(2/0.0001) overflows
         ("grid.points = 8\ngrid.half_width = 0.5", "model.delta"),  # no wavenumber near the sphere
     ],

@@ -20,6 +20,7 @@ from helmlab import (
     multiplier_values,
     translate,
 )
+from helmlab.grid import apply_multiplier_boxed
 
 
 def random_field(grid, seed=0):
@@ -180,6 +181,27 @@ def test_multiplier_kernel_matches_the_delta_through_the_pair(dim, n):
     reference = apply_multiplier_values(RealField(grid, delta), m)
     kernel = multiplier_kernel(grid, m)
     assert np.max(np.abs(kernel.values - reference.values)) <= 1e-12 * np.max(np.abs(reference.values))
+
+
+@pytest.mark.parametrize("dim,n", [(1, 64), (2, 32), (3, 16)])
+def test_boxed_application_matches_the_full_pair_on_the_target_box(dim, n):
+    # boxes that wrap the periodic edge and have gaps; values on every Nyquist plane
+    grid = build_grid(dim, 16.0, n)
+    h = grid.spacing
+    m = multiplier_values(grid, lambda *a: 1.0 + 0.5 * np.cos(h * a[0]) + 0.25 * np.cos(h * a[-1]))
+    assert np.all(m[..., -1] != 0.0) and np.all(m[n // 2] != 0.0)
+    source = [np.array([0, 1, 2, n - 2, n - 1]), np.array([3, 5, 6, 10]), np.arange(n // 2 - 2, n // 2 + 3)]
+    target = [np.array([1, 4, 7, n - 1]), np.array([0, 1, n - 3]), np.arange(n // 4, 3 * n // 4)]
+    for shift in range(dim):
+        src = [source[(k + shift) % 3] for k in range(dim)]
+        tgt = [target[(k + shift) % 3] for k in range(dim)]
+        block = np.random.default_rng(40 + dim + shift).standard_normal(tuple(len(i) for i in src))
+        values = np.zeros(grid.shape)
+        values[np.ix_(*src)] = block
+        reference = apply_multiplier_values(RealField(grid, values), m).values[np.ix_(*tgt)]
+        boxed = apply_multiplier_boxed(grid, block, src, m, tgt)
+        assert boxed.shape == reference.shape
+        assert np.max(np.abs(boxed - reference)) <= 1e-12 * np.max(np.abs(reference))
 
 
 def test_uneven_multiplier_rejected():

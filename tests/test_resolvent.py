@@ -210,6 +210,30 @@ def test_smoothstep_endpoints_and_monotonicity():
     assert np.all(np.diff(y) <= 1e-15)
 
 
+def clipped_smoothstep(t):
+    # the formula on t clipped to [0, 1], exponentials at every node
+    t = np.clip(np.asarray(t, dtype=float), 0.0, 1.0)
+
+    def f(u):
+        out = np.zeros_like(u)
+        pos = u > 0
+        out[pos] = np.exp(-1.0 / u[pos])
+        return out
+
+    fa = f(1.0 - t)
+    return fa / (fa + f(t))
+
+
+def test_smoothstep_equals_the_clipped_formula():
+    t = np.arange(-1000, 3001) / 2000.0  # holds 0 and 1 exactly
+    t = np.concatenate([t, [1e-300, np.nextafter(1.0, 0.0), -np.inf, np.inf]])
+    assert np.array_equal(exp_smoothstep(t), clipped_smoothstep(t))
+    square = t[:4000].reshape(40, 100)
+    assert np.array_equal(exp_smoothstep(square), clipped_smoothstep(square))
+    for scalar in (-0.5, 0.0, 0.25, 1.0, 2.0):
+        assert exp_smoothstep(scalar) == clipped_smoothstep(scalar)
+
+
 def test_band_cutoff_plateau_and_support():
     cut = BandCutoff()
     r = np.array([0.9, 1.0, 1.1, 1.3, 0.7, 2.0])
@@ -267,6 +291,22 @@ def test_radial_envelope_ignores_origin_node():
     assert all(v == 0.0 for _, v in env)
 
 
+@pytest.mark.parametrize("dim,n,shells", [(1, 64, 5), (2, 64, 8), (3, 32, 12)])
+def test_radial_envelope_equals_the_masked_gather(dim, n, shells):
+    # the origin and the nodes past half_width dropped by boolean masks
+    grid = build_grid(dim, 16.0, n)
+    values = np.random.default_rng(dim).standard_normal(grid.shape)
+    values[grid.origin_index] = 100.0
+    width = grid.half_width / shells
+    r = grid.radius
+    idx = np.minimum((r / width).astype(int), shells - 1)
+    mask = (r > 0.0) & (r <= grid.half_width)
+    want = np.zeros(shells)
+    np.maximum.at(want, idx[mask], np.abs(values)[mask])
+    env = radial_envelope(RealField(grid, values), shells)
+    assert np.array_equal([v for _, v in env], want)
+
+
 def test_radial_envelope_shell_count_floor():
     grid = build_grid(2, 16.0, 16)
     with pytest.raises(ValueError):
@@ -318,6 +358,28 @@ def test_compact_bump_support_is_exact():
         compact_bump(grid, (0.0, 0.0), 0.0)
 
 
+@pytest.mark.parametrize(
+    "dim,center,wraps",
+    [
+        (1, (-31.9,), True),
+        (2, (0.0, 0.0), False),
+        (2, (0.3, -1.7), False),
+        (2, (31.6, -31.9), True),
+        (3, (-31.8, 0.25, -0.6), True),
+    ],
+)
+def test_compact_bump_equals_the_full_grid_formula(dim, center, wraps):
+    grid = build_grid(dim, 32.0, 64)
+    radius = 2.0
+    q2 = grid.periodic_distance2(center) / (radius * radius)
+    want = np.zeros(grid.shape)
+    inside = q2 < 1.0
+    want[inside] = np.exp(-1.0 / (1.0 - q2[inside]))
+    bump = compact_bump(grid, center, radius).values
+    assert np.array_equal(bump, want)
+    assert (np.any(bump[0] != 0.0) and np.any(bump[-1] != 0.0)) == wraps
+
+
 def test_disjoint_interaction_matches_direct_pairing():
     grid = build_grid(2, 32.0, 64)
     spec = ResolventSpec(s=1.0, delta=0.1)
@@ -340,6 +402,25 @@ def test_disjoint_interaction_rejects_overlap():
     far = compact_bump(grid, (12.0, 0.0), 2.0)
     with pytest.raises(SupportOverlapError):
         disjoint_interaction(wide, [(4.0, far)], spec, inner_radius=2.0)
+
+
+@pytest.mark.parametrize("stray", ["u", "v"])
+def test_disjoint_interaction_checks_every_node(stray):
+    # one node at 1e-10 of the max, far from both bumps, still breaks the support
+    grid = build_grid(3, 16.0, 32)
+    spec = ResolventSpec(s=1.0, delta=0.2)
+    u = compact_bump(grid, (0.0, 0.0, 0.0), 2.0)
+    v = compact_bump(grid, (8.0, 0.0, 0.0), 2.0)
+    if stray == "u":
+        values = u.values.copy()
+        values[-1, -1, -1] = 1e-10 * np.max(values)  # the far corner of the box
+        u = RealField(grid, values)
+    else:
+        values = v.values.copy()
+        values[grid.nearest_index((-3.0, -3.0, -3.0))] = 1e-10 * np.max(values)  # inside radius 2 + 4, opposite v
+        v = RealField(grid, values)
+    with pytest.raises(SupportOverlapError):
+        disjoint_interaction(u, [(4.0, v)], spec, inner_radius=2.0)
 
 
 def test_disjoint_interaction_gap_floor():

@@ -66,7 +66,6 @@ from .grid import (
     lq_norm,
     multiplier_kernel,
     multiplier_values,
-    translate,
 )
 from .params import OUTSIDE_HYPOTHESES_MARKER, Exponents, HypothesisCheck
 from .resolvent import (
@@ -80,7 +79,23 @@ from .resolvent import (
     exp_smoothstep,
     fit_decay_exponent,
     radial_envelope,
-    real_resolvent,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    "BumpOnBackgroundQ", "CoefficientQ", "ConstantQ", "sample_Q",
+    "LevelRow", "LevelTable", "SweepRecord", "level_table", "locate_peak", "profile_distance",
+    "run_sweep", "single_bubble_check", "single_bubble_fraction",
+    "RunConfig", "load_config", "parse_config_text", "render_config",
+    "DualState", "GroundState", "cutoff_projection", "default_initial_guess", "diagnose",
+    "dihedral_average", "dual_energy", "dual_gradient", "limit_ground_state", "nehari_project",
+    "nehari_scale", "random_initial_guess", "solve_ground_state",
+    "ConeExitError", "ConfigError", "GridMismatchError", "IndefiniteFormError",
+    "InsufficientDataError", "NegativeCoefficientError", "SingularModeError", "SupportOverlapError",
+    "SymmetryViolationError", "ZeroFieldError",
+    "RealField", "SpectralField", "TorusGrid", "apply_multiplier", "apply_multiplier_values",
+    "build_grid", "forward_transform", "inner_product", "inverse_transform", "lq_norm",
+    "multiplier_kernel", "multiplier_values",
+    "OUTSIDE_HYPOTHESES_MARKER", "Exponents", "HypothesisCheck",
+    "BandCutoff", "KernelBundle", "ResolventSpec", "auto_delta", "band_decompose", "compact_bump",
+    "disjoint_interaction", "exp_smoothstep", "fit_decay_exponent", "radial_envelope",
+]

@@ -341,15 +341,3 @@ def inner_product(f: RealField, g: RealField) -> float:
     """Quadrature L^2 pairing h^dim * sum f*g."""
     _check_same_grid(f, g)
     return float(f.grid.cell_volume * np.sum(f.values * g.values))
-
-
-def translate(field: RealField, cells) -> RealField:
-    """Translate a field by whole grid cells (periodic roll).
-
-    A positive shift of c cells along an axis moves content from node i
-    to node i + c, i.e. the result samples f(x - c*h).
-    """
-    cells = np.atleast_1d(np.asarray(cells, dtype=int))
-    if cells.shape != (field.grid.dim,):
-        raise ValueError(f"cells must have {field.grid.dim} components")
-    return RealField(field.grid, np.roll(field.values, tuple(int(c) for c in cells), axis=tuple(range(field.grid.dim))))

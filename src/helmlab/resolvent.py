@@ -19,7 +19,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import InsufficientDataError, SingularModeError, SupportOverlapError
-from .grid import RealField, TorusGrid, apply_multiplier_boxed, apply_multiplier_values, multiplier_kernel
+from .grid import RealField, TorusGrid, apply_multiplier_boxed, multiplier_kernel
 
 _SINGULAR_TOL = 1e-12
 
@@ -75,11 +75,6 @@ def auto_delta(grid: TorusGrid, s: float) -> float:
     gaps = np.diff(window)
     gaps = gaps[gaps > 1e-12]
     return 4.0 * float(np.median(gaps))
-
-
-def real_resolvent(field: RealField, spec: ResolventSpec) -> RealField:
-    """Apply the real resolvent multiplier to a field."""
-    return apply_multiplier_values(field, spec.symbol_values(field.grid))
 
 
 def exp_smoothstep(t: np.ndarray) -> np.ndarray:
@@ -139,8 +134,8 @@ def band_decompose(spec: ResolventSpec, grid: TorusGrid, cutoff: BandCutoff | No
     """The resolvent kernel K, split as K = K1 + K2 with K1 spectrally supported near the sphere.
 
     K is the resolvent applied to the unit-mass discrete delta (value
-    1/h^dim at the origin node), so that real_resolvent(f) equals the
-    quadrature circular convolution of K with f. K1 carries the
+    1/h^dim at the origin node), so that applying the resolvent symbol
+    to f equals the quadrature circular convolution of K with f. K1 carries the
     propagating near-sphere modes and decays like the dimension's
     far-field envelope; K2 = K - K1 carries everything else and decays
     faster. Both K and K1 come from the known spectrum of the delta,

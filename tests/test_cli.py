@@ -9,10 +9,12 @@ import os
 import shutil
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
 
+import helmlab
 import helmlab.dual
 import helmlab.grid
 import helmlab.resolvent
@@ -86,8 +88,16 @@ def test_duplicate_key_is_a_config_error(tmp_path, capsys):
         ("solve", "grid.points = 8\ngrid.half_width = 0.5\n"),
         ("solve", "model.p = 2.0001\n"),
         ("interaction-check", CUBE_CFG + "interaction.gaps = 1.0, 1.0\n"),
+        ("levels", CUBE_CFG + "coefficient.background = 0.0\n"),
+        ("kernel-check", CUBE_CFG + "kernel.shells = 4\nkernel.window_lo = 1.0\nkernel.window_hi = 2.0\n"),
     ],
-    ids=["auto-delta-infeasible", "scale-factor-overflow", "repeated-gap"],
+    ids=[
+        "auto-delta-infeasible",
+        "scale-factor-overflow",
+        "repeated-gap",
+        "levels-zero-background",
+        "sparse-fit-window",
+    ],
 )
 @pytest.mark.parametrize("force", [False, True], ids=["gated", "forced"])
 def test_numerically_hopeless_config_is_a_one_line_config_error(tmp_path, command, text, force):
@@ -245,6 +255,8 @@ def test_kernel_check_is_deterministic(tmp_path, capsys):
     _, rows = read_rows(tmp_path / "a" / "kernel_decay.csv")
     assert [d["part"] for d in decay] == [r[0] for r in rows] == ["K1", "K2"]
     assert all(isinstance(d["slope"], float) for d in decay)
+    # at full precision: the CSV's 12 significant digits round the JSON value
+    assert [format(d["slope"], ".12g") for d in decay] == [r[3] for r in rows]
     out = capsys.readouterr().out
     assert "K1" in out and "K2" in out
 
@@ -280,7 +292,7 @@ def count_transforms(monkeypatch):
         return boxed(*args)
 
     monkeypatch.setattr(ResolventSpec, "symbol_values", counted_symbol)
-    for module in (helmlab.grid, helmlab.resolvent, helmlab.dual):
+    for module in (helmlab.grid, helmlab.dual):
         monkeypatch.setattr(module, "apply_multiplier_values", counted_pair)
     for module in (helmlab.grid, helmlab.resolvent):
         monkeypatch.setattr(module, "apply_multiplier_boxed", counted_boxed)
@@ -439,6 +451,12 @@ def test_installed_console_script_runs(tmp_path):
     done = run_script(shutil.which("helmlab"), "validate-params", "--config", cfg)
     assert done.returncode == 0, done.stderr
     assert "pass" in done.stdout
+
+
+def test_public_names_are_objects_not_modules():
+    assert len(set(helmlab.__all__)) == len(helmlab.__all__)
+    for name in helmlab.__all__:
+        assert not isinstance(getattr(helmlab, name), types.ModuleType), name
 
 
 def test_cli_import_leaves_scipy_unloaded():

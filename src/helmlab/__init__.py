@@ -19,7 +19,6 @@ from .concentration import (
     LevelTable,
     SweepRecord,
     level_table,
-    locate_peak,
     profile_distance,
     run_sweep,
     single_bubble_check,
@@ -63,13 +62,13 @@ from .grid import (
     forward_transform,
     inner_product,
     inverse_transform,
+    locate_peak,
     lq_norm,
     multiplier_kernel,
     multiplier_values,
 )
 from .params import OUTSIDE_HYPOTHESES_MARKER, Exponents, HypothesisCheck
 from .resolvent import (
-    BandCutoff,
     KernelBundle,
     ResolventSpec,
     auto_delta,
@@ -83,7 +82,7 @@ from .resolvent import (
 
 __all__ = [
     "BumpOnBackgroundQ", "CoefficientQ", "ConstantQ", "sample_Q",
-    "LevelRow", "LevelTable", "SweepRecord", "level_table", "locate_peak", "profile_distance",
+    "LevelRow", "LevelTable", "SweepRecord", "level_table", "profile_distance",
     "run_sweep", "single_bubble_check", "single_bubble_fraction",
     "RunConfig", "load_config", "parse_config_text", "render_config",
     "DualState", "GroundState", "cutoff_projection", "default_initial_guess", "diagnose",
@@ -93,9 +92,9 @@ __all__ = [
     "InsufficientDataError", "NegativeCoefficientError", "SingularModeError", "SupportOverlapError",
     "SymmetryViolationError", "ZeroFieldError",
     "RealField", "SpectralField", "TorusGrid", "apply_multiplier", "apply_multiplier_values",
-    "build_grid", "forward_transform", "inner_product", "inverse_transform", "lq_norm",
+    "build_grid", "forward_transform", "inner_product", "inverse_transform", "locate_peak", "lq_norm",
     "multiplier_kernel", "multiplier_values",
     "OUTSIDE_HYPOTHESES_MARKER", "Exponents", "HypothesisCheck",
-    "BandCutoff", "KernelBundle", "ResolventSpec", "auto_delta", "band_decompose", "compact_bump",
+    "KernelBundle", "ResolventSpec", "auto_delta", "band_decompose", "compact_bump",
     "disjoint_interaction", "exp_smoothstep", "fit_decay_exponent", "radial_envelope",
 ]

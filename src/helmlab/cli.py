@@ -16,6 +16,7 @@ import argparse
 import json
 import sys
 import time
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -178,11 +179,10 @@ def _cmd_solve(run: _Run) -> int:
     if cfg.init == "random":
         starts = [random_initial_guess(grid, spec, cfg.seed)]
     else:
-        maxima = [m for m in Q.maxima if m]
-        if len(maxima) > 1:
+        if len(Q.maxima) > 1:
             starts = [
                 default_initial_guess(Qfield, exps, spec, center=tuple(c / exps.eps for c in m))
-                for m in maxima
+                for m in Q.maxima
             ]
         else:
             starts = [None]  # the solver's cold start is default_initial_guess's, on the same operator
@@ -317,35 +317,38 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    try:
-        cfg = load_config(args.config) if args.config else RunConfig()
-        if args.out is not None:
-            cfg = replace(cfg, out_dir=args.out)
-        exps = make_exponents(cfg)
-        report = [
-            f"{c.name}: {'pass' if c.passed else 'FAIL'} (value {c.value:g}, admissible {c.admissible})"
-            for c in exps.hypothesis_report()
-        ]
-        report.append(f"p_dual = {exps.p_dual:.6g}, lambda_p = {exps.lambda_p:.6g}")
-        if args.command == "validate-params":
-            print(*report, sep="\n")
-            if exps.within_hypotheses:
-                return 0
-            print(f"marker: {OUTSIDE_HYPOTHESES_MARKER}")
-            return 3
-        # the grid and spec come before the gate, so a config error (exit 2) outranks it (exit 3)
-        grid = make_grid(cfg)
-        spec = make_spec(cfg, grid)
-        if not exps.within_hypotheses:
-            print(*report, sep="\n", file=sys.stderr)
-            if not args.force:
-                print("validity check failed; pass --force to run anyway", file=sys.stderr)
+    with warnings.catch_warnings():  # restores the default handler on return
+        # a warning raised during the run is one diagnosis line, as kernel-check's window warning
+        warnings.showwarning = lambda message, *_: print(f"warning: {message}", file=sys.stderr)
+        try:
+            cfg = load_config(args.config) if args.config else RunConfig()
+            if args.out is not None:
+                cfg = replace(cfg, out_dir=args.out)
+            exps = make_exponents(cfg)
+            report = [
+                f"{c.name}: {'pass' if c.passed else 'FAIL'} (value {c.value:g}, admissible {c.admissible})"
+                for c in exps.hypothesis_report()
+            ]
+            report.append(f"p_dual = {exps.p_dual:.6g}, lambda_p = {exps.lambda_p:.6g}")
+            if args.command == "validate-params":
+                print(*report, sep="\n")
+                if exps.within_hypotheses:
+                    return 0
+                print(f"marker: {OUTSIDE_HYPOTHESES_MARKER}")
                 return 3
-            print(f"proceeding anyway; outputs carry the marker {OUTSIDE_HYPOTHESES_MARKER!r}", file=sys.stderr)
-        return _COMMANDS[args.command](_Run(args.command, cfg, exps, grid, spec))
-    except (ConfigError, InsufficientDataError, OSError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
+            # the grid and spec come before the gate, so a config error (exit 2) outranks it (exit 3)
+            grid = make_grid(cfg)
+            spec = make_spec(cfg, grid)
+            if not exps.within_hypotheses:
+                print(*report, sep="\n", file=sys.stderr)
+                if not args.force:
+                    print("validity check failed; pass --force to run anyway", file=sys.stderr)
+                    return 3
+                print(f"proceeding anyway; outputs carry the marker {OUTSIDE_HYPOTHESES_MARKER!r}", file=sys.stderr)
+            return _COMMANDS[args.command](_Run(args.command, cfg, exps, grid, spec))
+        except (ConfigError, InsufficientDataError, OSError) as exc:
+            print(f"config error: {exc}", file=sys.stderr)
+            return 2
 
 
 if __name__ == "__main__":

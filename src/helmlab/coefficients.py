@@ -34,7 +34,7 @@ class CoefficientQ:
 
     @property
     def maxima(self) -> list[tuple[float, ...]]:
-        """Points where the supremum is attained."""
+        """Points where the supremum is attained; empty if it is attained everywhere."""
         raise NotImplementedError
 
 
@@ -61,7 +61,7 @@ class ConstantQ(CoefficientQ):
 
     @property
     def maxima(self):
-        return [()]
+        return []
 
 
 @dataclass(frozen=True)
@@ -130,10 +130,8 @@ def sample_Q(Q: CoefficientQ, grid: TorusGrid, eps: float = 1.0) -> RealField:
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
-    if type(Q) is ConstantQ:  # exact type: subclasses may override evaluate
-        return RealField(grid, np.full(grid.shape, Q.value))
     for center in Q.maxima:
-        if center and max(abs(c) for c in center) >= eps * grid.half_width:
+        if max(abs(c) for c in center) >= eps * grid.half_width:
             warnings.warn(
                 f"coefficient maximum at {center} lies outside the physical window "
                 f"[-{eps * grid.half_width:g}, {eps * grid.half_width:g})^{grid.dim}",

@@ -1,12 +1,12 @@
-"""Concentration experiments: peak tracking, limit comparisons, level tables.
+"""Concentration experiments: profile distances, sweeps, level tables.
 
 As the wavenumber k grows (eps = 1/k shrinks), the rescaled coefficient
 Q(eps * x) flattens toward its peak value and the computed ground state
 should converge to the constant-coefficient limit profile, with its peak
 parked at a maximum of Q. The routines here measure exactly that: where
-the profile peaks, how far it is from the limit profile, and how the
-ground-state level is pinched between the two constant-coefficient
-levels built from max Q and the background value of Q.
+the profile peaks (`GroundState.peak`), how far it is from the limit
+profile, and how the ground-state level is pinched between the two
+constant-coefficient levels built from max Q and the background value of Q.
 """
 from __future__ import annotations
 
@@ -21,38 +21,6 @@ from .errors import ZeroFieldError
 from .grid import RealField, TorusGrid, lq_norm
 from .params import Exponents
 from .resolvent import ResolventSpec
-
-
-def locate_peak(field: RealField) -> tuple[float, ...]:
-    """Coordinates of the maximum of |field|, refined below the grid scale.
-
-    Starts from the first-occurrence argmax node and refines along each
-    axis with a three-point parabola through the periodic neighbors; the
-    refinement is clamped to half a cell so a noisy neighbor cannot
-    throw the estimate into the next cell.
-    """
-    grid = field.grid
-    mags = np.abs(field.values)
-    top = float(np.max(mags))
-    if top <= 0.0:
-        raise ZeroFieldError("cannot locate the peak of an identically zero field")
-    node = np.unravel_index(int(np.argmax(mags)), grid.shape)
-    coords = []
-    n = grid.points_per_axis
-    for axis, i in enumerate(node):
-        take = list(node)
-        take[axis] = (i - 1) % n
-        left = float(mags[tuple(take)])
-        take[axis] = (i + 1) % n
-        right = float(mags[tuple(take)])
-        center = float(mags[node])
-        curvature = left - 2.0 * center + right
-        if curvature < 0.0:
-            offset = float(np.clip(0.5 * (left - right) / curvature, -0.5, 0.5))
-        else:
-            offset = 0.0
-        coords.append(float(grid.coordinate_axis[i]) + offset * grid.spacing)
-    return tuple(coords)
 
 
 def profile_distance(field: RealField, reference: RealField, norm_exponent: float = 2.0) -> float:

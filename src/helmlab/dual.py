@@ -62,12 +62,12 @@ with a single evaluation of the resolvent symbol.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import ConeExitError, IndefiniteFormError, ZeroFieldError
-from .grid import RealField, TorusGrid, apply_multiplier_values
+from .grid import RealField, TorusGrid, apply_multiplier_values, locate_peak
 from .params import Exponents
 from .resolvent import ResolventSpec, exp_smoothstep
 
@@ -276,12 +276,10 @@ def default_initial_guess(
     return _DualOperator(Qfield, exps, spec).initial_guess(center)
 
 
-def random_initial_guess(
-    grid: TorusGrid, spec: ResolventSpec, seed: int, envelope_width: float = 4.0
-) -> RealField:
+def random_initial_guess(grid: TorusGrid, spec: ResolventSpec, seed: int) -> RealField:
     """Seeded Gaussian-enveloped noise, filtered into the admissible cone.
 
-    White noise times exp(-|x|^2 / (2 width^2)), keeping only the
+    White noise times exp(-|x|^2 / (2 * 4^2)), keeping only the
     spectral modes where the resolvent symbol is positive so the
     quadratic form of the result is strictly positive. Two different
     seeds give genuinely independent starting points for cross-checking
@@ -289,7 +287,7 @@ def random_initial_guess(
     """
     rng = np.random.default_rng(seed)
     noise = rng.standard_normal(grid.shape)
-    envelope = np.exp(-grid.radius**2 / (2.0 * envelope_width**2))
+    envelope = np.exp(-grid.radius**2 / (2.0 * 4.0**2))
     positive_part = np.maximum(spec.symbol_values(grid), 0.0)
     return apply_multiplier_values(RealField(grid, noise * envelope), positive_part)
 
@@ -453,8 +451,6 @@ def solve_ground_state(
 
 
 def _package(op: _DualOperator, v, rw_v, res, iterations, converged) -> GroundState:
-    from .concentration import locate_peak  # deferred: concentration imports this module
-
     grid = op.grid
     u = RealField(grid, rw_v)
     peak_node = np.unravel_index(int(np.argmax(np.abs(u.values))), grid.shape)
@@ -499,18 +495,13 @@ def limit_ground_state(
     shift = tuple(int(o - i) for o, i in zip(grid.origin_index, peak_node))
     if not any(shift):
         return gs
-    # exact on the torus: rolling commutes with the constant-Q functional.
-    # The cold start sits on the origin node, so this branch (and its
-    # second symbol evaluation) only runs if the solve drifts off it.
+    # A cyclic roll leaves every diagnostic of a constant-Q state unchanged,
+    # so the solved state keeps them and only its fields and peak move. The
+    # cold start sits on the origin node; this runs only if a solve drifts.
     axes = range(grid.dim)
-    return _package(
-        _DualOperator(Qfield, exps, spec),
-        np.roll(gs.v.values, shift, axis=axes),
-        np.roll(gs.u_rescaled.values, shift, axis=axes),
-        gs.fixed_point_residual,
-        gs.iterations,
-        gs.converged,
-    )
+    u = RealField(grid, np.roll(gs.u_rescaled.values, shift, axis=axes))
+    v = RealField(grid, np.roll(gs.v.values, shift, axis=axes))
+    return replace(gs, state=replace(gs.state, v=v), u_rescaled=u, peak=locate_peak(u))
 
 
 def cutoff_projection(
@@ -519,15 +510,14 @@ def cutoff_projection(
     Qfield: RealField,
     exps: Exponents,
     spec: ResolventSpec,
-    eta=None,
 ) -> tuple[RealField, float, float]:
     """Nehari data of a cutoff-localized copy of the limit profile.
 
     Builds phi(x) = eta(|eps*x - y|) * w0(x - y/eps) from the limit
     dual profile w0 and the physical concentration point y, with eta a
-    smooth radial cutoff equal to 1 on [0, 1] and 0 outside [0, 2]
-    (overridable). Returns (phi, t, level) where t is the Nehari scale
-    of phi and level = J(t * phi). As eps -> 0 the cutoff stops biting,
+    smooth radial cutoff equal to 1 on [0, 1] and 0 outside [0, 2].
+    Returns (phi, t, level) where t is the Nehari scale of phi and
+    level = J(t * phi). As eps -> 0 the cutoff stops biting,
     t drifts to 1 and the level to the limit ground-state level: the
     comparison argument pinning concentration at coefficient maxima,
     made quantitative on the grid.
@@ -541,11 +531,7 @@ def cutoff_projection(
     shift = tuple(int(i - o) for i, o in zip(node, grid.origin_index))
     moved = np.roll(limit_profile.values, shift, axis=range(grid.dim)) if any(shift) else limit_profile.values
     rho = eps * np.sqrt(grid.periodic_distance2(rescaled_center))
-    if eta is None:
-        window = exp_smoothstep(rho - 1.0)
-    else:
-        window = np.asarray(eta(rho), dtype=float)
-    phi = RealField(grid, window * moved)
+    phi = RealField(grid, exp_smoothstep(rho - 1.0) * moved)
     op = _DualOperator(Qfield, exps, spec)
     t = op.nehari_scale(phi.values)
     return phi, t, op.state(t * phi).energy

@@ -9,12 +9,13 @@ delta > 0 regularizes it to the real part of ((-Delta)^s - (1 + i*delta))^(-1),
 which is odd around the sphere, negative inside, positive outside, and
 bounded by 1/(2*delta). With delta = 0 the symbol is the principal-value
 multiplier 1/(|xi|^(2s) - 1), admissible only when no grid wavenumber
-sits on the singular sphere.
+sits on the singular sphere. The kernel split K = K1 + K2 takes K1 through
+a fixed radial cutoff: 1 for ||xi| - 1| <= 1/6, 0 for ||xi| - 1| >= 1/4.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -94,31 +95,9 @@ def exp_smoothstep(t: np.ndarray) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class BandCutoff:
-    """Radial spectral cutoff equal to 1 near the unit sphere.
-
-    The profile is 1 for ||xi| - 1| <= plateau_halfwidth, 0 for
-    ||xi| - 1| >= support_halfwidth, and a smooth exponential-type
-    smoothstep in between. A custom radial profile can be supplied for
-    degenerate tests.
-    """
-
-    plateau_halfwidth: float = 1.0 / 6.0
-    support_halfwidth: float = 1.0 / 4.0
-    profile: Callable[[np.ndarray], np.ndarray] | None = None
-
-    def __post_init__(self):
-        if not 0 < self.plateau_halfwidth < self.support_halfwidth:
-            raise ValueError("need 0 < plateau_halfwidth < support_halfwidth")
-
-    def values(self, frequency_norm: np.ndarray) -> np.ndarray:
-        if self.profile is not None:
-            return np.asarray(self.profile(frequency_norm), dtype=float)
-        t = (np.abs(frequency_norm - 1.0) - self.plateau_halfwidth) / (
-            self.support_halfwidth - self.plateau_halfwidth
-        )
-        return exp_smoothstep(t)
+def _band_cutoff(frequency_norm: np.ndarray) -> np.ndarray:
+    """Band cutoff psi: 1 for ||xi| - 1| <= 1/6, 0 for ||xi| - 1| >= 1/4, smooth between."""
+    return exp_smoothstep((np.abs(frequency_norm - 1.0) - 1.0 / 6.0) / (1.0 / 4.0 - 1.0 / 6.0))
 
 
 @dataclass(frozen=True)
@@ -130,7 +109,7 @@ class KernelBundle:
     remainder: RealField
 
 
-def band_decompose(spec: ResolventSpec, grid: TorusGrid, cutoff: BandCutoff | None = None) -> KernelBundle:
+def band_decompose(spec: ResolventSpec, grid: TorusGrid) -> KernelBundle:
     """The resolvent kernel K, split as K = K1 + K2 with K1 spectrally supported near the sphere.
 
     K is the resolvent applied to the unit-mass discrete delta (value
@@ -138,18 +117,17 @@ def band_decompose(spec: ResolventSpec, grid: TorusGrid, cutoff: BandCutoff | No
     to f equals the quadrature circular convolution of K with f. K1 carries the
     propagating near-sphere modes and decays like the dimension's
     far-field envelope; K2 = K - K1 carries everything else and decays
-    faster. Both K and K1 come from the known spectrum of the delta,
-    symbol and symbol * psi, by one inverse transform each
+    faster. The cutoff psi is fixed: 1 for ||xi| - 1| <= 1/6 and 0 for
+    ||xi| - 1| >= 1/4. Both K and K1 come from the known spectrum of the
+    delta, symbol and symbol * psi, by one inverse transform each
     (`multiplier_kernel`). Requires delta > 0; at delta = 0 the slowly
     decaying kernel is not meaningfully confined to the box.
     """
     if spec.delta <= 0:
         raise ValueError("kernel extraction requires delta > 0")
-    if cutoff is None:
-        cutoff = BandCutoff()
     symbol = spec.symbol_values(grid)
     kernel = multiplier_kernel(grid, symbol)
-    band = multiplier_kernel(grid, cutoff.values(grid.frequency_norm) * symbol)
+    band = multiplier_kernel(grid, _band_cutoff(grid.frequency_norm) * symbol)
     return KernelBundle(kernel=kernel, band=band, remainder=kernel - band)
 
 

@@ -198,6 +198,19 @@ def test_solve_evaluates_the_symbol_once(tmp_path, monkeypatch):
     assert len(calls) == 1
 
 
+def test_solve_reports_a_warning_as_one_line(tmp_path, capsys):
+    # the window at k = 1 is [-2, 2)^2 on 64 points, so both bump centers lie outside it
+    cfg = write_cfg(
+        tmp_path,
+        "w.cfg",
+        "grid.points = 64\ncoefficient.centers = 2.0, 0.0; -2.0, 0.0\nsolver.max_iter = 5\n",
+    )
+    main(["solve", "--config", cfg, "--out", str(tmp_path / "run"), "--force"])
+    err = capsys.readouterr().err.splitlines()
+    assert len([line for line in err if line.startswith("warning: coefficient maximum at (2.0, 0.0)")]) == 1
+    assert not [line for line in err if ".py" in line]
+
+
 def test_stalled_solve_exits_nonzero(tmp_path):
     out_dir = tmp_path / "stall"
     cfg = write_cfg(
@@ -485,3 +498,27 @@ def test_package_reads_no_environment_variables():
             ):
                 reads.append(f"{path.name}:{node.lineno}")
     assert reads == []
+
+
+LAYERS = ("errors", "params", "grid", "resolvent", "coefficients", "dual", "concentration", "config", "cli")
+
+
+def test_modules_import_only_from_lower_layers():
+    # every relative import, deferred ones included, names a module lower in
+    # LAYERS; the package itself sits on top, and `from . import __version__`
+    # is the one import of it
+    rank = {name: i for i, name in enumerate(LAYERS + ("__init__",))}
+    paths = sorted((REPO / "src" / "helmlab").glob("*.py"))
+    assert sorted(p.stem for p in paths) == sorted(rank)
+    upward = []
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not (isinstance(node, ast.ImportFrom) and node.level):
+                continue
+            if node.module is None:
+                allowed = [alias.name for alias in node.names] == ["__version__"]
+            else:
+                allowed = rank[node.module] < rank[path.stem]
+            if not allowed:
+                upward.append(f"{path.name}:{node.lineno}")
+    assert upward == []

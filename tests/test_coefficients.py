@@ -15,6 +15,7 @@ def test_constant_coefficient():
     Q = ConstantQ(2.0)
     assert Q.sup_value == 2.0
     assert Q.background_value == 2.0
+    assert Q.maxima == []  # attained everywhere: no point to seed a solve at
     grid = build_grid(2, 16.0, 16)
     field = sample_Q(Q, grid, eps=0.25)
     assert np.all(field.values == 2.0)
@@ -89,10 +90,6 @@ def test_sample_rejects_negative_fields():
     class Dip(ConstantQ):
         def evaluate(self, *coords):
             return np.full_like(np.asarray(coords[0], dtype=float), -0.5)
-
-        @property
-        def maxima(self):
-            return []
 
     grid = build_grid(1, 16.0, 16)
     with pytest.raises(NegativeCoefficientError):

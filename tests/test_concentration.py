@@ -7,7 +7,6 @@ from helmlab.coefficients import BumpOnBackgroundQ, ConstantQ
 from helmlab.concentration import (
     SweepRecord,
     level_table,
-    locate_peak,
     profile_distance,
     run_sweep,
     single_bubble_check,
@@ -15,7 +14,7 @@ from helmlab.concentration import (
 )
 from helmlab.dual import DualState, GroundState, diagnose
 from helmlab.errors import ZeroFieldError
-from helmlab.grid import RealField, build_grid, lq_norm
+from helmlab.grid import RealField, build_grid, locate_peak, lq_norm
 
 from conftest import STANDARD_LEVEL, rng
 

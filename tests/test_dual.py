@@ -305,14 +305,8 @@ def test_level_scales_with_constant_coefficient(grid2d, exps2d, spec2d, unitQ, g
 
 
 def test_cutoff_with_unit_window_recovers_limit_state(limit2d, unitQ, exps2d, spec2d):
-    phi, t, level = cutoff_projection(
-        limit2d.v,
-        (0.0, 0.0),
-        unitQ,
-        exps2d,
-        spec2d,
-        eta=lambda rho: np.ones_like(rho),
-    )
+    # at k = 32 every node has eps*|x| <= 16*sqrt(2)/32 < 1, where the cutoff is exactly 1
+    phi, t, level = cutoff_projection(limit2d.v, (0.0, 0.0), unitQ, exps2d.with_k(32.0), spec2d)
     assert np.allclose(phi.values, limit2d.v.values, atol=1e-12)
     assert t == pytest.approx(1.0, abs=1e-8)
     assert level == pytest.approx(limit2d.level, rel=1e-10)

@@ -3,7 +3,6 @@ import numpy as np
 import pytest
 
 from helmlab import (
-    BandCutoff,
     InsufficientDataError,
     RealField,
     ResolventSpec,
@@ -22,6 +21,7 @@ from helmlab import (
     lq_norm,
     radial_envelope,
 )
+from helmlab import resolvent
 
 
 def symbol(mu, delta):
@@ -237,13 +237,10 @@ def test_smoothstep_equals_the_clipped_formula():
 
 
 def test_band_cutoff_plateau_and_support():
-    cut = BandCutoff()
     r = np.array([0.9, 1.0, 1.1, 1.3, 0.7, 2.0])
-    vals = cut.values(r)
+    vals = resolvent._band_cutoff(r)
     assert vals[0] == 1.0 and vals[1] == 1.0 and vals[2] == 1.0  # inside plateau 1/6
     assert vals[3] == 0.0 and vals[4] == 0.0 and vals[5] == 0.0  # beyond support 1/4
-    with pytest.raises(ValueError):
-        BandCutoff(plateau_halfwidth=0.3, support_halfwidth=0.2)
 
 
 def test_band_split_adds_back_to_kernel():
@@ -264,14 +261,6 @@ def test_band_part_is_spectrally_confined():
     scale = np.max(np.abs(full))
     assert np.max(np.abs(spectrum[off_band])) <= 1e-13 * scale
     assert np.allclose(spectrum[plateau], full[plateau], atol=1e-12 * scale)
-
-
-def test_band_split_with_trivial_profile():
-    grid = build_grid(1, 16.0, 64)
-    bundle = band_decompose(ResolventSpec(s=1.0, delta=0.2), grid, BandCutoff(profile=lambda r: np.ones_like(r)))
-    kernel = bundle.kernel
-    assert np.allclose(bundle.band.values, kernel.values, atol=1e-13)
-    assert np.max(np.abs(bundle.remainder.values)) <= 1e-13 * np.max(np.abs(kernel.values))
 
 
 # ---------------------------------------------------------------- envelopes

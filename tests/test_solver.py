@@ -158,12 +158,26 @@ def test_limit_recentres_an_off_origin_solve(monkeypatch, ground2d, unitQ, grid2
     start = RealField(grid2d, np.roll(ground2d.v.values, (5, -3), axis=(0, 1)))
     moved = solve_ground_state(unitQ, exps2d, spec2d, init=start, max_iter=50)
     monkeypatch.setattr(dual, "solve_ground_state", lambda *args, **kwargs: moved)
+    calls = []
+    original = ResolventSpec.symbol_values
+
+    def counted(self, grid):
+        calls.append(grid)
+        return original(self, grid)
+
+    monkeypatch.setattr(ResolventSpec, "symbol_values", counted)
     gs = limit_ground_state(1.0, grid2d, exps2d, spec2d)
+    assert calls == []  # the roll reuses the solved diagnostics: no second operator
     node = np.unravel_index(int(np.argmax(np.abs(gs.u_rescaled.values))), grid2d.shape)
     assert node == grid2d.origin_index
     assert np.array_equal(gs.v.values, np.roll(moved.v.values, (-5, 3), axis=(0, 1)))
-    assert gs.level == pytest.approx(moved.level, rel=1e-12)
     assert (gs.iterations, gs.converged) == (moved.iterations, moved.converged)
+    assert (gs.level, gs.state.quad_form, gs.state.nehari_residual, gs.fixed_point_residual) == (
+        moved.level,
+        moved.state.quad_form,
+        moved.state.nehari_residual,
+        moved.fixed_point_residual,
+    )
 
 
 def test_symbol_is_evaluated_once_per_solve(monkeypatch, unitQ, grid2d, exps2d, spec2d):

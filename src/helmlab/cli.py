@@ -278,8 +278,8 @@ def _cmd_sweep(run: _Run) -> int:
     run.table("sweep", columns, rows)
     final_fraction = None
     for rec in reversed(records):
-        if rec.converged and rec.state is not None:
-            final_fraction = single_bubble_fraction(rec.state, center=rec.peak_rescaled)
+        if rec.converged:
+            final_fraction = single_bubble_fraction(rec.state)
             break
     for rec in records:
         peak_text = ", ".join(f"{c:.4f}" for c in rec.peak_physical)

@@ -143,3 +143,12 @@ def sample_Q(Q: CoefficientQ, grid: TorusGrid, eps: float = 1.0) -> RealField:
     if np.any(values < 0):
         raise NegativeCoefficientError("coefficient is negative somewhere on the grid")
     return RealField(grid, values)
+
+
+def max_node(Qfield: RealField) -> tuple[int, ...] | None:
+    """Argmax node of Q, or None when max - min <= 1e-12 * max(max, 1) makes it arbitrary."""
+    values = Qfield.values
+    top = float(np.max(values))
+    if top - float(np.min(values)) <= 1e-12 * max(top, 1.0):
+        return None
+    return np.unravel_index(int(np.argmax(values)), Qfield.grid.shape)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coefficients import CoefficientQ, sample_Q
+from .coefficients import CoefficientQ, max_node, sample_Q
 from .dual import GroundState, limit_ground_state, solve_ground_state
 from .errors import ZeroFieldError
 from .grid import RealField, TorusGrid, lq_norm
@@ -64,10 +64,10 @@ class SweepRecord:
     profile_distance: float
     iterations: int
     converged: bool
-    state: GroundState | None
+    state: GroundState
 
 
-def single_bubble_fraction(gs: GroundState, center: tuple[float, ...] | None = None) -> float:
+def single_bubble_fraction(gs: GroundState) -> float:
     """Fraction of the dual p'-mass within a quarter box width of the peak."""
     grid = gs.v.grid
     pd = gs.exps.p_dual
@@ -75,7 +75,7 @@ def single_bubble_fraction(gs: GroundState, center: tuple[float, ...] | None = N
     total = float(np.sum(weight))
     if total <= 0.0:
         raise ZeroFieldError("ground state has zero dual mass")
-    d2 = grid.periodic_distance2(gs.peak if center is None else center)
+    d2 = grid.periodic_distance2(gs.peak)
     near = float(np.sum(np.where(d2 <= (0.25 * grid.half_width) ** 2, weight, 0.0)))
     return near / total
 
@@ -88,9 +88,7 @@ def single_bubble_check(record: SweepRecord, fraction: float = 0.9) -> bool:
     of comparable mass elsewhere pulls the fraction below any strict
     threshold.
     """
-    if record.state is None:
-        raise ValueError("record carries no ground state")
-    return single_bubble_fraction(record.state, center=record.peak_rescaled) >= fraction
+    return single_bubble_fraction(record.state) >= fraction
 
 
 def _solve_family(
@@ -116,12 +114,11 @@ def _solve_family(
         init = None
         if previous is not None:
             init = previous.v
-            spread = float(np.max(Qfield.values) - np.min(Qfield.values))
-            if spread > 1e-12 * max(float(np.max(Qfield.values)), 1.0):
+            q_node = max_node(Qfield)
+            if q_node is not None:
                 # re-center the previous bubble onto the new coefficient maximum;
                 # a (near-)constant coefficient has no meaningful argmax, so the
                 # bubble stays wherever the last solve left it
-                q_node = np.unravel_index(int(np.argmax(Qfield.values)), grid.shape)
                 p_node = np.unravel_index(int(np.argmax(np.abs(previous.u_rescaled.values))), grid.shape)
                 shift = tuple(int(q - p) for q, p in zip(q_node, p_node))
                 init = RealField(grid, np.roll(previous.v.values, shift, axis=range(grid.dim)))

@@ -237,14 +237,23 @@ def _validate(cfg: RunConfig) -> None:
     # the decay slope is a fit against log(gap), which a repeated gap leaves undetermined
     if len(set(cfg.gaps)) < len(cfg.gaps):
         raise ConfigError("interaction.gaps must not repeat a value", field="interaction.gaps")
-    # the amplitude factor k^(2s/(p-2)) of every wavenumber a command may use
-    for k in (cfg.k, *cfg.k_values, *(1.0 / eps for eps in cfg.eps_values)):
+    # every wavenumber a command may use: its amplitude factor k^(2s/(p-2)) and
+    # the squared corner distance of its physical window, which Q's evaluation squares
+    ks = [("model.k", cfg.k), *(("sweep.k_values", k) for k in cfg.k_values)]
+    for field, k in ks + [("sweep.eps_values", 1.0 / eps) for eps in cfg.eps_values]:
         try:
             make_exponents(cfg).with_k(k).scale_factor
         except OverflowError:
             raise ConfigError(
                 f"scale factor k^(2s/(p-2)) overflows at k = {k:g}; model.p is too close to 2",
                 field="model.p",
+            ) from None
+        try:
+            (cfg.dim**0.5 * cfg.half_width / k) ** 2
+        except OverflowError:
+            raise ConfigError(
+                f"grid.half_width/k = {cfg.half_width / k:g}: the window's squared corner distance overflows",
+                field=field,
             ) from None
 
 

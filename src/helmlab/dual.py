@@ -28,17 +28,18 @@ from which the rescaled profile is recovered as u = R (Q^(1/p) v).
 The solver iterates the fixed-point map projected back onto the Nehari
 manifold. The bare iteration is not a contraction here: on the standard
 test grids it settles into a two-cycle whose energies blow up, and its
-very first candidate can leave the positive cone. The loop therefore
-only accepts steps that do not raise the Nehari level, trying three in
-turn: the Anderson trial below, the plain projected candidate, and a
-line search mixing the iterate toward the candidate (reached only with
-`anderson_memory=1` on the tested problems). When none is accepted the
+very first candidate can leave the positive cone. Each iteration
+therefore tries, in turn, the Anderson trial below, the plain projected
+candidate, and eleven mixes of the iterate toward the candidate (reached
+only with `anderson_memory=1` on the tested problems), and every trial
+goes through one acceptance test: it must stay in the positive cone and
+not raise the Nehari level beyond a slack. When none is accepted the
 solve ends by one of two exits: it returns its best iterate unconverged
 if some trial stayed in the positive cone, and raises `ConeExitError`
 if none did. Speed comes from the Anderson extrapolation over a short
 history of m iterates (`anderson_memory`, 5 by default). With
 g_i = v_i + r_i the projected candidate of iterate v_i and r_i its
-fixed-point residual, the trial is
+fixed-point residual, the history stores each g_i and r_i and the trial is
 
     g_k - sum_j theta_j (g_{j+1} - g_j),
 
@@ -66,12 +67,11 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .coefficients import max_node
 from .errors import ConeExitError, IndefiniteFormError, ZeroFieldError
 from .grid import RealField, TorusGrid, apply_multiplier_values, locate_peak
 from .params import Exponents
 from .resolvent import ResolventSpec, exp_smoothstep
-
-_NEAR_CONSTANT_TOL = 1e-12
 
 
 def _signed_power(values: np.ndarray, exponent: float) -> np.ndarray:
@@ -185,37 +185,32 @@ class _DualOperator:
             gradient_norm=self.dual_norm(self.gradient(v.values, resolved)),
         )
 
-    def nehari_scale(self, values: np.ndarray) -> float:
-        """Nehari scale of v; raises for a zero field or B(v) <= 0."""
-        a = self.mass(values)
-        if a <= 0.0:
-            raise ZeroFieldError("cannot project the zero field onto the Nehari manifold")
-        b, _ = self.resolve(values)
-        if b <= 0.0:
-            raise IndefiniteFormError(
-                f"quadratic form is {b:.6g} <= 0; the ray through this field misses the Nehari manifold"
-            )
-        return self.scale(a, b)
-
     def project(self, c: np.ndarray):
-        """Nehari-project raw values; returns (t*c, R(Q^(1/p) t*c), level) or None."""
+        """Nehari-project raw values; returns (t, t*c, R(Q^(1/p) t*c), level), or None if B(c) <= 0."""
         b, resolved = self.resolve(c)
         if b <= 0.0:
             return None
         a = self.mass(c)
         t = self.scale(a, b)
-        return t * c, t * resolved, (1.0 / self.exps.p_dual - 0.5) * t**self.exps.p_dual * a
+        return t, t * c, t * resolved, (1.0 / self.exps.p_dual - 0.5) * t**self.exps.p_dual * a
+
+    def project_or_raise(self, values: np.ndarray):
+        """`project`, raising for a zero field or B(v) <= 0 in place of returning None."""
+        if not np.any(values):
+            raise ZeroFieldError("cannot project the zero field onto the Nehari manifold")
+        projected = self.project(values)
+        if projected is None:
+            raise IndefiniteFormError(
+                "nonpositive quadratic form: the ray through this field misses the Nehari manifold; "
+                "filter it through the positive part of the resolvent symbol first"
+            )
+        return projected
 
     def initial_guess(self, center: tuple[float, ...] | None = None) -> RealField:
         """See `default_initial_guess`."""
         grid = self.grid
         if center is None:
-            values = self.Qfield.values
-            spread = float(np.max(values) - np.min(values))
-            if spread <= _NEAR_CONSTANT_TOL * max(abs(float(np.max(values))), 1.0):
-                node = grid.origin_index
-            else:
-                node = np.unravel_index(int(np.argmax(values)), grid.shape)
+            node = max_node(self.Qfield) or grid.origin_index
             center = tuple(float(grid.coordinate_axis[i]) for i in node)
         gauss = np.exp(-grid.periodic_distance2(center) / 2.0)
         return apply_multiplier_values(RealField(grid, gauss), np.maximum(self.symbol, 0.0))
@@ -241,13 +236,13 @@ def nehari_scale(v: RealField, Qfield: RealField, exps: Exponents, spec: Resolve
 
     Requires a nonzero field with positive quadratic form.
     """
-    return _DualOperator(Qfield, exps, spec).nehari_scale(v.values)
+    return _DualOperator(Qfield, exps, spec).project_or_raise(v.values)[0]
 
 
 def nehari_project(v: RealField, Qfield: RealField, exps: Exponents, spec: ResolventSpec) -> DualState:
     """Scale a field onto the Nehari manifold and report its diagnostics."""
     op = _DualOperator(Qfield, exps, spec)
-    return op.state(op.nehari_scale(v.values) * v)
+    return op.state(op.project_or_raise(v.values)[0] * v)
 
 
 def diagnose(v: RealField, Qfield: RealField, exps: Exponents, spec: ResolventSpec) -> DualState:
@@ -331,8 +326,8 @@ def solve_ground_state(
     """Minimize the dual functional over the Nehari manifold.
 
     Safeguarded fixed-point iteration: each step proposes the projected
-    Euler-Lagrange candidate and takes the first of three steps that does
-    not raise the level: an Anderson-extrapolated combination of recent
+    Euler-Lagrange candidate and takes the first trial that does not
+    raise the level: an Anderson-extrapolated combination of recent
     iterates, the plain candidate, then a line search mixing toward the
     candidate. If none is taken the loop ends by one of two exits: the
     best iterate seen is returned with `converged=False` when some trial
@@ -351,17 +346,9 @@ def solve_ground_state(
     op = _DualOperator(Qfield, exps, spec)
     if init is None:
         init = op.initial_guess()
-    if not np.any(init.values):
-        raise ZeroFieldError("initial guess is identically zero")
-    start = op.project(init.values)
-    if start is None:
-        raise IndefiniteFormError(
-            "initial guess has nonpositive quadratic form and cannot be projected; "
-            "filter it through the positive part of the resolvent symbol first"
-        )
-    v, rw_v, energy = start
+    _, v, rw_v, energy = op.project_or_raise(init.values)
 
-    hist_v: list[np.ndarray] = []
+    hist_g: list[np.ndarray] = []  # g_j = v_j + r_j
     hist_r: list[np.ndarray] = []
     hist_d: list[np.ndarray] = []  # increments hist_r[k + 1] - hist_r[k]
     best = None
@@ -371,71 +358,55 @@ def solve_ground_state(
     for it in range(max_iter):
         res = op.dual_norm(op.gradient(v, rw_v)) / op.mass(v) ** ((pd - 1.0) / pd)
         if best is None or energy < best[2]:
-            best = (v, rw_v, energy, res, it)
+            best = (v, rw_v, energy, res)
         if res <= tol:
             converged = True
             iterations = it
             break
 
         cand = _signed_power(op.root * rw_v, p - 1.0)
-        projected_cand = op.project(cand)
-        stepped = False
-        found_positive = projected_cand is not None
 
-        if projected_cand is not None:
-            r = (projected_cand[0] - v).ravel()
-            if hist_r:
-                hist_d.append(r - hist_r[-1])
-            hist_v.append(v.ravel().copy())
-            hist_r.append(r)
-            if len(hist_v) > anderson_memory:
-                hist_v.pop(0)
-                hist_r.pop(0)
-                del hist_d[:1]
-            if hist_d:
-                gram = np.array([[np.dot(a, b) for b in hist_d] for a in hist_d])
-                try:
-                    theta, *_ = np.linalg.lstsq(gram, np.array([np.dot(a, r) for a in hist_d]), rcond=None)
-                except np.linalg.LinAlgError:
-                    theta = None
-                if theta is not None:
-                    # g_k - sum_j theta_j (g_{j+1} - g_j) with g_i = v_i + r_i
-                    weights = np.zeros(len(hist_r))
-                    weights[-1] = 1.0
-                    weights[:-1] += theta
-                    weights[1:] -= theta
-                    mixed = sum(
-                        wgt * (hv + hr) for wgt, hv, hr in zip(weights, hist_v, hist_r)
-                    ).reshape(grid.shape)
-                    trial = op.project(mixed)
-                    if trial is not None:
-                        found_positive = True
+        def trials():
+            """(projected trial or None, level slack), in the order they are tried."""
+            projected_cand = op.project(cand)
+            if projected_cand is not None:
+                r = (projected_cand[1] - v).ravel()
+                if hist_r:
+                    hist_d.append(r - hist_r[-1])
+                hist_g.append(v.ravel() + r)
+                hist_r.append(r)
+                if len(hist_r) > anderson_memory:
+                    hist_g.pop(0)
+                    hist_r.pop(0)
+                    del hist_d[:1]
+                if hist_d:
+                    gram = np.array([[np.dot(a, b) for b in hist_d] for a in hist_d])
+                    try:
+                        theta, *_ = np.linalg.lstsq(gram, np.array([np.dot(a, r) for a in hist_d]), rcond=None)
+                    except np.linalg.LinAlgError:
+                        theta = None
+                    if theta is not None:
+                        # g_k - sum_j theta_j (g_{j+1} - g_j)
+                        weights = np.append(theta, 1.0) - np.append(0.0, theta)
+                        mixed = sum(wgt * g for wgt, g in zip(weights, hist_g)).reshape(grid.shape)
                         # slack shrinks with the residual, so late extrapolations
                         # cannot wander back up in level
-                        if trial[2] <= energy + min(0.5, res * res) * abs(energy):
-                            v, rw_v, energy = trial
-                            stepped = True
-            if not stepped and projected_cand[2] <= energy + 1e-12 * abs(energy):
-                v, rw_v, energy = projected_cand
-                stepped = True
-
-        if not stepped:
+                        yield op.project(mixed), min(0.5, res * res)
+            yield projected_cand, 1e-12
             cand_norm = op.mass(cand) ** (1.0 / pd)
             if cand_norm > 0.0:
-                v_norm = op.mass(v) ** (1.0 / pd)
-                matched = (v_norm / cand_norm) * cand
-                gamma = 0.5
-                for _ in range(11):
-                    trial = op.project(v + gamma * (matched - v))
-                    if trial is not None:
-                        found_positive = True
-                        if trial[2] <= energy + 1e-12 * abs(energy):
-                            v, rw_v, energy = trial
-                            stepped = True
-                            break
-                    gamma *= 0.5
+                matched = (op.mass(v) ** (1.0 / pd) / cand_norm) * cand
+                for j in range(1, 12):
+                    yield op.project(v + 0.5**j * (matched - v)), 1e-12
 
-        if not stepped:
+        found_positive = False
+        for trial, slack in trials():
+            if trial is not None:
+                found_positive = True
+                if trial[3] <= energy + slack * abs(energy):
+                    _, v, rw_v, energy = trial
+                    break
+        else:
             if not found_positive:
                 raise ConeExitError(
                     "no trial step keeps the quadratic form positive; "
@@ -445,7 +416,7 @@ def solve_ground_state(
             break  # stagnant: nothing lowers the level
 
     if not converged and best is not None:
-        v, rw_v, energy, res, _ = best
+        v, rw_v, energy, res = best
 
     return _package(op, v, rw_v, res, iterations, converged)
 
@@ -533,5 +504,5 @@ def cutoff_projection(
     rho = eps * np.sqrt(grid.periodic_distance2(rescaled_center))
     phi = RealField(grid, exp_smoothstep(rho - 1.0) * moved)
     op = _DualOperator(Qfield, exps, spec)
-    t = op.nehari_scale(phi.values)
+    t = op.project_or_raise(phi.values)[0]
     return phi, t, op.state(t * phi).energy

@@ -90,6 +90,8 @@ def test_duplicate_key_is_a_config_error(tmp_path, capsys):
         ("interaction-check", CUBE_CFG + "interaction.gaps = 1.0, 1.0\n"),
         ("levels", CUBE_CFG + "coefficient.background = 0.0\n"),
         ("kernel-check", CUBE_CFG + "kernel.shells = 4\nkernel.window_lo = 1.0\nkernel.window_hi = 2.0\n"),
+        ("solve", "grid.points = 32\nmodel.k = 1e-300\n"),
+        ("sweep", "grid.points = 32\nsweep.k_values = 1e-300\n"),
     ],
     ids=[
         "auto-delta-infeasible",
@@ -97,6 +99,8 @@ def test_duplicate_key_is_a_config_error(tmp_path, capsys):
         "repeated-gap",
         "levels-zero-background",
         "sparse-fit-window",
+        "solve-window-overflow",
+        "sweep-window-overflow",
     ],
 )
 @pytest.mark.parametrize("force", [False, True], ids=["gated", "forced"])

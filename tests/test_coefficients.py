@@ -6,9 +6,11 @@ from helmlab import (
     BumpOnBackgroundQ,
     ConstantQ,
     NegativeCoefficientError,
+    RealField,
     build_grid,
     sample_Q,
 )
+from helmlab.coefficients import max_node
 
 
 def test_constant_coefficient():
@@ -100,3 +102,15 @@ def test_sample_rejects_nonpositive_eps():
     grid = build_grid(1, 16.0, 16)
     with pytest.raises(ValueError):
         sample_Q(ConstantQ(1.0), grid, eps=0.0)
+
+
+def test_max_node_only_for_a_coefficient_with_spread():
+    grid = build_grid(2, 16.0, 16)
+    assert max_node(sample_Q(ConstantQ(1.0), grid)) is None
+    nudged = np.ones(grid.shape)
+    nudged[3, 5] += 1e-13
+    assert max_node(RealField(grid, nudged)) is None
+    bump = sample_Q(BumpOnBackgroundQ(centers=((4.0, -2.0),)), grid)
+    node = max_node(bump)
+    assert node == (10, 7)
+    assert tuple(float(grid.coordinate_axis[i]) for i in node) == (4.0, -2.0)

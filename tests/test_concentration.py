@@ -135,8 +135,6 @@ def test_bubble_fraction_respects_center_override(grid2d, unitQ, exps2d, spec2d)
     vals = np.exp(-grid2d.periodic_distance2((5.0, 0.0)) / 2.0)
     gs = _fake_ground_state(RealField(grid2d, vals), unitQ, exps2d, spec2d, (5.0, 0.0))
     assert single_bubble_fraction(gs) > 0.99
-    # far from the bubble almost nothing remains inside the ball
-    assert single_bubble_fraction(gs, center=(-11.0, 0.0)) < 0.01
 
 
 def test_bubble_fraction_zero_state_rejected(grid2d, unitQ, exps2d, spec2d):
@@ -152,22 +150,6 @@ def test_bubble_fraction_zero_state_rejected(grid2d, unitQ, exps2d, spec2d):
     )
     with pytest.raises(ZeroFieldError):
         single_bubble_fraction(gs)
-
-
-def test_bubble_check_needs_a_state():
-    record = SweepRecord(
-        k=1.0,
-        eps=1.0,
-        level=0.0,
-        peak_rescaled=(0.0,),
-        peak_physical=(0.0,),
-        profile_distance=0.0,
-        iterations=0,
-        converged=False,
-        state=None,
-    )
-    with pytest.raises(ValueError):
-        single_bubble_check(record)
 
 
 # -------------------------------------------------------------------- sweeps

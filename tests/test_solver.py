@@ -218,18 +218,23 @@ def test_stagnant_solve_returns_its_best_iterate(monkeypatch, unitQ, exps2d, spe
     # so no tier lowers the level: the loop stops on its first iteration
     original = dual._DualOperator.project
     start = []
+    calls = []
 
     def project_uphill(self, c):
+        calls.append(len(calls))
         out = original(self, c)
         if not start:
             start.append(out)
             return out
-        return None if out is None else (out[0], out[1], start[0][2] + 1.0)
+        return None if out is None else (out[0], out[1], out[2], start[0][3] + 1.0)
 
     monkeypatch.setattr(dual._DualOperator, "project", project_uphill)
     gs = solve_ground_state(unitQ, exps2d, spec2d, tol=1e-6, max_iter=50)
     assert not gs.converged
     assert gs.iterations == 0
     assert gs.fixed_point_residual > 1e-6
-    assert np.array_equal(gs.v.values, start[0][0]) or np.array_equal(gs.v.values, -start[0][0])
-    assert gs.level == pytest.approx(start[0][2], rel=1e-12)
+    assert np.array_equal(gs.v.values, start[0][1]) or np.array_equal(gs.v.values, -start[0][1])
+    assert gs.level == pytest.approx(start[0][3], rel=1e-12)
+    # the start, the plain candidate and the 11 line-search mixes, in that
+    # order; the one-entry history gives no Anderson trial
+    assert len(calls) == 13

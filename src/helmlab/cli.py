@@ -8,7 +8,8 @@ hypothesis gate once for every command; a command gets them as one
 so a run that stops on an error writes nothing. Outputs are
 deterministic for a fixed config and seed. Exit codes: 0 success,
 1 a required solve did not converge, 2 malformed config, 3
-validity-range violation without --force.
+validity-range violation without --force, 4 a numerical failure (any
+`NumericalError`). Exits 2 and 4 print one line on stderr.
 """
 from __future__ import annotations
 
@@ -35,7 +36,7 @@ from .config import (
     render_config,
 )
 from .dual import default_initial_guess, random_initial_guess, solve_ground_state
-from .errors import ConfigError, InsufficientDataError
+from .errors import ConfigError, InsufficientDataError, NumericalError
 from .grid import TorusGrid
 from .params import OUTSIDE_HYPOTHESES_MARKER, Exponents
 from .resolvent import (
@@ -349,6 +350,9 @@ def main(argv=None) -> int:
         except (ConfigError, InsufficientDataError, OSError) as exc:
             print(f"config error: {exc}", file=sys.stderr)
             return 2
+        except NumericalError as exc:
+            print(f"numerical error: {exc}", file=sys.stderr)
+            return 4
 
 
 if __name__ == "__main__":

@@ -9,6 +9,7 @@ directory is self-describing and reproducible.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 from .coefficients import BumpOnBackgroundQ, CoefficientQ, ConstantQ
@@ -237,8 +238,9 @@ def _validate(cfg: RunConfig) -> None:
     # the decay slope is a fit against log(gap), which a repeated gap leaves undetermined
     if len(set(cfg.gaps)) < len(cfg.gaps):
         raise ConfigError("interaction.gaps must not repeat a value", field="interaction.gaps")
-    # every wavenumber a command may use: its amplitude factor k^(2s/(p-2)) and
-    # the squared corner distance of its physical window, which Q's evaluation squares
+    # every wavenumber a command may use: its amplitude factor k^(2s/(p-2)), and
+    # the squared distances that Q's evaluation takes: the physical window's
+    # corner, and a node's distance to a bump centre, at most |centre| + corner
     ks = [("model.k", cfg.k), *(("sweep.k_values", k) for k in cfg.k_values)]
     for field, k in ks + [("sweep.eps_values", 1.0 / eps) for eps in cfg.eps_values]:
         try:
@@ -248,13 +250,19 @@ def _validate(cfg: RunConfig) -> None:
                 f"scale factor k^(2s/(p-2)) overflows at k = {k:g}; model.p is too close to 2",
                 field="model.p",
             ) from None
-        try:
-            (cfg.dim**0.5 * cfg.half_width / k) ** 2
-        except OverflowError:
+        corner = cfg.dim**0.5 * cfg.half_width / k
+        if not math.isfinite(corner * corner):
             raise ConfigError(
                 f"grid.half_width/k = {cfg.half_width / k:g}: the window's squared corner distance overflows",
                 field=field,
-            ) from None
+            )
+        for pt in cfg.centers or ():
+            reach = math.hypot(*pt) + corner
+            if not math.isfinite(reach * reach):
+                raise ConfigError(
+                    f"center {pt} is so far out that its squared distance to the window overflows at k = {k:g}",
+                    field="coefficient.centers",
+                )
 
 
 def render_config(cfg: RunConfig) -> str:

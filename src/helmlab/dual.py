@@ -39,7 +39,8 @@ if some trial stayed in the positive cone, and raises `ConeExitError`
 if none did. Speed comes from the Anderson extrapolation over a short
 history of m iterates (`anderson_memory`, 5 by default). With
 g_i = v_i + r_i the projected candidate of iterate v_i and r_i its
-fixed-point residual, the history stores each g_i and r_i and the trial is
+fixed-point residual, the history stores each g_i, R(Q^(1/p) g_i) and the
+newest r_i, and the trial is
 
     g_k - sum_j theta_j (g_{j+1} - g_j),
 
@@ -50,12 +51,15 @@ residuals. Theta comes from the Gram form D^T D theta = D^T r_k
 entry of an (m - 1) x (m - 1) system, solved by least squares so that
 a rank-deficient history still gets the minimum-norm theta. Each
 increment is formed once, when its residual enters the history. An
-iteration applies the resolvent about twice, once to project the
-Euler-Lagrange candidate and once to project the Anderson trial: 2.15
-applications per iteration over the plane-concentration benchmark
-workload. The projected iterate t * c reuses R(Q^(1/p) c) computed
-during the projection of c, so accepting a step costs no further
-application.
+iteration applies the resolvent once, to project the Euler-Lagrange
+candidate: 1.15 applications per iteration over the plane-concentration
+benchmark workload, each solve's start included. Three exact
+identities spare the rest: R is linear, so the Anderson trial's resolved
+field is the same combination of its history's; on the Nehari manifold
+A(v) = level / (1/p' - 1/2); and the candidate c = sgn(w)|w|^(p-1), with
+w = Q^(1/p) R(Q^(1/p) v), has A(c) = int |w|^p since (p-1)p' = p. The
+projected iterate t * c reuses R(Q^(1/p) c) computed during the
+projection of c, so accepting a step costs no further application.
 
 All of A(v), B(v), R(Q^(1/p) v) and the Nehari scale are computed by one
 private operator, built once per (coefficient, exponents, resolvent)
@@ -154,10 +158,11 @@ class _DualOperator:
         """A(v) = int |v|^p'."""
         return self.cell_volume * float(np.sum(np.abs(values) ** self.exps.p_dual))
 
-    def resolve(self, values: np.ndarray) -> tuple[float, np.ndarray]:
-        """B(v) and R(Q^(1/p) v)."""
+    def resolve(self, values: np.ndarray, resolved: np.ndarray | None = None) -> tuple[float, np.ndarray]:
+        """B(v) and R(Q^(1/p) v); a given `resolved` is taken as R(Q^(1/p) v), so B costs no transform."""
         weighted = self.root * values
-        resolved = apply_multiplier_values(RealField(self.grid, weighted), self.symbol).values
+        if resolved is None:
+            resolved = apply_multiplier_values(RealField(self.grid, weighted), self.symbol).values
         return self.cell_volume * float(np.sum(weighted * resolved)), resolved
 
     def scale(self, a: float, b: float) -> float:
@@ -173,9 +178,21 @@ class _DualOperator:
         p = self.exps.p
         return (self.cell_volume * float(np.sum(np.abs(values) ** p))) ** (1.0 / p)
 
-    def state(self, v: RealField) -> DualState:
-        """Energy, B(v), Nehari defect and gradient size at v."""
-        b, resolved = self.resolve(v.values)
+    def candidate(self, resolved: np.ndarray) -> tuple[np.ndarray, float]:
+        """Euler-Lagrange candidate c = sgn(w)|w|^(p-1), w = Q^(1/p) R(Q^(1/p) v), and A(c).
+
+        (p-1)p' = p, so A(c) = int |w|^(p-1) |w| comes from the arrays
+        that build c, with no power pass of its own.
+        """
+        w = self.root * resolved
+        magnitude = np.abs(w)
+        cand = magnitude ** (self.exps.p - 1.0)
+        a = self.cell_volume * float(np.dot(cand.ravel(), magnitude.ravel()))
+        return np.copysign(cand, w, out=cand), a
+
+    def state(self, v: RealField, resolved: np.ndarray | None = None) -> DualState:
+        """Energy, B(v), Nehari defect and gradient size at v; `resolved` as in `resolve`."""
+        b, resolved = self.resolve(v.values, resolved)
         a = self.mass(v.values)
         return DualState(
             v=v,
@@ -185,12 +202,17 @@ class _DualOperator:
             gradient_norm=self.dual_norm(self.gradient(v.values, resolved)),
         )
 
-    def project(self, c: np.ndarray):
-        """Nehari-project raw values; returns (t, t*c, R(Q^(1/p) t*c), level), or None if B(c) <= 0."""
-        b, resolved = self.resolve(c)
+    def project(self, c: np.ndarray, resolved: np.ndarray | None = None, a: float | None = None):
+        """Nehari-project raw values; returns (t, t*c, R(Q^(1/p) t*c), level), or None if B(c) <= 0.
+
+        A given `resolved` (R(Q^(1/p) c), as in `resolve`) or `a` (A(c))
+        is used in place of computing it.
+        """
+        b, resolved = self.resolve(c, resolved)
         if b <= 0.0:
             return None
-        a = self.mass(c)
+        if a is None:
+            a = self.mass(c)
         t = self.scale(a, b)
         return t, t * c, t * resolved, (1.0 / self.exps.p_dual - 0.5) * t**self.exps.p_dual * a
 
@@ -242,7 +264,8 @@ def nehari_scale(v: RealField, Qfield: RealField, exps: Exponents, spec: Resolve
 def nehari_project(v: RealField, Qfield: RealField, exps: Exponents, spec: ResolventSpec) -> DualState:
     """Scale a field onto the Nehari manifold and report its diagnostics."""
     op = _DualOperator(Qfield, exps, spec)
-    return op.state(op.project_or_raise(v.values)[0] * v)
+    _, tv, resolved, _ = op.project_or_raise(v.values)
+    return op.state(RealField(v.grid, tv), resolved)
 
 
 def diagnose(v: RealField, Qfield: RealField, exps: Exponents, spec: ResolventSpec) -> DualState:
@@ -342,21 +365,23 @@ def solve_ground_state(
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")
 
-    p, pd = exps.p, exps.p_dual
+    pd = exps.p_dual
     op = _DualOperator(Qfield, exps, spec)
     if init is None:
         init = op.initial_guess()
     _, v, rw_v, energy = op.project_or_raise(init.values)
 
-    hist_g: list[np.ndarray] = []  # g_j = v_j + r_j
-    hist_r: list[np.ndarray] = []
-    hist_d: list[np.ndarray] = []  # increments hist_r[k + 1] - hist_r[k]
+    hist_g: list[np.ndarray] = []  # g_j = v_j + r_j, the projected candidate of v_j
+    hist_rg: list[np.ndarray] = []  # R(Q^(1/p) g_j)
+    hist_d: list[np.ndarray] = []  # increments r_{j+1} - r_j
+    r_last = None  # the newest residual, the only one the increments read
     best = None
     iterations = max_iter
     res = np.inf
     converged = False
     for it in range(max_iter):
-        res = op.dual_norm(op.gradient(v, rw_v)) / op.mass(v) ** ((pd - 1.0) / pd)
+        a_v = energy / (1.0 / pd - 0.5)  # A(v) on the Nehari manifold
+        res = op.dual_norm(op.gradient(v, rw_v)) / a_v ** ((pd - 1.0) / pd)
         if best is None or energy < best[2]:
             best = (v, rw_v, energy, res)
         if res <= tol:
@@ -364,20 +389,22 @@ def solve_ground_state(
             iterations = it
             break
 
-        cand = _signed_power(op.root * rw_v, p - 1.0)
+        cand, a_cand = op.candidate(rw_v)
 
         def trials():
             """(projected trial or None, level slack), in the order they are tried."""
-            projected_cand = op.project(cand)
+            nonlocal r_last
+            projected_cand = op.project(cand, a=a_cand)
             if projected_cand is not None:
                 r = (projected_cand[1] - v).ravel()
-                if hist_r:
-                    hist_d.append(r - hist_r[-1])
-                hist_g.append(v.ravel() + r)
-                hist_r.append(r)
-                if len(hist_r) > anderson_memory:
+                if r_last is not None:
+                    hist_d.append(r - r_last)
+                r_last = r
+                hist_g.append(projected_cand[1].ravel())
+                hist_rg.append(projected_cand[2].ravel())
+                if len(hist_g) > anderson_memory:
                     hist_g.pop(0)
-                    hist_r.pop(0)
+                    hist_rg.pop(0)
                     del hist_d[:1]
                 if hist_d:
                     gram = np.array([[np.dot(a, b) for b in hist_d] for a in hist_d])
@@ -386,16 +413,17 @@ def solve_ground_state(
                     except np.linalg.LinAlgError:
                         theta = None
                     if theta is not None:
-                        # g_k - sum_j theta_j (g_{j+1} - g_j)
+                        # g_k - sum_j theta_j (g_{j+1} - g_j); R is linear, so the
+                        # same weights on the stored R(Q^(1/p) g_j) resolve it
                         weights = np.append(theta, 1.0) - np.append(0.0, theta)
                         mixed = sum(wgt * g for wgt, g in zip(weights, hist_g)).reshape(grid.shape)
+                        resolved = sum(wgt * rg for wgt, rg in zip(weights, hist_rg)).reshape(grid.shape)
                         # slack shrinks with the residual, so late extrapolations
                         # cannot wander back up in level
-                        yield op.project(mixed), min(0.5, res * res)
+                        yield op.project(mixed, resolved), min(0.5, res * res)
             yield projected_cand, 1e-12
-            cand_norm = op.mass(cand) ** (1.0 / pd)
-            if cand_norm > 0.0:
-                matched = (op.mass(v) ** (1.0 / pd) / cand_norm) * cand
+            if a_cand > 0.0:
+                matched = (a_v / a_cand) ** (1.0 / pd) * cand
                 for j in range(1, 12):
                     yield op.project(v + 0.5**j * (matched - v)), 1e-12
 
@@ -430,7 +458,7 @@ def _package(op: _DualOperator, v, rw_v, res, iterations, converged) -> GroundSt
         v = -v
         u = RealField(grid, -u.values)
     peak = locate_peak(u)
-    state = op.state(RealField(grid, v))
+    state = op.state(RealField(grid, v), u.values)
     return GroundState(
         state=state,
         u_rescaled=u,
@@ -504,5 +532,5 @@ def cutoff_projection(
     rho = eps * np.sqrt(grid.periodic_distance2(rescaled_center))
     phi = RealField(grid, exp_smoothstep(rho - 1.0) * moved)
     op = _DualOperator(Qfield, exps, spec)
-    t = op.project_or_raise(phi.values)[0]
-    return phi, t, op.state(t * phi).energy
+    t, tphi, resolved, _ = op.project_or_raise(phi.values)
+    return phi, t, op.state(RealField(grid, tphi), resolved).energy

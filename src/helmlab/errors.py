@@ -1,24 +1,30 @@
 """Exception types shared across the package.
 
 Each class marks a distinct failure mode so callers can react to it
-without parsing messages.
+without parsing messages. Every class but `ConfigError` and
+`InsufficientDataError`, which a run's settings cause, is a
+`NumericalError`: a failure of the computation itself.
 """
 
 
-class GridMismatchError(ValueError):
+class NumericalError(Exception):
+    """The computation failed on inputs that passed the config checks."""
+
+
+class GridMismatchError(NumericalError, ValueError):
     """Two fields live on different grids."""
 
 
-class SymmetryViolationError(ValueError):
+class SymmetryViolationError(NumericalError, ValueError):
     """A spectrum that would not give a real field: an inverse transform
     left a significant imaginary residue, or a multiplier is not even."""
 
 
-class SingularModeError(ValueError):
+class SingularModeError(NumericalError, ValueError):
     """A grid wavenumber sits on the singular sphere of the resolvent symbol."""
 
 
-class SupportOverlapError(ValueError):
+class SupportOverlapError(NumericalError, ValueError):
     """A field violates its declared support region."""
 
 
@@ -26,19 +32,19 @@ class InsufficientDataError(ValueError):
     """Too few usable data points inside a fit window."""
 
 
-class ZeroFieldError(ValueError):
+class ZeroFieldError(NumericalError, ValueError):
     """An operation that needs a nonzero field received a zero one."""
 
 
-class IndefiniteFormError(ValueError):
+class IndefiniteFormError(NumericalError, ValueError):
     """The resolvent quadratic form is not positive, so no Nehari scaling exists."""
 
 
-class ConeExitError(RuntimeError):
+class ConeExitError(NumericalError, RuntimeError):
     """The ground-state iteration cannot find any nearby point with a positive quadratic form."""
 
 
-class NegativeCoefficientError(ValueError):
+class NegativeCoefficientError(NumericalError, ValueError):
     """A coefficient family produced or was given negative values."""
 
 

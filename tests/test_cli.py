@@ -92,6 +92,7 @@ def test_duplicate_key_is_a_config_error(tmp_path, capsys):
         ("kernel-check", CUBE_CFG + "kernel.shells = 4\nkernel.window_lo = 1.0\nkernel.window_hi = 2.0\n"),
         ("solve", "grid.points = 32\nmodel.k = 1e-300\n"),
         ("sweep", "grid.points = 32\nsweep.k_values = 1e-300\n"),
+        ("solve", "grid.points = 32\ncoefficient.centers = 1e200, 0.0\n"),
     ],
     ids=[
         "auto-delta-infeasible",
@@ -101,6 +102,7 @@ def test_duplicate_key_is_a_config_error(tmp_path, capsys):
         "sparse-fit-window",
         "solve-window-overflow",
         "sweep-window-overflow",
+        "centre-overflow",
     ],
 )
 @pytest.mark.parametrize("force", [False, True], ids=["gated", "forced"])
@@ -229,6 +231,24 @@ def test_stalled_solve_exits_nonzero(tmp_path):
     assert rows[0][columns.index("iterations")] == "15"
     manifest = json.loads((out_dir / "run_manifest.json").read_text(encoding="utf-8"))
     assert manifest["converged"] is False
+
+
+def test_numerical_failure_is_a_one_line_exit_4(monkeypatch, tmp_path, capsys):
+    # only the start projects, so the solve ends in ConeExitError; a 3D run
+    # inside the hypotheses leaves the gate silent
+    original = helmlab.dual._DualOperator.project
+    calls = []
+
+    def project_start_only(self, c, *args, **kwargs):
+        calls.append(len(calls))
+        return original(self, c, *args, **kwargs) if len(calls) == 1 else None
+
+    monkeypatch.setattr(helmlab.dual._DualOperator, "project", project_start_only)
+    cfg = write_cfg(tmp_path, "c.cfg", CUBE_CFG + "coefficient.kind = constant\n")
+    assert main(["solve", "--config", cfg, "--out", str(tmp_path / "out")]) == 4
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("numerical error: no trial step keeps the quadratic form positive")
+    assert not (tmp_path / "out").exists()
 
 
 def test_out_flag_overrides_the_config_directory(tmp_path):

@@ -128,6 +128,8 @@ def test_bad_values_rejected(line):
         ("kernel.window_lo = 16.0\nkernel.window_hi = 4.0", "kernel.window_lo"),
         ("kernel.shells = 3", "kernel.shells"),
         ("coefficient.centers = 1.0, 2.0, 3.0", "coefficient.centers"),
+        ("coefficient.centers = 1e200, 0.0", "coefficient.centers"),  # Q squares its distance
+        ("coefficient.centers = inf, 0.0", "coefficient.centers"),
         ("sweep.k_values = 2.0, -4.0", "sweep.k_values"),
         ("sweep.eps_values = 0.5, 0.0", "sweep.eps_values"),
         ("interaction.gaps = 0.5", "interaction.gaps"),

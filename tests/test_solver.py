@@ -3,6 +3,7 @@ import numpy as np
 import pytest
 
 from helmlab import (
+    BumpOnBackgroundQ,
     ConeExitError,
     ConstantQ,
     Exponents,
@@ -198,14 +199,64 @@ def test_symbol_is_evaluated_once_per_solve(monkeypatch, unitQ, grid2d, exps2d, 
     assert len(calls) == 1
 
 
+def bump_problem():
+    grid = build_grid(2, 16.0, 64)
+    spec = ResolventSpec(s=1.0, delta=auto_delta(grid, 1.0))
+    return sample_Q(BumpOnBackgroundQ(background=0.5, amplitude=1.0, width=1.0), grid), spec
+
+
+def test_solve_applies_the_resolvent_once_per_iteration(monkeypatch, exps2d):
+    # the start, its projection, then only the candidate's projection per
+    # iteration: the Anderson trial reuses its history's resolved fields
+    # and the packaged state reuses the iterate's
+    Qf, spec = bump_problem()
+    calls = []
+    original = dual.apply_multiplier_values
+
+    def counted(*args):
+        calls.append(len(calls))
+        return original(*args)
+
+    monkeypatch.setattr(dual, "apply_multiplier_values", counted)
+    gs = solve_ground_state(Qf, exps2d, spec)
+    assert gs.converged and gs.iterations >= 5
+    assert len(calls) <= gs.iterations + 3
+
+
+def test_reused_fields_match_fresh_ones(monkeypatch, exps2d):
+    # A(v) = level / (1/p' - 1/2) on the Nehari manifold, and R is linear, so
+    # the Anderson trial's resolved field is the weighted sum of its history's
+    Qf, spec = bump_problem()
+    original = dual._DualOperator.project
+    reused = []
+
+    def recording(self, c, resolved=None, a=None):
+        if resolved is not None:
+            reused.append((self, c.copy(), resolved.copy()))
+        return original(self, c, resolved, a)
+
+    monkeypatch.setattr(dual._DualOperator, "project", recording)
+    gs = solve_ground_state(Qf, exps2d, spec)
+    assert gs.converged
+    grid, pd = Qf.grid, exps2d.p_dual
+    mass = grid.cell_volume * np.sum(np.abs(gs.v.values) ** pd)
+    assert gs.level / (1.0 / pd - 0.5) == pytest.approx(mass, rel=1e-12)
+    # the residual the loop normalises by that A(v) is the documented one
+    assert gs.fixed_point_residual == pytest.approx(gs.state.gradient_norm / mass ** ((pd - 1.0) / pd), rel=1e-12)
+    assert reused  # the Anderson trial ran
+    for op, c, resolved in reused:
+        fresh = apply_multiplier_values(RealField(grid, op.root * c), op.symbol).values
+        assert np.max(np.abs(resolved - fresh)) <= 1e-12 * np.max(np.abs(fresh))
+
+
 def test_cone_exit_when_no_step_keeps_the_form_positive(monkeypatch, unitQ, exps2d, spec2d):
     # only the start projects; every later trial of every tier misses the cone
     original = dual._DualOperator.project
     calls = []
 
-    def project_start_only(self, c):
+    def project_start_only(self, c, *args, **kwargs):
         calls.append(len(calls))
-        return original(self, c) if len(calls) == 1 else None
+        return original(self, c, *args, **kwargs) if len(calls) == 1 else None
 
     monkeypatch.setattr(dual._DualOperator, "project", project_start_only)
     with pytest.raises(ConeExitError):
@@ -220,9 +271,9 @@ def test_stagnant_solve_returns_its_best_iterate(monkeypatch, unitQ, exps2d, spe
     start = []
     calls = []
 
-    def project_uphill(self, c):
+    def project_uphill(self, c, *args, **kwargs):
         calls.append(len(calls))
-        out = original(self, c)
+        out = original(self, c, *args, **kwargs)
         if not start:
             start.append(out)
             return out

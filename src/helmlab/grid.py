@@ -7,9 +7,15 @@ integrals are plain quadrature sums weighted by the cell volume h^dim.
 Fourier multipliers are real and even, m(-xi) = m(xi), so they keep
 fields real and live on the half spectrum: the rfftn layout of shape
 (n,)*(dim-1) + (n//2+1,), as `frequency_norm`, `multiplier_values` and
-the resolvent symbol return them. `apply_multiplier_values` uses the
-real pair rfftn/irfftn; `multiplier_kernel` applies a multiplier to
-the origin delta, whose spectrum is known, by one irfftn;
+the resolvent symbol return them. Every multiplier path runs numpy's
+1D transforms one axis at a time, in the order rfftn and irfftn use
+(forward: rfft on the last axis, then fft on axes dim-2 ... 0;
+inverse: ifft on axes 0 ... dim-2, then irfft on the last axis), and
+writes each complex pass back into a buffer it allocated itself, so its
+arrays equal the n-D pair's bit for bit and inputs are never written.
+`apply_multiplier_values` computes irfftn(m * rfftn(f));
+`multiplier_kernel` applies a multiplier to the origin delta, whose
+spectrum is known, by the inverse passes alone;
 `apply_multiplier_boxed` applies one to a field supported on an index
 box and returns the result on another box, transforming each axis at
 the width of the box along the axes still untransformed.
@@ -247,18 +253,36 @@ def multiplier_values(grid: TorusGrid, multiplier) -> np.ndarray:
     return np.broadcast_to(values, grid.shape)[..., : grid.points_per_axis // 2 + 1]
 
 
+def _inverse_passes(spectrum: np.ndarray, n: int, norm: str | None) -> np.ndarray:
+    """Real inverse of a half spectrum, the order irfftn uses: complex ifft
+    on axes 0 ... dim-2, each written back into `spectrum`, then irfft on
+    the last axis to n points. `spectrum` must be a complex buffer the
+    caller owns; it is overwritten.
+    """
+    last = spectrum.ndim - 1
+    for axis in range(last):
+        np.fft.ifft(spectrum, axis=axis, norm=norm, out=spectrum)
+    return np.fft.irfft(spectrum, n=n, axis=last, norm=norm)
+
+
 def apply_multiplier_values(field: RealField, values: np.ndarray) -> RealField:
     """Apply precomputed multiplier values to a real field.
 
     `values` holds m(xi) on the half spectrum, the rfftn layout of shape
     (n,)*(dim-1) + (n//2+1,) (see `multiplier_values`), and stands for
-    an even multiplier, m(-xi) = m(xi): the real transform pair computes
-    irfftn(values * rfftn(f)).
+    an even multiplier, m(-xi) = m(xi). The result is
+    irfftn(values * rfftn(f)), bit for bit, computed by the same unitary
+    1D passes: rfft on the last axis, then fft on axes dim-2 ... 0, the
+    product and the inverse passes, all written into the one spectrum
+    buffer allocated here. Neither `field.values` nor `values` is written.
     """
     grid = field.grid
-    axes = tuple(range(grid.dim))
-    spectrum = np.fft.rfftn(field.values, axes=axes, norm="ortho")
-    return RealField(grid, np.fft.irfftn(values * spectrum, s=grid.shape, axes=axes, norm="ortho"))
+    last = grid.dim - 1
+    spectrum = np.fft.rfft(field.values, axis=last, norm="ortho")
+    for axis in range(last - 1, -1, -1):
+        np.fft.fft(spectrum, axis=axis, norm="ortho", out=spectrum)
+    spectrum *= values
+    return RealField(grid, _inverse_passes(spectrum, grid.points_per_axis, "ortho"))
 
 
 def multiplier_kernel(grid: TorusGrid, values: np.ndarray) -> RealField:
@@ -266,14 +290,17 @@ def multiplier_kernel(grid: TorusGrid, values: np.ndarray) -> RealField:
 
     The delta, 1/h^dim at `origin_index` = (n/2, ...), has the unitary
     spectrum (-1)^(k_0 + ... + k_(dim-1)) / (h^dim sqrt(N)), so this is
-    one irfftn of values * (-1)^(k_0 + ... + k_(dim-1)), scaled by
-    1/h^dim: apply_multiplier_values(delta, values) without the forward
-    transform. `values` are half-spectrum values, as that function takes.
+    the unnormalised irfftn of values * (-1)^(k_0 + ... + k_(dim-1)),
+    scaled by 1/h^dim: apply_multiplier_values(delta, values) without the
+    forward transform. `values` are half-spectrum values, as that
+    function takes, and are not written; the signs multiply a copy in
+    place, and the inverse passes (ifft on axes 0 ... dim-2, then irfft)
+    overwrite its complex buffer.
     """
-    spectrum = values / grid.cell_volume
+    signed = values / grid.cell_volume
     for sign in grid._half_spectrum_axes((-1.0) ** np.arange(grid.points_per_axis)):
-        spectrum = spectrum * sign
-    return RealField(grid, np.fft.irfftn(spectrum, s=grid.shape, axes=tuple(range(grid.dim))))
+        signed *= sign
+    return RealField(grid, _inverse_passes(signed.astype(complex), grid.points_per_axis, None))
 
 
 def apply_multiplier_boxed(
@@ -292,11 +319,15 @@ def apply_multiplier_boxed(
     as `apply_multiplier_values` takes them. The result, of shape
     tuple(len(i) for i in target), equals
     apply_multiplier_values(field, values).values[np.ix_(*target)] up to
-    rounding: the same unitary 1D transforms in the same axis order, but
-    the forward transform zero-embeds each axis only when it is
-    transformed, so the axes not yet transformed stay as wide as the
-    source box, and the inverse keeps only the target rows after each
-    axis.
+    rounding: the same unitary 1D transforms in the same axis order
+    (rfft on the last axis, fft on axes dim-2 ... 0; ifft on axes
+    0 ... dim-2, irfft on the last), but the forward transform
+    zero-embeds each axis only when it is transformed, so the axes not
+    yet transformed stay as wide as the source box, and the inverse
+    keeps only the target rows after each axis. Each fft runs in place
+    on its freshly embedded array, and each ifft in place on the
+    spectrum before its rows are taken; `block` and `values` are not
+    written.
     """
     n = grid.points_per_axis
     last = grid.dim - 1
@@ -310,10 +341,12 @@ def apply_multiplier_boxed(
 
     spectrum = np.fft.rfft(embed(np.asarray(block, dtype=float), last), axis=last, norm="ortho")
     for axis in range(last - 1, -1, -1):
-        spectrum = np.fft.fft(embed(spectrum, axis), axis=axis, norm="ortho")
+        spectrum = embed(spectrum, axis)
+        np.fft.fft(spectrum, axis=axis, norm="ortho", out=spectrum)
     spectrum *= values
     for axis in range(last):
-        spectrum = np.take(np.fft.ifft(spectrum, axis=axis, norm="ortho"), target[axis], axis=axis)
+        np.fft.ifft(spectrum, axis=axis, norm="ortho", out=spectrum)
+        spectrum = np.take(spectrum, target[axis], axis=axis)
     return np.take(np.fft.irfft(spectrum, n=n, axis=last, norm="ortho"), target[last], axis=last)
 
 

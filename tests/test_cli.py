@@ -524,6 +524,32 @@ def test_package_reads_no_environment_variables():
     assert reads == []
 
 
+def test_only_grid_runs_fourier_transforms():
+    # every transform goes through grid's 1D passes; no other module reaches numpy.fft
+    users = set()
+    for path in sorted((REPO / "src" / "helmlab").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (
+                (
+                    isinstance(node, ast.Attribute)
+                    and node.attr == "fft"
+                    and isinstance(node.value, ast.Name)
+                    and node.value.id in ("np", "numpy")
+                )
+                or (isinstance(node, ast.Import) and any(a.name.startswith("numpy.fft") for a in node.names))
+                or (
+                    isinstance(node, ast.ImportFrom)
+                    and node.module is not None
+                    and (
+                        node.module.startswith("numpy.fft")
+                        or (node.module == "numpy" and any(a.name == "fft" for a in node.names))
+                    )
+                )
+            ):
+                users.add(path.name)
+    assert users == {"grid.py"}
+
+
 LAYERS = ("errors", "params", "grid", "resolvent", "coefficients", "dual", "concentration", "config", "cli")
 
 

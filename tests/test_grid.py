@@ -203,6 +203,52 @@ def test_boxed_application_matches_the_full_pair_on_the_target_box(dim, n):
         assert np.max(np.abs(boxed - reference)) <= 1e-12 * np.max(np.abs(reference))
 
 
+def _signed_scaled_spectrum(grid, m):
+    """The delta's spectrum times m, as `multiplier_kernel` documents it."""
+    signed = m / grid.cell_volume
+    for sign in np.meshgrid(*([(-1.0) ** np.arange(grid.points_per_axis)] * grid.dim), indexing="ij", sparse=True):
+        signed = signed * sign[..., : m.shape[-1]]
+    return signed
+
+
+@pytest.mark.parametrize("dim,n", [(1, 64), (2, 32), (3, 16)])
+def test_multiplier_paths_are_the_nd_transforms_bit_for_bit(dim, n):
+    # the 1D passes run in the axis order of rfftn and irfftn, so the
+    # arrays agree exactly, not just to rounding
+    grid = build_grid(dim, 16.0, n)
+    axes = tuple(range(dim))
+    h = grid.spacing
+    m = multiplier_values(grid, lambda *a: 1.0 / (1.0 + sum(x * x for x in a)) + 0.25 * np.cos(h * a[-1]))
+    f = random_field(grid, seed=60 + dim)
+    reference = np.fft.irfftn(m * np.fft.rfftn(f.values, axes=axes, norm="ortho"), s=grid.shape, axes=axes, norm="ortho")
+    assert np.array_equal(apply_multiplier_values(f, m).values, reference)
+    kernel = np.fft.irfftn(_signed_scaled_spectrum(grid, m), s=grid.shape, axes=axes)
+    assert np.array_equal(multiplier_kernel(grid, m).values, kernel)
+
+
+@pytest.mark.parametrize("dim,n", [(1, 64), (2, 32), (3, 16)])
+@pytest.mark.parametrize("writable", [False, True], ids=["broadcast-view", "owned-copy"])
+def test_multiplier_paths_leave_their_inputs_untouched(dim, n, writable):
+    # the in-place passes write only into buffers the paths allocate: a
+    # read-only view of multiplier_values would raise, a writable copy
+    # must come back unchanged
+    grid = build_grid(dim, 16.0, n)
+    m = multiplier_values(grid, lambda *a: 1.0 + 0.5 * np.cos(grid.spacing * a[0]))
+    assert not m.flags.writeable
+    if writable:
+        m = np.array(m)
+    f = random_field(grid, seed=70 + dim)
+    source = [np.arange(n // 2 - 3, n // 2 + 2)] * dim
+    target = [np.array([0, 1, n - 1])] * dim
+    block = np.random.default_rng(80 + dim).standard_normal((5,) * dim)
+    before = (f.values.copy(), m.copy(), block.copy())
+    apply_multiplier_values(f, m)
+    multiplier_kernel(grid, m)
+    apply_multiplier_boxed(grid, block, source, m, target)
+    for kept, now in zip(before, (f.values, m, block)):
+        assert np.array_equal(kept, now)
+
+
 def test_uneven_multiplier_rejected():
     grid = build_grid(1, 16.0, 64)
     f = random_field(grid, seed=5)

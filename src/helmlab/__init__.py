@@ -47,7 +47,6 @@ from .errors import (
     IndefiniteFormError,
     InsufficientDataError,
     NegativeCoefficientError,
-    SingularModeError,
     SupportOverlapError,
     SymmetryViolationError,
     ZeroFieldError,
@@ -89,7 +88,7 @@ __all__ = [
     "dihedral_average", "dual_energy", "dual_gradient", "limit_ground_state", "nehari_project",
     "nehari_scale", "random_initial_guess", "solve_ground_state",
     "ConeExitError", "ConfigError", "GridMismatchError", "IndefiniteFormError",
-    "InsufficientDataError", "NegativeCoefficientError", "SingularModeError", "SupportOverlapError",
+    "InsufficientDataError", "NegativeCoefficientError", "SupportOverlapError",
     "SymmetryViolationError", "ZeroFieldError",
     "RealField", "SpectralField", "TorusGrid", "apply_multiplier", "apply_multiplier_values",
     "build_grid", "forward_transform", "inner_product", "inverse_transform", "locate_peak", "lq_norm",

@@ -51,13 +51,14 @@ from .resolvent import (
 _AXES = ("x", "y", "z")
 
 
-def _format_cell(value, precision: int) -> str:
+def _format_cell(value) -> str:
+    """One CSV cell; floats at 12 significant digits (the JSON mirror keeps every digit)."""
     if isinstance(value, (bool, np.bool_)):
         return "true" if value else "false"
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     if isinstance(value, (float, np.floating)):
-        return format(float(value), f".{precision}g")
+        return format(float(value), ".12g")
     return str(value)
 
 
@@ -93,7 +94,7 @@ class _Run:
 
     def table(self, name: str, columns: list[str], rows: list[list]) -> None:
         lines = [",".join(columns)]
-        lines += [",".join(_format_cell(cell, self.cfg.precision) for cell in row) for row in rows]
+        lines += [",".join(_format_cell(cell) for cell in row) for row in rows]
         self.files[f"{name}.csv"] = "\n".join(lines) + "\n"
         if self.cfg.out_format == "json":
             objects = ",\n".join("  " + json.dumps(dict(zip(columns, row))) for row in rows)
@@ -231,7 +232,6 @@ def _cmd_levels(run: _Run) -> int:
         run.spec,
         tol=cfg.tol,
         max_iter=cfg.max_iter,
-        warm_start=cfg.warm_start,
     )
     rows = [
         [row.eps, row.level, table.peak_level, table.background_level, row.gap_low, row.gap_high, row.converged]
@@ -264,7 +264,6 @@ def _cmd_sweep(run: _Run) -> int:
         run.spec,
         tol=cfg.tol,
         max_iter=cfg.max_iter,
-        warm_start=cfg.warm_start,
     )
     columns = (
         ["k", "eps", "level"]

@@ -17,7 +17,7 @@ import numpy as np
 
 from .coefficients import CoefficientQ, max_node, sample_Q
 from .dual import GroundState, limit_ground_state, solve_ground_state
-from .errors import ZeroFieldError
+from .errors import GridMismatchError, ZeroFieldError
 from .grid import RealField, TorusGrid, lq_norm
 from .params import Exponents
 from .resolvent import ResolventSpec
@@ -33,7 +33,7 @@ def profile_distance(field: RealField, reference: RealField, norm_exponent: floa
     do; the two-cell search absorbs argmax jitter between nearby nodes.
     """
     if field.grid != reference.grid:
-        raise ValueError("fields live on different grids")
+        raise GridMismatchError("fields live on different grids")
     ref_norm = lq_norm(reference, norm_exponent)
     if ref_norm <= 0.0:
         raise ZeroFieldError("reference profile is identically zero")
@@ -99,12 +99,12 @@ def _solve_family(
     spec: ResolventSpec,
     tol: float,
     max_iter: int,
-    warm_start: bool,
 ) -> list[GroundState]:
     """Ground states with Q sampled at eps = 1/k, solved in the order of `ks`.
 
-    With `warm_start` each solve starts from the last converged state,
-    rolled so its profile peak lands on the maximum of the new Q.
+    Each solve after the first converged one starts from the last
+    converged state, rolled so its profile peak lands on the maximum of
+    the new Q; until then a solve takes the solver's cold start.
     """
     states: list[GroundState] = []
     previous: GroundState | None = None
@@ -124,7 +124,7 @@ def _solve_family(
                 init = RealField(grid, np.roll(previous.v.values, shift, axis=range(grid.dim)))
         gs = solve_ground_state(Qfield, step_exps, spec, init=init, tol=tol, max_iter=max_iter)
         states.append(gs)
-        if warm_start and gs.converged:
+        if gs.converged:
             previous = gs
     return states
 
@@ -137,26 +137,25 @@ def run_sweep(
     spec: ResolventSpec,
     tol: float = 1e-6,
     max_iter: int = 500,
-    warm_start: bool = True,
     limit: GroundState | None = None,
 ) -> list[SweepRecord]:
     """Solve along increasing wavenumbers and compare against the limit profile.
 
     Walks the same warm-started family of solves as `level_table`, one
-    per k with the coefficient sampled at eps = 1/k; with warm starts
-    (the default) the previous converged dual field, rolled onto the new
-    coefficient maximum, seeds the next solve, which cuts the iteration
-    count several-fold once the bubble has formed. Each step records
-    the profile distance to the constant-coefficient state at the peak
-    value of Q and the peak in both frames. A step that stagnates is
-    recorded with converged=False and the sweep moves on.
+    per k with the coefficient sampled at eps = 1/k: the previous
+    converged dual field, rolled onto the new coefficient maximum, seeds
+    the next solve, which cuts the iteration count several-fold once the
+    bubble has formed. Each step records the profile distance to the
+    constant-coefficient state at the peak value of Q and the peak in
+    both frames. A step that stagnates is recorded with converged=False
+    and the sweep moves on.
     """
     ks = [float(k) for k in ks]
     if not ks:
         raise ValueError("need at least one wavenumber")
     if limit is None:
         limit = limit_ground_state(Q.sup_value, grid, exps, spec, tol=tol, max_iter=max_iter)
-    states = _solve_family(Q, ks, exps, grid, spec, tol, max_iter, warm_start)
+    states = _solve_family(Q, ks, exps, grid, spec, tol, max_iter)
     return [
         SweepRecord(
             k=k,
@@ -215,7 +214,6 @@ def level_table(
     spec: ResolventSpec,
     tol: float = 1e-6,
     max_iter: int = 500,
-    warm_start: bool = True,
 ) -> LevelTable:
     """Ground-state levels for a family of eps against both constant limits.
 
@@ -229,7 +227,7 @@ def level_table(
     background_level = (Q.background_value / Q.sup_value) ** (-2.0 / (exps.p - 2.0)) * peak_gs.level
 
     eps_list = [float(eps) for eps in eps_list]
-    states = _solve_family(Q, [1.0 / eps for eps in eps_list], exps, grid, spec, tol, max_iter, warm_start)
+    states = _solve_family(Q, [1.0 / eps for eps in eps_list], exps, grid, spec, tol, max_iter)
     rows = tuple(
         LevelRow(
             eps=eps,

@@ -38,7 +38,6 @@ class RunConfig:
     value: float = 1.0
     tol: float = 1e-6
     max_iter: int = 500
-    warm_start: bool = True
     init: str = "default"
     seed: int = 12345
     k_values: tuple[float, ...] = (2.0, 4.0, 8.0)
@@ -50,15 +49,6 @@ class RunConfig:
     bump_radius: float = 2.0
     out_dir: str = "runs"
     out_format: str = "csv"
-    precision: int = 12
-
-
-def _parse_bool(text: str) -> bool:
-    if text == "true":
-        return True
-    if text == "false":
-        return False
-    raise ValueError(f"expected true or false, got {text!r}")
 
 
 def _parse_float_list(text: str) -> tuple[float, ...]:
@@ -113,10 +103,6 @@ def _render_delta(delta) -> str:
     return "auto" if delta is None else _render_float(delta)
 
 
-def _render_bool(b: bool) -> str:
-    return "true" if b else "false"
-
-
 def _positive_int(text: str) -> int:
     value = int(text)
     if value <= 0:
@@ -155,7 +141,6 @@ _SCHEMA = {
     "coefficient.value": ("value", _positive_float, _render_float),
     "solver.tol": ("tol", _positive_float, _render_float),
     "solver.max_iter": ("max_iter", _positive_int, str),
-    "solver.warm_start": ("warm_start", _parse_bool, _render_bool),
     "solver.init": ("init", _parse_choice("default", "random"), str),
     "solver.seed": ("seed", lambda t: int(t), str),
     "sweep.k_values": ("k_values", _parse_float_list, _render_float_list),
@@ -167,7 +152,6 @@ _SCHEMA = {
     "interaction.bump_radius": ("bump_radius", _positive_float, _render_float),
     "output.dir": ("out_dir", str, str),
     "output.format": ("out_format", _parse_choice("csv", "json"), str),
-    "output.precision": ("precision", _positive_int, str),
 }
 
 
@@ -220,6 +204,13 @@ def _validate(cfg: RunConfig) -> None:
                     f"center {pt} has {len(pt)} coordinates but grid.dim = {cfg.dim}",
                     field="coefficient.centers",
                 )
+    # Q's exponent divides by 2 width^2, so that square must be a positive finite float
+    square = cfg.width * cfg.width
+    if square == 0.0 or not math.isfinite(square):
+        raise ConfigError(
+            f"coefficient.width = {cfg.width:g}: its square overflows or underflows to 0",
+            field="coefficient.width",
+        )
     for eps in cfg.eps_values:
         if eps <= 0:
             raise ConfigError("sweep.eps_values must be positive", field="sweep.eps_values")

@@ -72,7 +72,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .coefficients import max_node
-from .errors import ConeExitError, IndefiniteFormError, ZeroFieldError
+from .errors import ConeExitError, GridMismatchError, IndefiniteFormError, ZeroFieldError
 from .grid import RealField, TorusGrid, apply_multiplier_values, locate_peak
 from .params import Exponents
 from .resolvent import ResolventSpec, exp_smoothstep
@@ -203,10 +203,12 @@ class _DualOperator:
         )
 
     def project(self, c: np.ndarray, resolved: np.ndarray | None = None, a: float | None = None):
-        """Nehari-project raw values; returns (t, t*c, R(Q^(1/p) t*c), level), or None if B(c) <= 0.
+        """Nehari-project raw values; returns (t, t*c, R(Q^(1/p) t*c), level), or None.
 
-        A given `resolved` (R(Q^(1/p) c), as in `resolve`) or `a` (A(c))
-        is used in place of computing it.
+        None means B(c) <= 0, or a scale t that is 0 or not finite: with
+        p' near 2 the exponent 1/(2-p') is huge and (A/B)^(1/(2-p'))
+        underflows. A given `resolved` (R(Q^(1/p) c), as in `resolve`)
+        or `a` (A(c)) is used in place of computing it.
         """
         b, resolved = self.resolve(c, resolved)
         if b <= 0.0:
@@ -214,17 +216,26 @@ class _DualOperator:
         if a is None:
             a = self.mass(c)
         t = self.scale(a, b)
+        if not 0.0 < t < np.inf:
+            return None
         return t, t * c, t * resolved, (1.0 / self.exps.p_dual - 0.5) * t**self.exps.p_dual * a
 
     def project_or_raise(self, values: np.ndarray):
-        """`project`, raising for a zero field or B(v) <= 0 in place of returning None."""
+        """`project`, raising for a zero field, B(v) <= 0 or a scale that underflows in place of returning None."""
         if not np.any(values):
             raise ZeroFieldError("cannot project the zero field onto the Nehari manifold")
-        projected = self.project(values)
-        if projected is None:
+        b, resolved = self.resolve(values)
+        if b <= 0.0:
             raise IndefiniteFormError(
                 "nonpositive quadratic form: the ray through this field misses the Nehari manifold; "
                 "filter it through the positive part of the resolvent symbol first"
+            )
+        projected = self.project(values, resolved)
+        if projected is None:
+            ratio, exponent = self.mass(values) / b, 1.0 / (2.0 - self.exps.p_dual)
+            raise ZeroFieldError(
+                f"the Nehari scale (A/B)^(1/(2-p')) = ({ratio:.3g})^({exponent:.3g}) underflows to 0, "
+                "so the projected field is zero; model.p is too close to 2"
             )
         return projected
 
@@ -359,7 +370,7 @@ def solve_ground_state(
     """
     grid = Qfield.grid
     if init is not None and init.grid != grid:
-        raise ValueError("initial guess lives on a different grid than the coefficient")
+        raise GridMismatchError("initial guess lives on a different grid than the coefficient")
     if tol <= 0:
         raise ValueError("tol must be positive")
     if max_iter < 1:
@@ -523,7 +534,7 @@ def cutoff_projection(
     """
     grid = limit_profile.grid
     if Qfield.grid != grid:
-        raise ValueError("coefficient and limit profile live on different grids")
+        raise GridMismatchError("coefficient and limit profile live on different grids")
     eps = exps.eps
     rescaled_center = tuple(c / eps for c in concentration_point)
     node = grid.nearest_index(rescaled_center)

@@ -20,10 +20,6 @@ class SymmetryViolationError(NumericalError, ValueError):
     left a significant imaginary residue, or a multiplier is not even."""
 
 
-class SingularModeError(NumericalError, ValueError):
-    """A grid wavenumber sits on the singular sphere of the resolvent symbol."""
-
-
 class SupportOverlapError(NumericalError, ValueError):
     """A field violates its declared support region."""
 

@@ -7,9 +7,7 @@ delta > 0 regularizes it to the real part of ((-Delta)^s - (1 + i*delta))^(-1),
     m(xi) = (|xi|^(2s) - 1) / ((|xi|^(2s) - 1)^2 + delta^2),
 
 which is odd around the sphere, negative inside, positive outside, and
-bounded by 1/(2*delta). With delta = 0 the symbol is the principal-value
-multiplier 1/(|xi|^(2s) - 1), admissible only when no grid wavenumber
-sits on the singular sphere. The kernel split K = K1 + K2 takes K1 through
+bounded by 1/(2*delta). The kernel split K = K1 + K2 takes K1 through
 a fixed radial cutoff: 1 for ||xi| - 1| <= 1/6, 0 for ||xi| - 1| >= 1/4.
 """
 from __future__ import annotations
@@ -19,10 +17,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import InsufficientDataError, SingularModeError, SupportOverlapError
+from .errors import GridMismatchError, InsufficientDataError, SupportOverlapError
 from .grid import RealField, TorusGrid, apply_multiplier_boxed, multiplier_kernel
-
-_SINGULAR_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -30,13 +26,13 @@ class ResolventSpec:
     """Fractional order and limiting-absorption parameter of the resolvent."""
 
     s: float
-    delta: float = 0.0
+    delta: float
 
     def __post_init__(self):
         if self.s <= 0:
             raise ValueError("s must be positive")
-        if self.delta < 0:
-            raise ValueError("delta must be nonnegative")
+        if self.delta <= 0:
+            raise ValueError("delta must be positive")
 
     def symbol_values(self, grid: TorusGrid) -> np.ndarray:
         """Symbol on the grid's half spectrum, the layout `grid.frequency_norm` has.
@@ -47,14 +43,6 @@ class ResolventSpec:
         """
         mu = grid.frequency_norm ** (2.0 * self.s)
         shifted = mu - 1.0
-        if self.delta == 0.0:
-            closest = float(np.min(np.abs(shifted)))
-            if closest < _SINGULAR_TOL:
-                raise SingularModeError(
-                    f"a grid wavenumber lies within {closest:.3e} of the singular sphere; "
-                    "use delta > 0 or change the grid"
-                )
-            return 1.0 / shifted
         return shifted / (shifted * shifted + self.delta * self.delta)
 
 
@@ -120,11 +108,9 @@ def band_decompose(spec: ResolventSpec, grid: TorusGrid) -> KernelBundle:
     faster. The cutoff psi is fixed: 1 for ||xi| - 1| <= 1/6 and 0 for
     ||xi| - 1| >= 1/4. Both K and K1 come from the known spectrum of the
     delta, symbol and symbol * psi, by one inverse transform each
-    (`multiplier_kernel`). Requires delta > 0; at delta = 0 the slowly
-    decaying kernel is not meaningfully confined to the box.
+    (`multiplier_kernel`). The absorption delta > 0 that every
+    `ResolventSpec` carries confines the oscillating kernel tail to the box.
     """
-    if spec.delta <= 0:
-        raise ValueError("kernel extraction requires delta > 0")
     symbol = spec.symbol_values(grid)
     kernel = multiplier_kernel(grid, symbol)
     band = multiplier_kernel(grid, _band_cutoff(grid.frequency_norm) * symbol)
@@ -218,7 +204,7 @@ def disjoint_interaction(
         if gap < 1.0:
             raise ValueError("gap must be at least 1")
         if grid != v.grid:
-            raise SupportOverlapError("fields live on different grids")
+            raise GridMismatchError("fields live on different grids")
         box, nodes, above = _support(v)
         if np.any(_node_radius(grid, [i[above] for i in nodes]) < inner_radius + gap):
             raise SupportOverlapError(f"v is nonzero inside the ball of radius {inner_radius + gap}")

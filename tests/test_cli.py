@@ -93,6 +93,8 @@ def test_duplicate_key_is_a_config_error(tmp_path, capsys):
         ("solve", "grid.points = 32\nmodel.k = 1e-300\n"),
         ("sweep", "grid.points = 32\nsweep.k_values = 1e-300\n"),
         ("solve", "grid.points = 32\ncoefficient.centers = 1e200, 0.0\n"),
+        ("solve", "grid.points = 32\ncoefficient.width = 1e200\n"),
+        ("solve", "grid.points = 32\ncoefficient.width = 1e-170\n"),
     ],
     ids=[
         "auto-delta-infeasible",
@@ -103,6 +105,8 @@ def test_duplicate_key_is_a_config_error(tmp_path, capsys):
         "solve-window-overflow",
         "sweep-window-overflow",
         "centre-overflow",
+        "width-overflow",
+        "width-underflow",
     ],
 )
 @pytest.mark.parametrize("force", [False, True], ids=["gated", "forced"])
@@ -115,6 +119,16 @@ def test_numerically_hopeless_config_is_a_one_line_config_error(tmp_path, comman
     assert "Traceback" not in done.stderr
     (line,) = done.stderr.splitlines()
     assert line.startswith("config error: ")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("key, value", [("solver.warm_start", "true"), ("output.precision", "12")])
+def test_removed_keys_are_unknown_keys(tmp_path, capsys, key, value):
+    # every family is warm-started, and CSV cells always carry 12 significant digits
+    cfg = write_cfg(tmp_path, "old.cfg", f"{key} = {value}\n")
+    assert main(["solve", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith(f"config error: unknown key {key!r}")
     assert not (tmp_path / "out").exists()
 
 
@@ -217,6 +231,18 @@ def test_solve_reports_a_warning_as_one_line(tmp_path, capsys):
     assert not [line for line in err if ".py" in line]
 
 
+def test_random_start_is_reproducible(tmp_path):
+    # a seeded random start need not reach the default start's level; the same
+    # seed must give the same bytes
+    cfg = write_cfg(tmp_path, "r.cfg", "grid.points = 64\nsolver.init = random\nsolver.seed = 3\n")
+    for name in ("a", "b"):
+        assert main(["solve", "--config", cfg, "--out", str(tmp_path / name), "--force"]) == 0
+    first = (tmp_path / "a" / "ground_state.csv").read_bytes()
+    assert first == (tmp_path / "b" / "ground_state.csv").read_bytes()
+    columns, rows = read_rows(tmp_path / "a" / "ground_state.csv")
+    assert rows[0][columns.index("converged")] == "true"
+
+
 def test_stalled_solve_exits_nonzero(tmp_path):
     out_dir = tmp_path / "stall"
     cfg = write_cfg(
@@ -234,6 +260,16 @@ def test_stalled_solve_exits_nonzero(tmp_path):
 
 
 def test_numerical_failure_is_a_one_line_exit_4(monkeypatch, tmp_path, capsys):
+    # p' = p/(p-1) is so near 2 that the start's Nehari scale (A/B)^(1/(2-p')),
+    # an exponent of 1e7 on A/B < 1, underflows to 0; the forced gate report
+    # comes first on stderr, and the diagnosis is its last line
+    cfg = write_cfg(tmp_path, "u.cfg", "model.s = 1e-9\nmodel.p = 2.0000001\ngrid.points = 8\n")
+    assert main(["solve", "--config", cfg, "--out", str(tmp_path / "out"), "--force"]) == 4
+    err = capsys.readouterr().err.splitlines()
+    assert [line for line in err if line.startswith("numerical error: ")] == err[-1:]
+    assert "underflows to 0" in err[-1]
+    assert not (tmp_path / "out").exists()
+
     # only the start projects, so the solve ends in ConeExitError; a 3D run
     # inside the hypotheses leaves the gate silent
     original = helmlab.dual._DualOperator.project

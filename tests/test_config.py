@@ -53,14 +53,12 @@ def test_round_trip_of_nondefault_config():
         kind="constant",
         value=2.5,
         tol=1e-8,
-        warm_start=False,
         init="random",
         seed=99,
         k_values=(3.0, 9.0),
         eps_values=(0.4, 0.2, 0.1),
         centers=((1.0, 0.0, -2.0), (4.0, 4.0, 4.0)),
         out_format="json",
-        precision=9,
     )
     text = render_config(cfg)
     again = parse_config_text(text)
@@ -101,7 +99,6 @@ def test_line_without_equals_rejected():
     [
         "grid.points = many",
         "grid.points = -4",
-        "solver.warm_start = yes",
         "model.delta = 0.0",
         "model.delta = -1",
         "coefficient.kind = wavy",
@@ -130,6 +127,8 @@ def test_bad_values_rejected(line):
         ("coefficient.centers = 1.0, 2.0, 3.0", "coefficient.centers"),
         ("coefficient.centers = 1e200, 0.0", "coefficient.centers"),  # Q squares its distance
         ("coefficient.centers = inf, 0.0", "coefficient.centers"),
+        ("coefficient.width = 1e200", "coefficient.width"),  # Q divides by 2 width^2, which overflows
+        ("coefficient.width = 1e-170", "coefficient.width"),  # and here underflows to 0
         ("sweep.k_values = 2.0, -4.0", "sweep.k_values"),
         ("sweep.eps_values = 0.5, 0.0", "sweep.eps_values"),
         ("interaction.gaps = 0.5", "interaction.gaps"),

@@ -73,11 +73,11 @@ def test_energy_single_cosine_closed_form():
     # test evaluates on its own
     grid = build_grid(1, 16.0, 64)
     exps = Exponents(dim=1, s=1.0, p=5.0, k=1.0)
-    spec = ResolventSpec(s=1.0, delta=0.0)
+    spec = ResolventSpec(s=1.0, delta=0.3)
     xi = np.pi * 9 / 16.0
     v = np.cos(xi * grid.coordinate_axis)
     Qf = RealField(grid, np.ones(64))
-    sym = 1.0 / (xi * xi - 1.0)
+    sym = (xi * xi - 1.0) / ((xi * xi - 1.0) ** 2 + 0.3**2)
     h = grid.spacing
     pd = exps.p_dual
     a = h * np.sum(np.abs(v) ** pd)
@@ -93,7 +93,7 @@ def test_energy_single_cosine_closed_form():
 def test_quad_form_sign_follows_symbol():
     grid = build_grid(1, 16.0, 64)
     exps = Exponents(dim=1, s=1.0, p=5.0, k=1.0)
-    spec = ResolventSpec(s=1.0, delta=0.0)
+    spec = ResolventSpec(s=1.0, delta=0.3)
     Qf = RealField(grid, np.ones(64))
     inside = RealField(grid, np.cos((np.pi * 2 / 16.0) * grid.coordinate_axis))  # mu < 1
     outside = RealField(grid, np.cos((np.pi * 9 / 16.0) * grid.coordinate_axis))  # mu > 1
@@ -104,11 +104,11 @@ def test_quad_form_sign_follows_symbol():
 def test_quad_form_single_mode_value():
     grid = build_grid(1, 16.0, 64)
     exps = Exponents(dim=1, s=1.0, p=5.0, k=1.0)
-    spec = ResolventSpec(s=1.0, delta=0.0)
+    spec = ResolventSpec(s=1.0, delta=0.3)
     xi = np.pi * 9 / 16.0
     v = RealField(grid, np.cos(xi * grid.coordinate_axis))
     Qf = RealField(grid, np.ones(64))
-    want = (1.0 / (xi * xi - 1.0)) * lq_norm(v, 2) ** 2
+    want = (xi * xi - 1.0) / ((xi * xi - 1.0) ** 2 + 0.3**2) * lq_norm(v, 2) ** 2
     assert diagnose(v, Qf, exps, spec).quad_form == pytest.approx(want, rel=1e-10)
 
 

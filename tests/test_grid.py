@@ -19,6 +19,17 @@ from helmlab import (
     multiplier_kernel,
     multiplier_values,
 )
+from helmlab import (
+    ConstantQ,
+    Exponents,
+    ResolventSpec,
+    compact_bump,
+    cutoff_projection,
+    disjoint_interaction,
+    profile_distance,
+    sample_Q,
+    solve_ground_state,
+)
 from helmlab.grid import apply_multiplier_boxed
 
 
@@ -98,6 +109,33 @@ def test_field_validation():
     other = build_grid(2, 16.0, 16)
     with pytest.raises(GridMismatchError):
         _ = RealField.zeros(grid) + RealField.zeros(other)
+
+
+MISMATCHED = (build_grid(1, 16.0, 16), build_grid(1, 16.0, 32))
+EXPS_1D = Exponents(dim=1, s=1.0, p=5.0, k=1.0)
+SPEC_1D = ResolventSpec(s=1.0, delta=0.3)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda a, b: RealField.zeros(a) - RealField.zeros(b),
+        lambda a, b: profile_distance(RealField(a, np.ones(a.shape)), RealField(b, np.ones(b.shape))),
+        lambda a, b: cutoff_projection(
+            RealField(a, np.ones(a.shape)), (0.0,), sample_Q(ConstantQ(1.0), b), EXPS_1D, SPEC_1D
+        ),
+        lambda a, b: solve_ground_state(
+            sample_Q(ConstantQ(1.0), a), EXPS_1D, SPEC_1D, init=RealField(b, np.ones(b.shape))
+        ),
+        lambda a, b: disjoint_interaction(
+            compact_bump(a, (0.0,), 1.0), [(1.0, compact_bump(b, (4.0,), 1.0))], SPEC_1D, inner_radius=1.0
+        ),
+    ],
+    ids=["field-arithmetic", "profile_distance", "cutoff_projection", "solve_ground_state", "disjoint_interaction"],
+)
+def test_every_grid_mismatch_raises_grid_mismatch_error(call):
+    with pytest.raises(GridMismatchError):
+        call(*MISMATCHED)
 
 
 # ---------------------------------------------------------------- transforms

@@ -6,7 +6,6 @@ from helmlab import (
     InsufficientDataError,
     RealField,
     ResolventSpec,
-    SingularModeError,
     SupportOverlapError,
     apply_multiplier_values,
     auto_delta,
@@ -26,20 +25,10 @@ from helmlab import resolvent
 
 def symbol(mu, delta):
     # reference arithmetic for a single mode, written out independently
-    if delta == 0.0:
-        return 1.0 / (mu - 1.0)
     return (mu - 1.0) / ((mu - 1.0) ** 2 + delta**2)
 
 
 # ---------------------------------------------------------------- symbol
-
-
-def test_single_mode_principal_value():
-    grid = build_grid(1, 16.0, 64)
-    xi = np.pi * 10 / 16.0  # off the unit sphere
-    f = RealField(grid, np.cos(xi * grid.coordinate_axis))
-    out = apply_multiplier_values(f, ResolventSpec(s=1.0, delta=0.0).symbol_values(grid))
-    assert np.allclose(out.values, symbol(xi * xi, 0.0) * f.values, atol=1e-12)
 
 
 def test_single_mode_with_absorption():
@@ -59,14 +48,6 @@ def test_fractional_order_enters_through_mu():
     s = 0.8
     out = apply_multiplier_values(f, ResolventSpec(s=s, delta=0.1).symbol_values(grid))
     assert np.allclose(out.values, symbol(xi ** (2 * s), 0.1) * f.values, atol=1e-12)
-
-
-def test_principal_value_requires_off_sphere_grid():
-    # with L = 4*pi the wavenumber xi = 1 is exactly on the grid
-    grid = build_grid(1, 4.0 * np.pi, 32)
-    assert np.any(np.abs(grid.frequency_norm - 1.0) < 1e-14)
-    with pytest.raises(SingularModeError):
-        ResolventSpec(s=1.0, delta=0.0).symbol_values(grid)
 
 
 def test_on_sphere_mode_is_annihilated_with_absorption():
@@ -131,10 +112,12 @@ def test_resolvent_linearity():
 
 
 def test_spec_validation():
-    with pytest.raises(ValueError):
-        ResolventSpec(s=0.0, delta=0.1)
-    with pytest.raises(ValueError):
-        ResolventSpec(s=1.0, delta=-0.1)
+    # the resolvent is always the limiting-absorption one: delta > 0, with no default
+    for s, delta in [(0.0, 0.1), (1.0, -0.1), (1.0, 0.0), (1.0, -1.0)]:
+        with pytest.raises(ValueError):
+            ResolventSpec(s=s, delta=delta)
+    with pytest.raises(TypeError):
+        ResolventSpec(s=1.0)
 
 
 def test_auto_delta_frozen_values():
@@ -156,6 +139,7 @@ def test_auto_delta_shrinks_with_box_size():
 
 
 def test_kernel_requires_absorption():
+    # a delta = 0 resolvent never reaches kernel extraction: the spec rejects it
     grid = build_grid(1, 16.0, 64)
     with pytest.raises(ValueError):
         band_decompose(ResolventSpec(s=1.0, delta=0.0), grid)

@@ -9,7 +9,10 @@ so a run that stops on an error writes nothing. Outputs are
 deterministic for a fixed config and seed. Exit codes: 0 success,
 1 a required solve did not converge, 2 malformed config, 3
 validity-range violation without --force, 4 a numerical failure (any
-`NumericalError`). Exits 2 and 4 print one line on stderr.
+`NumericalError` or `ArithmeticError`: `main` makes numpy raise
+`FloatingPointError` on overflow, division by zero and invalid
+operations, and Python's float arithmetic raises its own). Exits 2 and
+4 print one line on stderr.
 """
 from __future__ import annotations
 
@@ -317,7 +320,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    with warnings.catch_warnings():  # restores the default handler on return
+    # both restore the defaults on return; underflow stays silent, as exp tails rely on it
+    with warnings.catch_warnings(), np.errstate(over="raise", divide="raise", invalid="raise"):
         # a warning raised during the run is one diagnosis line, as kernel-check's window warning
         warnings.showwarning = lambda message, *_: print(f"warning: {message}", file=sys.stderr)
         try:
@@ -349,7 +353,7 @@ def main(argv=None) -> int:
         except (ConfigError, InsufficientDataError, OSError) as exc:
             print(f"config error: {exc}", file=sys.stderr)
             return 2
-        except NumericalError as exc:
+        except (NumericalError, ArithmeticError) as exc:
             print(f"numerical error: {exc}", file=sys.stderr)
             return 4
 

@@ -6,6 +6,11 @@ empty file is a valid config. `render_config` writes the fully resolved
 state back out in a canonical order, and parsing that output reproduces
 the config exactly; runs echo it next to their results so a result
 directory is self-describing and reproducible.
+
+Every number must be finite. Each key's own range is one rule in its
+parser, so its error names the key and its line; `_validate` holds only
+the rules that join keys, such as the overflow bounds that combine the
+wavenumbers with the geometry and the coefficient.
 """
 from __future__ import annotations
 
@@ -51,11 +56,41 @@ class RunConfig:
     out_format: str = "csv"
 
 
+def _number(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"must be a finite number, got {text}")
+    return value
+
+
+def _rule(parse, holds, rule: str):
+    """`parse`, then reject a value for which `holds` is false, saying `rule`."""
+
+    def parse_checked(text: str):
+        value = parse(text)
+        if not holds(value):
+            raise ValueError(rule)
+        return value
+
+    return parse_checked
+
+
 def _parse_float_list(text: str) -> tuple[float, ...]:
     items = [t.strip() for t in text.split(",") if t.strip()]
     if not items:
         raise ValueError("empty list")
-    return tuple(float(t) for t in items)
+    return tuple(_number(t) for t in items)
+
+
+_positive_int = _rule(int, lambda n: n > 0, "must be a positive integer")
+_positive_float = _rule(_number, lambda x: x > 0, "must be positive")
+_nonnegative_float = _rule(_number, lambda x: x >= 0, "must be nonnegative")
+_positive_floats = _rule(_parse_float_list, lambda xs: min(xs) > 0, "must all be positive")
+_eps_values = _rule(_positive_floats, lambda xs: math.isfinite(1.0 / min(xs)), "must each have a finite k = 1/eps")
+# the decay slope is a fit against log(gap), which a repeated gap leaves undetermined
+_distinct_gaps = _rule(
+    _parse_float_list, lambda xs: min(xs) >= 1 and len(set(xs)) == len(xs), "must be distinct, each at least 1"
+)
 
 
 def _parse_centers(text: str):
@@ -64,16 +99,11 @@ def _parse_centers(text: str):
     points = [t.strip() for t in text.split(";") if t.strip()]
     if not points:
         raise ValueError("empty centers list")
-    return tuple(tuple(float(c) for c in pt.split(",")) for pt in points)
+    return tuple(tuple(_number(c) for c in pt.split(",")) for pt in points)
 
 
 def _parse_delta(text: str):
-    if text == "auto":
-        return None
-    value = float(text)
-    if value <= 0:
-        raise ValueError("delta must be positive or auto")
-    return value
+    return None if text == "auto" else _positive_float(text)
 
 
 def _parse_choice(*allowed: str):
@@ -103,34 +133,13 @@ def _render_delta(delta) -> str:
     return "auto" if delta is None else _render_float(delta)
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value <= 0:
-        raise ValueError("must be a positive integer")
-    return value
-
-
-def _positive_float(text: str) -> float:
-    value = float(text)
-    if value <= 0:
-        raise ValueError("must be positive")
-    return value
-
-
-def _nonnegative_float(text: str) -> float:
-    value = float(text)
-    if value < 0:
-        raise ValueError("must be nonnegative")
-    return value
-
-
 # key -> (attribute, parser, renderer); also fixes the canonical output order
 _SCHEMA = {
-    "grid.dim": ("dim", _positive_int, str),
-    "grid.points": ("points", _positive_int, str),
+    "grid.dim": ("dim", _rule(int, lambda n: n in (1, 2, 3), "must be 1, 2 or 3"), str),
+    "grid.points": ("points", _rule(int, lambda n: n >= 8 and n % 2 == 0, "must be even and at least 8"), str),
     "grid.half_width": ("half_width", _positive_float, _render_float),
     "model.s": ("s", _positive_float, _render_float),
-    "model.p": ("p", _positive_float, _render_float),
+    "model.p": ("p", _rule(_number, lambda x: x > 2, "must exceed 2"), _render_float),
     "model.k": ("k", _positive_float, _render_float),
     "model.delta": ("delta", _parse_delta, _render_delta),
     "coefficient.kind": ("kind", _parse_choice("bump", "constant"), str),
@@ -142,13 +151,13 @@ _SCHEMA = {
     "solver.tol": ("tol", _positive_float, _render_float),
     "solver.max_iter": ("max_iter", _positive_int, str),
     "solver.init": ("init", _parse_choice("default", "random"), str),
-    "solver.seed": ("seed", lambda t: int(t), str),
-    "sweep.k_values": ("k_values", _parse_float_list, _render_float_list),
-    "sweep.eps_values": ("eps_values", _parse_float_list, _render_float_list),
-    "kernel.shells": ("shells", _positive_int, str),
+    "solver.seed": ("seed", _rule(int, lambda n: n >= 0, "must be a nonnegative integer"), str),
+    "sweep.k_values": ("k_values", _positive_floats, _render_float_list),
+    "sweep.eps_values": ("eps_values", _eps_values, _render_float_list),
+    "kernel.shells": ("shells", _rule(int, lambda n: n >= 4, "must be at least 4"), str),
     "kernel.window_lo": ("window_lo", _positive_float, _render_float),
     "kernel.window_hi": ("window_hi", _positive_float, _render_float),
-    "interaction.gaps": ("gaps", _parse_float_list, _render_float_list),
+    "interaction.gaps": ("gaps", _distinct_gaps, _render_float_list),
     "interaction.bump_radius": ("bump_radius", _positive_float, _render_float),
     "output.dir": ("out_dir", str, str),
     "output.format": ("out_format", _parse_choice("csv", "json"), str),
@@ -191,69 +200,39 @@ def load_config(path) -> RunConfig:
 
 
 def _validate(cfg: RunConfig) -> None:
-    if cfg.dim not in (1, 2, 3):
-        raise ConfigError(f"grid.dim must be 1, 2 or 3, got {cfg.dim}", field="grid.dim")
-    if cfg.points % 2 != 0 or cfg.points < 8:
-        raise ConfigError("grid.points must be even and at least 8", field="grid.points")
-    if cfg.p <= 2:
-        raise ConfigError("model.p must exceed 2", field="model.p")
-    if cfg.centers is not None:
-        for pt in cfg.centers:
-            if len(pt) != cfg.dim:
-                raise ConfigError(
-                    f"center {pt} has {len(pt)} coordinates but grid.dim = {cfg.dim}",
-                    field="coefficient.centers",
-                )
-    # Q's exponent divides by 2 width^2, so that square must be a positive finite float
-    square = cfg.width * cfg.width
-    if square == 0.0 or not math.isfinite(square):
-        raise ConfigError(
-            f"coefficient.width = {cfg.width:g}: its square overflows or underflows to 0",
-            field="coefficient.width",
-        )
-    for eps in cfg.eps_values:
-        if eps <= 0:
-            raise ConfigError("sweep.eps_values must be positive", field="sweep.eps_values")
-    for k in cfg.k_values:
-        if k <= 0:
-            raise ConfigError("sweep.k_values must be positive", field="sweep.k_values")
-    if cfg.shells < 4:
-        raise ConfigError("kernel.shells must be at least 4", field="kernel.shells")
-    if not cfg.window_lo < cfg.window_hi:
-        raise ConfigError(
-            "kernel.window_lo must be below kernel.window_hi", field="kernel.window_lo"
-        )
-    for gap in cfg.gaps:
-        if gap < 1.0:
-            raise ConfigError("interaction.gaps must all be at least 1", field="interaction.gaps")
-    # the decay slope is a fit against log(gap), which a repeated gap leaves undetermined
-    if len(set(cfg.gaps)) < len(cfg.gaps):
-        raise ConfigError("interaction.gaps must not repeat a value", field="interaction.gaps")
-    # every wavenumber a command may use: its amplitude factor k^(2s/(p-2)), and
-    # the squared distances that Q's evaluation takes: the physical window's
-    # corner, and a node's distance to a bump centre, at most |centre| + corner
-    ks = [("model.k", cfg.k), *(("sweep.k_values", k) for k in cfg.k_values)]
-    for field, k in ks + [("sweep.eps_values", 1.0 / eps) for eps in cfg.eps_values]:
-        try:
-            make_exponents(cfg).with_k(k).scale_factor
-        except OverflowError:
+    """The rules that join keys; each key's own range is checked by its parser."""
+    for pt in cfg.centers or ():
+        if len(pt) != cfg.dim:
             raise ConfigError(
-                f"scale factor k^(2s/(p-2)) overflows at k = {k:g}; model.p is too close to 2",
-                field="model.p",
-            ) from None
-        corner = cfg.dim**0.5 * cfg.half_width / k
-        if not math.isfinite(corner * corner):
-            raise ConfigError(
-                f"grid.half_width/k = {cfg.half_width / k:g}: the window's squared corner distance overflows",
-                field=field,
+                f"center {pt} has {len(pt)} coordinates but grid.dim = {cfg.dim}", field="coefficient.centers"
             )
-        for pt in cfg.centers or ():
-            reach = math.hypot(*pt) + corner
-            if not math.isfinite(reach * reach):
-                raise ConfigError(
-                    f"center {pt} is so far out that its squared distance to the window overflows at k = {k:g}",
-                    field="coefficient.centers",
-                )
+    if not cfg.window_lo < cfg.window_hi:
+        raise ConfigError("kernel.window_lo must be below kernel.window_hi", field="kernel.window_lo")
+    # each overflow bound at its extreme wavenumber: the amplitude factor k^(2s/(p-2))
+    # grows with k; the squares Q's evaluation takes (the window's corner, a node's
+    # distance to a centre, at most |centre| + corner, and that over 2 width^2) as k shrinks
+    ks = [(cfg.k, "model.k"), *((k, "sweep.k_values") for k in cfg.k_values)]
+    ks += [(1.0 / eps, "sweep.eps_values") for eps in cfg.eps_values]
+    (k_lo, k_field), (k_hi, _) = min(ks), max(ks)
+    try:
+        factor = make_exponents(cfg).with_k(k_hi).scale_factor
+    except OverflowError:
+        factor = math.inf
+    corner = cfg.dim**0.5 * cfg.half_width / k_lo
+    reach = max((math.hypot(*pt) for pt in cfg.centers or ()), default=0.0) + corner
+    try:
+        exponent = reach * reach / (2.0 * cfg.width**2)
+    except (OverflowError, ZeroDivisionError):
+        exponent = math.inf
+    for value, what, field in [
+        (factor, f"the scale factor k^(2s/(p-2)) at k = {k_hi:g}", "model.p"),
+        (corner * corner, f"the window's squared corner distance at k = {k_lo:g}", k_field),
+        (reach * reach, f"a center's squared distance to the window at k = {k_lo:g}", "coefficient.centers"),
+        (exponent, f"Q's exponent |x - c|^2/(2 width^2) at k = {k_lo:g}", "coefficient.width"),
+        (cfg.background + cfg.amplitude, "Q's maximum, background + amplitude,", "coefficient.amplitude"),
+    ]:
+        if not math.isfinite(value):
+            raise ConfigError(f"{what} overflows", field=field)
 
 
 def render_config(cfg: RunConfig) -> str:

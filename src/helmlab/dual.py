@@ -72,7 +72,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .coefficients import max_node
-from .errors import ConeExitError, GridMismatchError, IndefiniteFormError, ZeroFieldError
+from .errors import ConeExitError, GridMismatchError, IndefiniteFormError, NumericalError, ZeroFieldError
 from .grid import RealField, TorusGrid, apply_multiplier_values, locate_peak
 from .params import Exponents
 from .resolvent import ResolventSpec, exp_smoothstep
@@ -166,8 +166,11 @@ class _DualOperator:
         return self.cell_volume * float(np.sum(weighted * resolved)), resolved
 
     def scale(self, a: float, b: float) -> float:
-        """Nehari scale t_v = (A/B)^(1/(2-p')) from A(v) and B(v) > 0."""
-        return (a / b) ** (1.0 / (2.0 - self.exps.p_dual))
+        """Nehari scale t_v = (A/B)^(1/(2-p')) from A(v) and B(v) > 0; inf where it overflows."""
+        try:
+            return (a / b) ** (1.0 / (2.0 - self.exps.p_dual))
+        except OverflowError:
+            return np.inf
 
     def gradient(self, values: np.ndarray, resolved: np.ndarray) -> np.ndarray:
         """Gradient density sgn(v)|v|^(p'-1) - Q^(1/p) R(Q^(1/p) v) of J."""
@@ -207,8 +210,8 @@ class _DualOperator:
 
         None means B(c) <= 0, or a scale t that is 0 or not finite: with
         p' near 2 the exponent 1/(2-p') is huge and (A/B)^(1/(2-p'))
-        underflows. A given `resolved` (R(Q^(1/p) c), as in `resolve`)
-        or `a` (A(c)) is used in place of computing it.
+        underflows or overflows. A given `resolved` (R(Q^(1/p) c), as in
+        `resolve`) or `a` (A(c)) is used in place of computing it.
         """
         b, resolved = self.resolve(c, resolved)
         if b <= 0.0:
@@ -221,7 +224,7 @@ class _DualOperator:
         return t, t * c, t * resolved, (1.0 / self.exps.p_dual - 0.5) * t**self.exps.p_dual * a
 
     def project_or_raise(self, values: np.ndarray):
-        """`project`, raising for a zero field, B(v) <= 0 or a scale that underflows in place of returning None."""
+        """`project`, raising for a zero field, B(v) <= 0 or a scale outside the float range in place of None."""
         if not np.any(values):
             raise ZeroFieldError("cannot project the zero field onto the Nehari manifold")
         b, resolved = self.resolve(values)
@@ -233,9 +236,10 @@ class _DualOperator:
         projected = self.project(values, resolved)
         if projected is None:
             ratio, exponent = self.mass(values) / b, 1.0 / (2.0 - self.exps.p_dual)
-            raise ZeroFieldError(
-                f"the Nehari scale (A/B)^(1/(2-p')) = ({ratio:.3g})^({exponent:.3g}) underflows to 0, "
-                "so the projected field is zero; model.p is too close to 2"
+            where = "overflows" if ratio > 1.0 else "underflows to 0, so the projected field is zero"
+            raise NumericalError(
+                f"the Nehari scale (A/B)^(1/(2-p')) = ({ratio:.3g})^({exponent:.3g}) {where}; "
+                "model.p is too close to 2"
             )
         return projected
 

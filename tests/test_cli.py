@@ -110,10 +110,19 @@ def test_duplicate_key_is_a_config_error(tmp_path, capsys):
     ],
 )
 @pytest.mark.parametrize("force", [False, True], ids=["gated", "forced"])
-def test_numerically_hopeless_config_is_a_one_line_config_error(tmp_path, command, text, force):
+def test_numerically_hopeless_config_is_a_one_line_config_error(tmp_path, capsys, command, text, force):
     # the config error outranks the hypothesis gate, so --force changes nothing
     cfg = write_cfg(tmp_path, "bad.cfg", text)
     args = [command, "--config", cfg, "--out", str(tmp_path / "out")] + (["--force"] if force else [])
+    assert main(args) == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("config error: ")
+    assert not (tmp_path / "out").exists()
+
+
+def test_hopeless_config_process_ends_without_a_traceback(tmp_path):
+    cfg = write_cfg(tmp_path, "bad.cfg", "grid.points = 32\ncoefficient.width = 1e-170\n")
+    args = ["solve", "--config", cfg, "--out", str(tmp_path / "out"), "--force"]
     done = run_script(sys.executable, "-m", "helmlab.cli", *args)
     assert done.returncode == 2, done.stderr
     assert "Traceback" not in done.stderr
@@ -261,14 +270,31 @@ def test_stalled_solve_exits_nonzero(tmp_path):
 
 def test_numerical_failure_is_a_one_line_exit_4(monkeypatch, tmp_path, capsys):
     # p' = p/(p-1) is so near 2 that the start's Nehari scale (A/B)^(1/(2-p')),
-    # an exponent of 1e7 on A/B < 1, underflows to 0; the forced gate report
-    # comes first on stderr, and the diagnosis is its last line
-    cfg = write_cfg(tmp_path, "u.cfg", "model.s = 1e-9\nmodel.p = 2.0000001\ngrid.points = 8\n")
-    assert main(["solve", "--config", cfg, "--out", str(tmp_path / "out"), "--force"]) == 4
-    err = capsys.readouterr().err.splitlines()
-    assert [line for line in err if line.startswith("numerical error: ")] == err[-1:]
-    assert "underflows to 0" in err[-1]
-    assert not (tmp_path / "out").exists()
+    # an exponent of 1e7, underflows to 0 on A/B < 1 and overflows on A/B > 1;
+    # numpy's overflows are errors under main: a power past the float range
+    # (p = 1e6), a symbol |xi|^(2s) (s = 200) and the squared wavenumbers of a
+    # box with L = 1e-300; Python's float arithmetic raises its own, here on
+    # c_inf = (background/sup)^(-2/(p-2)) c_0 with a ratio that underflows to 0;
+    # the forced gate report comes first on stderr, and the diagnosis is its last line
+    near_two = "grid.half_width = 8.0\nmodel.k = 1\nsweep.k_values = 1\nsweep.eps_values = 1\nmodel.p = 2.0000001\n"
+    for command, text, message in [
+        ("solve", "model.s = 1e-9\nmodel.p = 2.0000001\ngrid.points = 8\n", "underflows to 0"),
+        ("solve", "grid.points = 32\n" + near_two, "(1.85)^(1e+07) overflows"),
+        ("solve", "grid.points = 32\nmodel.p = 1e6\n", "overflow encountered"),
+        ("solve", "grid.points = 32\nmodel.s = 200\nmodel.delta = 0.3\n", "overflow encountered"),
+        ("solve", "grid.points = 32\ngrid.half_width = 1e-300\n", "overflow encountered"),
+        (
+            "levels",
+            "grid.points = 16\nsolver.max_iter = 1\ncoefficient.background = 1e-300\ncoefficient.amplitude = 1e200\n",
+            "cannot be raised to a negative power",
+        ),
+    ]:
+        cfg = write_cfg(tmp_path, "u.cfg", text)
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "out"), "--force"]) == 4, text
+        err = capsys.readouterr().err.splitlines()
+        assert [line for line in err if line.startswith(("numerical error: ", "warning: "))] == err[-1:], text
+        assert err[-1].startswith("numerical error: ") and message in err[-1], text
+        assert not (tmp_path / "out").exists()
 
     # only the start projects, so the solve ends in ConeExitError; a 3D run
     # inside the hypotheses leaves the gate silent

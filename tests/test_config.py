@@ -135,6 +135,19 @@ def test_bad_values_rejected(line):
         ("interaction.gaps = 1.0, 1.0", "interaction.gaps"),  # the slope fit needs distinct gaps
         ("model.p = 2.0001", "model.p"),  # 8^(2/0.0001) overflows
         ("grid.points = 8\ngrid.half_width = 0.5", "model.delta"),  # no wavenumber near the sphere
+        ("coefficient.width = 1e-155", "coefficient.width"),  # |x - c|^2/(2 width^2) overflows
+        # every number must be finite, and its key's range is checked as it is parsed
+        ("model.k = inf", "model.k"),
+        ("grid.half_width = inf", "grid.half_width"),
+        ("coefficient.background = inf", "coefficient.background"),
+        ("solver.tol = nan", "solver.tol"),
+        ("sweep.eps_values = 0.5, inf", "sweep.eps_values"),
+        ("sweep.eps_values = 0.5, 1e-320", "sweep.eps_values"),  # k = 1/eps overflows
+        ("model.delta = inf", "model.delta"),
+        ("model.s = inf", "model.s"),
+        ("kernel.window_hi = inf", "kernel.window_hi"),
+        ("solver.seed = -1", "solver.seed"),  # numpy's generators take no negative seed
+        ("coefficient.background = 1e308\ncoefficient.amplitude = 1e308", "coefficient.amplitude"),  # sup Q = inf
     ],
 )
 def test_validation_failures(text, field):

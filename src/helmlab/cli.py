@@ -7,12 +7,12 @@ hypothesis gate once for every command; a command gets them as one
 `_Run`, which holds the artifacts in memory until `finish` writes them,
 so a run that stops on an error writes nothing. Outputs are
 deterministic for a fixed config and seed. Exit codes: 0 success,
-1 a required solve did not converge, 2 malformed config, 3
-validity-range violation without --force, 4 a numerical failure (any
-`NumericalError` or `ArithmeticError`: `main` makes numpy raise
-`FloatingPointError` on overflow, division by zero and invalid
-operations, and Python's float arithmetic raises its own). Exits 2 and
-4 print one line on stderr.
+1 a required solve did not converge, 2 malformed config or a grid too
+large to allocate, 3 validity-range violation without --force, 4 a
+numerical failure (any `NumericalError` or `ArithmeticError`: `main`
+makes numpy raise `FloatingPointError` on overflow, division by zero
+and invalid operations, and Python's float arithmetic raises its own).
+Exits 2 and 4 print one line on stderr.
 """
 from __future__ import annotations
 
@@ -352,6 +352,10 @@ def main(argv=None) -> int:
             return _COMMANDS[args.command](_Run(args.command, cfg, exps, grid, spec))
         except (ConfigError, InsufficientDataError, OSError) as exc:
             print(f"config error: {exc}", file=sys.stderr)
+            return 2
+        except MemoryError as exc:
+            # numpy refuses at once an array larger than the machine can hold
+            print(f"config error: grid.dim and grid.points ask for more memory than there is: {exc}", file=sys.stderr)
             return 2
         except (NumericalError, ArithmeticError) as exc:
             print(f"numerical error: {exc}", file=sys.stderr)

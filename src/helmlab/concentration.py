@@ -11,6 +11,7 @@ constant-coefficient levels built from max Q and the background value of Q.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,22 +32,31 @@ def profile_distance(field: RealField, reference: RealField, norm_exponent: floa
     the smallest ||field_shifted - reference||_q / ||reference||_q is
     returned. Cell-level alignment is all a translation on the grid can
     do; the two-cell search absorbs argmax jitter between nearby nodes.
+    Each shift is a window into one wrap-padded copy of the aligned
+    field, and every difference is formed in one reused buffer.
     """
     if field.grid != reference.grid:
         raise GridMismatchError("fields live on different grids")
-    ref_norm = lq_norm(reference, norm_exponent)
+    q = norm_exponent
+    ref_norm = lq_norm(reference, q)
     if ref_norm <= 0.0:
         raise ZeroFieldError("reference profile is identically zero")
     grid = field.grid
     f_node = np.unravel_index(int(np.argmax(np.abs(field.values))), grid.shape)
     r_node = np.unravel_index(int(np.argmax(np.abs(reference.values))), grid.shape)
     base = tuple(int(r - f) for r, f in zip(r_node, f_node))
+    padded = np.pad(np.roll(field.values, base, axis=tuple(range(grid.dim))), 2, mode="wrap")
+    diff = np.empty(grid.shape)
     best = np.inf
-    axes = tuple(range(grid.dim))
     for extra in itertools.product(range(-2, 3), repeat=grid.dim):
-        shift = tuple(b + e for b, e in zip(base, extra))
-        moved = np.roll(field.values, shift, axis=axes)
-        dist = lq_norm(RealField(grid, moved - reference.values), norm_exponent)
+        # rolling by `extra` moves node i - extra to i, which the padding holds at i - extra + 2
+        window = padded[tuple(slice(2 - e, 2 - e + n) for e, n in zip(extra, grid.shape))]
+        np.abs(np.subtract(window, reference.values, out=diff), out=diff)
+        if math.isinf(q):
+            dist = float(np.max(diff))
+        else:
+            diff **= q
+            dist = (grid.cell_volume * float(np.sum(diff))) ** (1.0 / q)
         if dist < best:
             best = dist
     return float(best / ref_norm)

@@ -39,27 +39,32 @@ if some trial stayed in the positive cone, and raises `ConeExitError`
 if none did. Speed comes from the Anderson extrapolation over a short
 history of m iterates (`anderson_memory`, 5 by default). With
 g_i = v_i + r_i the projected candidate of iterate v_i and r_i its
-fixed-point residual, the history stores each g_i, R(Q^(1/p) g_i) and the
-newest r_i, and the trial is
+fixed-point residual, the trial is
 
     g_k - sum_j theta_j (g_{j+1} - g_j),
 
 whose linearised residual r_k - D theta is what theta minimizes; D
 holds the m - 1 increments r_{j+1} - r_j between consecutive
-residuals. Theta comes from the Gram form D^T D theta = D^T r_k
-(Walker & Ni, SIAM J. Numer. Anal. 49, 2011): one dot product per
-entry of an (m - 1) x (m - 1) system, solved by least squares so that
-a rank-deficient history still gets the minimum-norm theta. Each
-increment is formed once, when its residual enters the history. An
-iteration applies the resolvent once, to project the Euler-Lagrange
-candidate: 1.15 applications per iteration over the plane-concentration
-benchmark workload, each solve's start included. Three exact
-identities spare the rest: R is linear, so the Anderson trial's resolved
-field is the same combination of its history's; on the Nehari manifold
-A(v) = level / (1/p' - 1/2); and the candidate c = sgn(w)|w|^(p-1), with
-w = Q^(1/p) R(Q^(1/p) v), has A(c) = int |w|^p since (p-1)p' = p. The
-projected iterate t * c reuses R(Q^(1/p) c) computed during the
-projection of c, so accepting a step costs no further application.
+residuals. The history is three preallocated (m - 1) x N arrays whose
+rows hold the increments r_{j+1} - r_j, g_{j+1} - g_j and
+R(Q^(1/p) g_{j+1}) - R(Q^(1/p) g_j), next to the newest g_k,
+R(Q^(1/p) g_k) and r_k. Each new candidate overwrites the oldest row of
+all three, in rotation, and adds one row and column to the Gram matrix
+D^T D, computed by one matrix-vector product. Theta solves
+D^T D theta = D^T r_k (Walker & Ni, SIAM J. Numer. Anal. 49, 2011) by
+least squares, so that a rank-deficient history still gets the
+minimum-norm theta, and the trial and its resolved field are each one
+more matrix-vector product. An iteration applies the resolvent once,
+to project the Euler-Lagrange candidate: 1.15 applications per
+iteration over the plane-concentration benchmark workload, each solve's
+start included. Three exact identities spare the rest: R is linear, so
+the Anderson trial's resolved field is the same combination of the
+resolved increments; on the Nehari manifold A(v) = level / (1/p' - 1/2);
+and the candidate c = sgn(w)|w|^(p-1), with w = Q^(1/p) R(Q^(1/p) v),
+has A(c) = int |w|^p = int c w since (p-1)p' = p. One w serves both the
+residual and the candidate. The projected iterate t * c reuses
+R(Q^(1/p) c) computed during the projection of c, so accepting a step
+costs no further application.
 
 All of A(v), B(v), R(Q^(1/p) v) and the Nehari scale are computed by one
 private operator, built once per (coefficient, exponents, resolvent)
@@ -79,7 +84,10 @@ from .resolvent import ResolventSpec, exp_smoothstep
 
 
 def _signed_power(values: np.ndarray, exponent: float) -> np.ndarray:
-    return np.sign(values) * np.abs(values) ** exponent
+    """sgn(v)|v|^exponent, built in one new array."""
+    out = np.abs(values)
+    out **= exponent
+    return np.copysign(out, values, out=out)
 
 
 @dataclass(frozen=True)
@@ -156,14 +164,17 @@ class _DualOperator:
 
     def mass(self, values: np.ndarray) -> float:
         """A(v) = int |v|^p'."""
-        return self.cell_volume * float(np.sum(np.abs(values) ** self.exps.p_dual))
+        powered = np.abs(values)
+        powered **= self.exps.p_dual
+        return self.cell_volume * float(np.sum(powered))
 
     def resolve(self, values: np.ndarray, resolved: np.ndarray | None = None) -> tuple[float, np.ndarray]:
         """B(v) and R(Q^(1/p) v); a given `resolved` is taken as R(Q^(1/p) v), so B costs no transform."""
         weighted = self.root * values
         if resolved is None:
             resolved = apply_multiplier_values(RealField(self.grid, weighted), self.symbol).values
-        return self.cell_volume * float(np.sum(weighted * resolved)), resolved
+        weighted *= resolved
+        return self.cell_volume * float(np.sum(weighted)), resolved
 
     def scale(self, a: float, b: float) -> float:
         """Nehari scale t_v = (A/B)^(1/(2-p')) from A(v) and B(v) > 0; inf where it overflows."""
@@ -172,26 +183,31 @@ class _DualOperator:
         except OverflowError:
             return np.inf
 
-    def gradient(self, values: np.ndarray, resolved: np.ndarray) -> np.ndarray:
-        """Gradient density sgn(v)|v|^(p'-1) - Q^(1/p) R(Q^(1/p) v) of J."""
-        return _signed_power(values, self.exps.p_dual - 1.0) - self.root * resolved
+    def gradient(self, values: np.ndarray, w: np.ndarray) -> np.ndarray:
+        """Gradient density sgn(v)|v|^(p'-1) - w of J, given w = Q^(1/p) R(Q^(1/p) v)."""
+        grad = _signed_power(values, self.exps.p_dual - 1.0)
+        grad -= w
+        return grad
 
-    def dual_norm(self, values: np.ndarray) -> float:
-        """L^p norm, the dual pairing partner of the L^p' variable."""
+    def gradient_norm(self, values: np.ndarray, w: np.ndarray) -> float:
+        """L^p norm of the gradient density, the dual pairing partner of the L^p' variable.
+
+        The powers are taken in the gradient's own array.
+        """
         p = self.exps.p
-        return (self.cell_volume * float(np.sum(np.abs(values) ** p))) ** (1.0 / p)
+        powered = self.gradient(values, w)
+        np.abs(powered, out=powered)
+        powered **= p
+        return (self.cell_volume * float(np.sum(powered))) ** (1.0 / p)
 
-    def candidate(self, resolved: np.ndarray) -> tuple[np.ndarray, float]:
-        """Euler-Lagrange candidate c = sgn(w)|w|^(p-1), w = Q^(1/p) R(Q^(1/p) v), and A(c).
+    def candidate(self, w: np.ndarray) -> tuple[np.ndarray, float]:
+        """Euler-Lagrange candidate c = sgn(w)|w|^(p-1) of w = Q^(1/p) R(Q^(1/p) v), and A(c).
 
-        (p-1)p' = p, so A(c) = int |w|^(p-1) |w| comes from the arrays
+        (p-1)p' = p, so A(c) = int |w|^p = int c w comes from the arrays
         that build c, with no power pass of its own.
         """
-        w = self.root * resolved
-        magnitude = np.abs(w)
-        cand = magnitude ** (self.exps.p - 1.0)
-        a = self.cell_volume * float(np.dot(cand.ravel(), magnitude.ravel()))
-        return np.copysign(cand, w, out=cand), a
+        cand = _signed_power(w, self.exps.p - 1.0)
+        return cand, self.cell_volume * float(np.dot(cand.ravel(), w.ravel()))
 
     def state(self, v: RealField, resolved: np.ndarray | None = None) -> DualState:
         """Energy, B(v), Nehari defect and gradient size at v; `resolved` as in `resolve`."""
@@ -202,7 +218,7 @@ class _DualOperator:
             energy=a / self.exps.p_dual - 0.5 * b,
             quad_form=b,
             nehari_residual=a - b,
-            gradient_norm=self.dual_norm(self.gradient(v.values, resolved)),
+            gradient_norm=self.gradient_norm(v.values, self.root * resolved),
         )
 
     def project(self, c: np.ndarray, resolved: np.ndarray | None = None, a: float | None = None):
@@ -265,7 +281,7 @@ def dual_gradient(v: RealField, Qfield: RealField, exps: Exponents, spec: Resolv
     """
     op = _DualOperator(Qfield, exps, spec)
     _, resolved = op.resolve(v.values)
-    return RealField(v.grid, op.gradient(v.values, resolved))
+    return RealField(v.grid, op.gradient(v.values, op.root * resolved))
 
 
 def nehari_scale(v: RealField, Qfield: RealField, exps: Exponents, spec: ResolventSpec) -> float:
@@ -382,21 +398,25 @@ def solve_ground_state(
 
     pd = exps.p_dual
     op = _DualOperator(Qfield, exps, spec)
-    if init is None:
-        init = op.initial_guess()
-    _, v, rw_v, energy = op.project_or_raise(init.values)
+    _, v, rw_v, energy = op.project_or_raise((op.initial_guess() if init is None else init).values)
 
-    hist_g: list[np.ndarray] = []  # g_j = v_j + r_j, the projected candidate of v_j
-    hist_rg: list[np.ndarray] = []  # R(Q^(1/p) g_j)
-    hist_d: list[np.ndarray] = []  # increments r_{j+1} - r_j
-    r_last = None  # the newest residual, the only one the increments read
+    # Anderson history: row j of each array holds one increment between
+    # consecutive projected candidates, written in rotation over the rows
+    slots = max(anderson_memory - 1, 0)
+    d_r = np.empty((slots, v.size))  # r_{j+1} - r_j
+    d_g = np.empty((slots, v.size))  # g_{j+1} - g_j
+    d_rg = np.empty((slots, v.size))  # R(Q^(1/p) g_{j+1}) - R(Q^(1/p) g_j)
+    gram = np.empty((slots, slots))  # d_r d_r^T, one row and column per push
+    pushes = 0
+    newest = None  # g_k, R(Q^(1/p) g_k) and r_k of the newest projected candidate
     best = None
     iterations = max_iter
     res = np.inf
     converged = False
     for it in range(max_iter):
         a_v = energy / (1.0 / pd - 0.5)  # A(v) on the Nehari manifold
-        res = op.dual_norm(op.gradient(v, rw_v)) / a_v ** ((pd - 1.0) / pd)
+        w = op.root * rw_v  # shared by the residual and the candidate
+        res = op.gradient_norm(v, w) / a_v ** ((pd - 1.0) / pd)
         if best is None or energy < best[2]:
             best = (v, rw_v, energy, res)
         if res <= tol:
@@ -404,38 +424,42 @@ def solve_ground_state(
             iterations = it
             break
 
-        cand, a_cand = op.candidate(rw_v)
+        cand, a_cand = op.candidate(w)
+        del w  # no full-grid temporary is held through the trials
 
         def trials():
             """(projected trial or None, level slack), in the order they are tried."""
-            nonlocal r_last
+            nonlocal newest, pushes
             projected_cand = op.project(cand, a=a_cand)
             if projected_cand is not None:
-                r = (projected_cand[1] - v).ravel()
-                if r_last is not None:
-                    hist_d.append(r - r_last)
-                r_last = r
-                hist_g.append(projected_cand[1].ravel())
-                hist_rg.append(projected_cand[2].ravel())
-                if len(hist_g) > anderson_memory:
-                    hist_g.pop(0)
-                    hist_rg.pop(0)
-                    del hist_d[:1]
-                if hist_d:
-                    gram = np.array([[np.dot(a, b) for b in hist_d] for a in hist_d])
+                g, rg = projected_cand[1].ravel(), projected_cand[2].ravel()
+                r = g - v.ravel()
+                if newest is not None and slots:
+                    row = pushes % slots
+                    np.subtract(g, newest[0], out=d_g[row])
+                    np.subtract(rg, newest[1], out=d_rg[row])
+                    np.subtract(r, newest[2], out=d_r[row])
+                    pushes += 1
+                newest = (g, rg, r)
+                filled = min(pushes, slots)
+                if filled:  # every projected candidate after the first has just pushed `row`
+                    gram[row, :filled] = gram[:filled, row] = d_r[:filled] @ d_r[row]
                     try:
-                        theta, *_ = np.linalg.lstsq(gram, np.array([np.dot(a, r) for a in hist_d]), rcond=None)
+                        theta, *_ = np.linalg.lstsq(gram[:filled, :filled], d_r[:filled] @ r, rcond=None)
                     except np.linalg.LinAlgError:
                         theta = None
                     if theta is not None:
+
+                        def combine(last, diffs):
+                            """last - theta . diffs on the grid, written over the product."""
+                            out = theta @ diffs[:filled]
+                            return np.subtract(last, out, out=out).reshape(grid.shape)
+
                         # g_k - sum_j theta_j (g_{j+1} - g_j); R is linear, so the
-                        # same weights on the stored R(Q^(1/p) g_j) resolve it
-                        weights = np.append(theta, 1.0) - np.append(0.0, theta)
-                        mixed = sum(wgt * g for wgt, g in zip(weights, hist_g)).reshape(grid.shape)
-                        resolved = sum(wgt * rg for wgt, rg in zip(weights, hist_rg)).reshape(grid.shape)
+                        # same theta on the resolved increments resolves it; the
                         # slack shrinks with the residual, so late extrapolations
                         # cannot wander back up in level
-                        yield op.project(mixed, resolved), min(0.5, res * res)
+                        yield op.project(combine(g, d_g), combine(rg, d_rg)), min(0.5, res * res)
             yield projected_cand, 1e-12
             if a_cand > 0.0:
                 matched = (a_v / a_cand) ** (1.0 / pd) * cand

@@ -120,6 +120,26 @@ def test_numerically_hopeless_config_is_a_one_line_config_error(tmp_path, capsys
     assert not (tmp_path / "out").exists()
 
 
+def _huge_maps_are_refused():
+    # Linux's heuristic and strict overcommit modes refuse one 7 TiB map at
+    # once; a kernel that always overcommits could hand it out and then run
+    # out of memory on the first write
+    try:
+        return Path("/proc/sys/vm/overcommit_memory").read_text(encoding="utf-8").strip() in ("0", "2")
+    except OSError:
+        return False
+
+
+@pytest.mark.skipif(not _huge_maps_are_refused(), reason="the kernel may grant a 7 TiB allocation")
+def test_grid_too_large_to_allocate_is_a_one_line_config_error(tmp_path, capsys):
+    # the 1e6-point axes take 8 MB each; the first (n, n, 1) array, 7.28 TiB, is refused
+    cfg = write_cfg(tmp_path, "huge.cfg", "grid.dim = 3\ngrid.points = 1000000\n")
+    assert main(["solve", "--config", cfg, "--out", str(tmp_path / "out"), "--force"]) == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("config error: ") and "grid.dim" in line and "grid.points" in line
+    assert not (tmp_path / "out").exists()
+
+
 def test_hopeless_config_process_ends_without_a_traceback(tmp_path):
     cfg = write_cfg(tmp_path, "bad.cfg", "grid.points = 32\ncoefficient.width = 1e-170\n")
     args = ["solve", "--config", cfg, "--out", str(tmp_path / "out"), "--force"]

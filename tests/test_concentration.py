@@ -1,4 +1,7 @@
 """Peak tracking, profile comparison, sweeps and level tables."""
+import itertools
+import math
+
 import numpy as np
 import pytest
 
@@ -78,6 +81,42 @@ def test_distance_sees_perturbations(limit2d):
     dist = profile_distance(RealField(u.grid, u.values + noise), u)
     # zero shift is optimal, so the distance is the injected noise level
     assert dist == pytest.approx(0.07, rel=0.2)
+
+
+def _rolled_distance(field, reference, q):
+    # the definition: roll the field for each of the 5^dim shifts around the
+    # argmax alignment and take the smallest relative L^q distance
+    grid = field.grid
+    f_node = np.unravel_index(int(np.argmax(np.abs(field.values))), grid.shape)
+    r_node = np.unravel_index(int(np.argmax(np.abs(reference.values))), grid.shape)
+    axes = tuple(range(grid.dim))
+    dists = []
+    for extra in itertools.product(range(-2, 3), repeat=grid.dim):
+        shift = tuple(r - f + e for r, f, e in zip(r_node, f_node, extra))
+        moved = RealField(grid, np.roll(field.values, shift, axis=axes))
+        dists.append(lq_norm(moved - reference, q))
+    return float(min(dists) / lq_norm(reference, q))
+
+
+@pytest.mark.parametrize("q", [2.0, 5.0, math.inf])
+@pytest.mark.parametrize(
+    "dim, points, f_node, r_node",
+    [
+        (2, 12, (1, 10), (11, 0)),
+        (2, 12, (0, 0), (6, 5)),
+        (3, 8, (7, 1, 6), (0, 6, 1)),
+        (3, 8, (4, 3, 0), (1, 7, 4)),
+    ],
+)
+def test_distance_equals_the_rolled_definition(dim, points, f_node, r_node, q):
+    # argmax nodes within two cells of the periodic edge make the windows wrap
+    grid = build_grid(dim, 4.0, points)
+    gen = rng(sum(f_node) + 31 * dim)
+    field = gen.uniform(-1.0, 1.0, grid.shape)
+    reference = np.roll(field, 3, axis=0) + 0.3 * gen.uniform(-1.0, 1.0, grid.shape)
+    field[f_node], reference[r_node] = 4.0, -5.0
+    field, reference = RealField(grid, field), RealField(grid, reference)
+    assert profile_distance(field, reference, q) == _rolled_distance(field, reference, q)
 
 
 def test_distance_grid_mismatch_rejected(limit2d):

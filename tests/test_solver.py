@@ -1,4 +1,6 @@
 """Fixed-point solver behavior: termination, invariances, honest failure."""
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -247,6 +249,77 @@ def test_reused_fields_match_fresh_ones(monkeypatch, exps2d):
     for op, c, resolved in reused:
         fresh = apply_multiplier_values(RealField(grid, op.root * c), op.symbol).values
         assert np.max(np.abs(resolved - fresh)) <= 1e-12 * np.max(np.abs(fresh))
+
+
+@pytest.mark.parametrize("memory", [1, 2, 3, 5])
+def test_anderson_trial_matches_its_definition(monkeypatch, exps2d, memory):
+    # every Anderson trial is g_k - sum_j theta_j (g_{j+1} - g_j) over the last
+    # m projected candidates g_j = v_j + r_j, theta the least-squares solution
+    # of the Gram system of the residual increments r_{j+1} - r_j, here built
+    # entry by entry; tol = 1e-10 runs long enough for the history to wrap
+    Qf, spec = bump_problem()
+    project, gradient_norm = dual._DualOperator.project, dual._DualOperator.gradient_norm
+    events = []
+
+    def recording_project(self, c, resolved=None, a=None):
+        out = project(self, c, resolved, a)
+        if a is not None and out is not None:  # the projected candidate
+            events.append(("candidate", out[1].copy()))
+        elif resolved is not None:  # the start, then the Anderson trials
+            events.append(("trial", c.copy()))
+        return out
+
+    def recording_norm(self, values, w):  # called once per iteration, on the iterate
+        events.append(("iterate", values.copy()))
+        return gradient_norm(self, values, w)
+
+    monkeypatch.setattr(dual._DualOperator, "project", recording_project)
+    monkeypatch.setattr(dual._DualOperator, "gradient_norm", recording_norm)
+    assert solve_ground_state(Qf, exps2d, spec, tol=1e-10, anderson_memory=memory).converged
+    v, history, trials = None, [], 0
+    for kind, values in events:
+        if kind == "iterate":
+            v = values
+        elif kind == "candidate":
+            history = (history + [(v, values)])[-memory:]
+        elif v is not None:
+            trials += 1
+            g = [gj for _, gj in history]
+            r = [(gj - vj).ravel() for vj, gj in history]
+            d = [b - a for a, b in zip(r, r[1:])]
+            gram = np.array([[np.dot(x, y) for y in d] for x in d])
+            theta = np.linalg.lstsq(gram, np.array([np.dot(x, r[-1]) for x in d]), rcond=None)[0]
+            expected = g[-1] - sum(t * (b - a) for t, a, b in zip(theta, g, g[1:]))
+            assert np.max(np.abs(values - expected)) <= 1e-12 * np.max(np.abs(expected))
+    if memory == 1:
+        assert trials == 0
+    else:
+        assert trials > memory  # more pushes than history rows
+
+
+def test_solve_memory_is_its_history_and_one_iteration():
+    # the peak of a 3D solve, counted in full-grid arrays from what the solver
+    # holds: the operator's Q^(1/p) and half-spectrum symbol, 3(m - 1) history
+    # rows, the newest candidate's g, R(Q^(1/p) g) and r, the iterate and its
+    # resolved field (the best iterate so far is the iterate on this descending
+    # solve), and one iteration's working arrays: the candidate, the Anderson
+    # trial and its resolved field, and the two products of its projection
+    grid = build_grid(3, 8.0, 32)
+    exps = Exponents(dim=3, s=1.0, p=5.0, k=1.0)
+    spec = ResolventSpec(s=1.0, delta=auto_delta(grid, 1.0))
+    Qf = sample_Q(BumpOnBackgroundQ(background=0.5, amplitude=1.0, width=1.0, centers=((0.0, 0.0, 0.0),)), grid)
+    memory = 5
+    symbol = grid.points_per_axis ** 2 * (grid.points_per_axis // 2 + 1) / grid.size
+    arrays = 1 + symbol + 3 * (memory - 1) + 3 + 2 + 5
+    tracemalloc.start()
+    try:
+        gs = solve_ground_state(Qf, exps, spec, anderson_memory=memory)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert gs.converged and gs.iterations > memory
+    # a quarter of an array covers the Gram system and the Python objects
+    assert peak <= (arrays + 0.25) * 8 * grid.size
 
 
 def test_cone_exit_when_no_step_keeps_the_form_positive(monkeypatch, unitQ, exps2d, spec2d):

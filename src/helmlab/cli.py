@@ -205,7 +205,7 @@ def _cmd_solve(run: _Run) -> int:
         gs.converged,
         gs.state.quad_form,
         gs.state.nehari_residual,
-        gs.scale_factor,
+        exps.scale_factor,
         *gs.peak,
         *(exps.eps * c for c in gs.peak),
     ]

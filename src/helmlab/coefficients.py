@@ -13,33 +13,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NegativeCoefficientError
-from .grid import RealField, TorusGrid
-
-
-class CoefficientQ:
-    """A nonnegative, bounded coefficient field on physical space."""
-
-    def evaluate(self, *coords: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
-    @property
-    def sup_value(self) -> float:
-        """Global maximum of the coefficient."""
-        raise NotImplementedError
-
-    @property
-    def background_value(self) -> float:
-        """Value far from all features (the limit at infinity)."""
-        raise NotImplementedError
-
-    @property
-    def maxima(self) -> list[tuple[float, ...]]:
-        """Points where the supremum is attained; empty if it is attained everywhere."""
-        raise NotImplementedError
+from .grid import RealField, TorusGrid, peak_node
 
 
 @dataclass(frozen=True)
-class ConstantQ(CoefficientQ):
+class ConstantQ:
     """Spatially constant coefficient."""
 
     value: float = 1.0
@@ -65,7 +43,7 @@ class ConstantQ(CoefficientQ):
 
 
 @dataclass(frozen=True)
-class BumpOnBackgroundQ(CoefficientQ):
+class BumpOnBackgroundQ:
     """Constant background plus Gaussian bumps, the standard concentration probe.
 
     Q(X) = background + amplitude * sum_j exp(-|X - c_j|^2 / (2 width^2)).
@@ -119,6 +97,13 @@ class BumpOnBackgroundQ(CoefficientQ):
         return [tuple(c) for c in self.centers]
 
 
+# A nonnegative, bounded coefficient field on physical space: `evaluate`
+# samples it, `sup_value` is its global maximum, `background_value` its
+# limit at infinity, and `maxima` the points where the supremum is
+# attained (empty if it is attained everywhere).
+CoefficientQ = ConstantQ | BumpOnBackgroundQ
+
+
 def sample_Q(Q: CoefficientQ, grid: TorusGrid, eps: float = 1.0) -> RealField:
     """Evaluate Q(eps * x) over a computational grid.
 
@@ -130,11 +115,12 @@ def sample_Q(Q: CoefficientQ, grid: TorusGrid, eps: float = 1.0) -> RealField:
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
+    half = eps * grid.half_width
     for center in Q.maxima:
-        if max(abs(c) for c in center) >= eps * grid.half_width:
+        if any(c < -half or c >= half for c in center):
             warnings.warn(
                 f"coefficient maximum at {center} lies outside the physical window "
-                f"[-{eps * grid.half_width:g}, {eps * grid.half_width:g})^{grid.dim}",
+                f"[-{half:g}, {half:g})^{grid.dim}",
                 stacklevel=2,
             )
             break
@@ -151,4 +137,4 @@ def max_node(Qfield: RealField) -> tuple[int, ...] | None:
     top = float(np.max(values))
     if top - float(np.min(values)) <= 1e-12 * max(top, 1.0):
         return None
-    return np.unravel_index(int(np.argmax(values)), Qfield.grid.shape)
+    return peak_node(values)  # Q >= 0, so the maximum of |Q| is the maximum of Q

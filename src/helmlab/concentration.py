@@ -19,7 +19,7 @@ import numpy as np
 from .coefficients import CoefficientQ, max_node, sample_Q
 from .dual import GroundState, limit_ground_state, solve_ground_state
 from .errors import GridMismatchError, ZeroFieldError
-from .grid import RealField, TorusGrid, lq_norm
+from .grid import RealField, TorusGrid, lq_norm, peak_node
 from .params import Exponents
 from .resolvent import ResolventSpec
 
@@ -27,13 +27,13 @@ from .resolvent import ResolventSpec
 def profile_distance(field: RealField, reference: RealField, norm_exponent: float = 2.0) -> float:
     """Relative L^q distance after aligning the profiles by translation.
 
-    The field is rolled so its argmax node lands on the reference's
-    argmax node, then over all extra shifts of up to two cells per axis
-    the smallest ||field_shifted - reference||_q / ||reference||_q is
-    returned. Cell-level alignment is all a translation on the grid can
-    do; the two-cell search absorbs argmax jitter between nearby nodes.
-    Each shift is a window into one wrap-padded copy of the aligned
-    field, and every difference is formed in one reused buffer.
+    The field is rolled so its `peak_node` lands on the reference's,
+    then over all extra shifts of up to two cells per axis the smallest
+    ||field_shifted - reference||_q / ||reference||_q is returned.
+    Cell-level alignment is all a translation on the grid can do; the
+    two-cell search absorbs argmax jitter between nearby nodes. Each
+    shift is a window into one wrap-padded copy of the aligned field,
+    and every difference is formed in one reused buffer.
     """
     if field.grid != reference.grid:
         raise GridMismatchError("fields live on different grids")
@@ -42,9 +42,7 @@ def profile_distance(field: RealField, reference: RealField, norm_exponent: floa
     if ref_norm <= 0.0:
         raise ZeroFieldError("reference profile is identically zero")
     grid = field.grid
-    f_node = np.unravel_index(int(np.argmax(np.abs(field.values))), grid.shape)
-    r_node = np.unravel_index(int(np.argmax(np.abs(reference.values))), grid.shape)
-    base = tuple(int(r - f) for r, f in zip(r_node, f_node))
+    base = tuple(r - f for r, f in zip(peak_node(reference.values), peak_node(field.values)))
     padded = np.pad(np.roll(field.values, base, axis=tuple(range(grid.dim))), 2, mode="wrap")
     diff = np.empty(grid.shape)
     best = np.inf
@@ -129,8 +127,7 @@ def _solve_family(
                 # re-center the previous bubble onto the new coefficient maximum;
                 # a (near-)constant coefficient has no meaningful argmax, so the
                 # bubble stays wherever the last solve left it
-                p_node = np.unravel_index(int(np.argmax(np.abs(previous.u_rescaled.values))), grid.shape)
-                shift = tuple(int(q - p) for q, p in zip(q_node, p_node))
+                shift = tuple(q - p for q, p in zip(q_node, peak_node(previous.u_rescaled.values)))
                 init = RealField(grid, np.roll(previous.v.values, shift, axis=range(grid.dim)))
         gs = solve_ground_state(Qfield, step_exps, spec, init=init, tol=tol, max_iter=max_iter)
         states.append(gs)

@@ -72,13 +72,13 @@ with a single evaluation of the resolvent symbol.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .coefficients import max_node
 from .errors import ConeExitError, GridMismatchError, IndefiniteFormError, NumericalError, ZeroFieldError
-from .grid import RealField, TorusGrid, apply_multiplier_values, locate_peak
+from .grid import RealField, TorusGrid, apply_multiplier_values, locate_peak, peak_node
 from .params import Exponents
 from .resolvent import ResolventSpec, exp_smoothstep
 
@@ -119,8 +119,8 @@ class GroundState:
     """Result of a ground-state solve.
 
     `u_rescaled` is the recovered profile R(Q^(1/p) v) in rescaled
-    coordinates; multiplying by `scale_factor` and evaluating at X/eps
-    gives the physical-frame solution. `peak` is the location of
+    coordinates; multiplying by `exps.scale_factor` and evaluating at
+    X/eps gives the physical-frame solution. `peak` is the location of
     max |u_rescaled| with sub-cell refinement. `fixed_point_residual` is
     the normalized defect ||sgn(v)|v|^(p'-1) - Q^(1/p) R(Q^(1/p) v)||_p
     / ||v||_{p'}^{p'-1} at exit.
@@ -128,7 +128,6 @@ class GroundState:
 
     state: DualState
     u_rescaled: RealField
-    scale_factor: float
     peak: tuple[float, ...]
     exps: Exponents
     iterations: int
@@ -491,8 +490,7 @@ def solve_ground_state(
 def _package(op: _DualOperator, v, rw_v, res, iterations, converged) -> GroundState:
     grid = op.grid
     u = RealField(grid, rw_v)
-    peak_node = np.unravel_index(int(np.argmax(np.abs(u.values))), grid.shape)
-    if u.values[peak_node] < 0.0:
+    if u.values[peak_node(u.values)] < 0.0:
         # J is even, so fix the sign so the profile is positive at its peak
         v = -v
         u = RealField(grid, -u.values)
@@ -501,7 +499,6 @@ def _package(op: _DualOperator, v, rw_v, res, iterations, converged) -> GroundSt
     return GroundState(
         state=state,
         u_rescaled=u,
-        scale_factor=op.exps.scale_factor,
         peak=peak,
         exps=op.exps,
         iterations=iterations,
@@ -518,28 +515,16 @@ def limit_ground_state(
     tol: float = 1e-6,
     max_iter: int = 500,
 ) -> GroundState:
-    """Ground state for a constant coefficient, centered at the origin.
+    """Ground state for the constant coefficient `value`: a plain `solve_ground_state`.
 
-    Constant coefficients make the problem translation invariant on the
-    torus, so the returned state is rolled to put the profile peak on
-    the origin node; comparisons against concentrating states then need
-    no alignment step.
+    A constant coefficient makes the problem translation invariant on
+    the torus, so the position of the state carries no meaning: callers
+    that compare it with another state place it by `peak_node`.
     """
     if value <= 0:
         raise ValueError("constant coefficient must be positive")
     Qfield = RealField(grid, np.full(grid.shape, float(value)))
-    gs = solve_ground_state(Qfield, exps, spec, tol=tol, max_iter=max_iter)
-    peak_node = np.unravel_index(int(np.argmax(np.abs(gs.u_rescaled.values))), grid.shape)
-    shift = tuple(int(o - i) for o, i in zip(grid.origin_index, peak_node))
-    if not any(shift):
-        return gs
-    # A cyclic roll leaves every diagnostic of a constant-Q state unchanged,
-    # so the solved state keeps them and only its fields and peak move. The
-    # cold start sits on the origin node; this runs only if a solve drifts.
-    axes = range(grid.dim)
-    u = RealField(grid, np.roll(gs.u_rescaled.values, shift, axis=axes))
-    v = RealField(grid, np.roll(gs.v.values, shift, axis=axes))
-    return replace(gs, state=replace(gs.state, v=v), u_rescaled=u, peak=locate_peak(u))
+    return solve_ground_state(Qfield, exps, spec, tol=tol, max_iter=max_iter)
 
 
 def cutoff_projection(
@@ -553,7 +538,9 @@ def cutoff_projection(
 
     Builds phi(x) = eta(|eps*x - y|) * w0(x - y/eps) from the limit
     dual profile w0 and the physical concentration point y, with eta a
-    smooth radial cutoff equal to 1 on [0, 1] and 0 outside [0, 2].
+    smooth radial cutoff equal to 1 on [0, 1] and 0 outside [0, 2]. The
+    profile is rolled from its own `peak_node` onto the node nearest
+    y/eps, so it may sit anywhere on the grid.
     Returns (phi, t, level) where t is the Nehari scale of phi and
     level = J(t * phi). As eps -> 0 the cutoff stops biting,
     t drifts to 1 and the level to the limit ground-state level: the
@@ -566,7 +553,7 @@ def cutoff_projection(
     eps = exps.eps
     rescaled_center = tuple(c / eps for c in concentration_point)
     node = grid.nearest_index(rescaled_center)
-    shift = tuple(int(i - o) for i, o in zip(node, grid.origin_index))
+    shift = tuple(i - o for i, o in zip(node, peak_node(limit_profile.values)))
     moved = np.roll(limit_profile.values, shift, axis=range(grid.dim)) if any(shift) else limit_profile.values
     rho = eps * np.sqrt(grid.periodic_distance2(rescaled_center))
     phi = RealField(grid, exp_smoothstep(rho - 1.0) * moved)

@@ -176,16 +176,10 @@ class RealField:
         _check_same_grid(self, other)
         return RealField(self.grid, self.values - other.values)
 
-    def __mul__(self, factor) -> "RealField":
-        if isinstance(factor, RealField):
-            _check_same_grid(self, factor)
-            return RealField(self.grid, self.values * factor.values)
+    def __mul__(self, factor: float) -> "RealField":
         return RealField(self.grid, self.values * float(factor))
 
     __rmul__ = __mul__
-
-    def __neg__(self) -> "RealField":
-        return RealField(self.grid, -self.values)
 
 
 @dataclass(frozen=True)
@@ -370,29 +364,33 @@ def lq_norm(field: RealField, q: float) -> float:
     return (field.grid.cell_volume * total) ** (1.0 / q)
 
 
+def peak_node(values: np.ndarray) -> tuple[int, ...]:
+    """Index of the first maximum of |values| in C order, the one rule that places a field."""
+    return tuple(int(i) for i in np.unravel_index(int(np.argmax(np.abs(values))), values.shape))
+
+
 def locate_peak(field: RealField) -> tuple[float, ...]:
     """Coordinates of the maximum of |field|, refined below the grid scale.
 
-    Starts from the first-occurrence argmax node and refines along each
-    axis with a three-point parabola through the periodic neighbors; the
-    refinement is clamped to half a cell so a noisy neighbor cannot
-    throw the estimate into the next cell.
+    Starts from `peak_node` and refines along each axis with a
+    three-point parabola through the periodic neighbors; the refinement
+    is clamped to half a cell so a noisy neighbor cannot throw the
+    estimate into the next cell.
     """
     grid = field.grid
-    mags = np.abs(field.values)
-    top = float(np.max(mags))
-    if top <= 0.0:
+    values = field.values
+    node = peak_node(values)
+    center = abs(float(values[node]))
+    if center <= 0.0:
         raise ZeroFieldError("cannot locate the peak of an identically zero field")
-    node = np.unravel_index(int(np.argmax(mags)), grid.shape)
     coords = []
     n = grid.points_per_axis
     for axis, i in enumerate(node):
         take = list(node)
         take[axis] = (i - 1) % n
-        left = float(mags[tuple(take)])
+        left = abs(float(values[tuple(take)]))
         take[axis] = (i + 1) % n
-        right = float(mags[tuple(take)])
-        center = float(mags[node])
+        right = abs(float(values[tuple(take)]))
         curvature = left - 2.0 * center + right
         if curvature < 0.0:
             offset = float(np.clip(0.5 * (left - right) / curvature, -0.5, 0.5))

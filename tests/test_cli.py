@@ -248,7 +248,8 @@ def test_solve_evaluates_the_symbol_once(tmp_path, monkeypatch):
 
 
 def test_solve_reports_a_warning_as_one_line(tmp_path, capsys):
-    # the window at k = 1 is [-2, 2)^2 on 64 points, so both bump centers lie outside it
+    # the window at k = 1 is [-2, 2)^2 on 64 points: (2, 0) lies outside it, and
+    # (-2, 0) is node 0, inside it
     cfg = write_cfg(
         tmp_path,
         "w.cfg",

@@ -1,4 +1,6 @@
 """Coefficient families and their sampling in the rescaled frame."""
+import warnings
+
 import numpy as np
 import pytest
 
@@ -86,6 +88,19 @@ def test_sample_warns_when_feature_leaves_box():
     grid = build_grid(2, 16.0, 16)
     with pytest.warns(UserWarning, match="outside the physical window"):
         sample_Q(Q, grid, eps=0.5)  # window is [-8, 8)^2, center at 30
+
+
+@pytest.mark.parametrize("center, outside", [((-2.0, 0.0), False), ((2.0, 0.0), True)])
+def test_sample_warns_only_outside_the_half_open_window(center, outside):
+    # the window at eps = 1/8 is [-2, 2)^2: -2 is node 0, +2 is one cell past the last node
+    Q = BumpOnBackgroundQ(background=0.5, amplitude=1.0, width=1.0, centers=(center,))
+    grid = build_grid(2, 16.0, 32)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        field = sample_Q(Q, grid, eps=0.125)
+    assert [str(w.message).startswith(f"coefficient maximum at {center}") for w in caught] == [True] * outside
+    if not outside:
+        assert max_node(field) == grid.nearest_index((-16.0, 0.0))
 
 
 def test_sample_rejects_negative_fields():

@@ -137,7 +137,6 @@ def _fake_ground_state(field, Qfield, exps, spec, peak):
     return GroundState(
         state=diagnose(field, Qfield, exps, spec),
         u_rescaled=field,
-        scale_factor=1.0,
         peak=peak,
         exps=exps,
         iterations=0,
@@ -180,7 +179,6 @@ def test_bubble_fraction_zero_state_rejected(grid2d, unitQ, exps2d, spec2d):
     gs = GroundState(
         state=DualState(RealField.zeros(grid2d), 0.0, 0.0, 0.0, 0.0),
         u_rescaled=RealField.zeros(grid2d),
-        scale_factor=1.0,
         peak=(0.0, 0.0),
         exps=exps2d,
         iterations=0,

@@ -323,6 +323,16 @@ def test_cutoff_translates_profile_to_target(limit2d, unitQ, exps2d, spec2d):
     assert level >= limit2d.level * (1.0 - 1e-10)
 
 
+def test_cutoff_projection_is_translation_invariant(limit2d, unitQ, exps2d, spec2d):
+    # the profile is placed by its own peak node, wherever it sits
+    y = (4.0, -2.0)
+    moved = RealField(limit2d.v.grid, np.roll(limit2d.v.values, (5, -3), axis=(0, 1)))
+    phi, t, level = cutoff_projection(limit2d.v, y, unitQ, exps2d, spec2d)
+    phi_moved, t_moved, level_moved = cutoff_projection(moved, y, unitQ, exps2d, spec2d)
+    assert np.array_equal(phi_moved.values, phi.values)
+    assert (t_moved, level_moved) == (t, level)
+
+
 def test_cutoff_rejects_mismatched_grids(limit2d, exps2d, spec2d):
     other = sample_Q(BumpOnBackgroundQ(), build_grid(2, 16.0, 32))
     with pytest.raises(ValueError):

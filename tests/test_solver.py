@@ -72,7 +72,7 @@ def test_translated_start_finds_translated_minimizer(ground2d, unitQ, exps2d, sp
 def test_scale_factor_metadata(unitQ, spec2d):
     exps = Exponents(dim=2, s=1.0, p=5.0, k=8.0)
     gs = solve_ground_state(unitQ, exps, spec2d, tol=1e-4, max_iter=200)
-    assert gs.scale_factor == pytest.approx(8.0 ** (2.0 / 3.0))
+    assert gs.exps.scale_factor == pytest.approx(8.0 ** (2.0 / 3.0))
 
 
 def test_zero_init_rejected(unitQ, exps2d, spec2d):
@@ -150,37 +150,21 @@ def test_limit_level_decreases_in_coefficient(grid2d, exps2d, spec2d, limit2d):
     assert hi.level < limit2d.level < lo.level
 
 
+def test_limit_is_the_plain_constant_coefficient_solve(grid2d, exps2d, spec2d):
+    q = 1.5
+    limit = limit_ground_state(q, grid2d, exps2d, spec2d)
+    direct = solve_ground_state(RealField(grid2d, np.full(grid2d.shape, q)), exps2d, spec2d)
+    assert np.array_equal(limit.v.values, direct.v.values)
+    assert np.array_equal(limit.u_rescaled.values, direct.u_rescaled.values)
+    for name in ("energy", "quad_form", "nehari_residual", "gradient_norm"):
+        assert getattr(limit.state, name) == getattr(direct.state, name)
+    for name in ("peak", "exps", "iterations", "converged", "fixed_point_residual"):
+        assert getattr(limit, name) == getattr(direct, name)
+
+
 def test_limit_rejects_nonpositive_coefficient(grid2d, exps2d, spec2d):
     with pytest.raises(ValueError):
         limit_ground_state(0.0, grid2d, exps2d, spec2d)
-
-
-def test_limit_recentres_an_off_origin_solve(monkeypatch, ground2d, unitQ, grid2d, exps2d, spec2d):
-    # the cold start keeps the constant-Q peak on the origin node, so the
-    # roll back onto it is only reached through a solve that ends elsewhere
-    start = RealField(grid2d, np.roll(ground2d.v.values, (5, -3), axis=(0, 1)))
-    moved = solve_ground_state(unitQ, exps2d, spec2d, init=start, max_iter=50)
-    monkeypatch.setattr(dual, "solve_ground_state", lambda *args, **kwargs: moved)
-    calls = []
-    original = ResolventSpec.symbol_values
-
-    def counted(self, grid):
-        calls.append(grid)
-        return original(self, grid)
-
-    monkeypatch.setattr(ResolventSpec, "symbol_values", counted)
-    gs = limit_ground_state(1.0, grid2d, exps2d, spec2d)
-    assert calls == []  # the roll reuses the solved diagnostics: no second operator
-    node = np.unravel_index(int(np.argmax(np.abs(gs.u_rescaled.values))), grid2d.shape)
-    assert node == grid2d.origin_index
-    assert np.array_equal(gs.v.values, np.roll(moved.v.values, (-5, 3), axis=(0, 1)))
-    assert (gs.iterations, gs.converged) == (moved.iterations, moved.converged)
-    assert (gs.level, gs.state.quad_form, gs.state.nehari_residual, gs.fixed_point_residual) == (
-        moved.level,
-        moved.state.quad_form,
-        moved.state.nehari_residual,
-        moved.fixed_point_residual,
-    )
 
 
 def test_symbol_is_evaluated_once_per_solve(monkeypatch, unitQ, grid2d, exps2d, spec2d):

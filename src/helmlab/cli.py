@@ -333,6 +333,14 @@ def main(argv=None) -> int:
                 f"{c.name}: {'pass' if c.passed else 'FAIL'} (value {c.value:g}, admissible {c.admissible})"
                 for c in exps.hypothesis_report()
             ]
+            # the paper also asks limsup Q < sup Q; constant-Q reference runs fail it on
+            # purpose, so it is reported next to the exponent checks but never gates a run
+            Q = make_coefficient(cfg)
+            holds = Q.background_value < Q.sup_value
+            report.append(
+                f"coefficient: limsup Q < sup Q {'holds' if holds else 'fails'} "
+                f"(limsup Q {Q.background_value:g}, sup Q {Q.sup_value:g}; reported, not gated)"
+            )
             report.append(f"p_dual = {exps.p_dual:.6g}, lambda_p = {exps.lambda_p:.6g}")
             if args.command == "validate-params":
                 print(*report, sep="\n")

@@ -107,28 +107,32 @@ def _solve_family(
     spec: ResolventSpec,
     tol: float,
     max_iter: int,
+    limit: GroundState,
 ) -> list[GroundState]:
-    """Ground states with Q sampled at eps = 1/k, solved in the order of `ks`.
+    """Ground states with Q sampled at eps = 1/k, one per entry of `ks`.
 
-    Each solve after the first converged one starts from the last
-    converged state, rolled so its profile peak lands on the maximum of
-    the new Q; until then a solve takes the solver's cold start.
+    Where the sampled coefficient has a maximum node, the solve starts
+    from the limit state `limit` (the constant-coefficient ground state
+    at sup Q), rolled so its profile peak lands on that node: the state
+    the family converges to as eps -> 0, placed where the paper's
+    concentration result puts it. Such solves do not depend on each
+    other or on the order of `ks`. A (near-)constant coefficient has no
+    maximum to place it on, so its solve starts from the last converged
+    state of the family, and until there is one from the solver's cold
+    start.
     """
+    limit_node = peak_node(limit.u_rescaled.values)
     states: list[GroundState] = []
     previous: GroundState | None = None
     for k in ks:
         step_exps = exps.with_k(k)
         Qfield = sample_Q(Q, grid, step_exps.eps)
-        init = None
-        if previous is not None:
-            init = previous.v
-            q_node = max_node(Qfield)
-            if q_node is not None:
-                # re-center the previous bubble onto the new coefficient maximum;
-                # a (near-)constant coefficient has no meaningful argmax, so the
-                # bubble stays wherever the last solve left it
-                shift = tuple(q - p for q, p in zip(q_node, peak_node(previous.u_rescaled.values)))
-                init = RealField(grid, np.roll(previous.v.values, shift, axis=range(grid.dim)))
+        q_node = max_node(Qfield)
+        if q_node is not None:
+            shift = tuple(q - p for q, p in zip(q_node, limit_node))
+            init = RealField(grid, np.roll(limit.v.values, shift, axis=range(grid.dim)))
+        else:
+            init = None if previous is None else previous.v
         gs = solve_ground_state(Qfield, step_exps, spec, init=init, tol=tol, max_iter=max_iter)
         states.append(gs)
         if gs.converged:
@@ -149,20 +153,24 @@ def run_sweep(
     """Solve along increasing wavenumbers and compare against the limit profile.
 
     Walks the same warm-started family of solves as `level_table`, one
-    per k with the coefficient sampled at eps = 1/k: the previous
-    converged dual field, rolled onto the new coefficient maximum, seeds
-    the next solve, which cuts the iteration count several-fold once the
-    bubble has formed. Each step records the profile distance to the
-    constant-coefficient state at the peak value of Q and the peak in
-    both frames. A step that stagnates is recorded with converged=False
-    and the sweep moves on.
+    per k with the coefficient sampled at eps = 1/k. `limit`, the
+    constant-coefficient state at the peak value of Q (solved here when
+    not given, and then on `grid`), seeds every solve of a coefficient
+    with a maximum, rolled onto that maximum (see `_solve_family`); a
+    constant coefficient's steps start from the previous converged state
+    instead. Each step records the profile distance to `limit` and the
+    peak in both frames. A step that stagnates is recorded with
+    converged=False and the sweep moves on. A `limit` on another grid
+    raises `GridMismatchError` before any solve.
     """
     ks = [float(k) for k in ks]
     if not ks:
         raise ValueError("need at least one wavenumber")
     if limit is None:
         limit = limit_ground_state(Q.sup_value, grid, exps, spec, tol=tol, max_iter=max_iter)
-    states = _solve_family(Q, ks, exps, grid, spec, tol, max_iter)
+    elif limit.v.grid != grid:
+        raise GridMismatchError("the limit state lives on another grid than the sweep")
+    states = _solve_family(Q, ks, exps, grid, spec, tol, max_iter, limit)
     return [
         SweepRecord(
             k=k,
@@ -226,7 +234,10 @@ def level_table(
 
     Walks the same warm-started family of solves as `run_sweep`, at
     k = 1/eps in the order given, so the row at eps reproduces the
-    sweep's level at k = 1/eps.
+    sweep's level at k = 1/eps. The limit solve at max Q that gives
+    `peak_level` also seeds every row of a coefficient with a maximum,
+    rolled onto that maximum (see `_solve_family`); a constant
+    coefficient's rows start from the previous converged row instead.
     """
     if Q.background_value <= 0:
         raise ValueError("background value must be positive to define the background limit level")
@@ -234,7 +245,7 @@ def level_table(
     background_level = (Q.background_value / Q.sup_value) ** (-2.0 / (exps.p - 2.0)) * peak_gs.level
 
     eps_list = [float(eps) for eps in eps_list]
-    states = _solve_family(Q, [1.0 / eps for eps in eps_list], exps, grid, spec, tol, max_iter)
+    states = _solve_family(Q, [1.0 / eps for eps in eps_list], exps, grid, spec, tol, max_iter, peak_gs)
     rows = tuple(
         LevelRow(
             eps=eps,

@@ -55,10 +55,11 @@ D^T D theta = D^T r_k (Walker & Ni, SIAM J. Numer. Anal. 49, 2011) by
 least squares, so that a rank-deficient history still gets the
 minimum-norm theta, and the trial and its resolved field are each one
 more matrix-vector product. An iteration applies the resolvent once,
-to project the Euler-Lagrange candidate: 1.15 applications per
-iteration over the plane-concentration benchmark workload, each solve's
-start included. Three exact identities spare the rest: R is linear, so
-the Anderson trial's resolved field is the same combination of the
+to project the Euler-Lagrange candidate: 1.16 applications per
+iteration (74 in 64) over one levels + sweep cycle of the
+plane-concentration benchmark workload, each solve's start included.
+Three exact identities spare the rest: R is linear, so the Anderson
+trial's resolved field is the same combination of the
 resolved increments; on the Nehari manifold A(v) = level / (1/p' - 1/2);
 and the candidate c = sgn(w)|w|^(p-1), with w = Q^(1/p) R(Q^(1/p) v),
 has A(c) = int |w|^p = int c w since (p-1)p' = p. One w serves both the

@@ -4,8 +4,16 @@ The expensive objects (a converged 2D ground state and the matching
 limit state) are session-scoped so the dual, solver and concentration
 tests all reuse one solve instead of paying ~1 s each.
 """
+import warnings
+
 import numpy as np
 import pytest
+
+with warnings.catch_warnings():
+    # hypothesis reports a falsifying example through libcst, whose imports warn;
+    # under the suite's error::DeprecationWarning that warning would hide the example
+    warnings.simplefilter("ignore", DeprecationWarning)
+    import hypothesis.extra._patching  # noqa: F401
 
 from helmlab import (
     ConstantQ,

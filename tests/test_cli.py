@@ -59,6 +59,22 @@ def test_validate_params_flags_the_default_2d_setup(capsys):
     assert MARKER in out
 
 
+@pytest.mark.parametrize(
+    "kind, line",
+    [
+        ("bump", "coefficient: limsup Q < sup Q holds (limsup Q 0.5, sup Q 1.5; reported, not gated)"),
+        ("constant", "coefficient: limsup Q < sup Q fails (limsup Q 1, sup Q 1; reported, not gated)"),
+    ],
+)
+def test_coefficient_condition_is_reported_but_never_gates(tmp_path, capsys, kind, line):
+    # a constant Q, the reference case, fails the condition; the 3D exponents
+    # alone decide the exit code either way
+    cfg = write_cfg(tmp_path, "v.cfg", f"grid.dim = 3\ngrid.points = 64\ncoefficient.kind = {kind}\n")
+    assert main(["validate-params", "--config", cfg]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert [text for text in out if text.startswith("coefficient: ")] == [line]
+
+
 def test_gate_blocks_runs_without_force(tmp_path, capsys):
     out_dir = tmp_path / "blocked"
     cfg = write_cfg(tmp_path, "s.cfg", f"coefficient.kind = constant\noutput.dir = {out_dir}\n")

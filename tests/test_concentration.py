@@ -4,8 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from helmlab import concentration
+from helmlab import concentration, dual
+from helmlab.cli import main
 from helmlab.coefficients import BumpOnBackgroundQ, ConstantQ, sample_Q
 from helmlab.concentration import (
     SweepRecord,
@@ -15,9 +17,11 @@ from helmlab.concentration import (
     single_bubble_check,
     single_bubble_fraction,
 )
-from helmlab.dual import DualState, GroundState, diagnose, solve_ground_state
-from helmlab.errors import ZeroFieldError
+from helmlab.dual import DualState, GroundState, diagnose, limit_ground_state, solve_ground_state
+from helmlab.errors import GridMismatchError, ZeroFieldError
 from helmlab.grid import RealField, build_grid, locate_peak, lq_norm
+from helmlab.params import Exponents
+from helmlab.resolvent import ResolventSpec, auto_delta
 
 from conftest import STANDARD_LEVEL, rng
 
@@ -265,9 +269,8 @@ def test_level_table_rejects_zero_background(grid2d, exps2d, spec2d):
 
 
 def test_off_origin_level_table_matches_the_sweep(grid2d, exps2d, spec2d):
-    # each row warm-starts from the last bubble rolled onto the new maximum
-    # of Q, as a sweep step does; left where it was, the rows at eps = 1/4
-    # and 1/8 ran to max_iter for this centre
+    # rows and sweep steps start alike, from the limit state rolled onto the
+    # maximum node of Q at their eps, so the two families agree step by step
     Q = BumpOnBackgroundQ(background=0.5, amplitude=1.0, width=1.0, centers=((0.25, 0.125),))
     table = level_table(Q, [0.5, 0.25, 0.125], exps2d, grid2d, spec=spec2d)
     records = run_sweep(Q, [2.0, 4.0, 8.0], exps2d, grid2d, spec=spec2d)
@@ -275,3 +278,131 @@ def test_off_origin_level_table_matches_the_sweep(grid2d, exps2d, spec2d):
         assert row.converged and record.converged
         assert row.eps == record.eps
         assert row.level == pytest.approx(record.level, rel=1e-9)
+
+
+# ------------------------------------------------------ limit-state seeding
+
+OFF_ORIGIN = BumpOnBackgroundQ(background=0.5, amplitude=1.0, width=1.0, centers=((0.25, 0.125),))
+
+
+def test_seeded_family_matches_cold_solves(grid2d, exps2d, spec2d):
+    # a seed changes where a solve starts, not where it ends; from the limit
+    # state placed on max Q it gets there no slower than the cold start once
+    # the bump is resolved
+    table = level_table(OFF_ORIGIN, [0.5, 0.25, 0.125], exps2d, grid2d, spec=spec2d)
+    records = run_sweep(OFF_ORIGIN, [2.0, 4.0, 8.0], exps2d, grid2d, spec=spec2d)
+    for row, record in zip(table.rows, records):
+        step_exps = exps2d.with_k(record.k)
+        cold = solve_ground_state(sample_Q(OFF_ORIGIN, grid2d, step_exps.eps), step_exps, spec2d)
+        assert cold.converged
+        assert row.level == pytest.approx(cold.level, rel=1e-9)
+        assert record.level == pytest.approx(cold.level, rel=1e-9)
+        if record.eps <= 0.25:
+            assert row.iterations <= cold.iterations
+            assert record.iterations <= cold.iterations
+
+
+def test_sweep_rejects_a_limit_on_another_grid(monkeypatch, grid2d, exps2d, spec2d):
+    other = build_grid(2, 16.0, 32)
+    limit = limit_ground_state(1.5, other, exps2d, ResolventSpec(s=1.0, delta=auto_delta(other, 1.0)))
+    solves = []
+    monkeypatch.setattr(concentration, "solve_ground_state", lambda *a, **k: solves.append(a))
+    with pytest.raises(GridMismatchError):
+        run_sweep(OFF_ORIGIN, [2.0], exps2d, grid2d, spec=spec2d, limit=limit)
+    assert solves == []
+
+
+PLANE_CFG = (
+    "grid.dim = 2\ngrid.points = 128\ngrid.half_width = 16.0\n"
+    "model.s = 1.0\nmodel.p = 5.0\nmodel.k = 8.0\nmodel.delta = auto\n"
+    "coefficient.kind = bump\ncoefficient.background = 0.5\n"
+    "coefficient.amplitude = 1.0\ncoefficient.width = 1.0\n"
+    "coefficient.centers = 0.125, -0.125\n"
+    "sweep.k_values = 2.0, 4.0, 8.0\nsweep.eps_values = 0.5, 0.25, 0.125\noutput.format = json\n"
+)
+
+
+def test_plane_cycle_solver_budget(monkeypatch, tmp_path):
+    # one levels + sweep cycle of the 2D 128^2 concentration config: 8 solves,
+    # two of them limit solves, in at most 64 iterations and 74 resolvent applications
+    iterations, applications = [], []
+    solve, apply = dual.solve_ground_state, dual.apply_multiplier_values
+
+    def counted_solve(*args, **kwargs):
+        gs = solve(*args, **kwargs)
+        iterations.append(gs.iterations)
+        return gs
+
+    def counted_apply(*args, **kwargs):
+        applications.append(1)
+        return apply(*args, **kwargs)
+
+    monkeypatch.setattr(dual, "solve_ground_state", counted_solve)
+    monkeypatch.setattr(concentration, "solve_ground_state", counted_solve)
+    monkeypatch.setattr(dual, "apply_multiplier_values", counted_apply)
+    cfg = tmp_path / "plane.cfg"
+    cfg.write_text(PLANE_CFG, encoding="utf-8")
+    for command in ("levels", "sweep"):
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path / command), "--force"]) == 0
+    assert len(iterations) == 8
+    assert sum(iterations) <= 64
+    assert len(applications) <= 74
+
+
+@pytest.fixture(scope="module")
+def mirror_box():
+    grid = build_grid(2, 16.0, 64)
+    return grid, ResolventSpec(s=1.0, delta=auto_delta(grid, 1.0))
+
+
+def _mirror_levels(grid, spec, center):
+    # at eps = 1 and 1/2 the centre's offsets are whole cells (h = 1/2), and
+    # the window edge at +-8 eps sits where the bump is below 1e-10
+    exps = Exponents(dim=2, s=1.0, p=5.0, k=1.0)
+    Q = BumpOnBackgroundQ(background=0.5, amplitude=1.0, width=1.0, centers=(center,))
+    table = level_table(Q, [1.0, 0.5], exps, grid, spec=spec)
+    records = run_sweep(Q, [1.0, 2.0], exps, grid, spec=spec)
+    return [row.level for row in table.rows] + [record.level for record in records]
+
+
+@settings(max_examples=8, derandomize=True, database=None, deadline=None)
+@given(signs=st.tuples(st.sampled_from([1.0, -1.0]), st.sampled_from([1.0, -1.0])), swap=st.booleans())
+def test_family_levels_are_mirror_and_swap_invariant(mirror_box, signs, swap):
+    # reflecting an axis or swapping the axes maps the grid onto itself, so the
+    # seed, placed by peak_node on max Q, must land on the image node
+    grid, spec = mirror_box
+    center = (signs[0] * 0.5, signs[1] * 1.0)
+    if swap:
+        center = center[::-1]
+    reference = _mirror_levels(grid, spec, (0.5, 1.0))
+    assert _mirror_levels(grid, spec, center) == pytest.approx(reference, rel=1e-8)
+
+
+def test_concentration_inside_the_hypotheses():
+    # criteria 8 and 9, with their bounds, on a 3D bump inside the paper's range
+    grid = build_grid(3, 8.0, 32)
+    exps = Exponents(dim=3, s=1.0, p=5.0, k=8.0)
+    assert exps.within_hypotheses
+    spec = ResolventSpec(s=1.0, delta=auto_delta(grid, 1.0))
+    Q = BumpOnBackgroundQ(background=0.5, amplitude=1.0, width=1.0, centers=((0.125, 0.125, 0.125),))
+    limit = limit_ground_state(Q.sup_value, grid, exps, spec, tol=1e-6)
+    table = level_table(Q, [0.5, 0.25, 0.125], exps, grid, spec=spec, tol=1e-6)
+    records = run_sweep(Q, [2.0, 4.0, 8.0], exps, grid, spec=spec, tol=1e-6, limit=limit)
+
+    c0 = table.peak_level
+    assert limit.converged and table.peak_converged and table.background_converged
+    assert abs(c0 - limit.level) <= 1e-9 * c0
+    assert all(row.converged for row in table.rows)
+    assert all(row.level >= c0 - 1e-3 * abs(c0) for row in table.rows)
+    assert table.rows[-1].level < table.background_level
+    gaps = [row.gap_low for row in table.rows]
+    assert all(second <= 1.1 * first for first, second in zip(gaps, gaps[1:]))
+
+    assert all(record.converged for record in records)
+    distances = [record.profile_distance for record in records]
+    assert all(second <= first + 1e-12 for first, second in zip(distances, distances[1:]))
+    final = records[-1]
+    assert final.profile_distance <= 0.1
+    cell = grid.spacing * final.eps
+    assert all(abs(p - c) <= 2.0 * cell for p, c in zip(final.peak_physical, Q.maxima[0]))
+    assert single_bubble_check(final, fraction=0.9)

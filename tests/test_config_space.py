@@ -7,13 +7,6 @@ and never in a traceback or a numpy warning. Runs go in process through
 """
 import contextlib
 import io
-import warnings
-
-with warnings.catch_warnings():
-    # hypothesis reports a falsifying example through libcst, whose imports warn;
-    # under the suite's error::DeprecationWarning that warning would hide the example
-    warnings.simplefilter("ignore", DeprecationWarning)
-    import hypothesis.extra._patching  # noqa: F401
 
 from hypothesis import given, settings, strategies as st
 

@@ -27,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .coefficients import sample_Q
+from .coefficients import CoefficientQ, sample_Q
 from .concentration import level_table, run_sweep, single_bubble_fraction
 from .config import (
     RunConfig,
@@ -68,8 +68,10 @@ def _format_cell(value) -> str:
 class _Run:
     """One run's inputs, and its artifacts held in memory until `finish`."""
 
-    def __init__(self, command: str, cfg: RunConfig, exps: Exponents, grid: TorusGrid, spec: ResolventSpec):
-        self.cfg, self.exps, self.grid, self.spec = cfg, exps, grid, spec
+    def __init__(
+        self, command: str, cfg: RunConfig, exps: Exponents, grid: TorusGrid, spec: ResolventSpec, Q: CoefficientQ
+    ):
+        self.cfg, self.exps, self.grid, self.spec, self.Q = cfg, exps, grid, spec, Q
         self.started = time.perf_counter()
         self.files = {"resolved_config.cfg": render_config(cfg)}
         self.manifest = {
@@ -124,10 +126,9 @@ def _cmd_kernel_check(run: _Run) -> int:
     bundle = band_decompose(run.spec, grid)
     window = (cfg.window_lo, cfg.window_hi)
     if window[1] > 0.5 * grid.half_width:
-        print(
-            f"warning: fit window reaches radius {window[1]:g} but wraparound "
-            f"contaminates decay beyond {0.5 * grid.half_width:g} (half of half_width)",
-            file=sys.stderr,
+        warnings.warn(
+            f"fit window reaches radius {window[1]:g} but wraparound "
+            f"contaminates decay beyond {0.5 * grid.half_width:g} (half of half_width)"
         )
     parts = [
         ("K1", bundle.band, (1.0 - grid.dim) / 2.0),
@@ -177,8 +178,7 @@ def _cmd_interaction_check(run: _Run) -> int:
 
 
 def _cmd_solve(run: _Run) -> int:
-    cfg, exps, grid, spec = run.cfg, run.exps, run.grid, run.spec
-    Q = make_coefficient(cfg)
+    cfg, exps, grid, spec, Q = run.cfg, run.exps, run.grid, run.spec, run.Q
     Qfield = sample_Q(Q, grid, exps.eps)
     # one solve per coefficient maximum (lowest level wins), or a seeded random start
     if cfg.init == "random":
@@ -221,8 +221,7 @@ def _cmd_solve(run: _Run) -> int:
 
 
 def _cmd_levels(run: _Run) -> int:
-    cfg = run.cfg
-    Q = make_coefficient(cfg)
+    cfg, Q = run.cfg, run.Q
     if Q.background_value <= 0:
         raise ConfigError(
             "levels needs a positive background value to define c_inf", field="coefficient.background"
@@ -260,7 +259,7 @@ def _cmd_levels(run: _Run) -> int:
 def _cmd_sweep(run: _Run) -> int:
     cfg, dim = run.cfg, run.grid.dim
     records = run_sweep(
-        make_coefficient(cfg),
+        run.Q,
         cfg.k_values,
         run.exps,
         run.grid,
@@ -357,7 +356,7 @@ def main(argv=None) -> int:
                     print("validity check failed; pass --force to run anyway", file=sys.stderr)
                     return 3
                 print(f"proceeding anyway; outputs carry the marker {OUTSIDE_HYPOTHESES_MARKER!r}", file=sys.stderr)
-            return _COMMANDS[args.command](_Run(args.command, cfg, exps, grid, spec))
+            return _COMMANDS[args.command](_Run(args.command, cfg, exps, grid, spec, Q))
         except (ConfigError, InsufficientDataError, OSError) as exc:
             print(f"config error: {exc}", file=sys.stderr)
             return 2

@@ -27,7 +27,7 @@ class ConstantQ:
             raise NegativeCoefficientError("constant coefficient must be positive")
 
     def evaluate(self, *coords):
-        return np.full_like(np.asarray(coords[0], dtype=float), self.value)
+        return np.full(np.broadcast(*coords).shape, self.value, dtype=float)
 
     @property
     def sup_value(self):
@@ -78,7 +78,7 @@ class BumpOnBackgroundQ:
             raise ValueError(
                 f"coefficient is {len(self.centers[0])}-dimensional, got {len(coords)} coordinates"
             )
-        out = np.full_like(coords[0], self.background)
+        out = self.background  # the first bump's term gives it the coordinates' broadcast shape
         for center in self.centers:
             d2 = sum((c - cj) ** 2 for c, cj in zip(coords, center))
             out = out + self.amplitude * np.exp(-d2 / (2.0 * self.width**2))
@@ -98,9 +98,10 @@ class BumpOnBackgroundQ:
 
 
 # A nonnegative, bounded coefficient field on physical space: `evaluate`
-# samples it, `sup_value` is its global maximum, `background_value` its
-# limit at infinity, and `maxima` the points where the supremum is
-# attained (empty if it is attained everywhere).
+# samples it at coordinates that broadcast (open axes, say) into a fresh
+# array of their broadcast shape, `sup_value` is its global maximum,
+# `background_value` its limit at infinity, and `maxima` the points where
+# the supremum is attained (empty if it is attained everywhere).
 CoefficientQ = ConstantQ | BumpOnBackgroundQ
 
 
@@ -124,8 +125,7 @@ def sample_Q(Q: CoefficientQ, grid: TorusGrid, eps: float = 1.0) -> RealField:
                 stacklevel=2,
             )
             break
-    scaled = [eps * m for m in grid.coordinate_mesh]
-    values = np.asarray(Q.evaluate(*scaled), dtype=float)
+    values = np.asarray(Q.evaluate(*(eps * a for a in grid.coordinate_axes)), dtype=float)
     if np.any(values < 0):
         raise NegativeCoefficientError("coefficient is negative somewhere on the grid")
     return RealField(grid, values)

@@ -92,18 +92,24 @@ class TorusGrid:
     def frequency_axis(self) -> np.ndarray:
         return 2.0 * np.pi * np.fft.fftfreq(self.points_per_axis, d=self.spacing)
 
-    @cached_property
-    def coordinate_mesh(self) -> tuple[np.ndarray, ...]:
-        return tuple(np.meshgrid(*([self.coordinate_axis] * self.dim), indexing="ij"))
-
-    def _open_axes(self, axis: np.ndarray) -> list[np.ndarray]:
+    def _open_axes(self, axis: np.ndarray) -> tuple[np.ndarray, ...]:
         """One copy of a 1D axis per dimension, shaped to broadcast over the grid."""
         return np.meshgrid(*([axis] * self.dim), indexing="ij", sparse=True)
 
     @cached_property
+    def coordinate_axes(self) -> tuple[np.ndarray, ...]:
+        """The node coordinates as open axes: x_i along axis i, shaped to broadcast over the grid."""
+        return self._open_axes(self.coordinate_axis)
+
+    def node_radius(self, index: Sequence[np.ndarray]) -> np.ndarray:
+        """Euclidean distance from the origin of the nodes with per-axis indices `index` (broadcast)."""
+        axis = self.coordinate_axis
+        return np.sqrt(sum(axis[i] * axis[i] for i in index))
+
+    @cached_property
     def radius(self) -> np.ndarray:
         """Euclidean distance of every node from the origin."""
-        return np.sqrt(sum(a * a for a in self._open_axes(self.coordinate_axis)))
+        return self.node_radius(self._open_axes(np.arange(self.points_per_axis)))
 
     def _half_spectrum_axes(self, axis: np.ndarray) -> list[np.ndarray]:
         """Open axes over the half spectrum: the last one keeps its first n//2 + 1 entries."""

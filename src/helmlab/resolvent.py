@@ -172,12 +172,6 @@ def _support(field: RealField):
     return box, nodes, magnitude > 1e-14 * magnitude.max(initial=0.0)
 
 
-def _node_radius(grid: TorusGrid, nodes: Sequence[np.ndarray]) -> np.ndarray:
-    """`grid.radius` at the given nodes, by the same expression."""
-    axis = grid.coordinate_axis
-    return np.sqrt(sum(axis[i] * axis[i] for i in nodes))
-
-
 def disjoint_interaction(
     u: RealField,
     outer: Sequence[tuple[float, RealField]],
@@ -189,7 +183,7 @@ def disjoint_interaction(
     u must vanish outside the ball of radius inner_radius and each v
     inside the ball of radius inner_radius + gap; both are checked on
     every node to 1e-14 of each field's maximum, with the radii of
-    `grid.radius`. Every gap must be at least 1. R is self-adjoint,
+    `grid.node_radius`. Every gap must be at least 1. R is self-adjoint,
     <u, R v> = <R u, v>, so R is applied to u once for all pairs, and
     only between supports: from the index box of u's nonzero nodes to
     the union of the v's nonzero boxes (`apply_multiplier_boxed`).
@@ -197,7 +191,7 @@ def disjoint_interaction(
     """
     grid = u.grid
     source, nodes, above = _support(u)
-    if np.any(_node_radius(grid, [i[above] for i in nodes]) > inner_radius):
+    if np.any(grid.node_radius([i[above] for i in nodes]) > inner_radius):
         raise SupportOverlapError(f"u is nonzero outside the ball of radius {inner_radius}")
     target = [np.zeros(0, dtype=int)] * grid.dim
     for gap, v in outer:
@@ -206,7 +200,7 @@ def disjoint_interaction(
         if grid != v.grid:
             raise GridMismatchError("fields live on different grids")
         box, nodes, above = _support(v)
-        if np.any(_node_radius(grid, [i[above] for i in nodes]) < inner_radius + gap):
+        if np.any(grid.node_radius([i[above] for i in nodes]) < inner_radius + gap):
             raise SupportOverlapError(f"v is nonzero inside the ball of radius {inner_radius + gap}")
         target = [np.union1d(t, b) for t, b in zip(target, box)]
     block = u.values[np.ix_(*source)]

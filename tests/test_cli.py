@@ -15,6 +15,7 @@ from pathlib import Path
 import pytest
 
 import helmlab
+import helmlab.cli
 import helmlab.dual
 import helmlab.grid
 import helmlab.resolvent
@@ -260,6 +261,35 @@ def test_solve_evaluates_the_symbol_once(tmp_path, monkeypatch):
     monkeypatch.setattr(ResolventSpec, "symbol_values", counted)
     cfg = write_cfg(tmp_path, "run.cfg", README_CONFIG)
     assert main(["solve", "--config", cfg, "--out", str(tmp_path / "run"), "--force"]) == 0
+    assert len(calls) == 1
+
+
+def test_readme_configs_validate_as_documented(tmp_path):
+    # the README's 3D example lies inside the paper's hypotheses; its 2D one
+    # does not, so its runs need --force
+    text = (REPO / "README.md").read_text(encoding="utf-8")
+    blocks = [block for block in text.split("```")[1::2] if "grid.dim" in block]
+    codes = {}
+    for i, block in enumerate(blocks):
+        path = write_cfg(tmp_path, f"{i}.cfg", block)
+        codes[parse_config_text(block).dim] = main(["validate-params", "--config", path])
+    assert len(blocks) == 2
+    assert codes == {3: 0, 2: 3}
+
+
+@pytest.mark.parametrize("command", ["solve", "levels", "sweep"])
+def test_a_run_makes_its_coefficient_once(tmp_path, monkeypatch, command):
+    # main makes Q for the hypothesis report and hands it to the command
+    calls = []
+    original = helmlab.cli.make_coefficient
+
+    def counted(cfg):
+        calls.append(cfg)
+        return original(cfg)
+
+    monkeypatch.setattr(helmlab.cli, "make_coefficient", counted)
+    cfg = write_cfg(tmp_path, "run.cfg", README_CONFIG.replace("grid.points = 128", "grid.points = 32"))
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "run"), "--force"]) == 0
     assert len(calls) == 1
 
 
@@ -647,6 +677,29 @@ def test_only_grid_runs_fourier_transforms():
             ):
                 users.add(path.name)
     assert users == {"grid.py"}
+
+
+def test_every_meshgrid_is_open():
+    # geometry and multipliers are evaluated on open axes; a full mesh is dim
+    # full-grid arrays where dim 1D axes do
+    calls, dense = 0, []
+    for path in sorted((REPO / "src" / "helmlab").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and node.module == "numpy":
+                assert all(a.name != "meshgrid" for a in node.names), path.name
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "meshgrid"
+                and isinstance(node.func.value, ast.Name)
+                and node.func.value.id in ("np", "numpy")
+            ):
+                calls += 1
+                sparse = [k.value for k in node.keywords if k.arg == "sparse"]
+                if not (len(sparse) == 1 and isinstance(sparse[0], ast.Constant) and sparse[0].value is True):
+                    dense.append(f"{path.name}:{node.lineno}")
+    assert calls > 0
+    assert dense == []
 
 
 LAYERS = ("errors", "params", "grid", "resolvent", "coefficients", "dual", "concentration", "config", "cli")

@@ -1,4 +1,5 @@
 """Coefficient families and their sampling in the rescaled frame."""
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -67,8 +68,8 @@ def test_sample_rescaling_flattens_bumps():
     grid = build_grid(2, 16.0, 32)
     tight = sample_Q(Q, grid, eps=1.0)
     flat = sample_Q(Q, grid, eps=0.125)
-    x = grid.coordinate_mesh[0]
-    probe = (np.abs(x - 4.0) < 1e-9) & (np.abs(grid.coordinate_mesh[1]) < 1e-9)
+    x, y = np.meshgrid(grid.coordinate_axis, grid.coordinate_axis, indexing="ij")
+    probe = (np.abs(x - 4.0) < 1e-9) & (np.abs(y) < 1e-9)
     # at x = 4: eps = 1 sees background, eps = 0.125 still sees the bump
     assert tight.values[probe][0] == pytest.approx(0.5, abs=1e-3)
     assert flat.values[probe][0] == pytest.approx(0.5 + np.exp(-0.125), rel=1e-10)
@@ -79,8 +80,29 @@ def test_sample_matches_direct_evaluation():
     grid = build_grid(2, 16.0, 16)
     eps = 0.5
     field = sample_Q(Q, grid, eps)
-    want = Q.evaluate(*(eps * m for m in grid.coordinate_mesh))
-    assert np.allclose(field.values, want, atol=1e-14)
+    # the full-mesh formula: open axes must not change a bit of it
+    mesh = np.meshgrid(grid.coordinate_axis, grid.coordinate_axis, indexing="ij")
+    want = Q.evaluate(*(eps * m for m in mesh))
+    assert np.array_equal(field.values, want)
+
+
+def test_sample_holds_only_its_result():
+    # Q(eps x) is evaluated on the grid's open axes, so no full coordinate mesh
+    # is built, or kept on the grid: after the call only the result stays, and
+    # the peak, the bump's few full-grid working arrays, stays within four
+    grid = build_grid(3, 8.0, 32)
+    Q = BumpOnBackgroundQ(background=0.5, amplitude=1.0, width=1.0, centers=((0.125, 0.125, 0.125),))
+    array = 8 * grid.size
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        field = sample_Q(Q, grid, eps=0.5)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert field.values.shape == grid.shape and min(field.values.strides) > 0
+    assert held - before <= 1.05 * array
+    assert peak - before <= 4 * array
 
 
 def test_sample_warns_when_feature_leaves_box():

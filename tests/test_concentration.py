@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from helmlab import concentration, dual
 from helmlab.cli import main
@@ -38,7 +38,7 @@ def test_peak_on_node_is_exact(grid2d):
 
 def test_peak_subcell_refinement(grid2d):
     # off-node Gaussian; the parabolic fit should land well under a cell
-    xx, yy = grid2d.coordinate_mesh
+    xx, yy = np.meshgrid(grid2d.coordinate_axis, grid2d.coordinate_axis, indexing="ij")
     center = (0.1037, -0.23)
     vals = np.exp(-((xx - center[0]) ** 2 + (yy - center[1]) ** 2) / (2.0 * 1.5**2))
     found = locate_peak(RealField(grid2d, vals))
@@ -349,15 +349,7 @@ def test_plane_cycle_solver_budget(monkeypatch, tmp_path):
     assert len(applications) <= 74
 
 
-@pytest.fixture(scope="module")
-def mirror_box():
-    grid = build_grid(2, 16.0, 64)
-    return grid, ResolventSpec(s=1.0, delta=auto_delta(grid, 1.0))
-
-
 def _mirror_levels(grid, spec, center):
-    # at eps = 1 and 1/2 the centre's offsets are whole cells (h = 1/2), and
-    # the window edge at +-8 eps sits where the bump is below 1e-10
     exps = Exponents(dim=2, s=1.0, p=5.0, k=1.0)
     Q = BumpOnBackgroundQ(background=0.5, amplitude=1.0, width=1.0, centers=(center,))
     table = level_table(Q, [1.0, 0.5], exps, grid, spec=spec)
@@ -365,16 +357,33 @@ def _mirror_levels(grid, spec, center):
     return [row.level for row in table.rows] + [record.level for record in records]
 
 
-@settings(max_examples=8, derandomize=True, database=None, deadline=None)
-@given(signs=st.tuples(st.sampled_from([1.0, -1.0]), st.sampled_from([1.0, -1.0])), swap=st.booleans())
-def test_family_levels_are_mirror_and_swap_invariant(mirror_box, signs, swap):
-    # reflecting an axis or swapping the axes maps the grid onto itself, so the
-    # seed, placed by peak_node on max Q, must land on the image node
-    grid, spec = mirror_box
+@pytest.fixture(scope="module")
+def mirror_box():
+    grid = build_grid(2, 16.0, 64)
+    spec = ResolventSpec(s=1.0, delta=auto_delta(grid, 1.0))
+    return grid, spec, _mirror_levels(grid, spec, (0.5, 1.0))
+
+
+@settings(max_examples=16, derandomize=True, database=None, deadline=None)
+@given(
+    signs=st.tuples(st.sampled_from([1.0, -1.0]), st.sampled_from([1.0, -1.0])),
+    swap=st.booleans(),
+    cells=st.tuples(st.integers(-2, 2), st.integers(-2, 2)),
+)
+def test_family_levels_are_mirror_and_swap_invariant(mirror_box, signs, swap, cells):
+    # reflecting an axis or swapping the axes maps the grid onto itself, and so
+    # does a shift by whole cells: the grid spacing h = 1/2 is one cell of the
+    # sampled Q(eps x) at eps = 1 and two at eps = 1/2, so every centre on the
+    # h-lattice is a node at both. The seed, placed by peak_node on max Q, must
+    # land on the image node. |centre| <= 1 keeps the window edge at +-8 eps at
+    # least 7 from the centre at eps = 1/2, where the bump is exp(-49/2) < 1e-10
+    # of its amplitude, so the box cuts the same tails off every image
+    grid, spec, reference = mirror_box
     center = (signs[0] * 0.5, signs[1] * 1.0)
     if swap:
         center = center[::-1]
-    reference = _mirror_levels(grid, spec, (0.5, 1.0))
+    center = tuple(c + grid.spacing * k for c, k in zip(center, cells))
+    assume(max(abs(c) for c in center) <= 1.0)
     assert _mirror_levels(grid, spec, center) == pytest.approx(reference, rel=1e-8)
 
 

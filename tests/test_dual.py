@@ -187,9 +187,8 @@ def test_nehari_scale_errors():
     Qf = bump_field(grid)
     with pytest.raises(ZeroFieldError):
         nehari_scale(RealField.zeros(grid), Qf, EXPS, SPEC)
-    inside = RealField(
-        grid, np.cos((np.pi * 2 / 16.0) * grid.coordinate_mesh[0])
-    )  # negative quadratic form
+    x = np.meshgrid(grid.coordinate_axis, grid.coordinate_axis, indexing="ij")[0]
+    inside = RealField(grid, np.cos((np.pi * 2 / 16.0) * x))  # negative quadratic form
     with pytest.raises(IndefiniteFormError):
         nehari_scale(inside, Qf, EXPS, SPEC)
 

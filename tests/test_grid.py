@@ -87,7 +87,7 @@ def test_periodic_distance_wraps_around_boundary():
 def test_geometry_matches_the_full_mesh_formulas(dim, n):
     # the open-axis sums add the same terms in the same order as full meshes
     grid = build_grid(dim, 16.0, n)
-    coords = grid.coordinate_mesh
+    coords = np.meshgrid(*([grid.coordinate_axis] * dim), indexing="ij")
     freqs = np.meshgrid(*([grid.frequency_axis] * dim), indexing="ij")
     assert np.array_equal(grid.radius, np.sqrt(sum(m * m for m in coords)))
     # multipliers live on the half spectrum, the rfftn layout

@@ -82,7 +82,8 @@ def test_zero_init_rejected(unitQ, exps2d, spec2d):
 
 def test_init_outside_cone_rejected(unitQ, exps2d, spec2d):
     grid = unitQ.grid
-    low_mode = RealField(grid, np.cos((np.pi / 16.0) * grid.coordinate_mesh[0]))
+    x = np.meshgrid(grid.coordinate_axis, grid.coordinate_axis, indexing="ij")[0]
+    low_mode = RealField(grid, np.cos((np.pi / 16.0) * x))
     with pytest.raises(IndefiniteFormError):
         solve_ground_state(unitQ, exps2d, spec2d, init=low_mode)
 

@@ -107,37 +107,38 @@ def _solve_family(
     spec: ResolventSpec,
     tol: float,
     max_iter: int,
-    limit: GroundState,
-) -> list[GroundState]:
-    """Ground states with Q sampled at eps = 1/k, one per entry of `ks`.
+    limit: GroundState | None,
+) -> tuple[GroundState, list[GroundState]]:
+    """The limit state and one ground state per entry of `ks`, Q sampled at eps = 1/k.
 
-    Where the sampled coefficient has a maximum node, the solve starts
-    from the limit state `limit` (the constant-coefficient ground state
-    at sup Q), rolled so its profile peak lands on that node: the state
-    the family converges to as eps -> 0, placed where the paper's
-    concentration result puts it. Such solves do not depend on each
-    other or on the order of `ks`. A (near-)constant coefficient has no
-    maximum to place it on, so its solve starts from the last converged
-    state of the family, and until there is one from the solver's cold
-    start.
+    `limit` is the constant-coefficient ground state at sup Q; it is
+    solved here when not given, and one on another grid raises
+    `GridMismatchError` before any solve. Every family solve starts from
+    it, rolled so its profile peak lands on the maximum node of the
+    sampled coefficient: the state the family converges to as eps -> 0,
+    placed where the paper's concentration result puts it. A
+    (near-)constant coefficient has no maximum node, so its solve starts
+    from the solver's cold start, like the limit solve itself. No solve
+    depends on another or on the order of `ks`.
     """
+    if not ks:
+        raise ValueError("need at least one wavenumber")
+    if limit is None:
+        limit = limit_ground_state(Q.sup_value, grid, exps, spec, tol=tol, max_iter=max_iter)
+    elif limit.v.grid != grid:
+        raise GridMismatchError("the limit state lives on another grid than the family")
     limit_node = peak_node(limit.u_rescaled.values)
     states: list[GroundState] = []
-    previous: GroundState | None = None
     for k in ks:
         step_exps = exps.with_k(k)
         Qfield = sample_Q(Q, grid, step_exps.eps)
         q_node = max_node(Qfield)
+        init = None
         if q_node is not None:
             shift = tuple(q - p for q, p in zip(q_node, limit_node))
             init = RealField(grid, np.roll(limit.v.values, shift, axis=range(grid.dim)))
-        else:
-            init = None if previous is None else previous.v
-        gs = solve_ground_state(Qfield, step_exps, spec, init=init, tol=tol, max_iter=max_iter)
-        states.append(gs)
-        if gs.converged:
-            previous = gs
-    return states
+        states.append(solve_ground_state(Qfield, step_exps, spec, init=init, tol=tol, max_iter=max_iter))
+    return limit, states
 
 
 def run_sweep(
@@ -152,25 +153,15 @@ def run_sweep(
 ) -> list[SweepRecord]:
     """Solve along increasing wavenumbers and compare against the limit profile.
 
-    Walks the same warm-started family of solves as `level_table`, one
-    per k with the coefficient sampled at eps = 1/k. `limit`, the
-    constant-coefficient state at the peak value of Q (solved here when
-    not given, and then on `grid`), seeds every solve of a coefficient
-    with a maximum, rolled onto that maximum (see `_solve_family`); a
-    constant coefficient's steps start from the previous converged state
-    instead. Each step records the profile distance to `limit` and the
-    peak in both frames. A step that stagnates is recorded with
-    converged=False and the sweep moves on. A `limit` on another grid
-    raises `GridMismatchError` before any solve.
+    Solves the same family as `level_table` (see `_solve_family`), one
+    member per k with the coefficient sampled at eps = 1/k, from
+    `limit`, the constant-coefficient state at the peak value of Q
+    (solved on `grid` when not given). Each step records the profile
+    distance to `limit` and the peak in both frames. A step that
+    stagnates is recorded with converged=False and the sweep moves on.
     """
     ks = [float(k) for k in ks]
-    if not ks:
-        raise ValueError("need at least one wavenumber")
-    if limit is None:
-        limit = limit_ground_state(Q.sup_value, grid, exps, spec, tol=tol, max_iter=max_iter)
-    elif limit.v.grid != grid:
-        raise GridMismatchError("the limit state lives on another grid than the sweep")
-    states = _solve_family(Q, ks, exps, grid, spec, tol, max_iter, limit)
+    limit, states = _solve_family(Q, ks, exps, grid, spec, tol, max_iter, limit)
     return [
         SweepRecord(
             k=k,
@@ -208,7 +199,7 @@ class LevelTable:
     background value of Q, strictly above it whenever the bump helps.
     Constant-coefficient levels scale exactly as c(q) = q^(-2/(p-2)) c(1),
     so `background_level` is `peak_level` rescaled, with no second solve,
-    and `background_converged` repeats `peak_converged`.
+    and `background_converged` is `peak_converged`.
     Rows report c_eps with gap_low = c_eps - peak_level (should shrink
     to zero from above) and gap_high = background_level - c_eps (should
     become positive once eps resolves the bump).
@@ -217,8 +208,11 @@ class LevelTable:
     peak_level: float
     background_level: float
     rows: tuple[LevelRow, ...]
-    peak_converged: bool = True
-    background_converged: bool = True
+    peak_converged: bool
+
+    @property
+    def background_converged(self) -> bool:
+        return self.peak_converged
 
 
 def level_table(
@@ -232,20 +226,15 @@ def level_table(
 ) -> LevelTable:
     """Ground-state levels for a family of eps against both constant limits.
 
-    Walks the same warm-started family of solves as `run_sweep`, at
-    k = 1/eps in the order given, so the row at eps reproduces the
-    sweep's level at k = 1/eps. The limit solve at max Q that gives
-    `peak_level` also seeds every row of a coefficient with a maximum,
-    rolled onto that maximum (see `_solve_family`); a constant
-    coefficient's rows start from the previous converged row instead.
+    Solves the same family as `run_sweep` (see `_solve_family`) at
+    k = 1/eps, so the row at eps reproduces the sweep's level at
+    k = 1/eps. The family's limit solve at max Q gives `peak_level`.
     """
     if Q.background_value <= 0:
         raise ValueError("background value must be positive to define the background limit level")
-    peak_gs = limit_ground_state(Q.sup_value, grid, exps, spec, tol=tol, max_iter=max_iter)
-    background_level = (Q.background_value / Q.sup_value) ** (-2.0 / (exps.p - 2.0)) * peak_gs.level
-
     eps_list = [float(eps) for eps in eps_list]
-    states = _solve_family(Q, [1.0 / eps for eps in eps_list], exps, grid, spec, tol, max_iter, peak_gs)
+    peak_gs, states = _solve_family(Q, [1.0 / eps for eps in eps_list], exps, grid, spec, tol, max_iter, None)
+    background_level = (Q.background_value / Q.sup_value) ** (-2.0 / (exps.p - 2.0)) * peak_gs.level
     rows = tuple(
         LevelRow(
             eps=eps,
@@ -262,5 +251,4 @@ def level_table(
         background_level=background_level,
         rows=rows,
         peak_converged=peak_gs.converged,
-        background_converged=peak_gs.converged,
     )

@@ -170,7 +170,7 @@ def test_hopeless_config_process_ends_without_a_traceback(tmp_path):
 
 @pytest.mark.parametrize("key, value", [("solver.warm_start", "true"), ("output.precision", "12")])
 def test_removed_keys_are_unknown_keys(tmp_path, capsys, key, value):
-    # every family is warm-started, and CSV cells always carry 12 significant digits
+    # every family solve starts from the limit state, and CSV cells always carry 12 significant digits
     cfg = write_cfg(tmp_path, "old.cfg", f"{key} = {value}\n")
     assert main(["solve", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
     (line,) = capsys.readouterr().err.splitlines()
@@ -626,7 +626,7 @@ def test_public_names_are_objects_not_modules():
 
 
 def test_cli_import_leaves_scipy_unloaded():
-    # numpy is the only runtime dependency; scipy is a test-only extra
+    # numpy is the only runtime dependency; nothing in the package or its tests needs scipy
     done = run_script(sys.executable, "-c", "import sys, helmlab.cli; print('scipy' in sys.modules)")
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "False"

@@ -1,5 +1,7 @@
 """Peak tracking, profile comparison, sweeps and level tables."""
+import csv
 import itertools
+import json
 import math
 
 import numpy as np
@@ -208,23 +210,31 @@ def test_constant_sweep_reproduces_the_limit(grid2d, exps2d, spec2d, limit2d):
         assert record.profile_distance <= 1e-6
         assert record.peak_physical == tuple(record.eps * c for c in record.peak_rescaled)
         assert single_bubble_check(record)
-    # the second step warm-starts from the first and should barely move
-    assert records[0].iterations > 1
-    assert records[1].iterations <= 2
+        # a constant coefficient has no maximum node to place a seed on, so
+        # each step is the limit solve itself, bit for bit
+        assert np.array_equal(record.state.v.values, limit2d.v.values)
+        assert np.array_equal(record.state.u_rescaled.values, limit2d.u_rescaled.values)
+        assert record.iterations == limit2d.iterations
+        assert record.profile_distance == 0.0
 
 
 def test_cold_sweep_matches_warm_sweep_levels(grid2d, exps2d, spec2d, limit2d):
-    warm = run_sweep(ConstantQ(1.0), [2.0, 4.0], exps2d, grid2d, spec=spec2d, limit=limit2d)
-    for w in warm:
-        Qfield = sample_Q(ConstantQ(1.0), grid2d, w.eps)
-        cold = solve_ground_state(Qfield, exps2d.with_k(w.k), spec2d)
-        assert cold.level == pytest.approx(w.level, rel=1e-9)
+    records = run_sweep(ConstantQ(1.0), [2.0, 4.0], exps2d, grid2d, spec=spec2d, limit=limit2d)
+    for record in records:
+        Qfield = sample_Q(ConstantQ(1.0), grid2d, record.eps)
+        cold = solve_ground_state(Qfield, exps2d.with_k(record.k), spec2d)
+        assert cold.level == pytest.approx(record.level, rel=1e-9)
         assert cold.iterations > 1  # no warm start available
 
 
-def test_sweep_needs_wavenumbers(grid2d, exps2d, spec2d):
-    with pytest.raises(ValueError):
-        run_sweep(ConstantQ(1.0), [], exps2d, grid2d, spec=spec2d)
+@pytest.mark.parametrize("family", [run_sweep, level_table], ids=["run_sweep", "level_table"])
+def test_sweep_needs_wavenumbers(monkeypatch, family, grid2d, exps2d, spec2d):
+    # an empty family is refused before the limit solve, by both views alike
+    solves = []
+    monkeypatch.setattr(concentration, "solve_ground_state", lambda *a, **k: solves.append(a))
+    with pytest.raises(ValueError, match="at least one wavenumber"):
+        family(ConstantQ(1.0), [], exps2d, grid2d, spec=spec2d)
+    assert solves == []
 
 
 # -------------------------------------------------------------- level tables
@@ -302,6 +312,19 @@ def test_seeded_family_matches_cold_solves(grid2d, exps2d, spec2d):
             assert record.iterations <= cold.iterations
 
 
+@pytest.mark.parametrize("Q", [OFF_ORIGIN, ConstantQ(1.0)], ids=["bump", "constant"])
+def test_family_does_not_depend_on_the_order_of_ks(Q, grid2d, exps2d, spec2d):
+    # every member starts from the limit state or from the cold start, never
+    # from another member, so reversing the wavenumbers changes no bit
+    forward = run_sweep(Q, [2.0, 4.0, 8.0], exps2d, grid2d, spec=spec2d)
+    backward = run_sweep(Q, [8.0, 4.0, 2.0], exps2d, grid2d, spec=spec2d)
+    for record, mirror in zip(forward, reversed(backward)):
+        assert record.k == mirror.k
+        assert np.array_equal(record.state.v.values, mirror.state.v.values)
+        assert np.array_equal(record.state.u_rescaled.values, mirror.state.u_rescaled.values)
+        assert record.iterations == mirror.iterations
+
+
 def test_sweep_rejects_a_limit_on_another_grid(monkeypatch, grid2d, exps2d, spec2d):
     other = build_grid(2, 16.0, 32)
     limit = limit_ground_state(1.5, other, exps2d, ResolventSpec(s=1.0, delta=auto_delta(other, 1.0)))
@@ -347,6 +370,16 @@ def test_plane_cycle_solver_budget(monkeypatch, tmp_path):
     assert len(iterations) == 8
     assert sum(iterations) <= 64
     assert len(applications) <= 74
+    # sweep.k_values are the reciprocals of sweep.eps_values, so both commands
+    # solve the same family and must report the same levels, digit for digit
+    with open(tmp_path / "levels" / "levels.csv", encoding="utf-8") as fh:
+        c_eps = [row["c_eps"] for row in csv.DictReader(fh)]
+    with open(tmp_path / "sweep" / "sweep.csv", encoding="utf-8") as fh:
+        sweep_levels = [row["level"] for row in csv.DictReader(fh)]
+    assert c_eps == sweep_levels
+    levels_json = json.loads((tmp_path / "levels" / "levels.json").read_text(encoding="utf-8"))
+    sweep_json = json.loads((tmp_path / "sweep" / "sweep.json").read_text(encoding="utf-8"))
+    assert [row["c_eps"] for row in levels_json] == [row["level"] for row in sweep_json]
 
 
 def _mirror_levels(grid, spec, center):

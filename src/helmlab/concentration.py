@@ -133,11 +133,18 @@ def _solve_family(
         step_exps = exps.with_k(k)
         Qfield = sample_Q(Q, grid, step_exps.eps)
         q_node = max_node(Qfield)
-        init = None
-        if q_node is not None:
-            shift = tuple(q - p for q, p in zip(q_node, limit_node))
-            init = RealField(grid, np.roll(limit.v.values, shift, axis=range(grid.dim)))
-        states.append(solve_ground_state(Qfield, step_exps, spec, init=init, tol=tol, max_iter=max_iter))
+        shift = None if q_node is None else tuple(q - p for q, p in zip(q_node, limit_node))
+        # the seed is made inside the call, with no local here, so the solver can drop it after its start
+        states.append(
+            solve_ground_state(
+                Qfield,
+                step_exps,
+                spec,
+                init=None if shift is None else RealField(grid, np.roll(limit.v.values, shift, axis=range(grid.dim))),
+                tol=tol,
+                max_iter=max_iter,
+            )
+        )
     return limit, states
 
 

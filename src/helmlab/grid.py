@@ -15,14 +15,16 @@ writes each complex pass back into a buffer it allocated itself, so its
 arrays equal the n-D pair's bit for bit and inputs are never written.
 `apply_multiplier_values` computes irfftn(m * rfftn(f));
 `multiplier_kernel` applies a multiplier to the origin delta, whose
-spectrum is known, by the inverse passes alone;
+spectrum is known, by the inverse passes alone, with the signed values
+written straight into the real part of its one complex buffer;
 `apply_multiplier_boxed` applies one to a field supported on an index
 box and returns the result on another box, transforming each axis at
 the width of the box along the axes still untransformed.
 `multiplier_values` checks evenness on the full spectrum before it
 keeps the half. The explicit `SpectralField` transforms stay complex,
 on the full spectrum, and check Hermitian symmetry. Geometry and
-multipliers are evaluated on open (broadcast) 1D axes.
+multipliers are evaluated on open (broadcast) 1D axes; a full-grid
+radius takes its square root in place.
 """
 from __future__ import annotations
 
@@ -104,7 +106,8 @@ class TorusGrid:
     def node_radius(self, index: Sequence[np.ndarray]) -> np.ndarray:
         """Euclidean distance from the origin of the nodes with per-axis indices `index` (broadcast)."""
         axis = self.coordinate_axis
-        return np.sqrt(sum(axis[i] * axis[i] for i in index))
+        squared = sum(axis[i] * axis[i] for i in index)
+        return np.sqrt(squared, out=squared)
 
     @cached_property
     def radius(self) -> np.ndarray:
@@ -293,14 +296,17 @@ def multiplier_kernel(grid: TorusGrid, values: np.ndarray) -> RealField:
     the unnormalised irfftn of values * (-1)^(k_0 + ... + k_(dim-1)),
     scaled by 1/h^dim: apply_multiplier_values(delta, values) without the
     forward transform. `values` are half-spectrum values, as that
-    function takes, and are not written; the signs multiply a copy in
+    function takes, and are not written. One complex buffer is allocated:
+    values / h^dim go into its real part, the signs multiply that part in
     place, and the inverse passes (ifft on axes 0 ... dim-2, then irfft)
-    overwrite its complex buffer.
+    overwrite the buffer.
     """
-    signed = values / grid.cell_volume
+    spectrum = np.zeros(values.shape, dtype=complex)
+    signed = spectrum.real
+    np.divide(values, grid.cell_volume, out=signed)
     for sign in grid._half_spectrum_axes((-1.0) ** np.arange(grid.points_per_axis)):
         signed *= sign
-    return RealField(grid, _inverse_passes(signed.astype(complex), grid.points_per_axis, None))
+    return RealField(grid, _inverse_passes(spectrum, grid.points_per_axis, None))
 
 
 def apply_multiplier_boxed(

@@ -39,11 +39,16 @@ class ResolventSpec:
 
         Shape (n,)*(dim-1) + (n//2+1,), as `apply_multiplier_values` and
         `multiplier_kernel` take it; the symbol is radial, so these
-        values determine it at every grid wavenumber.
+        values determine it at every grid wavenumber. The array is fresh,
+        and each step after the power writes into it, so two half spectra
+        are held at once.
         """
-        mu = grid.frequency_norm ** (2.0 * self.s)
-        shifted = mu - 1.0
-        return shifted / (shifted * shifted + self.delta * self.delta)
+        shifted = grid.frequency_norm ** (2.0 * self.s)
+        shifted -= 1.0
+        denominator = shifted * shifted
+        denominator += self.delta * self.delta
+        shifted /= denominator
+        return shifted
 
 
 def auto_delta(grid: TorusGrid, s: float) -> float:
@@ -92,9 +97,13 @@ def _band_cutoff(frequency_norm: np.ndarray) -> np.ndarray:
 class KernelBundle:
     """A kernel split into its near-sphere band part and the remainder."""
 
-    kernel: RealField
     band: RealField
     remainder: RealField
+
+    @property
+    def kernel(self) -> RealField:
+        """The whole kernel, band + remainder, summed afresh on each access."""
+        return self.band + self.remainder
 
 
 def band_decompose(spec: ResolventSpec, grid: TorusGrid) -> KernelBundle:
@@ -110,11 +119,15 @@ def band_decompose(spec: ResolventSpec, grid: TorusGrid) -> KernelBundle:
     delta, symbol and symbol * psi, by one inverse transform each
     (`multiplier_kernel`). The absorption delta > 0 that every
     `ResolventSpec` carries confines the oscillating kernel tail to the box.
+    The cutoff multiplies the symbol in place once K is made, and K2 is
+    written over K's values, so K itself is not kept.
     """
     symbol = spec.symbol_values(grid)
-    kernel = multiplier_kernel(grid, symbol)
-    band = multiplier_kernel(grid, _band_cutoff(grid.frequency_norm) * symbol)
-    return KernelBundle(kernel=kernel, band=band, remainder=kernel - band)
+    kernel = multiplier_kernel(grid, symbol).values
+    symbol *= _band_cutoff(grid.frequency_norm)
+    band = multiplier_kernel(grid, symbol)
+    np.subtract(kernel, band.values, out=kernel)
+    return KernelBundle(band=band, remainder=RealField(grid, kernel))
 
 
 def radial_envelope(field: RealField, shell_count: int) -> list[tuple[float, float]]:
@@ -123,17 +136,24 @@ def radial_envelope(field: RealField, shell_count: int) -> list[tuple[float, flo
     Returns (shell center radius, shell maximum) pairs; the origin node
     and nodes farther than half_width from it are ignored, and empty
     shells report 0. Ignored nodes go to an extra shell that is dropped,
-    so every node is binned in one pass with no gather.
+    so every node is binned with no gather. Nodes are binned in blocks
+    of n rows of length n (n points per axis), so the shell index and
+    |f| never take more than n^2 entries at once.
     """
     if shell_count < 4:
         raise ValueError("shell_count must be at least 4")
     grid = field.grid
+    n = grid.points_per_axis
     width = grid.half_width / shell_count
-    r = grid.radius
-    idx = np.minimum((r / width).astype(int), shell_count - 1)
-    np.putmask(idx, (r == 0.0) | (r > grid.half_width), shell_count)
+    rows = grid.radius.reshape(-1, n)
+    values = field.values.reshape(-1, n)
     env = np.zeros(shell_count + 1)
-    np.maximum.at(env, idx.ravel(), np.abs(field.values).ravel())
+    for start in range(0, rows.shape[0], n):
+        r = rows[start : start + n]
+        idx = np.minimum((r / width).astype(int), shell_count - 1)
+        np.putmask(idx, (r == 0.0) | (r > grid.half_width), shell_count)
+        # raveled: a 2-D index array sends np.maximum.at down its slow path
+        np.maximum.at(env, idx.ravel(), np.abs(values[start : start + n]).ravel())
     centers = (np.arange(shell_count) + 0.5) * width
     return [(float(c), float(e)) for c, e in zip(centers, env[:shell_count])]
 

@@ -1,4 +1,6 @@
 """Resolvent multiplier, kernel extraction and decay diagnostics."""
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -18,6 +20,7 @@ from helmlab import (
     forward_transform,
     inner_product,
     lq_norm,
+    multiplier_kernel,
     radial_envelope,
 )
 from helmlab import resolvent
@@ -109,6 +112,16 @@ def test_resolvent_linearity():
     lhs = apply_multiplier_values(2.0 * f - 3.0 * g, values)
     rhs = 2.0 * apply_multiplier_values(f, values) - 3.0 * apply_multiplier_values(g, values)
     assert np.max(np.abs(lhs.values - rhs.values)) <= 1e-12 * np.max(np.abs(lhs.values))
+
+
+@pytest.mark.parametrize("s", [0.9, 1.0, 1.25])
+def test_symbol_values_equal_the_formula_bit_for_bit(s):
+    # the in-place steps are the formula's operations in the formula's order
+    grid = build_grid(3, 16.0, 32)
+    delta = auto_delta(grid, s)
+    mu = grid.frequency_norm ** (2.0 * s)
+    want = (mu - 1.0) / ((mu - 1.0) ** 2 + delta * delta)
+    assert np.array_equal(ResolventSpec(s=s, delta=delta).symbol_values(grid), want)
 
 
 def test_spec_validation():
@@ -228,10 +241,13 @@ def test_band_cutoff_plateau_and_support():
 
 
 def test_band_split_adds_back_to_kernel():
+    # against the kernel made on its own: the bundle's `kernel` is band + remainder
     grid = build_grid(2, 16.0, 32)
-    bundle = band_decompose(ResolventSpec(s=1.0, delta=0.2), grid)
+    spec = ResolventSpec(s=1.0, delta=0.2)
+    bundle = band_decompose(spec, grid)
+    kernel = multiplier_kernel(grid, spec.symbol_values(grid)).values
     total = bundle.band.values + bundle.remainder.values
-    assert np.allclose(total, bundle.kernel.values, atol=1e-13 * np.max(np.abs(bundle.kernel.values)))
+    assert np.allclose(total, kernel, atol=1e-13 * np.max(np.abs(kernel)))
 
 
 def test_band_part_is_spectrally_confined():
@@ -245,6 +261,30 @@ def test_band_part_is_spectrally_confined():
     scale = np.max(np.abs(full))
     assert np.max(np.abs(spectrum[off_band])) <= 1e-13 * scale
     assert np.allclose(spectrum[plateau], full[plateau], atol=1e-12 * scale)
+
+
+@pytest.mark.parametrize("n", [32, 64])
+def test_kernel_check_peak_memory(n):
+    # Counted in H, one float64 half spectrum. The peak comes while K1's
+    # inverse runs: the symbol (1, the cutoff applied in place), K (2, a real
+    # grid), the complex buffer (2) and K1 (2), then K1's finiteness mask in
+    # RealField (1/4, one byte per node). K2 is written over K, and the
+    # envelopes hold K1, K2 and grid.radius (2 each) plus blocks of n^2 nodes.
+    # grid.frequency_norm, cached on the grid, is made before tracing starts.
+    grid = build_grid(3, 32.0, n)
+    grid.frequency_norm
+    half = 8 * n * n * (n // 2 + 1)
+    arrays = 1 + 2 + 2 + 2 + 0.25
+    tracemalloc.start()
+    try:
+        bundle = band_decompose(ResolventSpec(s=1.0, delta=0.2), grid)
+        radial_envelope(bundle.band, 12)
+        radial_envelope(bundle.remainder, 12)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # a quarter of H covers the envelope blocks and the Python objects
+    assert peak <= (arrays + 0.25) * half
 
 
 # ---------------------------------------------------------------- envelopes

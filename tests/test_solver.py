@@ -1,5 +1,6 @@
 """Fixed-point solver behavior: termination, invariances, honest failure."""
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -305,6 +306,32 @@ def test_solve_memory_is_its_history_and_one_iteration():
     assert gs.converged and gs.iterations > memory
     # a quarter of an array covers the Gram system and the Python objects
     assert peak <= (arrays + 0.25) * 8 * grid.size
+
+
+def test_solver_releases_its_seed_after_the_start_projection(monkeypatch):
+    # a seed passed with no other reference is freed once the start is
+    # projected; the iterate is a fresh array, not a view of the seed's values
+    grid = build_grid(2, 16.0, 32)
+    spec = ResolventSpec(s=1.0, delta=auto_delta(grid, 1.0))
+    exps = Exponents(dim=2, s=1.0, p=5.0, k=1.0)
+    Qf = sample_Q(ConstantQ(1.0), grid)
+    seeds = []
+
+    def seed():
+        values = dual.default_initial_guess(Qf, exps, spec).values.copy()
+        seeds.append(weakref.ref(values))
+        return RealField(grid, values)
+
+    alive = []
+    original = dual._DualOperator.candidate
+
+    def candidate(self, w):
+        alive.append(seeds[0]() is not None)
+        return original(self, w)
+
+    monkeypatch.setattr(dual._DualOperator, "candidate", candidate)
+    solve_ground_state(Qf, exps, spec, init=seed(), max_iter=2)
+    assert alive and not any(alive)
 
 
 def test_cone_exit_when_no_step_keeps_the_form_positive(monkeypatch, unitQ, exps2d, spec2d):

@@ -134,7 +134,9 @@ def _solve_family(
         Qfield = sample_Q(Q, grid, step_exps.eps)
         q_node = max_node(Qfield)
         shift = None if q_node is None else tuple(q - p for q, p in zip(q_node, limit_node))
-        # the seed is made inside the call, with no local here, so the solver can drop it after its start
+        # the seed is made inside the call, with no local here, so the solver can drop it after its
+        # start: CPython 3.11+ hands the caller's argument references to the callee (on 3.10 the
+        # caller holds the seed until the call returns), so an `init = ...` local would keep it
         states.append(
             solve_ground_state(
                 Qfield,

@@ -399,7 +399,9 @@ def solve_ground_state(
     pd = exps.p_dual
     op = _DualOperator(Qfield, exps, spec)
     _, v, rw_v, energy = op.project_or_raise((op.initial_guess() if init is None else init).values)
-    del init  # only the start projection reads it; v is a fresh array, so a seed is not held past here
+    # only the start projection reads the seed and v is a fresh array, so a seed the caller
+    # does not keep is freed here (on CPython 3.11+, where a call takes over its argument references)
+    del init
 
     # Anderson history: row j of each array holds one increment between
     # consecutive projected candidates, written in rotation over the rows

@@ -100,11 +100,6 @@ class KernelBundle:
     band: RealField
     remainder: RealField
 
-    @property
-    def kernel(self) -> RealField:
-        """The whole kernel, band + remainder, summed afresh on each access."""
-        return self.band + self.remainder
-
 
 def band_decompose(spec: ResolventSpec, grid: TorusGrid) -> KernelBundle:
     """The resolvent kernel K, split as K = K1 + K2 with K1 spectrally supported near the sphere.

@@ -160,7 +160,7 @@ def test_kernel_requires_absorption():
 
 def test_kernel_is_even():
     grid = build_grid(2, 16.0, 32)
-    k = band_decompose(ResolventSpec(s=1.0, delta=0.2), grid).kernel.values
+    k = multiplier_kernel(grid, ResolventSpec(s=1.0, delta=0.2).symbol_values(grid)).values
     # x -> -x is a flip plus a one-cell roll (the -L node has no mirror)
     mirrored = k
     for axis in range(2):
@@ -171,7 +171,7 @@ def test_kernel_is_even():
 def test_kernel_reproduces_resolvent_by_convolution():
     grid = build_grid(1, 16.0, 32)
     spec = ResolventSpec(s=1.0, delta=0.3)
-    kernel = band_decompose(spec, grid).kernel.values
+    kernel = multiplier_kernel(grid, spec.symbol_values(grid)).values
     f = np.random.default_rng(3).standard_normal(32)
     direct = apply_multiplier_values(RealField(grid, f), spec.symbol_values(grid)).values
     n = 32
@@ -186,12 +186,8 @@ def test_kernel_reproduces_resolvent_by_convolution():
 
 
 def test_unit_symbol_kernel_is_discrete_delta():
-    class UnitSymbol(ResolventSpec):
-        def symbol_values(self, grid):
-            return np.ones(grid.frequency_norm.shape)  # the half spectrum
-
     grid = build_grid(2, 16.0, 16)
-    kernel = band_decompose(UnitSymbol(s=1.0, delta=0.1), grid).kernel
+    kernel = multiplier_kernel(grid, np.ones(grid.frequency_norm.shape))  # the half spectrum
     expected = np.zeros(grid.shape)
     expected[grid.origin_index] = 1.0 / grid.cell_volume
     assert np.allclose(kernel.values, expected, atol=1e-10)
@@ -241,7 +237,7 @@ def test_band_cutoff_plateau_and_support():
 
 
 def test_band_split_adds_back_to_kernel():
-    # against the kernel made on its own: the bundle's `kernel` is band + remainder
+    # against the kernel made on its own: band_decompose writes K2 over K
     grid = build_grid(2, 16.0, 32)
     spec = ResolventSpec(s=1.0, delta=0.2)
     bundle = band_decompose(spec, grid)
@@ -252,10 +248,11 @@ def test_band_split_adds_back_to_kernel():
 
 def test_band_part_is_spectrally_confined():
     grid = build_grid(2, 16.0, 32)
-    bundle = band_decompose(ResolventSpec(s=1.0, delta=0.2), grid)
+    spec = ResolventSpec(s=1.0, delta=0.2)
+    bundle = band_decompose(spec, grid)
     # compared on the half spectrum, where grid.frequency_norm lives
     spectrum = forward_transform(bundle.band).coeffs[..., : grid.points_per_axis // 2 + 1]
-    full = forward_transform(bundle.kernel).coeffs[..., : grid.points_per_axis // 2 + 1]
+    full = forward_transform(multiplier_kernel(grid, spec.symbol_values(grid))).coeffs[..., : grid.points_per_axis // 2 + 1]
     off_band = np.abs(grid.frequency_norm - 1.0) >= 0.25
     plateau = np.abs(grid.frequency_norm - 1.0) <= 1.0 / 6.0
     scale = np.max(np.abs(full))

@@ -1,4 +1,5 @@
 """Fixed-point solver behavior: termination, invariances, honest failure."""
+import sys
 import tracemalloc
 import weakref
 
@@ -308,9 +309,30 @@ def test_solve_memory_is_its_history_and_one_iteration():
     assert peak <= (arrays + 0.25) * 8 * grid.size
 
 
+def test_solver_start_is_not_a_view_of_its_seed(monkeypatch, unitQ, exps2d, spec2d):
+    # the start projection returns a fresh iterate, so nothing after it reads the seed
+    seed = dual.default_initial_guess(unitQ, exps2d, spec2d)
+    aliased = []
+    original = dual._DualOperator.project_or_raise
+
+    def project_or_raise(self, values):
+        out = original(self, values)
+        aliased.append(np.shares_memory(out[1], values))
+        return out
+
+    monkeypatch.setattr(dual._DualOperator, "project_or_raise", project_or_raise)
+    solve_ground_state(unitQ, exps2d, spec2d, init=seed, max_iter=2)
+    assert aliased == [False]
+
+
+@pytest.mark.skipif(
+    sys.implementation.name != "cpython" or sys.version_info < (3, 11),
+    reason="before CPython 3.11 a call keeps its caller's references to its arguments until it returns",
+)
 def test_solver_releases_its_seed_after_the_start_projection(monkeypatch):
     # a seed passed with no other reference is freed once the start is
-    # projected; the iterate is a fresh array, not a view of the seed's values
+    # projected: the solver drops its own reference, and CPython 3.11+ hands
+    # the caller's argument references to the callee
     grid = build_grid(2, 16.0, 32)
     spec = ResolventSpec(s=1.0, delta=auto_delta(grid, 1.0))
     exps = Exponents(dim=2, s=1.0, p=5.0, k=1.0)

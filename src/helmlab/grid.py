@@ -7,19 +7,22 @@ integrals are plain quadrature sums weighted by the cell volume h^dim.
 Fourier multipliers are real and even, m(-xi) = m(xi), so they keep
 fields real and live on the half spectrum: the rfftn layout of shape
 (n,)*(dim-1) + (n//2+1,), as `frequency_norm`, `multiplier_values` and
-the resolvent symbol return them. Every multiplier path runs numpy's
-1D transforms one axis at a time, in the order rfftn and irfftn use
+the resolvent symbol return them. The transform paths run numpy's 1D
+transforms one axis at a time, in the order rfftn and irfftn use
 (forward: rfft on the last axis, then fft on axes dim-2 ... 0;
 inverse: ifft on axes 0 ... dim-2, then irfft on the last axis), and
-writes each complex pass back into a buffer it allocated itself, so its
-arrays equal the n-D pair's bit for bit and inputs are never written.
-`apply_multiplier_values` computes irfftn(m * rfftn(f));
-`multiplier_kernel` applies a multiplier to the origin delta, whose
-spectrum is known, by the inverse passes alone, with the signed values
-written straight into the real part of its one complex buffer;
-`apply_multiplier_boxed` applies one to a field supported on an index
-box and returns the result on another box, transforming each axis at
-the width of the box along the axes still untransformed.
+write each complex pass back into a buffer they allocated themselves,
+so their arrays equal the n-D pair's bit for bit and inputs are never
+written. `apply_multiplier_values` computes irfftn(m * rfftn(f));
+`apply_multiplier_boxed` applies a multiplier to a field supported on
+an index box and returns the result on another box, transforming each
+axis at the width of the box along the axes still untransformed.
+`multiplier_kernel` applies a multiplier that is even in each axis, as
+a radial one is, to the origin delta, whose spectrum is known, with no
+transform: from the multiplier's values on the quadrant of
+non-negative wavenumbers (`quadrant_norm`, shape (n//2+1,)*dim) it sums
+cosines, one dense matrix per axis, on the octant of non-negative
+offsets, then mirrors that octant to the full grid.
 `multiplier_values` checks evenness on the full spectrum before it
 keeps the half. The explicit `SpectralField` transforms stay complex,
 on the full spectrum, and check Hermitian symmetry. Geometry and
@@ -30,6 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+import itertools
 import math
 from typing import Sequence
 
@@ -114,16 +118,24 @@ class TorusGrid:
         """Euclidean distance of every node from the origin."""
         return self.node_radius(self._open_axes(np.arange(self.points_per_axis)))
 
-    def _half_spectrum_axes(self, axis: np.ndarray) -> list[np.ndarray]:
-        """Open axes over the half spectrum: the last one keeps its first n//2 + 1 entries."""
-        axes = list(self._open_axes(axis))
-        axes[-1] = axes[-1][..., : self.points_per_axis // 2 + 1]
-        return axes
-
     @cached_property
     def frequency_norm(self) -> np.ndarray:
         """|xi| on the half spectrum, shape (n,)*(dim-1) + (n//2+1,)."""
-        return np.sqrt(sum(a * a for a in self._half_spectrum_axes(self.frequency_axis)))
+        axes = list(self._open_axes(self.frequency_axis))
+        axes[-1] = axes[-1][..., : self.points_per_axis // 2 + 1]
+        return np.sqrt(sum(a * a for a in axes))
+
+    @cached_property
+    def quadrant_norm(self) -> np.ndarray:
+        """|xi| on the quadrant of non-negative wavenumbers, shape (n//2+1,)*dim.
+
+        The same sum in the same order as `frequency_norm`, so it equals
+        that array's first n//2 + 1 entries along every axis bit for bit.
+        The wavenumbers j and n - j are exact negatives, so |xi| is
+        bitwise even in each axis and the quadrant holds every value.
+        """
+        axes = self._open_axes(self.frequency_axis[: self.points_per_axis // 2 + 1])
+        return np.sqrt(sum(a * a for a in axes))
 
     def periodic_offsets(self, center) -> list[np.ndarray]:
         """Per axis, the signed torus offsets x_i - c in [-L, L) of the coordinate axis from a point."""
@@ -242,7 +254,7 @@ def multiplier_values(grid: TorusGrid, multiplier) -> np.ndarray:
     1e-8 relative to max |m|, pairing index j with (-j) mod n on every
     axis: such a multiplier does not keep fields real. Returns the values
     on the half spectrum, of shape (n,)*(dim-1) + (n//2+1,), as
-    `apply_multiplier_values` and `multiplier_kernel` take them.
+    `apply_multiplier_values` takes them.
     """
     values = np.asarray(multiplier(*grid._open_axes(grid.frequency_axis)), dtype=float)
     if not np.all(np.isfinite(values)):
@@ -254,18 +266,6 @@ def multiplier_values(grid: TorusGrid, multiplier) -> np.ndarray:
             f"multiplier is not even: |m(xi) - m(-xi)| reaches {asymmetry:.3e}; it would not keep fields real"
         )
     return np.broadcast_to(values, grid.shape)[..., : grid.points_per_axis // 2 + 1]
-
-
-def _inverse_passes(spectrum: np.ndarray, n: int, norm: str | None) -> np.ndarray:
-    """Real inverse of a half spectrum, the order irfftn uses: complex ifft
-    on axes 0 ... dim-2, each written back into `spectrum`, then irfft on
-    the last axis to n points. `spectrum` must be a complex buffer the
-    caller owns; it is overwritten.
-    """
-    last = spectrum.ndim - 1
-    for axis in range(last):
-        np.fft.ifft(spectrum, axis=axis, norm=norm, out=spectrum)
-    return np.fft.irfft(spectrum, n=n, axis=last, norm=norm)
 
 
 def apply_multiplier_values(field: RealField, values: np.ndarray) -> RealField:
@@ -285,28 +285,50 @@ def apply_multiplier_values(field: RealField, values: np.ndarray) -> RealField:
     for axis in range(last - 1, -1, -1):
         np.fft.fft(spectrum, axis=axis, norm="ortho", out=spectrum)
     spectrum *= values
-    return RealField(grid, _inverse_passes(spectrum, grid.points_per_axis, "ortho"))
+    for axis in range(last):
+        np.fft.ifft(spectrum, axis=axis, norm="ortho", out=spectrum)
+    return RealField(grid, np.fft.irfft(spectrum, n=grid.points_per_axis, axis=last, norm="ortho"))
 
 
 def multiplier_kernel(grid: TorusGrid, values: np.ndarray) -> RealField:
     """The multiplier applied to the unit-mass delta at the origin node.
 
-    The delta, 1/h^dim at `origin_index` = (n/2, ...), has the unitary
-    spectrum (-1)^(k_0 + ... + k_(dim-1)) / (h^dim sqrt(N)), so this is
-    the unnormalised irfftn of values * (-1)^(k_0 + ... + k_(dim-1)),
-    scaled by 1/h^dim: apply_multiplier_values(delta, values) without the
-    forward transform. `values` are half-spectrum values, as that
-    function takes, and are not written. One complex buffer is allocated:
-    values / h^dim go into its real part, the signs multiply that part in
-    place, and the inverse passes (ifft on axes 0 ... dim-2, then irfft)
-    overwrite the buffer.
+    The multiplier must be even in each axis, m(.., -xi_i, ..) = m(.., xi_i, ..),
+    as a radial one is, and `values` holds it on the quadrant of
+    non-negative wavenumbers, shape (n//2 + 1,)*dim (as
+    `grid.quadrant_norm` has it); any other shape raises ValueError.
+    The delta, 1/h^dim at `origin_index` = (n/2, ...), has the spectrum
+    (-1)^(k_0 + ... + k_(dim-1)) / h^dim, so at the node n/2 + a the
+    kernel is the separable cosine sum
+
+        prod_i 1/(n h) sum_(k_i = 0)^(n/2) w_(k_i) cos(2 pi k_i a_i / n)  m(k),
+
+    with w = 1 at k in {0, n/2} and 2 elsewhere. It is even in each a_i,
+    so it is evaluated for a_i in 0 ... n/2 only, one dense
+    (n//2 + 1)^2 cosine matrix per axis through BLAS: each product
+    contracts the first axis and appends the new one last, so after dim
+    products the axes are back in order. The octant is then mirrored
+    into the one full-grid array, node j taking a_i = |j_i - n/2|, so
+    the kernel is exactly even. `values` is not written.
     """
-    spectrum = np.zeros(values.shape, dtype=complex)
-    signed = spectrum.real
-    np.divide(values, grid.cell_volume, out=signed)
-    for sign in grid._half_spectrum_axes((-1.0) ** np.arange(grid.points_per_axis)):
-        signed *= sign
-    return RealField(grid, _inverse_passes(spectrum, grid.points_per_axis, None))
+    n = grid.points_per_axis
+    q = n // 2 + 1
+    if values.shape != (q,) * grid.dim:
+        raise ValueError(f"values shape {values.shape} is not the quadrant shape {(q,) * grid.dim}")
+    k = np.arange(q)
+    weights = np.where((k == 0) | (k == n // 2), 1.0, 2.0) / (n * grid.spacing)
+    # the argument reduced mod n in integers, so it never leaves [0, 2 pi)
+    cosines = np.cos(2.0 * np.pi * (np.multiply.outer(k, k) % n) / n) * weights
+    octant = values
+    for _ in range(grid.dim):
+        octant = octant.reshape(q, -1).T @ cosines.T
+    octant = octant.reshape((q,) * grid.dim)
+    # per axis, nodes 0 ... n/2 take a = n/2 ... 0 and nodes n/2+1 ... n-1 take a = 1 ... n/2-1
+    halves = ((slice(0, q), slice(None, None, -1)), (slice(q, n), slice(1, q - 1)))
+    kernel = np.empty(grid.shape)
+    for pieces in itertools.product(halves, repeat=grid.dim):
+        kernel[tuple(p[0] for p in pieces)] = octant[tuple(p[1] for p in pieces)]
+    return RealField(grid, kernel)
 
 
 def apply_multiplier_boxed(

@@ -37,13 +37,21 @@ class ResolventSpec:
     def symbol_values(self, grid: TorusGrid) -> np.ndarray:
         """Symbol on the grid's half spectrum, the layout `grid.frequency_norm` has.
 
-        Shape (n,)*(dim-1) + (n//2+1,), as `apply_multiplier_values` and
-        `multiplier_kernel` take it; the symbol is radial, so these
-        values determine it at every grid wavenumber. The array is fresh,
-        and each step after the power writes into it, so two half spectra
-        are held at once.
+        Shape (n,)*(dim-1) + (n//2+1,), as `apply_multiplier_values`
+        takes it; the symbol is radial, so these values determine it at
+        every grid wavenumber. `band_decompose` evaluates the same
+        formula, by the same operations in the same order, on
+        `grid.quadrant_norm`, so its values there equal these bit for bit.
         """
-        shifted = grid.frequency_norm ** (2.0 * self.s)
+        return self._symbol(grid.frequency_norm)
+
+    def _symbol(self, norm: np.ndarray) -> np.ndarray:
+        """The symbol at wavenumber magnitudes `norm`, in a fresh array.
+
+        Each step after the power writes into that array, so two arrays
+        of `norm`'s size are held at once.
+        """
+        shifted = norm ** (2.0 * self.s)
         shifted -= 1.0
         denominator = shifted * shifted
         denominator += self.delta * self.delta
@@ -58,9 +66,11 @@ def auto_delta(grid: TorusGrid, s: float) -> float:
     sphere, measured as the median gap between consecutive distinct
     values in the window (0.5, 1.5). This smooths the singular sphere at
     the scale the grid can resolve, which also keeps the oscillating
-    kernel tail inside the box.
+    kernel tail inside the box. |xi| is bitwise even in each axis, so
+    the values over the quadrant `grid.quadrant_norm` are the values
+    over the whole spectrum.
     """
-    mu = np.unique(grid.frequency_norm ** (2.0 * s))
+    mu = np.unique(grid.quadrant_norm ** (2.0 * s))
     window = mu[(mu > 0.5) & (mu < 1.5)]
     if window.size < 2:
         window = mu[(mu > 0.0) & (mu < 4.0)]
@@ -110,19 +120,19 @@ def band_decompose(spec: ResolventSpec, grid: TorusGrid) -> KernelBundle:
     propagating near-sphere modes and decays like the dimension's
     far-field envelope; K2 = K - K1 carries everything else and decays
     faster. The cutoff psi is fixed: 1 for ||xi| - 1| <= 1/6 and 0 for
-    ||xi| - 1| >= 1/4. Both K and K1 come from the known spectrum of the
-    delta, symbol and symbol * psi, by one inverse transform each
-    (`multiplier_kernel`). The absorption delta > 0 that every
-    `ResolventSpec` carries confines the oscillating kernel tail to the box.
-    The cutoff multiplies the symbol in place once K is made, and K2 is
-    written over K's values, so K itself is not kept.
+    ||xi| - 1| >= 1/4. The symbol m and psi are radial, hence even in
+    each axis, so both are evaluated on the quadrant `grid.quadrant_norm`
+    alone; K1 is the kernel of m*psi and K2 that of m - m*psi, each a
+    cosine sum on the octant mirrored to the full grid
+    (`multiplier_kernel`). No Fourier transform runs, and K itself is
+    never formed. The absorption delta > 0 that every `ResolventSpec`
+    carries confines the oscillating kernel tail to the box.
     """
-    symbol = spec.symbol_values(grid)
-    kernel = multiplier_kernel(grid, symbol).values
-    symbol *= _band_cutoff(grid.frequency_norm)
-    band = multiplier_kernel(grid, symbol)
-    np.subtract(kernel, band.values, out=kernel)
-    return KernelBundle(band=band, remainder=RealField(grid, kernel))
+    norm = grid.quadrant_norm
+    symbol = spec._symbol(norm)
+    band = symbol * _band_cutoff(norm)
+    symbol -= band
+    return KernelBundle(band=multiplier_kernel(grid, band), remainder=multiplier_kernel(grid, symbol))
 
 
 def radial_envelope(field: RealField, shell_count: int) -> list[tuple[float, float]]:

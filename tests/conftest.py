@@ -63,5 +63,10 @@ def limit2d(grid2d, exps2d, spec2d):
     return gs
 
 
+def quadrant(values):
+    """Half-spectrum values cut to the quadrant of non-negative wavenumbers, as `multiplier_kernel` takes them."""
+    return values[(slice(0, values.shape[-1]),) * (values.ndim - 1)]
+
+
 def rng(seed):
     return np.random.default_rng(seed)

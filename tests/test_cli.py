@@ -12,6 +12,7 @@ import sys
 import types
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import helmlab
@@ -427,6 +428,23 @@ def test_kernel_check_is_deterministic(tmp_path, capsys):
     assert "K1" in out and "K2" in out
 
 
+def test_kernel_check_is_the_same_on_one_and_two_blas_threads(tmp_path):
+    # the kernels' cosine sums run through BLAS, whose thread count must not
+    # reach the CSVs: a run is reproducible byte for byte
+    cfg = write_cfg(tmp_path, "k.cfg", CUBE_CFG + "kernel.window_lo = 2.0\nkernel.window_hi = 10.0\n")
+    names = ("kernel_decay.csv", "kernel_envelope.csv")
+    outputs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}"
+        done = run_script(
+            sys.executable, "-m", "helmlab.cli", "kernel-check", "--config", cfg, "--out", str(out),
+            OPENBLAS_NUM_THREADS=threads,
+        )
+        assert done.returncode == 0, done.stderr
+        outputs.append([(out / name).read_bytes() for name in names])
+    assert outputs[0] == outputs[1]
+
+
 def test_kernel_window_past_half_box_warns(tmp_path, capsys):
     cfg = write_cfg(
         tmp_path,
@@ -439,15 +457,19 @@ def test_kernel_window_past_half_box_warns(tmp_path, capsys):
 
 
 def count_transforms(monkeypatch):
-    """Count symbol evaluations, full-grid multiplier pairs and boxed applications, wherever bound."""
+    """Count symbol evaluations, full-grid multiplier pairs and boxed applications, wherever bound.
+
+    Symbol evaluations are counted at the one formula that `symbol_values`
+    and `band_decompose` share.
+    """
     calls = {"symbol": 0, "pair": 0, "boxed": 0}
-    symbol = ResolventSpec.symbol_values
+    symbol = ResolventSpec._symbol
     pair = helmlab.grid.apply_multiplier_values
     boxed = helmlab.grid.apply_multiplier_boxed
 
-    def counted_symbol(self, grid):
+    def counted_symbol(self, norm):
         calls["symbol"] += 1
-        return symbol(self, grid)
+        return symbol(self, norm)
 
     def counted_pair(field, values):
         calls["pair"] += 1
@@ -457,7 +479,7 @@ def count_transforms(monkeypatch):
         calls["boxed"] += 1
         return boxed(*args)
 
-    monkeypatch.setattr(ResolventSpec, "symbol_values", counted_symbol)
+    monkeypatch.setattr(ResolventSpec, "_symbol", counted_symbol)
     for module in (helmlab.grid, helmlab.dual):
         monkeypatch.setattr(module, "apply_multiplier_values", counted_pair)
     for module in (helmlab.grid, helmlab.resolvent):
@@ -466,11 +488,27 @@ def count_transforms(monkeypatch):
 
 
 def test_kernel_check_transform_budget(tmp_path, monkeypatch):
-    # the kernel and its band part come from the symbol by inverse transforms only
+    # both kernels are cosine sums of one quadrant symbol: no Fourier transform runs
     calls = count_transforms(monkeypatch)
+    transforms = []
+
+    def counted(name, transform):
+        def run(*args, **kwargs):
+            transforms.append(name)
+            return transform(*args, **kwargs)
+
+        return run
+
+    for name in np.fft.__all__:
+        if not name.endswith(("freq", "shift")):  # wavenumber and layout helpers, not transforms
+            monkeypatch.setattr(np.fft, name, counted(name, getattr(np.fft, name)))
     cfg = write_cfg(tmp_path, "k.cfg", CUBE_CFG + "kernel.window_lo = 2.0\nkernel.window_hi = 10.0\n")
     assert main(["kernel-check", "--config", cfg, "--out", str(tmp_path / "k")]) == 0
     assert calls == {"symbol": 1, "pair": 0, "boxed": 0}
+    assert transforms == []
+    # the counters are live: the multiplier pair's passes go through them
+    helmlab.grid.apply_multiplier_values(helmlab.RealField.zeros(helmlab.build_grid(2, 16.0, 8)), 1.0)
+    assert transforms == ["rfft", "fft", "ifft", "irfft"]
 
 
 def test_interaction_check_transform_budget(tmp_path, monkeypatch):
@@ -587,10 +625,10 @@ def write_console_script(tmp_path):
     return script
 
 
-def run_script(exe, *args):
+def run_script(exe, *args, **variables):
     # this checkout's src first, so a stale install cannot stand in for it
     path = [str(REPO / "src"), os.environ.get("PYTHONPATH", "")]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)), **variables)
     return subprocess.run(
         [str(exe), *args], capture_output=True, text=True, timeout=60, env=env
     )

@@ -32,6 +32,8 @@ from helmlab import (
 )
 from helmlab.grid import apply_multiplier_boxed
 
+from conftest import quadrant
+
 
 def random_field(grid, seed=0):
     return RealField(grid, np.random.default_rng(seed).standard_normal(grid.shape))
@@ -92,6 +94,11 @@ def test_geometry_matches_the_full_mesh_formulas(dim, n):
     assert np.array_equal(grid.radius, np.sqrt(sum(m * m for m in coords)))
     # multipliers live on the half spectrum, the rfftn layout
     assert np.array_equal(grid.frequency_norm, np.sqrt(sum(m * m for m in freqs))[..., : n // 2 + 1])
+    # the quadrant is the same sum, and |xi| is bitwise even in each axis
+    assert np.array_equal(grid.quadrant_norm, quadrant(grid.frequency_norm))
+    full_norm = np.sqrt(sum(m * m for m in freqs))
+    for axis in range(dim):
+        assert np.array_equal(full_norm, np.take(full_norm, (-np.arange(n)) % n, axis=axis))
     for center in [(15.5, -15.9, 0.3), (0.0, 0.0, 0.0), (-16.0, 7.25, -3.1)]:
         expected = np.zeros(grid.shape)
         for mesh, c in zip(coords, center[:dim]):
@@ -216,7 +223,7 @@ def test_multiplier_kernel_matches_the_delta_through_the_pair(dim, n):
     delta = np.zeros(grid.shape)
     delta[grid.origin_index] = 1.0 / grid.cell_volume
     reference = apply_multiplier_values(RealField(grid, delta), m)
-    kernel = multiplier_kernel(grid, m)
+    kernel = multiplier_kernel(grid, quadrant(m))
     assert np.max(np.abs(kernel.values - reference.values)) <= 1e-12 * np.max(np.abs(reference.values))
 
 
@@ -241,18 +248,11 @@ def test_boxed_application_matches_the_full_pair_on_the_target_box(dim, n):
         assert np.max(np.abs(boxed - reference)) <= 1e-12 * np.max(np.abs(reference))
 
 
-def _signed_scaled_spectrum(grid, m):
-    """The delta's spectrum times m, as `multiplier_kernel` documents it."""
-    signed = m / grid.cell_volume
-    for sign in np.meshgrid(*([(-1.0) ** np.arange(grid.points_per_axis)] * grid.dim), indexing="ij", sparse=True):
-        signed = signed * sign[..., : m.shape[-1]]
-    return signed
-
-
 @pytest.mark.parametrize("dim,n", [(1, 64), (2, 32), (3, 16)])
 def test_multiplier_paths_are_the_nd_transforms_bit_for_bit(dim, n):
     # the 1D passes run in the axis order of rfftn and irfftn, so the
-    # arrays agree exactly, not just to rounding
+    # arrays agree exactly, not just to rounding; multiplier_kernel runs
+    # no transform and is checked against the pair to rounding above
     grid = build_grid(dim, 16.0, n)
     axes = tuple(range(dim))
     h = grid.spacing
@@ -260,8 +260,6 @@ def test_multiplier_paths_are_the_nd_transforms_bit_for_bit(dim, n):
     f = random_field(grid, seed=60 + dim)
     reference = np.fft.irfftn(m * np.fft.rfftn(f.values, axes=axes, norm="ortho"), s=grid.shape, axes=axes, norm="ortho")
     assert np.array_equal(apply_multiplier_values(f, m).values, reference)
-    kernel = np.fft.irfftn(_signed_scaled_spectrum(grid, m), s=grid.shape, axes=axes)
-    assert np.array_equal(multiplier_kernel(grid, m).values, kernel)
 
 
 @pytest.mark.parametrize("dim,n", [(1, 64), (2, 32), (3, 16)])
@@ -281,10 +279,20 @@ def test_multiplier_paths_leave_their_inputs_untouched(dim, n, writable):
     block = np.random.default_rng(80 + dim).standard_normal((5,) * dim)
     before = (f.values.copy(), m.copy(), block.copy())
     apply_multiplier_values(f, m)
-    multiplier_kernel(grid, m)
+    multiplier_kernel(grid, quadrant(m))
     apply_multiplier_boxed(grid, block, source, m, target)
     for kept, now in zip(before, (f.values, m, block)):
         assert np.array_equal(kept, now)
+
+
+def test_multiplier_kernel_takes_only_the_quadrant():
+    for dim, n in [(1, 64), (2, 32), (3, 16)]:
+        grid = build_grid(dim, 16.0, n)
+        for shape in [grid.frequency_norm.shape, grid.shape, (n // 2,) * dim, (n // 2 + 1,) * (dim + 1)]:
+            if shape == grid.quadrant_norm.shape:
+                continue
+            with pytest.raises(ValueError, match="quadrant"):
+                multiplier_kernel(grid, np.ones(shape))
 
 
 def test_uneven_multiplier_rejected():

@@ -25,6 +25,8 @@ from helmlab import (
 )
 from helmlab import resolvent
 
+from conftest import quadrant
+
 
 def symbol(mu, delta):
     # reference arithmetic for a single mode, written out independently
@@ -121,7 +123,10 @@ def test_symbol_values_equal_the_formula_bit_for_bit(s):
     delta = auto_delta(grid, s)
     mu = grid.frequency_norm ** (2.0 * s)
     want = (mu - 1.0) / ((mu - 1.0) ** 2 + delta * delta)
-    assert np.array_equal(ResolventSpec(s=s, delta=delta).symbol_values(grid), want)
+    spec = ResolventSpec(s=s, delta=delta)
+    assert np.array_equal(spec.symbol_values(grid), want)
+    # band_decompose's evaluation on the quadrant is the same formula
+    assert np.array_equal(spec._symbol(grid.quadrant_norm), quadrant(want))
 
 
 def test_spec_validation():
@@ -137,6 +142,19 @@ def test_auto_delta_frozen_values():
     # four times the median gap of |xi|^(2s) values near the unit sphere
     assert auto_delta(build_grid(2, 16.0, 128), 1.0) == pytest.approx(0.30842513753404255, rel=1e-12)
     assert auto_delta(build_grid(3, 32.0, 64), 1.0) == pytest.approx(0.038553142191755096, rel=1e-12)
+
+
+@pytest.mark.parametrize("s", [0.9, 1.0, 1.25])
+def test_auto_delta_on_the_quadrant_is_the_half_spectrum_value(s):
+    # |xi| is bitwise even in each axis, so the quadrant holds every distinct
+    # |xi|^(2s) of the half spectrum; the full half-spectrum |xi| is never made
+    for grid in (build_grid(1, 16.0, 64), build_grid(2, 16.0, 128), build_grid(3, 32.0, 64)):
+        delta = auto_delta(grid, s)
+        assert "frequency_norm" not in vars(grid)
+        mu = np.unique(grid.frequency_norm ** (2.0 * s))
+        window = mu[(mu > 0.5) & (mu < 1.5)]
+        gaps = np.diff(window)
+        assert delta == 4.0 * float(np.median(gaps[gaps > 1e-12]))
 
 
 def test_auto_delta_shrinks_with_box_size():
@@ -159,19 +177,19 @@ def test_kernel_requires_absorption():
 
 
 def test_kernel_is_even():
-    grid = build_grid(2, 16.0, 32)
-    k = multiplier_kernel(grid, ResolventSpec(s=1.0, delta=0.2).symbol_values(grid)).values
-    # x -> -x is a flip plus a one-cell roll (the -L node has no mirror)
-    mirrored = k
-    for axis in range(2):
-        mirrored = np.roll(np.flip(mirrored, axis=axis), 1, axis=axis)
-    assert np.allclose(k, mirrored, atol=1e-12 * np.max(np.abs(k)))
+    # exactly, axis by axis: the kernel is the mirror of its octant
+    for dim, n in [(1, 64), (2, 32), (3, 16)]:
+        grid = build_grid(dim, 16.0, n)
+        k = multiplier_kernel(grid, quadrant(ResolventSpec(s=1.0, delta=0.2).symbol_values(grid))).values
+        for axis in range(dim):
+            # x_i -> -x_i is a flip plus a one-cell roll (the -L node has no mirror)
+            assert np.array_equal(k, np.roll(np.flip(k, axis=axis), 1, axis=axis))
 
 
 def test_kernel_reproduces_resolvent_by_convolution():
     grid = build_grid(1, 16.0, 32)
     spec = ResolventSpec(s=1.0, delta=0.3)
-    kernel = multiplier_kernel(grid, spec.symbol_values(grid)).values
+    kernel = multiplier_kernel(grid, quadrant(spec.symbol_values(grid))).values
     f = np.random.default_rng(3).standard_normal(32)
     direct = apply_multiplier_values(RealField(grid, f), spec.symbol_values(grid)).values
     n = 32
@@ -187,7 +205,7 @@ def test_kernel_reproduces_resolvent_by_convolution():
 
 def test_unit_symbol_kernel_is_discrete_delta():
     grid = build_grid(2, 16.0, 16)
-    kernel = multiplier_kernel(grid, np.ones(grid.frequency_norm.shape))  # the half spectrum
+    kernel = multiplier_kernel(grid, np.ones(grid.quadrant_norm.shape))
     expected = np.zeros(grid.shape)
     expected[grid.origin_index] = 1.0 / grid.cell_volume
     assert np.allclose(kernel.values, expected, atol=1e-10)
@@ -237,11 +255,11 @@ def test_band_cutoff_plateau_and_support():
 
 
 def test_band_split_adds_back_to_kernel():
-    # against the kernel made on its own: band_decompose writes K2 over K
+    # against the kernel made on its own: band_decompose never forms K
     grid = build_grid(2, 16.0, 32)
     spec = ResolventSpec(s=1.0, delta=0.2)
     bundle = band_decompose(spec, grid)
-    kernel = multiplier_kernel(grid, spec.symbol_values(grid)).values
+    kernel = multiplier_kernel(grid, quadrant(spec.symbol_values(grid))).values
     total = bundle.band.values + bundle.remainder.values
     assert np.allclose(total, kernel, atol=1e-13 * np.max(np.abs(kernel)))
 
@@ -252,7 +270,7 @@ def test_band_part_is_spectrally_confined():
     bundle = band_decompose(spec, grid)
     # compared on the half spectrum, where grid.frequency_norm lives
     spectrum = forward_transform(bundle.band).coeffs[..., : grid.points_per_axis // 2 + 1]
-    full = forward_transform(multiplier_kernel(grid, spec.symbol_values(grid))).coeffs[..., : grid.points_per_axis // 2 + 1]
+    full = forward_transform(multiplier_kernel(grid, quadrant(spec.symbol_values(grid)))).coeffs[..., : grid.points_per_axis // 2 + 1]
     off_band = np.abs(grid.frequency_norm - 1.0) >= 0.25
     plateau = np.abs(grid.frequency_norm - 1.0) <= 1.0 / 6.0
     scale = np.max(np.abs(full))
@@ -262,16 +280,14 @@ def test_band_part_is_spectrally_confined():
 
 @pytest.mark.parametrize("n", [32, 64])
 def test_kernel_check_peak_memory(n):
-    # Counted in H, one float64 half spectrum. The peak comes while K1's
-    # inverse runs: the symbol (1, the cutoff applied in place), K (2, a real
-    # grid), the complex buffer (2) and K1 (2), then K1's finiteness mask in
-    # RealField (1/4, one byte per node). K2 is written over K, and the
-    # envelopes hold K1, K2 and grid.radius (2 each) plus blocks of n^2 nodes.
-    # grid.frequency_norm, cached on the grid, is made before tracing starts.
+    # Counted in H, one float64 half spectrum. The peak comes while the
+    # envelopes make grid.radius (2, a real grid), with K1 and K2 (2 each)
+    # and grid.quadrant_norm (Q, cached on the grid) held. band_decompose
+    # stays below: K1, K2 and one finiteness mask (1/4) on the full grid,
+    # beside a few quadrant arrays of Q each.
     grid = build_grid(3, 32.0, n)
-    grid.frequency_norm
     half = 8 * n * n * (n // 2 + 1)
-    arrays = 1 + 2 + 2 + 2 + 0.25
+    arrays = (n // 2 + 1) ** 3 * 8 / half + 2 + 2 + 2
     tracemalloc.start()
     try:
         bundle = band_decompose(ResolventSpec(s=1.0, delta=0.2), grid)
@@ -280,8 +296,10 @@ def test_kernel_check_peak_memory(n):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # a quarter of H covers the envelope blocks and the Python objects
-    assert peak <= (arrays + 0.25) * half
+    # a quarter of H covers the envelope blocks and the Python objects;
+    # the broadcast sum that makes grid.radius takes 128 KiB of numpy's
+    # iterator buffers (8192 elements for each of its two inputs)
+    assert peak <= (arrays + 0.25) * half + 128 * 1024
 
 
 # ---------------------------------------------------------------- envelopes

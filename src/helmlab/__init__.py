@@ -40,17 +40,7 @@ from .dual import (
     random_initial_guess,
     solve_ground_state,
 )
-from .errors import (
-    ConeExitError,
-    ConfigError,
-    GridMismatchError,
-    IndefiniteFormError,
-    InsufficientDataError,
-    NegativeCoefficientError,
-    SupportOverlapError,
-    SymmetryViolationError,
-    ZeroFieldError,
-)
+from .errors import ConfigError, InsufficientDataError
 from .grid import (
     RealField,
     SpectralField,
@@ -87,9 +77,7 @@ __all__ = [
     "DualState", "GroundState", "cutoff_projection", "default_initial_guess", "diagnose",
     "dihedral_average", "dual_energy", "dual_gradient", "limit_ground_state", "nehari_project",
     "nehari_scale", "random_initial_guess", "solve_ground_state",
-    "ConeExitError", "ConfigError", "GridMismatchError", "IndefiniteFormError",
-    "InsufficientDataError", "NegativeCoefficientError", "SupportOverlapError",
-    "SymmetryViolationError", "ZeroFieldError",
+    "ConfigError", "InsufficientDataError",
     "RealField", "SpectralField", "TorusGrid", "apply_multiplier", "apply_multiplier_values",
     "build_grid", "forward_transform", "inner_product", "inverse_transform", "locate_peak", "lq_norm",
     "multiplier_kernel", "multiplier_values",

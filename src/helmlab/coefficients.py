@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NegativeCoefficientError
+from .errors import NumericalError
 from .grid import RealField, TorusGrid, peak_node
 
 
@@ -24,7 +24,7 @@ class ConstantQ:
 
     def __post_init__(self):
         if self.value <= 0:
-            raise NegativeCoefficientError("constant coefficient must be positive")
+            raise NumericalError("constant coefficient must be positive")
 
     def evaluate(self, *coords):
         return np.full(np.broadcast(*coords).shape, self.value, dtype=float)
@@ -61,7 +61,7 @@ class BumpOnBackgroundQ:
 
     def __post_init__(self):
         if self.background < 0:
-            raise NegativeCoefficientError("background must be nonnegative")
+            raise NumericalError("background must be nonnegative")
         if self.amplitude <= 0:
             raise ValueError("amplitude must be positive")
         if self.width <= 0:
@@ -127,7 +127,7 @@ def sample_Q(Q: CoefficientQ, grid: TorusGrid, eps: float = 1.0) -> RealField:
             break
     values = np.asarray(Q.evaluate(*(eps * a for a in grid.coordinate_axes)), dtype=float)
     if np.any(values < 0):
-        raise NegativeCoefficientError("coefficient is negative somewhere on the grid")
+        raise NumericalError("coefficient is negative somewhere on the grid")
     return RealField(grid, values)
 
 

@@ -18,7 +18,7 @@ import numpy as np
 
 from .coefficients import CoefficientQ, max_node, sample_Q
 from .dual import GroundState, limit_ground_state, solve_ground_state
-from .errors import GridMismatchError, ZeroFieldError
+from .errors import NumericalError
 from .grid import RealField, TorusGrid, lq_norm, peak_node
 from .params import Exponents
 from .resolvent import ResolventSpec
@@ -36,11 +36,11 @@ def profile_distance(field: RealField, reference: RealField, norm_exponent: floa
     and every difference is formed in one reused buffer.
     """
     if field.grid != reference.grid:
-        raise GridMismatchError("fields live on different grids")
+        raise NumericalError("fields live on different grids")
     q = norm_exponent
     ref_norm = lq_norm(reference, q)
     if ref_norm <= 0.0:
-        raise ZeroFieldError("reference profile is identically zero")
+        raise NumericalError("reference profile is identically zero")
     grid = field.grid
     base = tuple(r - f for r, f in zip(peak_node(reference.values), peak_node(field.values)))
     padded = np.pad(np.roll(field.values, base, axis=tuple(range(grid.dim))), 2, mode="wrap")
@@ -82,7 +82,7 @@ def single_bubble_fraction(gs: GroundState) -> float:
     weight = np.abs(gs.v.values) ** pd
     total = float(np.sum(weight))
     if total <= 0.0:
-        raise ZeroFieldError("ground state has zero dual mass")
+        raise NumericalError("ground state has zero dual mass")
     d2 = grid.periodic_distance2(gs.peak)
     near = float(np.sum(np.where(d2 <= (0.25 * grid.half_width) ** 2, weight, 0.0)))
     return near / total
@@ -113,7 +113,7 @@ def _solve_family(
 
     `limit` is the constant-coefficient ground state at sup Q; it is
     solved here when not given, and one on another grid raises
-    `GridMismatchError` before any solve. Every family solve starts from
+    `NumericalError` before any solve. Every family solve starts from
     it, rolled so its profile peak lands on the maximum node of the
     sampled coefficient: the state the family converges to as eps -> 0,
     placed where the paper's concentration result puts it. A
@@ -126,7 +126,7 @@ def _solve_family(
     if limit is None:
         limit = limit_ground_state(Q.sup_value, grid, exps, spec, tol=tol, max_iter=max_iter)
     elif limit.v.grid != grid:
-        raise GridMismatchError("the limit state lives on another grid than the family")
+        raise NumericalError("the limit state lives on another grid than the family")
     limit_node = peak_node(limit.u_rescaled.values)
     states: list[GroundState] = []
     for k in ks:

@@ -35,7 +35,7 @@ only with `anderson_memory=1` on the tested problems), and every trial
 goes through one acceptance test: it must stay in the positive cone and
 not raise the Nehari level beyond a slack. When none is accepted the
 solve ends by one of two exits: it returns its best iterate unconverged
-if some trial stayed in the positive cone, and raises `ConeExitError`
+if some trial stayed in the positive cone, and raises `NumericalError`
 if none did. Speed comes from the Anderson extrapolation over a short
 history of m iterates (`anderson_memory`, 5 by default). With
 g_i = v_i + r_i the projected candidate of iterate v_i and r_i its
@@ -78,7 +78,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coefficients import max_node
-from .errors import ConeExitError, GridMismatchError, IndefiniteFormError, NumericalError, ZeroFieldError
+from .errors import NumericalError
 from .grid import RealField, TorusGrid, apply_multiplier_values, locate_peak, peak_node
 from .params import Exponents
 from .resolvent import ResolventSpec, exp_smoothstep
@@ -155,6 +155,8 @@ class _DualOperator:
     """
 
     def __init__(self, Qfield: RealField, exps: Exponents, spec: ResolventSpec):
+        if exps.s != spec.s:
+            raise ValueError(f"the exponents' order s = {exps.s} differs from the resolvent's s = {spec.s}")
         self.Qfield = Qfield
         self.grid = Qfield.grid
         self.exps = exps
@@ -240,24 +242,27 @@ class _DualOperator:
         return t, t * c, t * resolved, (1.0 / self.exps.p_dual - 0.5) * t**self.exps.p_dual * a
 
     def project_or_raise(self, values: np.ndarray):
-        """`project`, raising for a zero field, B(v) <= 0 or a scale outside the float range in place of None."""
+        """`project`, raising for a zero field, B(v) <= 0 or a scale outside the float range in place of None.
+
+        Only a failed projection resolves `values` again, to say which.
+        """
+        projected = self.project(values)
+        if projected is not None:
+            return projected
         if not np.any(values):
-            raise ZeroFieldError("cannot project the zero field onto the Nehari manifold")
-        b, resolved = self.resolve(values)
+            raise NumericalError("cannot project the zero field onto the Nehari manifold")
+        b, _ = self.resolve(values)
         if b <= 0.0:
-            raise IndefiniteFormError(
+            raise NumericalError(
                 "nonpositive quadratic form: the ray through this field misses the Nehari manifold; "
                 "filter it through the positive part of the resolvent symbol first"
             )
-        projected = self.project(values, resolved)
-        if projected is None:
-            ratio, exponent = self.mass(values) / b, 1.0 / (2.0 - self.exps.p_dual)
-            where = "overflows" if ratio > 1.0 else "underflows to 0, so the projected field is zero"
-            raise NumericalError(
-                f"the Nehari scale (A/B)^(1/(2-p')) = ({ratio:.3g})^({exponent:.3g}) {where}; "
-                "model.p is too close to 2"
-            )
-        return projected
+        ratio, exponent = self.mass(values) / b, 1.0 / (2.0 - self.exps.p_dual)
+        where = "overflows" if ratio > 1.0 else "underflows to 0, so the projected field is zero"
+        raise NumericalError(
+            f"the Nehari scale (A/B)^(1/(2-p')) = ({ratio:.3g})^({exponent:.3g}) {where}; "
+            "model.p is too close to 2"
+        )
 
     def initial_guess(self, center: tuple[float, ...] | None = None) -> RealField:
         """See `default_initial_guess`."""
@@ -385,12 +390,12 @@ def solve_ground_state(
     iterates, the plain candidate, then a line search mixing toward the
     candidate. If none is taken the loop ends by one of two exits: the
     best iterate seen is returned with `converged=False` when some trial
-    kept the quadratic form positive, and a `ConeExitError` is raised
+    kept the quadratic form positive, and a `NumericalError` is raised
     when none did.
     """
     grid = Qfield.grid
     if init is not None and init.grid != grid:
-        raise GridMismatchError("initial guess lives on a different grid than the coefficient")
+        raise NumericalError("initial guess lives on a different grid than the coefficient")
     if tol <= 0:
         raise ValueError("tol must be positive")
     if max_iter < 1:
@@ -478,7 +483,7 @@ def solve_ground_state(
                     break
         else:
             if not found_positive:
-                raise ConeExitError(
+                raise NumericalError(
                     "no trial step keeps the quadratic form positive; "
                     "the iterate sits at the boundary of the admissible cone"
                 )
@@ -553,7 +558,7 @@ def cutoff_projection(
     """
     grid = limit_profile.grid
     if Qfield.grid != grid:
-        raise GridMismatchError("coefficient and limit profile live on different grids")
+        raise NumericalError("coefficient and limit profile live on different grids")
     eps = exps.eps
     rescaled_center = tuple(c / eps for c in concentration_point)
     node = grid.nearest_index(rescaled_center)

@@ -6,23 +6,26 @@ integrals are plain quadrature sums weighted by the cell volume h^dim.
 
 Fourier multipliers are real and even, m(-xi) = m(xi), so they keep
 fields real and live on the half spectrum: the rfftn layout of shape
-(n,)*(dim-1) + (n//2+1,), as `frequency_norm`, `multiplier_values` and
-the resolvent symbol return them. The transform paths run numpy's 1D
+(n,)*(dim-1) + (n//2+1,), as `multiplier_values` and the resolvent
+symbol return them. A multiplier even in each axis, as a radial one is,
+is determined by its values on the quadrant of non-negative wavenumbers
+(`quadrant_norm`, shape (n//2+1,)*dim), and `half_spectrum` spreads
+those to the half spectrum. The transform paths run numpy's 1D
 transforms one axis at a time, in the order rfftn and irfftn use
 (forward: rfft on the last axis, then fft on axes dim-2 ... 0;
 inverse: ifft on axes 0 ... dim-2, then irfft on the last axis), and
 write each complex pass back into a buffer they allocated themselves,
 so their arrays equal the n-D pair's bit for bit and inputs are never
-written. `apply_multiplier_values` computes irfftn(m * rfftn(f));
-`apply_multiplier_boxed` applies a multiplier to a field supported on
-an index box and returns the result on another box, transforming each
-axis at the width of the box along the axes still untransformed.
-`multiplier_kernel` applies a multiplier that is even in each axis, as
-a radial one is, to the origin delta, whose spectrum is known, with no
-transform: from the multiplier's values on the quadrant of
-non-negative wavenumbers (`quadrant_norm`, shape (n//2+1,)*dim) it sums
-cosines, one dense matrix per axis, on the octant of non-negative
-offsets, then mirrors that octant to the full grid.
+written. `apply_multiplier_boxed` applies a multiplier to a field
+supported on an index box and returns the result on another box,
+transforming each axis at the width of the box along the axes still
+untransformed; `apply_multiplier_values` is that pass sequence with the
+whole grid as both boxes, irfftn(m * rfftn(f)).
+`multiplier_kernel` applies a multiplier that is even in each axis to
+the origin delta, whose spectrum is known, with no transform: from the
+multiplier's quadrant values it sums cosines, one dense matrix per
+axis, on the octant of non-negative offsets, then mirrors that octant
+to the full grid.
 `multiplier_values` checks evenness on the full spectrum before it
 keeps the half. The explicit `SpectralField` transforms stay complex,
 on the full spectrum, and check Hermitian symmetry. Geometry and
@@ -39,7 +42,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import GridMismatchError, SymmetryViolationError, ZeroFieldError
+from .errors import NumericalError
 
 _SUPPORTED_DIMS = (1, 2, 3)
 
@@ -96,7 +99,11 @@ class TorusGrid:
 
     @cached_property
     def frequency_axis(self) -> np.ndarray:
-        return 2.0 * np.pi * np.fft.fftfreq(self.points_per_axis, d=self.spacing)
+        """Wavenumbers in FFT order, 2 pi k/(n h) for k = 0, ..., n/2 - 1, -n/2, ..., -1 (numpy's fftfreq)."""
+        n = self.points_per_axis
+        k = np.arange(n)
+        k[n // 2 :] -= n
+        return 2.0 * np.pi * (k * (1.0 / (n * self.spacing)))
 
     def _open_axes(self, axis: np.ndarray) -> tuple[np.ndarray, ...]:
         """One copy of a 1D axis per dimension, shaped to broadcast over the grid."""
@@ -119,23 +126,29 @@ class TorusGrid:
         return self.node_radius(self._open_axes(np.arange(self.points_per_axis)))
 
     @cached_property
-    def frequency_norm(self) -> np.ndarray:
-        """|xi| on the half spectrum, shape (n,)*(dim-1) + (n//2+1,)."""
-        axes = list(self._open_axes(self.frequency_axis))
-        axes[-1] = axes[-1][..., : self.points_per_axis // 2 + 1]
-        return np.sqrt(sum(a * a for a in axes))
-
-    @cached_property
     def quadrant_norm(self) -> np.ndarray:
         """|xi| on the quadrant of non-negative wavenumbers, shape (n//2+1,)*dim.
 
-        The same sum in the same order as `frequency_norm`, so it equals
-        that array's first n//2 + 1 entries along every axis bit for bit.
         The wavenumbers j and n - j are exact negatives, so |xi| is
         bitwise even in each axis and the quadrant holds every value.
         """
         axes = self._open_axes(self.frequency_axis[: self.points_per_axis // 2 + 1])
         return np.sqrt(sum(a * a for a in axes))
+
+    def half_spectrum(self, values: np.ndarray) -> np.ndarray:
+        """Quadrant values of a multiplier even in each axis, spread to the half spectrum.
+
+        `values` has the shape of `quadrant_norm`; the result has
+        (n,)*(dim-1) + (n//2+1,), as `apply_multiplier_values` takes it,
+        row j of each of axes 0 ... dim-2 taking quadrant row min(j, n - j).
+        In 1D the quadrant is the half spectrum and `values` is returned.
+        """
+        n = self.points_per_axis
+        k = np.arange(n)
+        rows = np.minimum(k, n - k)
+        for axis in range(self.dim - 1):
+            values = np.take(values, rows, axis=axis)
+        return values
 
     def periodic_offsets(self, center) -> list[np.ndarray]:
         """Per axis, the signed torus offsets x_i - c in [-L, L) of the coordinate axis from a point."""
@@ -167,7 +180,7 @@ def build_grid(dim: int, half_width: float, points_per_axis: int) -> TorusGrid:
 
 def _check_same_grid(a, b):
     if a.grid != b.grid:
-        raise GridMismatchError("fields live on different grids")
+        raise NumericalError("fields live on different grids")
 
 
 @dataclass(frozen=True)
@@ -227,7 +240,7 @@ def forward_transform(field: RealField) -> SpectralField:
 def inverse_transform(field: SpectralField) -> RealField:
     """Unitary inverse FFT, discarding a small imaginary residue.
 
-    Raises SymmetryViolationError when the residue exceeds 1e-8 relative
+    Raises NumericalError when the residue exceeds 1e-8 relative
     to the coefficient magnitude, which indicates the coefficients did
     not satisfy the Hermitian symmetry of a real field.
     """
@@ -238,7 +251,7 @@ def inverse_transform(field: SpectralField) -> RealField:
     if scale > 0.0:
         residue = float(np.max(np.abs(complex_values.imag))) / scale
         if residue > _SYMMETRY_TOL:
-            raise SymmetryViolationError(
+            raise NumericalError(
                 f"imaginary residue {residue:.3e} exceeds {_SYMMETRY_TOL:.0e}; spectrum is not Hermitian"
             )
     return RealField(field.grid, np.ascontiguousarray(complex_values.real))
@@ -250,7 +263,7 @@ def multiplier_values(grid: TorusGrid, multiplier) -> np.ndarray:
     The callable receives one open frequency axis per dimension, the
     wavenumbers along axis i shaped to broadcast over the full spectrum,
     and may return anything that broadcasts to the grid shape. Raises
-    SymmetryViolationError when m(-xi) differs from m(xi) by more than
+    NumericalError when m(-xi) differs from m(xi) by more than
     1e-8 relative to max |m|, pairing index j with (-j) mod n on every
     axis: such a multiplier does not keep fields real. Returns the values
     on the half spectrum, of shape (n,)*(dim-1) + (n//2+1,), as
@@ -262,7 +275,7 @@ def multiplier_values(grid: TorusGrid, multiplier) -> np.ndarray:
     mirrored = values[np.ix_(*((-np.arange(k)) % k for k in values.shape))]
     asymmetry = float(np.max(np.abs(values - mirrored)))
     if asymmetry > _SYMMETRY_TOL * float(np.max(np.abs(values))):
-        raise SymmetryViolationError(
+        raise NumericalError(
             f"multiplier is not even: |m(xi) - m(-xi)| reaches {asymmetry:.3e}; it would not keep fields real"
         )
     return np.broadcast_to(values, grid.shape)[..., : grid.points_per_axis // 2 + 1]
@@ -272,22 +285,16 @@ def apply_multiplier_values(field: RealField, values: np.ndarray) -> RealField:
     """Apply precomputed multiplier values to a real field.
 
     `values` holds m(xi) on the half spectrum, the rfftn layout of shape
-    (n,)*(dim-1) + (n//2+1,) (see `multiplier_values`), and stands for
-    an even multiplier, m(-xi) = m(xi). The result is
-    irfftn(values * rfftn(f)), bit for bit, computed by the same unitary
-    1D passes: rfft on the last axis, then fft on axes dim-2 ... 0, the
-    product and the inverse passes, all written into the one spectrum
-    buffer allocated here. Neither `field.values` nor `values` is written.
+    (n,)*(dim-1) + (n//2+1,) (see `multiplier_values`), or a scalar, and
+    stands for an even multiplier, m(-xi) = m(xi). The result is
+    irfftn(values * rfftn(f)), bit for bit: `apply_multiplier_boxed`
+    with the whole grid as both boxes, so every pass writes into the one
+    spectrum buffer that the first allocates. Neither `field.values` nor
+    `values` is written.
     """
     grid = field.grid
-    last = grid.dim - 1
-    spectrum = np.fft.rfft(field.values, axis=last, norm="ortho")
-    for axis in range(last - 1, -1, -1):
-        np.fft.fft(spectrum, axis=axis, norm="ortho", out=spectrum)
-    spectrum *= values
-    for axis in range(last):
-        np.fft.ifft(spectrum, axis=axis, norm="ortho", out=spectrum)
-    return RealField(grid, np.fft.irfft(spectrum, n=grid.points_per_axis, axis=last, norm="ortho"))
+    whole = (np.arange(grid.points_per_axis),) * grid.dim
+    return RealField(grid, apply_multiplier_boxed(grid, field.values, whole, values, whole))
 
 
 def multiplier_kernel(grid: TorusGrid, values: np.ndarray) -> RealField:
@@ -352,20 +359,26 @@ def apply_multiplier_boxed(
     0 ... dim-2, irfft on the last), but the forward transform
     zero-embeds each axis only when it is transformed, so the axes not
     yet transformed stay as wide as the source box, and the inverse
-    keeps only the target rows after each axis. Each fft runs in place
-    on its freshly embedded array, and each ifft in place on the
-    spectrum before its rows are taken; `block` and `values` are not
-    written.
+    keeps only the target rows after each axis. A box as long as its
+    axis is the whole axis, so there it neither embeds nor takes rows.
+    Each fft runs in place on the spectrum (freshly embedded, or the
+    rfft's output), and each ifft in place on the spectrum before its
+    rows are taken; `block` and `values` are not written.
     """
     n = grid.points_per_axis
     last = grid.dim - 1
 
     def embed(a: np.ndarray, axis: int) -> np.ndarray:
+        if len(source[axis]) == n:
+            return a
         shape = list(a.shape)
         shape[axis] = n
         out = np.zeros(shape, dtype=a.dtype)
         out[(slice(None),) * axis + (source[axis],)] = a
         return out
+
+    def restrict(a: np.ndarray, axis: int) -> np.ndarray:
+        return a if len(target[axis]) == n else np.take(a, target[axis], axis=axis)
 
     spectrum = np.fft.rfft(embed(np.asarray(block, dtype=float), last), axis=last, norm="ortho")
     for axis in range(last - 1, -1, -1):
@@ -374,8 +387,8 @@ def apply_multiplier_boxed(
     spectrum *= values
     for axis in range(last):
         np.fft.ifft(spectrum, axis=axis, norm="ortho", out=spectrum)
-        spectrum = np.take(spectrum, target[axis], axis=axis)
-    return np.take(np.fft.irfft(spectrum, n=n, axis=last, norm="ortho"), target[last], axis=last)
+        spectrum = restrict(spectrum, axis)
+    return restrict(np.fft.irfft(spectrum, n=n, axis=last, norm="ortho"), last)
 
 
 def apply_multiplier(field: RealField, multiplier) -> RealField:
@@ -416,7 +429,7 @@ def locate_peak(field: RealField) -> tuple[float, ...]:
     node = peak_node(values)
     center = abs(float(values[node]))
     if center <= 0.0:
-        raise ZeroFieldError("cannot locate the peak of an identically zero field")
+        raise NumericalError("cannot locate the peak of an identically zero field")
     coords = []
     n = grid.points_per_axis
     for axis, i in enumerate(node):

@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import GridMismatchError, InsufficientDataError, SupportOverlapError
+from .errors import InsufficientDataError, NumericalError
 from .grid import RealField, TorusGrid, apply_multiplier_boxed, multiplier_kernel
 
 
@@ -35,15 +35,14 @@ class ResolventSpec:
             raise ValueError("delta must be positive")
 
     def symbol_values(self, grid: TorusGrid) -> np.ndarray:
-        """Symbol on the grid's half spectrum, the layout `grid.frequency_norm` has.
+        """Symbol on the grid's half spectrum, shape (n,)*(dim-1) + (n//2+1,).
 
-        Shape (n,)*(dim-1) + (n//2+1,), as `apply_multiplier_values`
-        takes it; the symbol is radial, so these values determine it at
-        every grid wavenumber. `band_decompose` evaluates the same
-        formula, by the same operations in the same order, on
-        `grid.quadrant_norm`, so its values there equal these bit for bit.
+        The layout `apply_multiplier_values` takes. The symbol is radial,
+        hence even in each axis, so it is evaluated on the quadrant
+        `grid.quadrant_norm` alone, as `band_decompose` evaluates it, and
+        spread by `grid.half_spectrum`.
         """
-        return self._symbol(grid.frequency_norm)
+        return grid.half_spectrum(self._symbol(grid.quadrant_norm))
 
     def _symbol(self, norm: np.ndarray) -> np.ndarray:
         """The symbol at wavenumber magnitudes `norm`, in a fresh array.
@@ -98,9 +97,9 @@ def exp_smoothstep(t: np.ndarray) -> np.ndarray:
     return out
 
 
-def _band_cutoff(frequency_norm: np.ndarray) -> np.ndarray:
+def _band_cutoff(norm: np.ndarray) -> np.ndarray:
     """Band cutoff psi: 1 for ||xi| - 1| <= 1/6, 0 for ||xi| - 1| >= 1/4, smooth between."""
-    return exp_smoothstep((np.abs(frequency_norm - 1.0) - 1.0 / 6.0) / (1.0 / 4.0 - 1.0 / 6.0))
+    return exp_smoothstep((np.abs(norm - 1.0) - 1.0 / 6.0) / (1.0 / 4.0 - 1.0 / 6.0))
 
 
 @dataclass(frozen=True)
@@ -217,16 +216,16 @@ def disjoint_interaction(
     grid = u.grid
     source, nodes, above = _support(u)
     if np.any(grid.node_radius([i[above] for i in nodes]) > inner_radius):
-        raise SupportOverlapError(f"u is nonzero outside the ball of radius {inner_radius}")
+        raise NumericalError(f"u is nonzero outside the ball of radius {inner_radius}")
     target = [np.zeros(0, dtype=int)] * grid.dim
     for gap, v in outer:
         if gap < 1.0:
             raise ValueError("gap must be at least 1")
         if grid != v.grid:
-            raise GridMismatchError("fields live on different grids")
+            raise NumericalError("fields live on different grids")
         box, nodes, above = _support(v)
         if np.any(grid.node_radius([i[above] for i in nodes]) < inner_radius + gap):
-            raise SupportOverlapError(f"v is nonzero inside the ball of radius {inner_radius + gap}")
+            raise NumericalError(f"v is nonzero inside the ball of radius {inner_radius + gap}")
         target = [np.union1d(t, b) for t, b in zip(target, box)]
     block = u.values[np.ix_(*source)]
     resolved = apply_multiplier_boxed(grid, block, source, spec.symbol_values(grid), target)

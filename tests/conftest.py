@@ -68,5 +68,11 @@ def quadrant(values):
     return values[(slice(0, values.shape[-1]),) * (values.ndim - 1)]
 
 
+def half_norm(grid):
+    """|xi| on the half spectrum, the rfftn layout, from the full frequency mesh."""
+    freqs = np.meshgrid(*([grid.frequency_axis] * grid.dim), indexing="ij")
+    return np.sqrt(sum(m * m for m in freqs))[..., : grid.points_per_axis // 2 + 1]
+
+
 def rng(seed):
     return np.random.default_rng(seed)

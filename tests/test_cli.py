@@ -364,7 +364,7 @@ def test_numerical_failure_is_a_one_line_exit_4(monkeypatch, tmp_path, capsys):
         assert err[-1].startswith("numerical error: ") and message in err[-1], text
         assert not (tmp_path / "out").exists()
 
-    # only the start projects, so the solve ends in ConeExitError; a 3D run
+    # only the start projects, so the solve ends in a cone-exit NumericalError; a 3D run
     # inside the hypotheses leaves the gate silent
     original = helmlab.dual._DualOperator.project
     calls = []
@@ -443,6 +443,20 @@ def test_kernel_check_is_the_same_on_one_and_two_blas_threads(tmp_path):
         assert done.returncode == 0, done.stderr
         outputs.append([(out / name).read_bytes() for name in names])
     assert outputs[0] == outputs[1]
+
+
+def test_kernel_check_process_never_loads_numpy_fft(tmp_path):
+    # the kernels are cosine sums and the wavenumbers integers times 1/(n h),
+    # so a kernel-check process leaves numpy's FFT module unloaded
+    cfg = write_cfg(tmp_path, "k.cfg", CUBE_CFG + "kernel.window_lo = 2.0\nkernel.window_hi = 10.0\n")
+    code = (
+        "import sys\nfrom helmlab.cli import main\n"
+        f"code = main(['kernel-check', '--config', {cfg!r}, '--out', {str(tmp_path / 'k')!r}])\n"
+        "print(code, 'numpy.fft' in sys.modules)\n"
+    )
+    done = run_script(sys.executable, "-c", code)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "0 False"
 
 
 def test_kernel_window_past_half_box_warns(tmp_path, capsys):

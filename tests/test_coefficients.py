@@ -8,11 +8,11 @@ import pytest
 from helmlab import (
     BumpOnBackgroundQ,
     ConstantQ,
-    NegativeCoefficientError,
     RealField,
     build_grid,
     sample_Q,
 )
+from helmlab.errors import NumericalError
 from helmlab.coefficients import max_node
 
 
@@ -24,7 +24,7 @@ def test_constant_coefficient():
     grid = build_grid(2, 16.0, 16)
     field = sample_Q(Q, grid, eps=0.25)
     assert np.all(field.values == 2.0)
-    with pytest.raises(NegativeCoefficientError):
+    with pytest.raises(NumericalError, match="must be positive"):
         ConstantQ(-1.0)
 
 
@@ -58,7 +58,7 @@ def test_bump_with_two_centers():
     ],
 )
 def test_bump_validation(kwargs):
-    with pytest.raises((ValueError, NegativeCoefficientError)):
+    with pytest.raises((ValueError, NumericalError)):
         BumpOnBackgroundQ(**kwargs)
 
 
@@ -131,7 +131,7 @@ def test_sample_rejects_negative_fields():
             return np.full_like(np.asarray(coords[0], dtype=float), -0.5)
 
     grid = build_grid(1, 16.0, 16)
-    with pytest.raises(NegativeCoefficientError):
+    with pytest.raises(NumericalError, match="negative somewhere"):
         sample_Q(Dip(1.0), grid, eps=1.0)
 
 

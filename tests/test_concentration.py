@@ -20,7 +20,7 @@ from helmlab.concentration import (
     single_bubble_fraction,
 )
 from helmlab.dual import DualState, GroundState, diagnose, limit_ground_state, solve_ground_state
-from helmlab.errors import GridMismatchError, ZeroFieldError
+from helmlab.errors import NumericalError
 from helmlab.grid import RealField, build_grid, locate_peak, lq_norm
 from helmlab.params import Exponents
 from helmlab.resolvent import ResolventSpec, auto_delta
@@ -61,7 +61,7 @@ def test_peak_tie_breaks_to_first_node(grid2d):
 
 
 def test_peak_of_zero_field_rejected(grid2d):
-    with pytest.raises(ZeroFieldError):
+    with pytest.raises(NumericalError, match="identically zero field"):
         locate_peak(RealField.zeros(grid2d))
 
 
@@ -127,12 +127,12 @@ def test_distance_equals_the_rolled_definition(dim, points, f_node, r_node, q):
 
 def test_distance_grid_mismatch_rejected(limit2d):
     other = build_grid(2, 16.0, 64)
-    with pytest.raises(ValueError):
+    with pytest.raises(NumericalError, match="different grids"):
         profile_distance(RealField(other, np.ones(other.shape)), limit2d.u_rescaled)
 
 
 def test_distance_zero_reference_rejected(limit2d, grid2d):
-    with pytest.raises(ZeroFieldError):
+    with pytest.raises(NumericalError, match="reference profile is identically zero"):
         profile_distance(limit2d.u_rescaled, RealField.zeros(grid2d))
 
 
@@ -191,7 +191,7 @@ def test_bubble_fraction_zero_state_rejected(grid2d, unitQ, exps2d, spec2d):
         converged=False,
         fixed_point_residual=0.0,
     )
-    with pytest.raises(ZeroFieldError):
+    with pytest.raises(NumericalError, match="zero dual mass"):
         single_bubble_fraction(gs)
 
 
@@ -330,7 +330,7 @@ def test_sweep_rejects_a_limit_on_another_grid(monkeypatch, grid2d, exps2d, spec
     limit = limit_ground_state(1.5, other, exps2d, ResolventSpec(s=1.0, delta=auto_delta(other, 1.0)))
     solves = []
     monkeypatch.setattr(concentration, "solve_ground_state", lambda *a, **k: solves.append(a))
-    with pytest.raises(GridMismatchError):
+    with pytest.raises(NumericalError, match="another grid"):
         run_sweep(OFF_ORIGIN, [2.0], exps2d, grid2d, spec=spec2d, limit=limit)
     assert solves == []
 
@@ -420,12 +420,12 @@ def test_family_levels_are_mirror_and_swap_invariant(mirror_box, signs, swap, ce
     assert _mirror_levels(grid, spec, center) == pytest.approx(reference, rel=1e-8)
 
 
-def test_concentration_inside_the_hypotheses():
+def check_concentration_inside_the_hypotheses(s, p):
     # criteria 8 and 9, with their bounds, on a 3D bump inside the paper's range
     grid = build_grid(3, 8.0, 32)
-    exps = Exponents(dim=3, s=1.0, p=5.0, k=8.0)
+    exps = Exponents(dim=3, s=s, p=p, k=8.0)
     assert exps.within_hypotheses
-    spec = ResolventSpec(s=1.0, delta=auto_delta(grid, 1.0))
+    spec = ResolventSpec(s=s, delta=auto_delta(grid, s))
     Q = BumpOnBackgroundQ(background=0.5, amplitude=1.0, width=1.0, centers=((0.125, 0.125, 0.125),))
     limit = limit_ground_state(Q.sup_value, grid, exps, spec, tol=1e-6)
     table = level_table(Q, [0.5, 0.25, 0.125], exps, grid, spec=spec, tol=1e-6)
@@ -446,5 +446,15 @@ def test_concentration_inside_the_hypotheses():
     final = records[-1]
     assert final.profile_distance <= 0.1
     cell = grid.spacing * final.eps
-    assert all(abs(p - c) <= 2.0 * cell for p, c in zip(final.peak_physical, Q.maxima[0]))
+    assert all(abs(x - c) <= 2.0 * cell for x, c in zip(final.peak_physical, Q.maxima[0]))
     assert single_bubble_check(final, fraction=0.9)
+
+
+def test_concentration_inside_the_hypotheses():
+    check_concentration_inside_the_hypotheses(1.0, 5.0)
+
+
+@pytest.mark.parametrize("s,p", [(0.9, 4.5), (1.25, 5.0)])
+def test_fractional_concentration_inside_the_hypotheses(s, p):
+    # the same conditions and bounds at fractional orders N/(N+1) < s < N/2
+    check_concentration_inside_the_hypotheses(s, p)

@@ -8,10 +8,8 @@ from helmlab import (
     BumpOnBackgroundQ,
     DualState,
     Exponents,
-    IndefiniteFormError,
     RealField,
     ResolventSpec,
-    ZeroFieldError,
     apply_multiplier_values,
     build_grid,
     cutoff_projection,
@@ -28,6 +26,8 @@ from helmlab import (
     sample_Q,
     solve_ground_state,
 )
+from helmlab import dual
+from helmlab.errors import NumericalError
 
 EXPS = Exponents(dim=2, s=1.0, p=5.0, k=1.0)
 SPEC = ResolventSpec(s=1.0, delta=0.3)
@@ -200,12 +200,28 @@ def test_nehari_scale_matches_line_search():
 def test_nehari_scale_errors():
     grid = small_grid()
     Qf = bump_field(grid)
-    with pytest.raises(ZeroFieldError):
+    with pytest.raises(NumericalError, match="zero field"):
         nehari_scale(RealField.zeros(grid), Qf, EXPS, SPEC)
     x = np.meshgrid(grid.coordinate_axis, grid.coordinate_axis, indexing="ij")[0]
     inside = RealField(grid, np.cos((np.pi * 2 / 16.0) * x))  # negative quadratic form
-    with pytest.raises(IndefiniteFormError):
+    with pytest.raises(NumericalError, match="nonpositive quadratic form"):
         nehari_scale(inside, Qf, EXPS, SPEC)
+
+
+def test_a_successful_projection_resolves_once(monkeypatch):
+    # B(v) and R(Q^(1/p) v) are computed once; only a failure resolves again
+    grid = small_grid()
+    Qf = bump_field(grid)
+    resolve = dual._DualOperator.resolve
+    calls = []
+
+    def counted(self, values, resolved=None):
+        calls.append(resolved is None)
+        return resolve(self, values, resolved)
+
+    monkeypatch.setattr(dual._DualOperator, "resolve", counted)
+    nehari_scale(cone_field(grid), Qf, EXPS, SPEC)
+    assert calls == [True]
 
 
 def test_nehari_projection_energy_identity():
@@ -349,7 +365,7 @@ def test_cutoff_projection_is_translation_invariant(limit2d, unitQ, exps2d, spec
 
 def test_cutoff_rejects_mismatched_grids(limit2d, exps2d, spec2d):
     other = sample_Q(BumpOnBackgroundQ(), build_grid(2, 16.0, 32))
-    with pytest.raises(ValueError):
+    with pytest.raises(NumericalError, match="different grids"):
         cutoff_projection(limit2d.v, (0.0, 0.0), other, exps2d, spec2d)
 
 

@@ -5,10 +5,8 @@ import numpy as np
 import pytest
 
 from helmlab import (
-    GridMismatchError,
     RealField,
     SpectralField,
-    SymmetryViolationError,
     apply_multiplier,
     apply_multiplier_values,
     build_grid,
@@ -30,6 +28,7 @@ from helmlab import (
     sample_Q,
     solve_ground_state,
 )
+from helmlab.errors import NumericalError
 from helmlab.grid import apply_multiplier_boxed
 
 from conftest import quadrant
@@ -59,6 +58,11 @@ def test_grid_frequencies_match_fourier_convention():
     expected = np.pi * np.fft.fftfreq(64, d=1.0) * 64 / 16.0
     assert np.allclose(grid.frequency_axis, expected)
     assert grid.frequency_axis[1] == pytest.approx(np.pi / 16.0)
+    # the integer wavenumbers in FFT order times 1/(n h) are numpy's fftfreq bit for bit
+    for n in range(8, 257, 2):
+        for half_width in (1.0, 8.0, 16.0, 32.0, math.pi, 0.3):
+            grid = build_grid(1, half_width, n)
+            assert np.array_equal(grid.frequency_axis, 2.0 * np.pi * np.fft.fftfreq(n, d=grid.spacing))
 
 
 @pytest.mark.parametrize(
@@ -92,11 +96,12 @@ def test_geometry_matches_the_full_mesh_formulas(dim, n):
     coords = np.meshgrid(*([grid.coordinate_axis] * dim), indexing="ij")
     freqs = np.meshgrid(*([grid.frequency_axis] * dim), indexing="ij")
     assert np.array_equal(grid.radius, np.sqrt(sum(m * m for m in coords)))
-    # multipliers live on the half spectrum, the rfftn layout
-    assert np.array_equal(grid.frequency_norm, np.sqrt(sum(m * m for m in freqs))[..., : n // 2 + 1])
-    # the quadrant is the same sum, and |xi| is bitwise even in each axis
-    assert np.array_equal(grid.quadrant_norm, quadrant(grid.frequency_norm))
+    # the quadrant is the same sum, and |xi| is bitwise even in each axis, so
+    # half_spectrum spreads it to the rfftn layout that multipliers live on
     full_norm = np.sqrt(sum(m * m for m in freqs))
+    half = full_norm[..., : n // 2 + 1]
+    assert np.array_equal(grid.quadrant_norm, quadrant(half))
+    assert np.array_equal(grid.half_spectrum(grid.quadrant_norm), half)
     for axis in range(dim):
         assert np.array_equal(full_norm, np.take(full_norm, (-np.arange(n)) % n, axis=axis))
     for center in [(15.5, -15.9, 0.3), (0.0, 0.0, 0.0), (-16.0, 7.25, -3.1)]:
@@ -114,7 +119,7 @@ def test_field_validation():
     with pytest.raises(ValueError):
         RealField(grid, np.full((8, 8), np.nan))
     other = build_grid(2, 16.0, 16)
-    with pytest.raises(GridMismatchError):
+    with pytest.raises(NumericalError, match="different grids"):
         _ = RealField.zeros(grid) + RealField.zeros(other)
 
 
@@ -141,7 +146,7 @@ SPEC_1D = ResolventSpec(s=1.0, delta=0.3)
     ids=["field-arithmetic", "profile_distance", "cutoff_projection", "solve_ground_state", "disjoint_interaction"],
 )
 def test_every_grid_mismatch_raises_grid_mismatch_error(call):
-    with pytest.raises(GridMismatchError):
+    with pytest.raises(NumericalError, match="different grid"):
         call(*MISMATCHED)
 
 
@@ -288,7 +293,7 @@ def test_multiplier_paths_leave_their_inputs_untouched(dim, n, writable):
 def test_multiplier_kernel_takes_only_the_quadrant():
     for dim, n in [(1, 64), (2, 32), (3, 16)]:
         grid = build_grid(dim, 16.0, n)
-        for shape in [grid.frequency_norm.shape, grid.shape, (n // 2,) * dim, (n // 2 + 1,) * (dim + 1)]:
+        for shape in [grid.shape[:-1] + (n // 2 + 1,), grid.shape, (n // 2,) * dim, (n // 2 + 1,) * (dim + 1)]:
             if shape == grid.quadrant_norm.shape:
                 continue
             with pytest.raises(ValueError, match="quadrant"):
@@ -298,15 +303,15 @@ def test_multiplier_kernel_takes_only_the_quadrant():
 def test_uneven_multiplier_rejected():
     grid = build_grid(1, 16.0, 64)
     f = random_field(grid, seed=5)
-    with pytest.raises(SymmetryViolationError):
+    with pytest.raises(NumericalError, match="not even"):
         apply_multiplier(f, lambda a: a)  # odd: m(-xi) = -m(xi)
     plane = build_grid(2, 16.0, 32)
-    with pytest.raises(SymmetryViolationError):
+    with pytest.raises(NumericalError, match="not even"):
         multiplier_values(plane, lambda a, b: np.sin(b))  # odd along the broadcast axis only
     # asymmetry is judged relative to max |m|: roundoff-sized odd parts pass
     scale = np.max(np.abs(grid.frequency_axis))
     multiplier_values(grid, lambda a: 1.0 + 1e-10 * a / scale)
-    with pytest.raises(SymmetryViolationError):
+    with pytest.raises(NumericalError, match="not even"):
         multiplier_values(grid, lambda a: 1.0 + 1e-6 * a / scale)
     assert np.allclose(apply_multiplier(f, lambda a: 2.0).values, 2.0 * f.values, atol=1e-12)
 
@@ -315,7 +320,7 @@ def test_non_hermitian_spectrum_rejected():
     grid = build_grid(1, 16.0, 64)
     coeffs = np.zeros(64, dtype=complex)
     coeffs[3] = 1.0  # no conjugate partner at -3
-    with pytest.raises(SymmetryViolationError):
+    with pytest.raises(NumericalError, match="not Hermitian"):
         inverse_transform(SpectralField(grid, coeffs))
 
 
@@ -369,5 +374,5 @@ def test_inner_product_bilinear_and_consistent():
 def test_inner_product_grid_mismatch():
     a = build_grid(1, 16.0, 16)
     b = build_grid(1, 8.0, 16)
-    with pytest.raises(GridMismatchError):
+    with pytest.raises(NumericalError, match="different grids"):
         inner_product(RealField.zeros(a), RealField.zeros(b))

@@ -8,7 +8,6 @@ from helmlab import (
     InsufficientDataError,
     RealField,
     ResolventSpec,
-    SupportOverlapError,
     apply_multiplier_values,
     auto_delta,
     band_decompose,
@@ -23,9 +22,10 @@ from helmlab import (
     multiplier_kernel,
     radial_envelope,
 )
+from helmlab.errors import NumericalError
 from helmlab import resolvent
 
-from conftest import quadrant
+from conftest import half_norm, quadrant
 
 
 def symbol(mu, delta):
@@ -66,7 +66,7 @@ def test_symbol_sign_and_bound():
     grid = build_grid(2, 16.0, 64)
     delta = 0.2
     values = ResolventSpec(s=1.0, delta=delta).symbol_values(grid)
-    mu = grid.frequency_norm**2
+    mu = half_norm(grid) ** 2
     assert np.all(values[mu < 1.0] < 0.0)
     assert np.all(values[mu > 1.0] > 0.0)
     assert np.max(np.abs(values)) <= 1.0 / (2.0 * delta) * (1.0 + 1e-12)
@@ -118,10 +118,11 @@ def test_resolvent_linearity():
 
 @pytest.mark.parametrize("s", [0.9, 1.0, 1.25])
 def test_symbol_values_equal_the_formula_bit_for_bit(s):
-    # the in-place steps are the formula's operations in the formula's order
+    # the in-place steps are the formula's operations in the formula's order,
+    # on the quadrant, spread to the half spectrum
     grid = build_grid(3, 16.0, 32)
     delta = auto_delta(grid, s)
-    mu = grid.frequency_norm ** (2.0 * s)
+    mu = half_norm(grid) ** (2.0 * s)
     want = (mu - 1.0) / ((mu - 1.0) ** 2 + delta * delta)
     spec = ResolventSpec(s=s, delta=delta)
     assert np.array_equal(spec.symbol_values(grid), want)
@@ -147,11 +148,10 @@ def test_auto_delta_frozen_values():
 @pytest.mark.parametrize("s", [0.9, 1.0, 1.25])
 def test_auto_delta_on_the_quadrant_is_the_half_spectrum_value(s):
     # |xi| is bitwise even in each axis, so the quadrant holds every distinct
-    # |xi|^(2s) of the half spectrum; the full half-spectrum |xi| is never made
+    # |xi|^(2s) of the half spectrum
     for grid in (build_grid(1, 16.0, 64), build_grid(2, 16.0, 128), build_grid(3, 32.0, 64)):
         delta = auto_delta(grid, s)
-        assert "frequency_norm" not in vars(grid)
-        mu = np.unique(grid.frequency_norm ** (2.0 * s))
+        mu = np.unique(half_norm(grid) ** (2.0 * s))
         window = mu[(mu > 0.5) & (mu < 1.5)]
         gaps = np.diff(window)
         assert delta == 4.0 * float(np.median(gaps[gaps > 1e-12]))
@@ -268,11 +268,12 @@ def test_band_part_is_spectrally_confined():
     grid = build_grid(2, 16.0, 32)
     spec = ResolventSpec(s=1.0, delta=0.2)
     bundle = band_decompose(spec, grid)
-    # compared on the half spectrum, where grid.frequency_norm lives
+    # compared on the half spectrum
+    norm = half_norm(grid)
     spectrum = forward_transform(bundle.band).coeffs[..., : grid.points_per_axis // 2 + 1]
     full = forward_transform(multiplier_kernel(grid, quadrant(spec.symbol_values(grid)))).coeffs[..., : grid.points_per_axis // 2 + 1]
-    off_band = np.abs(grid.frequency_norm - 1.0) >= 0.25
-    plateau = np.abs(grid.frequency_norm - 1.0) <= 1.0 / 6.0
+    off_band = np.abs(norm - 1.0) >= 0.25
+    plateau = np.abs(norm - 1.0) <= 1.0 / 6.0
     scale = np.max(np.abs(full))
     assert np.max(np.abs(spectrum[off_band])) <= 1e-13 * scale
     assert np.allclose(spectrum[plateau], full[plateau], atol=1e-12 * scale)
@@ -426,11 +427,11 @@ def test_disjoint_interaction_rejects_overlap():
     spec = ResolventSpec(s=1.0, delta=0.1)
     u = compact_bump(grid, (0.0, 0.0), 2.0)
     near = compact_bump(grid, (3.0, 0.0), 2.0)  # leaks inside radius 2 + gap
-    with pytest.raises(SupportOverlapError):
+    with pytest.raises(NumericalError, match="inside the ball"):
         disjoint_interaction(u, [(4.0, near)], spec, inner_radius=2.0)
     wide = compact_bump(grid, (0.0, 0.0), 5.0)  # u escapes its own ball
     far = compact_bump(grid, (12.0, 0.0), 2.0)
-    with pytest.raises(SupportOverlapError):
+    with pytest.raises(NumericalError, match="outside the ball"):
         disjoint_interaction(wide, [(4.0, far)], spec, inner_radius=2.0)
 
 
@@ -449,7 +450,7 @@ def test_disjoint_interaction_checks_every_node(stray):
         values = v.values.copy()
         values[grid.nearest_index((-3.0, -3.0, -3.0))] = 1e-10 * np.max(values)  # inside radius 2 + 4, opposite v
         v = RealField(grid, values)
-    with pytest.raises(SupportOverlapError):
+    with pytest.raises(NumericalError, match="the ball of radius"):
         disjoint_interaction(u, [(4.0, v)], spec, inner_radius=2.0)
 
 

@@ -8,13 +8,10 @@ import pytest
 
 from helmlab import (
     BumpOnBackgroundQ,
-    ConeExitError,
     ConstantQ,
     Exponents,
-    IndefiniteFormError,
     RealField,
     ResolventSpec,
-    ZeroFieldError,
     apply_multiplier_values,
     auto_delta,
     build_grid,
@@ -22,6 +19,7 @@ from helmlab import (
     sample_Q,
     solve_ground_state,
 )
+from helmlab.errors import NumericalError
 from helmlab import dual
 from conftest import STANDARD_LEVEL
 
@@ -78,15 +76,26 @@ def test_scale_factor_metadata(unitQ, spec2d):
 
 
 def test_zero_init_rejected(unitQ, exps2d, spec2d):
-    with pytest.raises(ZeroFieldError):
+    with pytest.raises(NumericalError, match="zero field"):
         solve_ground_state(unitQ, exps2d, spec2d, init=RealField.zeros(unitQ.grid))
+
+
+def test_mismatched_orders_rejected(unitQ):
+    # the exponents and the resolvent each carry s; a solve needs them equal
+    grid = unitQ.grid
+    exps = Exponents(dim=2, s=0.9, p=5.0, k=1.0)
+    spec = ResolventSpec(s=1.0, delta=auto_delta(grid, 1.0))
+    with pytest.raises(ValueError, match=r"s = 0\.9 .* s = 1\.0"):
+        solve_ground_state(unitQ, exps, spec)
+    with pytest.raises(ValueError, match=r"s = 0\.9 .* s = 1\.0"):
+        dual.nehari_scale(RealField(grid, np.ones(grid.shape)), unitQ, exps, spec)
 
 
 def test_init_outside_cone_rejected(unitQ, exps2d, spec2d):
     grid = unitQ.grid
     x = np.meshgrid(grid.coordinate_axis, grid.coordinate_axis, indexing="ij")[0]
     low_mode = RealField(grid, np.cos((np.pi / 16.0) * x))
-    with pytest.raises(IndefiniteFormError):
+    with pytest.raises(NumericalError, match="nonpositive quadratic form"):
         solve_ground_state(unitQ, exps2d, spec2d, init=low_mode)
 
 
@@ -298,9 +307,9 @@ def test_solve_memory_is_its_history_and_one_iteration():
     memory = 5
     symbol = grid.points_per_axis ** 2 * (grid.points_per_axis // 2 + 1) / grid.size
     arrays = 1 + symbol + 3 * (memory - 1) + 3 + 2 + 5
-    # grid.frequency_norm, cached on the grid and read by the symbol, is made
+    # grid.quadrant_norm, cached on the grid and read by the symbol, is made
     # before tracing starts: the bound counts what the solver holds
-    grid.frequency_norm
+    grid.quadrant_norm
     tracemalloc.start()
     try:
         gs = solve_ground_state(Qf, exps, spec, anderson_memory=memory)
@@ -369,7 +378,7 @@ def test_cone_exit_when_no_step_keeps_the_form_positive(monkeypatch, unitQ, exps
         return original(self, c, *args, **kwargs) if len(calls) == 1 else None
 
     monkeypatch.setattr(dual._DualOperator, "project", project_start_only)
-    with pytest.raises(ConeExitError):
+    with pytest.raises(NumericalError, match="no trial step keeps the quadratic form positive"):
         solve_ground_state(unitQ, exps2d, spec2d, max_iter=50)
     assert len(calls) > 2  # the candidate and at least one fallback were tried
 

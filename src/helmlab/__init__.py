@@ -1,8 +1,8 @@
 """Numerical laboratory for dual ground states of the nonlinear fractional
 Helmholtz equation on a periodic box.
 
-The equation (-Delta)^s u - k^2 u = Q(x) |u|^(p-2) u is treated in the
-rescaled frame x -> x/k through its dual formulation: ground states are
+The equation (-Delta)^s u - k^(2s) u = Q(x) |u|^(p-2) u is treated in the
+rescaled frame x -> k x through its dual formulation: ground states are
 minimizers of the dual functional over the Nehari manifold, built on the
 real limiting-absorption resolvent of (-Delta)^s - 1. The package
 provides the spectral substrate (`grid`), the resolvent and its kernel

@@ -55,11 +55,17 @@ class Exponents:
 
     @property
     def eps(self) -> float:
+        """Length scale 1/k of the rescaling x = eps y; see `scale_factor` for the equation it fits."""
         return 1.0 / self.k
 
     @property
     def scale_factor(self) -> float:
-        """Amplitude factor k^(2s/(p-2)) relating rescaled and physical solutions."""
+        """Amplitude A = k^(2s/(p-2)) of the rescaling u(x) = A w(k x).
+
+        u solves (-Delta)^s u - k^(2s) u = Q(x) |u|^(p-2) u exactly when w solves
+        (-Delta)^s w - w = Q(eps y) |w|^(p-2) w. The paper writes k^2 u, so `k` is
+        the paper's wavenumber to the power 1/s; the two agree at s = 1 only.
+        """
         return self.k ** (2.0 * self.s / (self.p - 2.0))
 
     def with_k(self, k: float) -> "Exponents":

@@ -62,6 +62,14 @@ def test_bump_validation(kwargs):
         BumpOnBackgroundQ(**kwargs)
 
 
+def test_bump_evaluation_needs_one_coordinate_per_axis():
+    Q = BumpOnBackgroundQ(centers=((0.0, 0.0),))
+    with pytest.raises(ValueError, match="2-dimensional, got 3 coordinates"):
+        Q.evaluate(0.0, 0.0, 0.0)
+    with pytest.raises(ValueError, match="2-dimensional, got 1 coordinates"):
+        Q.evaluate(np.zeros(4))
+
+
 def test_sample_rescaling_flattens_bumps():
     # Q(eps x): shrinking eps widens the bump in the computational frame
     Q = BumpOnBackgroundQ(background=0.5, amplitude=1.0, width=1.0, centers=((0.0, 0.0),))

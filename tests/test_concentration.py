@@ -183,7 +183,7 @@ def test_bubble_fraction_respects_center_override(grid2d, unitQ, exps2d, spec2d)
 
 def test_bubble_fraction_zero_state_rejected(grid2d, unitQ, exps2d, spec2d):
     gs = GroundState(
-        state=DualState(RealField.zeros(grid2d), 0.0, 0.0, 0.0, 0.0),
+        state=DualState(RealField.zeros(grid2d), 0.0, 0.0, 0.0),
         u_rescaled=RealField.zeros(grid2d),
         peak=(0.0, 0.0),
         exps=exps2d,

@@ -123,6 +123,25 @@ def test_field_validation():
         _ = RealField.zeros(grid) + RealField.zeros(other)
 
 
+def test_spectral_field_validation():
+    grid = build_grid(2, 16.0, 8)
+    with pytest.raises(ValueError, match="does not match grid shape"):
+        SpectralField(grid, np.zeros((8, 5), dtype=complex))
+    coeffs = np.zeros((8, 8), dtype=complex)
+    coeffs[1, 2] = complex(0.0, np.inf)
+    with pytest.raises(ValueError, match="finite"):
+        SpectralField(grid, coeffs)
+
+
+def test_points_must_have_one_component_per_axis():
+    grid = build_grid(3, 16.0, 8)
+    for point in [(0.0, 0.0), (0.0, 0.0, 0.0, 0.0)]:
+        with pytest.raises(ValueError, match="3 components"):
+            grid.periodic_offsets(point)
+        with pytest.raises(ValueError, match="3 components"):
+            grid.nearest_index(point)
+
+
 MISMATCHED = (build_grid(1, 16.0, 16), build_grid(1, 16.0, 32))
 EXPS_1D = Exponents(dim=1, s=1.0, p=5.0, k=1.0)
 SPEC_1D = ResolventSpec(s=1.0, delta=0.3)

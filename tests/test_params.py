@@ -1,7 +1,19 @@
 """Exponent bookkeeping and hypothesis checks."""
+import numpy as np
 import pytest
 
-from helmlab import OUTSIDE_HYPOTHESES_MARKER, Exponents
+from helmlab import (
+    OUTSIDE_HYPOTHESES_MARKER,
+    BumpOnBackgroundQ,
+    Exponents,
+    RealField,
+    ResolventSpec,
+    apply_multiplier_values,
+    auto_delta,
+    build_grid,
+    sample_Q,
+    solve_ground_state,
+)
 
 
 def test_dual_exponent():
@@ -24,6 +36,33 @@ def test_eps_and_scale_factor():
     assert exps.scale_factor == pytest.approx(8.0 ** (2.0 / 3.0))
     # s = 1, p = 4 gives exponent 1: the amplitude factor is k itself
     assert Exponents(dim=3, s=1.0, p=4.0, k=5.0).scale_factor == pytest.approx(5.0)
+
+
+def test_eps_and_scale_factor_rescale_the_equation_with_k_to_the_2s():
+    # u(x) = A w(x/eps) with A = scale_factor and eps = 1/k carries the
+    # residual (-Delta)^s w - w - Q|w|^(p-2) w on the box of half-width L to
+    # (-Delta)^s u - k^(2s) u - Q|u|^(p-2) u on the box of half-width eps L,
+    # times A k^(2s): the physical grid's wavenumbers are k times the rescaled
+    # ones, and A^(p-2) = k^(2s). So `model.k` is the wavenumber of the
+    # equation with k^(2s) u; the form with k^2 u differs at every s != 1
+    s, p, k = 0.9, 4.5, 4.0
+    exps = Exponents(dim=3, s=s, p=p, k=k)
+    rescaled = build_grid(3, 8.0, 32)
+    physical = build_grid(3, 8.0 * exps.eps, 32)
+    spec = ResolventSpec(s=s, delta=auto_delta(rescaled, s))
+    Q = sample_Q(BumpOnBackgroundQ(centers=((0.125, 0.125, 0.125),)), rescaled, exps.eps)
+    w = solve_ground_state(Q, exps, spec).u_rescaled.values
+    amplitude = exps.scale_factor
+
+    def residual(grid, u, wavenumber_term):
+        laplacian = grid.half_spectrum(grid.quadrant_norm ** (2.0 * s))
+        fractional = apply_multiplier_values(RealField(grid, u), laplacian).values
+        return fractional - wavenumber_term * u - Q.values * np.abs(u) ** (p - 2.0) * u
+
+    want = amplitude * k ** (2.0 * s) * residual(rescaled, w, 1.0)
+    scale = np.linalg.norm(want)
+    assert np.linalg.norm(residual(physical, amplitude * w, k ** (2.0 * s)) - want) <= 1e-12 * scale
+    assert np.linalg.norm(residual(physical, amplitude * w, k**2) - want) > 0.1 * scale
 
 
 def test_with_k_replaces_only_k():

@@ -15,7 +15,9 @@ from helmlab import (
     apply_multiplier_values,
     auto_delta,
     build_grid,
+    dual_gradient,
     limit_ground_state,
+    lq_norm,
     sample_Q,
     solve_ground_state,
 )
@@ -33,7 +35,7 @@ def test_reproduces_frozen_level(ground2d):
 
 def test_reported_state_is_consistent(ground2d):
     st = ground2d.state
-    assert st.on_nehari
+    assert abs(st.nehari_residual) <= 1e-8 * lq_norm(st.v, ground2d.exps.p_dual) ** ground2d.exps.p_dual
     assert st.quad_form > 0.0
     assert st.energy == pytest.approx(ground2d.level)
     # the recovered profile peaks where the solver says it does
@@ -80,6 +82,14 @@ def test_zero_init_rejected(unitQ, exps2d, spec2d):
         solve_ground_state(unitQ, exps2d, spec2d, init=RealField.zeros(unitQ.grid))
 
 
+def test_solver_budget_rejected(unitQ, exps2d, spec2d):
+    for tol in (0.0, -1e-6):
+        with pytest.raises(ValueError, match="tol must be positive"):
+            solve_ground_state(unitQ, exps2d, spec2d, tol=tol)
+    with pytest.raises(ValueError, match="max_iter must be at least 1"):
+        solve_ground_state(unitQ, exps2d, spec2d, max_iter=0)
+
+
 def test_mismatched_orders_rejected(unitQ):
     # the exponents and the resolvent each carry s; a solve needs them equal
     grid = unitQ.grid
@@ -115,15 +125,6 @@ def test_unresolved_grid_fails_honestly():
     assert gs.state.quad_form > 0.0
 
 
-def test_anderson_mixing_beats_plain_iteration(ground2d, unitQ, exps2d, spec2d):
-    # one-iterate memory is the plain projected iteration; a mix that
-    # extrapolates toward the fixed point must take fewer iterations
-    plain = solve_ground_state(unitQ, exps2d, spec2d, tol=1e-6, max_iter=500, anderson_memory=1)
-    assert plain.converged
-    assert ground2d.iterations < plain.iterations
-    assert ground2d.level == pytest.approx(plain.level, rel=1e-9)
-
-
 def test_tight_tolerance_converges(unitQ, exps2d, spec2d):
     # Anderson steps keep contracting far below the default tol = 1e-6
     gs = solve_ground_state(unitQ, exps2d, spec2d, tol=1e-10, max_iter=500)
@@ -134,11 +135,21 @@ def test_tight_tolerance_converges(unitQ, exps2d, spec2d):
 
 def test_limit_level_scales_with_the_coefficient(grid2d, exps2d, spec2d, limit2d):
     # J_q(v) = A(v)/p' - q^(2/p) B_1(v)/2, so the Nehari level of a
-    # constant coefficient q is c(q) = q^(-2/(p-2)) c(1) exactly
-    for q in (0.5, 1.5, 2.0, 3.0):
-        gs = limit_ground_state(q, grid2d, exps2d, spec2d)
-        assert gs.converged
-        assert gs.level == pytest.approx(q ** (-2.0 / (exps2d.p - 2.0)) * limit2d.level, rel=1e-10)
+    # constant coefficient q is c(q) = q^(-2/(p-2)) c(1) exactly, at any order:
+    # on the 2D grid at s = 1, and on a 3D box at two fractional orders inside
+    # the paper's window N/(N+1) < s < N/2
+    cases = [(grid2d, exps2d, spec2d, limit2d)]
+    cube = build_grid(3, 8.0, 32)
+    for s, p in ((0.9, 4.5), (1.25, 5.0)):
+        exps = Exponents(dim=3, s=s, p=p, k=1.0)
+        spec = ResolventSpec(s=s, delta=auto_delta(cube, s))
+        cases.append((cube, exps, spec, limit_ground_state(1.0, cube, exps, spec)))
+    for grid, exps, spec, unit in cases:
+        assert unit.converged
+        for q in (0.5, 1.5, 2.0, 3.0):
+            gs = limit_ground_state(q, grid, exps, spec)
+            assert gs.converged
+            assert gs.level == pytest.approx(q ** (-2.0 / (exps.p - 2.0)) * unit.level, rel=1e-10)
 
 
 def test_limit_state_is_centered(limit2d):
@@ -168,7 +179,7 @@ def test_limit_is_the_plain_constant_coefficient_solve(grid2d, exps2d, spec2d):
     direct = solve_ground_state(RealField(grid2d, np.full(grid2d.shape, q)), exps2d, spec2d)
     assert np.array_equal(limit.v.values, direct.v.values)
     assert np.array_equal(limit.u_rescaled.values, direct.u_rescaled.values)
-    for name in ("energy", "quad_form", "nehari_residual", "gradient_norm"):
+    for name in ("energy", "quad_form", "nehari_residual"):
         assert getattr(limit.state, name) == getattr(direct.state, name)
     for name in ("peak", "exps", "iterations", "converged", "fixed_point_residual"):
         assert getattr(limit, name) == getattr(direct, name)
@@ -240,20 +251,21 @@ def test_reused_fields_match_fresh_ones(monkeypatch, exps2d):
     mass = grid.cell_volume * np.sum(np.abs(gs.v.values) ** pd)
     assert gs.level / (1.0 / pd - 0.5) == pytest.approx(mass, rel=1e-12)
     # the residual the loop normalises by that A(v) is the documented one
-    assert gs.fixed_point_residual == pytest.approx(gs.state.gradient_norm / mass ** ((pd - 1.0) / pd), rel=1e-12)
+    gradient_norm = lq_norm(dual_gradient(gs.v, Qf, exps2d, spec), exps2d.p)
+    assert gs.fixed_point_residual == pytest.approx(gradient_norm / mass ** ((pd - 1.0) / pd), rel=1e-12)
     assert reused  # the Anderson trial ran
     for op, c, resolved in reused:
         fresh = apply_multiplier_values(RealField(grid, op.root * c), op.symbol).values
         assert np.max(np.abs(resolved - fresh)) <= 1e-12 * np.max(np.abs(fresh))
 
 
-@pytest.mark.parametrize("memory", [1, 2, 3, 5])
-def test_anderson_trial_matches_its_definition(monkeypatch, exps2d, memory):
+def test_anderson_trial_matches_its_definition(monkeypatch, exps2d):
     # every Anderson trial is g_k - sum_j theta_j (g_{j+1} - g_j) over the last
     # m projected candidates g_j = v_j + r_j, theta the least-squares solution
     # of the Gram system of the residual increments r_{j+1} - r_j, here built
     # entry by entry; tol = 1e-10 runs long enough for the history to wrap
     Qf, spec = bump_problem()
+    memory = dual._ANDERSON_MEMORY
     project, gradient_norm = dual._DualOperator.project, dual._DualOperator.gradient_norm
     events = []
 
@@ -271,7 +283,7 @@ def test_anderson_trial_matches_its_definition(monkeypatch, exps2d, memory):
 
     monkeypatch.setattr(dual._DualOperator, "project", recording_project)
     monkeypatch.setattr(dual._DualOperator, "gradient_norm", recording_norm)
-    assert solve_ground_state(Qf, exps2d, spec, tol=1e-10, anderson_memory=memory).converged
+    assert solve_ground_state(Qf, exps2d, spec, tol=1e-10).converged
     v, history, trials = None, [], 0
     for kind, values in events:
         if kind == "iterate":
@@ -287,10 +299,7 @@ def test_anderson_trial_matches_its_definition(monkeypatch, exps2d, memory):
             theta = np.linalg.lstsq(gram, np.array([np.dot(x, r[-1]) for x in d]), rcond=None)[0]
             expected = g[-1] - sum(t * (b - a) for t, a, b in zip(theta, g, g[1:]))
             assert np.max(np.abs(values - expected)) <= 1e-12 * np.max(np.abs(expected))
-    if memory == 1:
-        assert trials == 0
-    else:
-        assert trials > memory  # more pushes than history rows
+    assert trials > memory  # more pushes than history rows
 
 
 def test_solve_memory_is_its_history_and_one_iteration():
@@ -304,7 +313,7 @@ def test_solve_memory_is_its_history_and_one_iteration():
     exps = Exponents(dim=3, s=1.0, p=5.0, k=1.0)
     spec = ResolventSpec(s=1.0, delta=auto_delta(grid, 1.0))
     Qf = sample_Q(BumpOnBackgroundQ(background=0.5, amplitude=1.0, width=1.0, centers=((0.0, 0.0, 0.0),)), grid)
-    memory = 5
+    memory = dual._ANDERSON_MEMORY
     symbol = grid.points_per_axis ** 2 * (grid.points_per_axis // 2 + 1) / grid.size
     arrays = 1 + symbol + 3 * (memory - 1) + 3 + 2 + 5
     # grid.quadrant_norm, cached on the grid and read by the symbol, is made
@@ -312,7 +321,7 @@ def test_solve_memory_is_its_history_and_one_iteration():
     grid.quadrant_norm
     tracemalloc.start()
     try:
-        gs = solve_ground_state(Qf, exps, spec, anderson_memory=memory)
+        gs = solve_ground_state(Qf, exps, spec)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -408,3 +417,55 @@ def test_stagnant_solve_returns_its_best_iterate(monkeypatch, unitQ, exps2d, spe
     # the start, the plain candidate and the 11 line-search mixes, in that
     # order; the one-entry history gives no Anderson trial
     assert len(calls) == 13
+
+
+def solve_refusing_the_first_candidate(monkeypatch, exps, refuse):
+    # `refuse` replaces the first iteration's projected candidate; the start
+    # gives no Anderson trial then, so the line-search mixes decide the step.
+    # Returns the unforced solve's level, the forced solve, its multiplier
+    # applications and the trials between its first and second candidate
+    Qf, spec = bump_problem()
+    free = solve_ground_state(Qf, exps, spec)
+    applications = []
+    original_apply = dual.apply_multiplier_values
+
+    def counted(*args):
+        applications.append(len(applications))
+        return original_apply(*args)
+
+    original_project = dual._DualOperator.project
+    kinds = []
+
+    def project(self, c, resolved=None, a=None):
+        out = original_project(self, c, resolved, a)
+        kinds.append("trial" if a is None else "candidate")
+        return refuse(out) if a is not None and kinds.count("candidate") == 1 else out
+
+    monkeypatch.setattr(dual, "apply_multiplier_values", counted)
+    monkeypatch.setattr(dual._DualOperator, "project", project)
+    gs = solve_ground_state(Qf, exps, spec)
+    first = kinds.index("candidate")
+    return free.level, gs, len(applications), kinds[first + 1 : kinds.index("candidate", first + 1)]
+
+
+def test_line_search_mixes_apply_no_resolvent(monkeypatch, exps2d):
+    # a mix v + s (kappa c - v) resolves to R(Q^(1/p) v) + s (kappa R(Q^(1/p) c)
+    # - R(Q^(1/p) v)), and R(Q^(1/p) c) is the candidate's projection over its
+    # scale: the cold start's filter, the start projection and one candidate
+    # projection per iteration are all the applications the solve makes
+    level, gs, applications, mixes = solve_refusing_the_first_candidate(
+        monkeypatch, exps2d, lambda out: (out[0], out[1], out[2], np.inf)
+    )
+    assert mixes == ["trial"]  # the first mix was accepted
+    assert gs.converged
+    assert gs.level == pytest.approx(level, rel=1e-10)
+    assert applications == gs.iterations + 2
+
+
+def test_mixes_after_a_candidate_outside_the_cone_resolve_it_once(monkeypatch, exps2d):
+    # with no projection of the candidate to reuse, its resolved field costs one application
+    level, gs, applications, mixes = solve_refusing_the_first_candidate(monkeypatch, exps2d, lambda out: None)
+    assert mixes == ["trial"]
+    assert gs.converged
+    assert gs.level == pytest.approx(level, rel=1e-10)
+    assert applications == gs.iterations + 3

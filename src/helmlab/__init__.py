@@ -24,7 +24,7 @@ from .concentration import (
     single_bubble_check,
     single_bubble_fraction,
 )
-from .config import RunConfig, load_config, parse_config_text, render_config
+from .config import RunConfig, load_config, render_config
 from .dual import (
     DualState,
     GroundState,
@@ -51,10 +51,7 @@ from .grid import (
     forward_transform,
     inner_product,
     inverse_transform,
-    locate_peak,
     lq_norm,
-    multiplier_kernel,
-    multiplier_values,
 )
 from .params import OUTSIDE_HYPOTHESES_MARKER, Exponents, HypothesisCheck
 from .resolvent import (
@@ -64,7 +61,6 @@ from .resolvent import (
     band_decompose,
     compact_bump,
     disjoint_interaction,
-    exp_smoothstep,
     fit_decay_exponent,
     radial_envelope,
 )
@@ -73,15 +69,14 @@ __all__ = [
     "BumpOnBackgroundQ", "CoefficientQ", "ConstantQ", "sample_Q",
     "LevelRow", "LevelTable", "SweepRecord", "level_table", "profile_distance",
     "run_sweep", "single_bubble_check", "single_bubble_fraction",
-    "RunConfig", "load_config", "parse_config_text", "render_config",
+    "RunConfig", "load_config", "render_config",
     "DualState", "GroundState", "cutoff_projection", "default_initial_guess", "diagnose",
     "dihedral_average", "dual_energy", "dual_gradient", "limit_ground_state", "nehari_project",
     "nehari_scale", "random_initial_guess", "solve_ground_state",
     "ConfigError", "InsufficientDataError",
     "RealField", "SpectralField", "TorusGrid", "apply_multiplier", "apply_multiplier_values",
-    "build_grid", "forward_transform", "inner_product", "inverse_transform", "locate_peak", "lq_norm",
-    "multiplier_kernel", "multiplier_values",
+    "build_grid", "forward_transform", "inner_product", "inverse_transform", "lq_norm",
     "OUTSIDE_HYPOTHESES_MARKER", "Exponents", "HypothesisCheck",
     "KernelBundle", "ResolventSpec", "auto_delta", "band_decompose", "compact_bump",
-    "disjoint_interaction", "exp_smoothstep", "fit_decay_exponent", "radial_envelope",
+    "disjoint_interaction", "fit_decay_exponent", "radial_envelope",
 ]

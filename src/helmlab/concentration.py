@@ -5,13 +5,16 @@ Q(eps * x) flattens toward its peak value and the computed ground state
 should converge to the constant-coefficient limit profile, with its peak
 parked at a maximum of Q. The routines here measure exactly that: where
 the profile peaks (`GroundState.peak`), how far it is from the limit
-profile, and how the ground-state level is pinched between the two
+profile once one roll puts both peaks on one node (`profile_distance`),
+and how the ground-state level is pinched between the two
 constant-coefficient levels built from max Q and the background value of Q.
+Every family solve starts from the limit state rolled so its peak node
+lands on the maximum node of the sampled Q (`_solve_family`);
+`profile_distance` and `dual.cutoff_projection` place profiles by the
+same roll.
 """
 from __future__ import annotations
 
-import itertools
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,7 +22,7 @@ import numpy as np
 from .coefficients import CoefficientQ, max_node, sample_Q
 from .dual import GroundState, limit_ground_state, solve_ground_state
 from .errors import NumericalError
-from .grid import RealField, TorusGrid, lq_norm, peak_node
+from .grid import RealField, TorusGrid, _roll_onto, lq_norm, peak_node
 from .params import Exponents
 from .resolvent import ResolventSpec
 
@@ -28,36 +31,22 @@ def profile_distance(field: RealField, reference: RealField, norm_exponent: floa
     """Relative L^q distance after aligning the profiles by translation.
 
     The field is rolled so its `peak_node` lands on the reference's,
-    then over all extra shifts of up to two cells per axis the smallest
-    ||field_shifted - reference||_q / ||reference||_q is returned.
-    Cell-level alignment is all a translation on the grid can do; the
-    two-cell search absorbs argmax jitter between nearby nodes. Each
-    shift is a window into one wrap-padded copy of the aligned field,
-    and every difference is formed in one reused buffer.
+    and ||aligned - reference||_q / ||reference||_q is returned, with q
+    = `norm_exponent` (inf gives the max norm). Whole cells are all a
+    translation on the grid can do. There is no search over further
+    shifts: every family member starts from the limit state placed on
+    the maximum node of Q, and its peak stays on that node, so a search
+    over the 5^dim shifts within two cells of this alignment returns the
+    same distance. `tests/test_concentration.py` checks both facts on
+    a 2D sweep with an off-grid centre and on the README's 3D example.
     """
     if field.grid != reference.grid:
         raise NumericalError("fields live on different grids")
-    q = norm_exponent
-    ref_norm = lq_norm(reference, q)
+    ref_norm = lq_norm(reference, norm_exponent)
     if ref_norm <= 0.0:
         raise NumericalError("reference profile is identically zero")
-    grid = field.grid
-    base = tuple(r - f for r, f in zip(peak_node(reference.values), peak_node(field.values)))
-    padded = np.pad(np.roll(field.values, base, axis=tuple(range(grid.dim))), 2, mode="wrap")
-    diff = np.empty(grid.shape)
-    best = np.inf
-    for extra in itertools.product(range(-2, 3), repeat=grid.dim):
-        # rolling by `extra` moves node i - extra to i, which the padding holds at i - extra + 2
-        window = padded[tuple(slice(2 - e, 2 - e + n) for e, n in zip(extra, grid.shape))]
-        np.abs(np.subtract(window, reference.values, out=diff), out=diff)
-        if math.isinf(q):
-            dist = float(np.max(diff))
-        else:
-            diff **= q
-            dist = (grid.cell_volume * float(np.sum(diff))) ** (1.0 / q)
-        if dist < best:
-            best = dist
-    return float(best / ref_norm)
+    aligned = _roll_onto(field.values, peak_node(field.values), peak_node(reference.values))
+    return float(lq_norm(RealField(field.grid, aligned - reference.values), norm_exponent) / ref_norm)
 
 
 @dataclass(frozen=True)
@@ -133,7 +122,6 @@ def _solve_family(
         step_exps = exps.with_k(k)
         Qfield = sample_Q(Q, grid, step_exps.eps)
         q_node = max_node(Qfield)
-        shift = None if q_node is None else tuple(q - p for q, p in zip(q_node, limit_node))
         # the seed is made inside the call, with no local here, so the solver can drop it after its
         # start: CPython 3.11+ hands the caller's argument references to the callee (on 3.10 the
         # caller holds the seed until the call returns), so an `init = ...` local would keep it
@@ -142,7 +130,7 @@ def _solve_family(
                 Qfield,
                 step_exps,
                 spec,
-                init=None if shift is None else RealField(grid, np.roll(limit.v.values, shift, axis=range(grid.dim))),
+                init=None if q_node is None else RealField(grid, _roll_onto(limit.v.values, limit_node, q_node)),
                 tol=tol,
                 max_iter=max_iter,
             )

@@ -83,7 +83,7 @@ import numpy as np
 
 from .coefficients import max_node
 from .errors import NumericalError
-from .grid import RealField, TorusGrid, apply_multiplier_values, locate_peak, peak_node
+from .grid import RealField, TorusGrid, _roll_onto, apply_multiplier_values, locate_peak, peak_node
 from .params import Exponents
 from .resolvent import ResolventSpec, exp_smoothstep
 
@@ -554,9 +554,7 @@ def cutoff_projection(
         raise NumericalError("coefficient and limit profile live on different grids")
     eps = exps.eps
     rescaled_center = tuple(c / eps for c in concentration_point)
-    node = grid.nearest_index(rescaled_center)
-    shift = tuple(i - o for i, o in zip(node, peak_node(limit_profile.values)))
-    moved = np.roll(limit_profile.values, shift, axis=range(grid.dim)) if any(shift) else limit_profile.values
+    moved = _roll_onto(limit_profile.values, peak_node(limit_profile.values), grid.nearest_index(rescaled_center))
     rho = eps * np.sqrt(grid.periodic_distance2(rescaled_center))
     phi = RealField(grid, exp_smoothstep(rho - 1.0) * moved)
     op = _DualOperator(Qfield, exps, spec)

@@ -416,6 +416,12 @@ def peak_node(values: np.ndarray) -> tuple[int, ...]:
     return tuple(int(i) for i in np.unravel_index(int(np.argmax(np.abs(values))), values.shape))
 
 
+def _roll_onto(values: np.ndarray, node: tuple[int, ...], target: tuple[int, ...]) -> np.ndarray:
+    """`values` rolled periodically so the entry at `node` lands on `target`; `values` itself when they coincide."""
+    shift = tuple(t - i for t, i in zip(target, node))
+    return np.roll(values, shift, axis=range(values.ndim)) if any(shift) else values
+
+
 def locate_peak(field: RealField) -> tuple[float, ...]:
     """Coordinates of the maximum of |field|, refined below the grid scale.
 

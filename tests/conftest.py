@@ -5,6 +5,7 @@ limit state) are session-scoped so the dual, solver and concentration
 tests all reuse one solve instead of paying ~1 s each.
 """
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -76,3 +77,9 @@ def half_norm(grid):
 
 def rng(seed):
     return np.random.default_rng(seed)
+
+
+def readme_config(dim):
+    """The text of the README's example config in `dim` dimensions."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    return next(block for block in text.split("```")[1::2] if f"grid.dim = {dim}" in block)

@@ -24,7 +24,7 @@ from helmlab.cli import main
 from helmlab.config import parse_config_text
 from helmlab.resolvent import ResolventSpec
 
-from conftest import STANDARD_LEVEL
+from conftest import STANDARD_LEVEL, readme_config
 
 MARKER = "outside paper hypotheses"
 
@@ -276,6 +276,28 @@ def test_readme_configs_validate_as_documented(tmp_path):
         codes[parse_config_text(block).dim] = main(["validate-params", "--config", path])
     assert len(blocks) == 2
     assert codes == {3: 0, 2: 3}
+
+
+def test_readme_cube_example_shows_the_stated_numbers(tmp_path):
+    # the README's 3D example runs levels and sweep without --force, and its
+    # tables show the gaps and the peak that the README states
+    prose = " ".join((REPO / "README.md").read_text(encoding="utf-8").split())
+    assert "`gap_low` falls from 0.055 to 0.00025" in prose
+    assert "the peak sits on the node at `(1/8, 1/8, 1/8)` from k = 4 on" in prose
+    cfg = write_cfg(tmp_path, "cube.cfg", readme_config(3))
+    for command in ("levels", "sweep"):
+        assert main([command, "--config", cfg, "--out", str(tmp_path / command)]) == 0
+
+    header, rows = read_rows(tmp_path / "levels" / "levels.csv")
+    assert [float(row[header.index("eps")]) for row in rows] == [0.5, 0.25, 0.125]
+    gaps = [float(row[header.index("gap_low")]) for row in rows]
+    assert [f"{gaps[0]:.2g}", f"{gaps[-1]:.2g}"] == ["0.055", "0.00025"]
+
+    header, rows = read_rows(tmp_path / "sweep" / "sweep.csv")
+    assert [float(row[header.index("k")]) for row in rows] == [2.0, 4.0, 8.0]
+    for row in rows[1:]:
+        peak = [float(row[header.index(f"peak_phys_{axis}")]) for axis in "xyz"]
+        assert peak == pytest.approx([0.125] * 3, abs=1e-9)
 
 
 @pytest.mark.parametrize("command", ["solve", "levels", "sweep"])

@@ -10,7 +10,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from helmlab import concentration, dual
 from helmlab.cli import main
-from helmlab.coefficients import BumpOnBackgroundQ, ConstantQ, sample_Q
+from helmlab.coefficients import BumpOnBackgroundQ, ConstantQ, max_node, sample_Q
 from helmlab.concentration import (
     SweepRecord,
     level_table,
@@ -19,13 +19,14 @@ from helmlab.concentration import (
     single_bubble_check,
     single_bubble_fraction,
 )
+from helmlab.config import make_coefficient, make_exponents, make_grid, make_spec, parse_config_text
 from helmlab.dual import DualState, GroundState, diagnose, limit_ground_state, solve_ground_state
 from helmlab.errors import NumericalError
-from helmlab.grid import RealField, build_grid, locate_peak, lq_norm
+from helmlab.grid import RealField, build_grid, locate_peak, lq_norm, peak_node
 from helmlab.params import Exponents
 from helmlab.resolvent import ResolventSpec, auto_delta
 
-from conftest import STANDARD_LEVEL, rng
+from conftest import STANDARD_LEVEL, readme_config, rng
 
 
 # ---------------------------------------------------------------- locate_peak
@@ -74,7 +75,7 @@ def test_distance_to_self_is_zero(limit2d):
 
 
 def test_distance_mods_out_translation(limit2d):
-    # a pure grid shift is found exactly by the alignment search
+    # a pure grid shift is undone exactly by the peak alignment
     u = limit2d.u_rescaled
     moved = RealField(u.grid, np.roll(u.values, (7, -3), axis=(0, 1)))
     assert profile_distance(moved, u) <= 1e-12
@@ -85,22 +86,31 @@ def test_distance_sees_perturbations(limit2d):
     noise = rng(7).standard_normal(u.grid.shape)
     noise *= 0.07 * lq_norm(u, 2.0) / lq_norm(RealField(u.grid, noise), 2.0)
     dist = profile_distance(RealField(u.grid, u.values + noise), u)
-    # zero shift is optimal, so the distance is the injected noise level
+    # the noise leaves the peak on its node, so the distance is the injected noise level
     assert dist == pytest.approx(0.07, rel=0.2)
 
 
+def _argmax_node(field):
+    return np.unravel_index(int(np.argmax(np.abs(field.values))), field.grid.shape)
+
+
 def _rolled_distance(field, reference, q):
-    # the definition: roll the field for each of the 5^dim shifts around the
-    # argmax alignment and take the smallest relative L^q distance
-    grid = field.grid
-    f_node = np.unravel_index(int(np.argmax(np.abs(field.values))), grid.shape)
-    r_node = np.unravel_index(int(np.argmax(np.abs(reference.values))), grid.shape)
-    axes = tuple(range(grid.dim))
+    # the definition: roll the field so its argmax node lands on the
+    # reference's, then take the relative L^q distance
+    shift = tuple(r - f for r, f in zip(_argmax_node(reference), _argmax_node(field)))
+    moved = RealField(field.grid, np.roll(field.values, shift, axis=tuple(range(field.grid.dim))))
+    return float(lq_norm(moved - reference, q) / lq_norm(reference, q))
+
+
+def _searched_distance(field, reference, q):
+    # the smallest relative L^q distance over the 5^dim shifts within two
+    # cells of the argmax alignment, a search profile_distance does not make
+    r_node, f_node = _argmax_node(reference), _argmax_node(field)
+    axes = tuple(range(field.grid.dim))
     dists = []
-    for extra in itertools.product(range(-2, 3), repeat=grid.dim):
+    for extra in itertools.product(range(-2, 3), repeat=field.grid.dim):
         shift = tuple(r - f + e for r, f, e in zip(r_node, f_node, extra))
-        moved = RealField(grid, np.roll(field.values, shift, axis=axes))
-        dists.append(lq_norm(moved - reference, q))
+        dists.append(lq_norm(RealField(field.grid, np.roll(field.values, shift, axis=axes)) - reference, q))
     return float(min(dists) / lq_norm(reference, q))
 
 
@@ -115,7 +125,7 @@ def _rolled_distance(field, reference, q):
     ],
 )
 def test_distance_equals_the_rolled_definition(dim, points, f_node, r_node, q):
-    # argmax nodes within two cells of the periodic edge make the windows wrap
+    # argmax nodes at or next to the periodic edge make the roll wrap
     grid = build_grid(dim, 4.0, points)
     gen = rng(sum(f_node) + 31 * dim)
     field = gen.uniform(-1.0, 1.0, grid.shape)
@@ -418,6 +428,31 @@ def test_family_levels_are_mirror_and_swap_invariant(mirror_box, signs, swap, ce
     center = tuple(c + grid.spacing * k for c, k in zip(center, cells))
     assume(max(abs(c) for c in center) <= 1.0)
     assert _mirror_levels(grid, spec, center) == pytest.approx(reference, rel=1e-8)
+
+
+@pytest.mark.parametrize("case", ["off-grid-2d", "readme-cube"])
+def test_every_member_peaks_on_the_maximum_node_of_Q(case, grid2d, exps2d, spec2d):
+    # the fact that lets profile_distance align by one roll: every member of the
+    # family peaks on the node where its sampled Q is largest, so a search over
+    # the 5^dim shifts within two cells of that alignment finds nothing closer
+    if case == "off-grid-2d":
+        # (0.1, 0.07)/eps falls between the nodes at every eps of the sweep
+        Q = BumpOnBackgroundQ(background=0.5, amplitude=1.0, width=1.0, centers=((0.1, 0.07),))
+        grid, exps, spec, ks, tol, max_iter = grid2d, exps2d, spec2d, [2.0, 4.0, 8.0], 1e-6, 500
+    else:
+        cfg = parse_config_text(readme_config(3))
+        grid = make_grid(cfg)
+        Q, exps, spec = make_coefficient(cfg), make_exponents(cfg), make_spec(cfg, grid)
+        ks, tol, max_iter = cfg.k_values, cfg.tol, cfg.max_iter
+        assert grid.shape == (32, 32, 32) and exps.within_hypotheses
+    limit = limit_ground_state(Q.sup_value, grid, exps, spec, tol=tol, max_iter=max_iter)
+    records = run_sweep(Q, ks, exps, grid, spec, tol=tol, max_iter=max_iter, limit=limit)
+    assert len(records) == 3
+    for record in records:
+        assert record.converged
+        assert peak_node(record.state.u_rescaled.values) == max_node(sample_Q(Q, grid, record.eps))
+        searched = _searched_distance(record.state.u_rescaled, limit.u_rescaled, exps.p)
+        assert record.profile_distance == searched
 
 
 def check_concentration_inside_the_hypotheses(s, p):

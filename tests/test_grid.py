@@ -14,8 +14,6 @@ from helmlab import (
     inner_product,
     inverse_transform,
     lq_norm,
-    multiplier_kernel,
-    multiplier_values,
 )
 from helmlab import (
     ConstantQ,
@@ -29,7 +27,7 @@ from helmlab import (
     solve_ground_state,
 )
 from helmlab.errors import NumericalError
-from helmlab.grid import apply_multiplier_boxed
+from helmlab.grid import apply_multiplier_boxed, multiplier_kernel, multiplier_values
 
 from conftest import quadrant
 

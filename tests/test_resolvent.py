@@ -14,15 +14,15 @@ from helmlab import (
     build_grid,
     compact_bump,
     disjoint_interaction,
-    exp_smoothstep,
     fit_decay_exponent,
     forward_transform,
     inner_product,
     lq_norm,
-    multiplier_kernel,
     radial_envelope,
 )
 from helmlab.errors import NumericalError
+from helmlab.grid import multiplier_kernel
+from helmlab.resolvent import exp_smoothstep
 from helmlab import resolvent
 
 from conftest import half_norm, quadrant

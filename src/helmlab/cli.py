@@ -158,11 +158,15 @@ def _cmd_interaction_check(run: _Run) -> int:
             field="interaction.gaps",
         )
     origin = (0.0,) * grid.dim
-    inner = compact_bump(grid, origin, radius)
-    outer = [
-        (gap, compact_bump(grid, (2.0 * radius + gap + grid.spacing,) + (0.0,) * (grid.dim - 1), radius))
-        for gap in cfg.gaps
-    ]
+    try:
+        inner = compact_bump(grid, origin, radius)
+        outer = [
+            (gap, compact_bump(grid, (2.0 * radius + gap + grid.spacing,) + (0.0,) * (grid.dim - 1), radius))
+            for gap in cfg.gaps
+        ]
+    except ValueError as exc:
+        # the radius is positive, so the bump's ball holds no grid node
+        raise ConfigError(str(exc), field="interaction.bump_radius") from None
     values = disjoint_interaction(inner, outer, run.spec, inner_radius=radius)
     rows = [[gap, value] for gap, value in zip(cfg.gaps, values)]
     for gap, value in rows:

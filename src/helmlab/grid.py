@@ -10,22 +10,19 @@ fields real and live on the half spectrum: the rfftn layout of shape
 symbol return them. A multiplier even in each axis, as a radial one is,
 is determined by its values on the quadrant of non-negative wavenumbers
 (`quadrant_norm`, shape (n//2+1,)*dim), and `half_spectrum` spreads
-those to the half spectrum. The transform paths run numpy's 1D
-transforms one axis at a time, in the order rfftn and irfftn use
-(forward: rfft on the last axis, then fft on axes dim-2 ... 0;
-inverse: ifft on axes 0 ... dim-2, then irfft on the last axis), and
-write each complex pass back into a buffer they allocated themselves,
-so their arrays equal the n-D pair's bit for bit and inputs are never
-written. `apply_multiplier_boxed` applies a multiplier to a field
-supported on an index box and returns the result on another box,
-transforming each axis at the width of the box along the axes still
-untransformed; `apply_multiplier_values` is that pass sequence with the
-whole grid as both boxes, irfftn(m * rfftn(f)).
+those to the half spectrum. The transform pair `apply_multiplier_values`
+runs numpy's 1D transforms one axis at a time, in the order rfftn and
+irfftn use (forward: rfft on the last axis, then fft on axes
+dim-2 ... 0; inverse: ifft on axes 0 ... dim-2, then irfft on the last
+axis), and writes each complex pass back into the one spectrum buffer
+the first pass allocated, so its result equals the n-D pair's bit for
+bit and its inputs are never written.
 `multiplier_kernel` applies a multiplier that is even in each axis to
 the origin delta, whose spectrum is known, with no transform: from the
 multiplier's quadrant values it sums cosines, one dense matrix per
-axis, on the octant of non-negative offsets, then mirrors that octant
-to the full grid.
+axis, at the non-negative node offsets it is asked for, the whole
+octant 0 ... n/2 or the offsets between two index boxes. No full-grid
+array is made.
 `multiplier_values` checks evenness on the full spectrum before it
 keeps the half. The explicit `SpectralField` transforms stay complex,
 on the full spectrum, and check Hermitian symmetry. Geometry and
@@ -36,7 +33,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-import itertools
 import math
 from typing import Sequence
 
@@ -287,36 +283,41 @@ def apply_multiplier_values(field: RealField, values: np.ndarray) -> RealField:
     `values` holds m(xi) on the half spectrum, the rfftn layout of shape
     (n,)*(dim-1) + (n//2+1,) (see `multiplier_values`), or a scalar, and
     stands for an even multiplier, m(-xi) = m(xi). The result is
-    irfftn(values * rfftn(f)), bit for bit: `apply_multiplier_boxed`
-    with the whole grid as both boxes, so every pass writes into the one
-    spectrum buffer that the first allocates. Neither `field.values` nor
-    `values` is written.
+    irfftn(values * rfftn(f)), bit for bit: every fft and ifft runs in
+    place on the one spectrum buffer that the rfft allocates. Neither
+    `field.values` nor `values` is written.
     """
     grid = field.grid
-    whole = (np.arange(grid.points_per_axis),) * grid.dim
-    return RealField(grid, apply_multiplier_boxed(grid, field.values, whole, values, whole))
+    last = grid.dim - 1
+    spectrum = np.fft.rfft(field.values, axis=last, norm="ortho")
+    for axis in range(last - 1, -1, -1):
+        np.fft.fft(spectrum, axis=axis, norm="ortho", out=spectrum)
+    spectrum *= values
+    for axis in range(last):
+        np.fft.ifft(spectrum, axis=axis, norm="ortho", out=spectrum)
+    return RealField(grid, np.fft.irfft(spectrum, n=grid.points_per_axis, axis=last, norm="ortho"))
 
 
-def multiplier_kernel(grid: TorusGrid, values: np.ndarray) -> RealField:
-    """The multiplier applied to the unit-mass delta at the origin node.
+def multiplier_kernel(grid: TorusGrid, values: np.ndarray, offsets: Sequence[np.ndarray]) -> np.ndarray:
+    """The multiplier applied to the unit-mass delta at the origin node, at per-axis node offsets.
 
     The multiplier must be even in each axis, m(.., -xi_i, ..) = m(.., xi_i, ..),
     as a radial one is, and `values` holds it on the quadrant of
     non-negative wavenumbers, shape (n//2 + 1,)*dim (as
     `grid.quadrant_norm` has it); any other shape raises ValueError.
     The delta, 1/h^dim at `origin_index` = (n/2, ...), has the spectrum
-    (-1)^(k_0 + ... + k_(dim-1)) / h^dim, so at the node n/2 + a the
+    (-1)^(k_0 + ... + k_(dim-1)) / h^dim, so at the nodes n/2 +- a the
     kernel is the separable cosine sum
 
         prod_i 1/(n h) sum_(k_i = 0)^(n/2) w_(k_i) cos(2 pi k_i a_i / n)  m(k),
 
     with w = 1 at k in {0, n/2} and 2 elsewhere. It is even in each a_i,
-    so it is evaluated for a_i in 0 ... n/2 only, one dense
-    (n//2 + 1)^2 cosine matrix per axis through BLAS: each product
-    contracts the first axis and appends the new one last, so after dim
-    products the axes are back in order. The octant is then mirrored
-    into the one full-grid array, node j taking a_i = |j_i - n/2|, so
-    the kernel is exactly even. `values` is not written.
+    so `offsets` holds one 1D array of offsets a_i in 0 ... n/2 per axis,
+    and the result, of shape tuple(len(a) for a in offsets), is the
+    kernel on their product: one dense (n//2 + 1) x len(a_i) cosine
+    matrix per axis through BLAS, each product contracting the first
+    axis and appending the new one last, so after dim products the axes
+    are back in order. `values` is not written.
     """
     n = grid.points_per_axis
     q = n // 2 + 1
@@ -324,71 +325,12 @@ def multiplier_kernel(grid: TorusGrid, values: np.ndarray) -> RealField:
         raise ValueError(f"values shape {values.shape} is not the quadrant shape {(q,) * grid.dim}")
     k = np.arange(q)
     weights = np.where((k == 0) | (k == n // 2), 1.0, 2.0) / (n * grid.spacing)
-    # the argument reduced mod n in integers, so it never leaves [0, 2 pi)
-    cosines = np.cos(2.0 * np.pi * (np.multiply.outer(k, k) % n) / n) * weights
-    octant = values
-    for _ in range(grid.dim):
-        octant = octant.reshape(q, -1).T @ cosines.T
-    octant = octant.reshape((q,) * grid.dim)
-    # per axis, nodes 0 ... n/2 take a = n/2 ... 0 and nodes n/2+1 ... n-1 take a = 1 ... n/2-1
-    halves = ((slice(0, q), slice(None, None, -1)), (slice(q, n), slice(1, q - 1)))
-    kernel = np.empty(grid.shape)
-    for pieces in itertools.product(halves, repeat=grid.dim):
-        kernel[tuple(p[0] for p in pieces)] = octant[tuple(p[1] for p in pieces)]
-    return RealField(grid, kernel)
-
-
-def apply_multiplier_boxed(
-    grid: TorusGrid,
-    block: np.ndarray,
-    source: Sequence[np.ndarray],
-    values: np.ndarray,
-    target: Sequence[np.ndarray],
-) -> np.ndarray:
-    """Apply multiplier values to a field supported on an index box; return the result on another box.
-
-    A box is one sorted index array per axis; it may wrap the periodic
-    edge or have gaps. The field equals `block`, of shape
-    tuple(len(i) for i in source), on the box `source` and zero
-    elsewhere. `values` are half-spectrum values of an even multiplier,
-    as `apply_multiplier_values` takes them. The result, of shape
-    tuple(len(i) for i in target), equals
-    apply_multiplier_values(field, values).values[np.ix_(*target)] up to
-    rounding: the same unitary 1D transforms in the same axis order
-    (rfft on the last axis, fft on axes dim-2 ... 0; ifft on axes
-    0 ... dim-2, irfft on the last), but the forward transform
-    zero-embeds each axis only when it is transformed, so the axes not
-    yet transformed stay as wide as the source box, and the inverse
-    keeps only the target rows after each axis. A box as long as its
-    axis is the whole axis, so there it neither embeds nor takes rows.
-    Each fft runs in place on the spectrum (freshly embedded, or the
-    rfft's output), and each ifft in place on the spectrum before its
-    rows are taken; `block` and `values` are not written.
-    """
-    n = grid.points_per_axis
-    last = grid.dim - 1
-
-    def embed(a: np.ndarray, axis: int) -> np.ndarray:
-        if len(source[axis]) == n:
-            return a
-        shape = list(a.shape)
-        shape[axis] = n
-        out = np.zeros(shape, dtype=a.dtype)
-        out[(slice(None),) * axis + (source[axis],)] = a
-        return out
-
-    def restrict(a: np.ndarray, axis: int) -> np.ndarray:
-        return a if len(target[axis]) == n else np.take(a, target[axis], axis=axis)
-
-    spectrum = np.fft.rfft(embed(np.asarray(block, dtype=float), last), axis=last, norm="ortho")
-    for axis in range(last - 1, -1, -1):
-        spectrum = embed(spectrum, axis)
-        np.fft.fft(spectrum, axis=axis, norm="ortho", out=spectrum)
-    spectrum *= values
-    for axis in range(last):
-        np.fft.ifft(spectrum, axis=axis, norm="ortho", out=spectrum)
-        spectrum = restrict(spectrum, axis)
-    return restrict(np.fft.irfft(spectrum, n=n, axis=last, norm="ortho"), last)
+    kernel = values
+    for a in offsets:
+        # the argument reduced mod n in integers, so it never leaves [0, 2 pi)
+        cosines = np.cos(2.0 * np.pi * (np.multiply.outer(a, k) % n) / n) * weights
+        kernel = kernel.reshape(q, -1).T @ cosines.T
+    return kernel.reshape(tuple(len(a) for a in offsets))
 
 
 def apply_multiplier(field: RealField, multiplier) -> RealField:

@@ -13,12 +13,13 @@ a fixed radial cutoff: 1 for ||xi| - 1| <= 1/6, 0 for ||xi| - 1| >= 1/4.
 from __future__ import annotations
 
 from dataclasses import dataclass
+import itertools
 from typing import Sequence
 
 import numpy as np
 
 from .errors import InsufficientDataError, NumericalError
-from .grid import RealField, TorusGrid, apply_multiplier_boxed, multiplier_kernel
+from .grid import RealField, TorusGrid, multiplier_kernel
 
 
 @dataclass(frozen=True)
@@ -103,11 +104,29 @@ def _band_cutoff(norm: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True)
+class EvenKernel:
+    """A kernel even in each axis, held on its octant of non-negative node offsets.
+
+    `values[a]`, shape (n//2+1,)*dim, is the kernel at the nodes
+    n/2 +- a_i of each axis, as `multiplier_kernel` returns it at the
+    offsets 0 ... n/2; the full grid is never formed.
+    """
+
+    grid: TorusGrid
+    values: np.ndarray
+
+    def __post_init__(self):
+        shape = (self.grid.points_per_axis // 2 + 1,) * self.grid.dim
+        if self.values.shape != shape:
+            raise ValueError(f"values shape {self.values.shape} is not the octant shape {shape}")
+
+
+@dataclass(frozen=True)
 class KernelBundle:
     """A kernel split into its near-sphere band part and the remainder."""
 
-    band: RealField
-    remainder: RealField
+    band: EvenKernel
+    remainder: EvenKernel
 
 
 def band_decompose(spec: ResolventSpec, grid: TorusGrid) -> KernelBundle:
@@ -122,42 +141,57 @@ def band_decompose(spec: ResolventSpec, grid: TorusGrid) -> KernelBundle:
     ||xi| - 1| >= 1/4. The symbol m and psi are radial, hence even in
     each axis, so both are evaluated on the quadrant `grid.quadrant_norm`
     alone; K1 is the kernel of m*psi and K2 that of m - m*psi, each a
-    cosine sum on the octant mirrored to the full grid
-    (`multiplier_kernel`). No Fourier transform runs, and K itself is
-    never formed. The absorption delta > 0 that every `ResolventSpec`
-    carries confines the oscillating kernel tail to the box.
+    cosine sum on the octant of offsets 0 ... n/2 (`multiplier_kernel`),
+    returned as an `EvenKernel`. No Fourier transform runs, and neither
+    K itself nor any full-grid array is formed. The absorption delta > 0
+    that every `ResolventSpec` carries confines the oscillating kernel
+    tail to the box.
     """
     norm = grid.quadrant_norm
     symbol = spec._symbol(norm)
     band = symbol * _band_cutoff(norm)
     symbol -= band
-    return KernelBundle(band=multiplier_kernel(grid, band), remainder=multiplier_kernel(grid, symbol))
+    octant = (np.arange(grid.points_per_axis // 2 + 1),) * grid.dim
+    band = multiplier_kernel(grid, band, octant)  # K1 replaces its multiplier before K2 is summed
+    return KernelBundle(EvenKernel(grid, band), EvenKernel(grid, multiplier_kernel(grid, symbol, octant)))
 
 
-def radial_envelope(field: RealField, shell_count: int) -> list[tuple[float, float]]:
-    """Per-shell maximum of |f| over shells partitioning radii (0, half_width].
+def radial_envelope(kernel: EvenKernel, shell_count: int) -> list[tuple[float, float]]:
+    """Per-shell maximum of |K| over shells partitioning radii (0, half_width].
 
     Returns (shell center radius, shell maximum) pairs; the origin node
     and nodes farther than half_width from it are ignored, and empty
-    shells report 0. Ignored nodes go to an extra shell that is dropped,
-    so every node is binned with no gather. Nodes are binned in blocks
-    of n rows of length n (n points per axis), so the shell index and
-    |f| never take more than n^2 entries at once.
+    shells report 0. This is the envelope of the kernel mirrored to the
+    full grid, bit for bit: the octant value at offsets a is binned at
+    the radius (`grid.node_radius`) of the nodes n/2 - a_i, the nodes
+    0 ... n/2 of each axis. Where the coordinates of the nodes n/2 + a
+    are not the exact negatives of those of n/2 - a (a spacing that is
+    not dyadic), it is also binned at the radii of every mirror image,
+    each axis taking either side. Ignored nodes go to an extra shell
+    that is dropped, so every node is binned with no gather. The radii
+    come from open axes, one first-axis slab of (n/2+1)^(dim-1) nodes at
+    a time in 3D (the whole octant in 1D and 2D), so the shell index and
+    |K| never take more than (n/2+1)^2 entries at once.
     """
     if shell_count < 4:
         raise ValueError("shell_count must be at least 4")
-    grid = field.grid
-    n = grid.points_per_axis
+    grid = kernel.grid
+    half = grid.points_per_axis // 2
+    offset = np.arange(half + 1)
+    below, above = half - offset, (half + offset) % grid.points_per_axis  # at a = n/2 both are node 0
+    x = grid.coordinate_axis
+    sides = [below] if np.array_equal(x[below] * x[below], x[above] * x[above]) else [below, above]
     width = grid.half_width / shell_count
-    rows = grid.radius.reshape(-1, n)
-    values = field.values.reshape(-1, n)
     env = np.zeros(shell_count + 1)
-    for start in range(0, rows.shape[0], n):
-        r = rows[start : start + n]
-        idx = np.minimum((r / width).astype(int), shell_count - 1)
-        np.putmask(idx, (r == 0.0) | (r > grid.half_width), shell_count)
-        # raveled: a 2-D index array sends np.maximum.at down its slow path
-        np.maximum.at(env, idx.ravel(), np.abs(values[start : start + n]).ravel())
+    for nodes in itertools.product(sides, repeat=grid.dim):
+        block = np.ix_(*nodes[-2:])
+        slabs = [((), kernel.values)] if grid.dim < 3 else [((i,), v) for i, v in zip(nodes[0], kernel.values)]
+        for lead, values in slabs:
+            r = grid.node_radius(lead + block)
+            idx = np.minimum((r / width).astype(int), shell_count - 1)
+            np.putmask(idx, (r == 0.0) | (r > grid.half_width), shell_count)
+            # raveled: a 2-D index array sends np.maximum.at down its slow path
+            np.maximum.at(env, idx.ravel(), np.abs(values).ravel())
     centers = (np.arange(shell_count) + 0.5) * width
     return [(float(c), float(e)) for c, e in zip(centers, env[:shell_count])]
 
@@ -181,19 +215,59 @@ def fit_decay_exponent(envelope, window: tuple[float, float]) -> float:
     return float(np.polyfit(radii, vals, 1)[0])
 
 
-def _support(field: RealField):
+def _support(field: RealField, name: str):
     """A field's nonzero index box, its nonzero nodes, and a mask of those above 1e-14 of max |f|.
 
     One pass over the field finds the nonzero nodes; their box comes
     from that mask's projections on the axes, and the nodes themselves
-    from the box alone.
+    from the box alone. A field with no nonzero node raises ValueError.
     """
     nonzero = field.values != 0.0
     axes = range(nonzero.ndim)
     box = [np.flatnonzero(nonzero.any(axis=tuple(a for a in axes if a != k))) for k in axes]
+    if box[0].size == 0:
+        raise ValueError(f"{name} has no nonzero node")
     nodes = tuple(b[i] for b, i in zip(box, np.nonzero(nonzero[np.ix_(*box)])))
     magnitude = np.abs(field.values[nodes])
-    return box, nodes, magnitude > 1e-14 * magnitude.max(initial=0.0)
+    return box, nodes, magnitude > 1e-14 * magnitude.max()
+
+
+def _resolve_between(
+    grid: TorusGrid,
+    values: np.ndarray,
+    block: np.ndarray,
+    source: Sequence[np.ndarray],
+    target: Sequence[np.ndarray],
+) -> np.ndarray:
+    """h^dim sum_s K(t - s) f(s) at every node t of the box `target`, K the kernel of a quadrant multiplier.
+
+    `values` holds an even multiplier on its quadrant, as
+    `multiplier_kernel` takes it, so the result is the multiplier
+    applied to f on the target box. A box is one index array per axis;
+    it may wrap the periodic edge or have gaps. f equals `block`, of
+    shape tuple(len(i) for i in source), on the box `source` and zero
+    elsewhere. K is even in each axis, so the offset t_i - s_i folds to
+    min(|t_i - s_i|, n - |t_i - s_i|) in 0 ... n/2, and K is evaluated
+    only at the distinct folded offsets of each axis. The sum contracts
+    one source axis at a time: each step gathers the kernel, or the
+    partial sum, at one axis's (len(t_i), len(s_i)) matrix of folded
+    offsets and sums s_i out, so no array spans both whole boxes.
+    """
+    n = grid.points_per_axis
+    offsets, folds = [], []
+    for t, s in zip(target, source):
+        d = np.abs(np.subtract.outer(t, s))
+        unique, index = np.unique(np.minimum(d, n - d).ravel(), return_inverse=True)
+        offsets.append(unique)
+        folds.append(index.reshape(d.shape))
+    # axes (t_0, d_1 ... d_(dim-1), s_1 ... s_(dim-1))
+    partial = np.tensordot(multiplier_kernel(grid, values, offsets)[folds[0]], block, axes=([1], [0]))
+    for axis in range(1, grid.dim):
+        # d_axis sits at `axis` and s_axis at `dim`; taken to the front, both are indexed as (t_axis, s_axis)
+        front = np.moveaxis(partial, (axis, grid.dim), (0, 1))
+        picked = front[folds[axis], np.arange(len(source[axis]))]
+        partial = np.moveaxis(picked.sum(axis=1), 0, axis)
+    return grid.cell_volume * partial
 
 
 def disjoint_interaction(
@@ -207,14 +281,19 @@ def disjoint_interaction(
     u must vanish outside the ball of radius inner_radius and each v
     inside the ball of radius inner_radius + gap; both are checked on
     every node to 1e-14 of each field's maximum, with the radii of
-    `grid.node_radius`. Every gap must be at least 1. R is self-adjoint,
+    `grid.node_radius`. A field with no nonzero node raises ValueError,
+    and every gap must be at least 1. R is self-adjoint,
     <u, R v> = <R u, v>, so R is applied to u once for all pairs, and
-    only between supports: from the index box of u's nonzero nodes to
-    the union of the v's nonzero boxes (`apply_multiplier_boxed`).
-    Each pairing is h^dim times the sum over that target box.
+    only between supports: the convolution of u with the resolvent
+    kernel, h^dim sum_s K(t - s) u(s), from the index box of u's nonzero
+    nodes to the union of the v's nonzero boxes, with K evaluated from
+    the quadrant symbol at the offsets between the boxes alone. No
+    Fourier transform runs and no full-grid array beyond each field's
+    nonzero mask is made. Each pairing is h^dim times the sum over that
+    target box.
     """
     grid = u.grid
-    source, nodes, above = _support(u)
+    source, nodes, above = _support(u, "u")
     if np.any(grid.node_radius([i[above] for i in nodes]) > inner_radius):
         raise NumericalError(f"u is nonzero outside the ball of radius {inner_radius}")
     target = [np.zeros(0, dtype=int)] * grid.dim
@@ -223,12 +302,12 @@ def disjoint_interaction(
             raise ValueError("gap must be at least 1")
         if grid != v.grid:
             raise NumericalError("fields live on different grids")
-        box, nodes, above = _support(v)
+        box, nodes, above = _support(v, "v")
         if np.any(grid.node_radius([i[above] for i in nodes]) < inner_radius + gap):
             raise NumericalError(f"v is nonzero inside the ball of radius {inner_radius + gap}")
         target = [np.union1d(t, b) for t, b in zip(target, box)]
     block = u.values[np.ix_(*source)]
-    resolved = apply_multiplier_boxed(grid, block, source, spec.symbol_values(grid), target)
+    resolved = _resolve_between(grid, spec._symbol(grid.quadrant_norm), block, source, target)
     on_target = np.ix_(*target)
     return [abs(float(grid.cell_volume * np.sum(resolved * v.values[on_target]))) for _, v in outer]
 
@@ -239,20 +318,24 @@ def compact_bump(grid: TorusGrid, center, radius: float) -> RealField:
     The profile exp(-1/(1 - q^2)) with q the scaled torus distance;
     values are exactly zero outside, which support-checked interactions
     rely on. The profile is evaluated only on the bump's index box, the
-    nodes whose per-axis term d^2/radius^2 is below 1 (offsets from
-    `grid.periodic_offsets`), which holds the whole support: the values
-    equal the full-grid formula bit for bit, and every node off the box
-    is an exact zero.
+    nodes whose per-axis offset d (from `grid.periodic_offsets`) has
+    d^2 below radius^2, which holds the whole support: the values equal
+    the full-grid formula bit for bit, and every node off the box is an
+    exact zero. Dividing only on the box, by radius^2 above every d^2
+    there, the formula cannot overflow or divide by zero. A bump whose
+    ball holds no grid node raises ValueError, as does a radius <= 0.
     """
     if radius <= 0:
         raise ValueError("radius must be positive")
     r2 = radius * radius
     offsets = grid.periodic_offsets(center)
-    box = [np.flatnonzero(d * d / r2 < 1.0) for d in offsets]
+    box = [np.flatnonzero(d * d < r2) for d in offsets]
     near = np.meshgrid(*(d[i] for d, i in zip(offsets, box)), indexing="ij", sparse=True)
     q2 = sum(d * d for d in near) / r2
     block = np.zeros(q2.shape)
     inside = q2 < 1.0
+    if not inside.any():
+        raise ValueError(f"a bump of radius {radius:g} around {center} holds no grid node")
     block[inside] = np.exp(-1.0 / (1.0 - q2[inside]))
     values = np.zeros(grid.shape)
     values[np.ix_(*box)] = block

@@ -69,6 +69,17 @@ def quadrant(values):
     return values[(slice(0, values.shape[-1]),) * (values.ndim - 1)]
 
 
+def octant(grid):
+    """The offsets 0 ... n/2 on every axis, at which `multiplier_kernel` gives a kernel's whole octant."""
+    return (np.arange(grid.points_per_axis // 2 + 1),) * grid.dim
+
+
+def mirror(grid, values):
+    """An octant of node offsets mirrored to the full grid: node j takes the offset |j - n/2| on each axis."""
+    offset = np.abs(np.arange(grid.points_per_axis) - grid.points_per_axis // 2)
+    return values[np.ix_(*[offset] * grid.dim)]
+
+
 def half_norm(grid):
     """|xi| on the half spectrum, the rfftn layout, from the full frequency mesh."""
     freqs = np.meshgrid(*([grid.frequency_axis] * grid.dim), indexing="ij")

@@ -113,6 +113,8 @@ def test_duplicate_key_is_a_config_error(tmp_path, capsys):
         ("solve", "grid.points = 32\ncoefficient.centers = 1e200, 0.0\n"),
         ("solve", "grid.points = 32\ncoefficient.width = 1e200\n"),
         ("solve", "grid.points = 32\ncoefficient.width = 1e-170\n"),
+        ("interaction-check", CUBE_CFG + "interaction.bump_radius = 0.2\n"),
+        ("interaction-check", CUBE_CFG + "interaction.bump_radius = 1e-300\n"),
     ],
     ids=[
         "auto-delta-infeasible",
@@ -125,6 +127,8 @@ def test_duplicate_key_is_a_config_error(tmp_path, capsys):
         "centre-overflow",
         "width-overflow",
         "width-underflow",
+        "bump-between-nodes",
+        "bump-radius-underflow",
     ],
 )
 @pytest.mark.parametrize("force", [False, True], ids=["gated", "forced"])
@@ -493,15 +497,16 @@ def test_kernel_window_past_half_box_warns(tmp_path, capsys):
 
 
 def count_transforms(monkeypatch):
-    """Count symbol evaluations, full-grid multiplier pairs and boxed applications, wherever bound.
+    """Count symbol evaluations and full-grid multiplier pairs, wherever bound, and every numpy.fft call.
 
-    Symbol evaluations are counted at the one formula that `symbol_values`
-    and `band_decompose` share.
+    Symbol evaluations are counted at the one formula that `symbol_values`,
+    `band_decompose` and `disjoint_interaction` share. The returned list
+    names each numpy.fft transform called, in order.
     """
-    calls = {"symbol": 0, "pair": 0, "boxed": 0}
+    calls = {"symbol": 0, "pair": 0}
     symbol = ResolventSpec._symbol
     pair = helmlab.grid.apply_multiplier_values
-    boxed = helmlab.grid.apply_multiplier_boxed
+    transforms = []
 
     def counted_symbol(self, norm):
         calls["symbol"] += 1
@@ -511,23 +516,6 @@ def count_transforms(monkeypatch):
         calls["pair"] += 1
         return pair(field, values)
 
-    def counted_boxed(*args):
-        calls["boxed"] += 1
-        return boxed(*args)
-
-    monkeypatch.setattr(ResolventSpec, "_symbol", counted_symbol)
-    for module in (helmlab.grid, helmlab.dual):
-        monkeypatch.setattr(module, "apply_multiplier_values", counted_pair)
-    for module in (helmlab.grid, helmlab.resolvent):
-        monkeypatch.setattr(module, "apply_multiplier_boxed", counted_boxed)
-    return calls
-
-
-def test_kernel_check_transform_budget(tmp_path, monkeypatch):
-    # both kernels are cosine sums of one quadrant symbol: no Fourier transform runs
-    calls = count_transforms(monkeypatch)
-    transforms = []
-
     def counted(name, transform):
         def run(*args, **kwargs):
             transforms.append(name)
@@ -535,12 +523,21 @@ def test_kernel_check_transform_budget(tmp_path, monkeypatch):
 
         return run
 
+    monkeypatch.setattr(ResolventSpec, "_symbol", counted_symbol)
+    for module in (helmlab.grid, helmlab.dual):
+        monkeypatch.setattr(module, "apply_multiplier_values", counted_pair)
     for name in np.fft.__all__:
         if not name.endswith(("freq", "shift")):  # wavenumber and layout helpers, not transforms
             monkeypatch.setattr(np.fft, name, counted(name, getattr(np.fft, name)))
+    return calls, transforms
+
+
+def test_kernel_check_transform_budget(tmp_path, monkeypatch):
+    # both kernels are cosine sums of one quadrant symbol: no Fourier transform runs
+    calls, transforms = count_transforms(monkeypatch)
     cfg = write_cfg(tmp_path, "k.cfg", CUBE_CFG + "kernel.window_lo = 2.0\nkernel.window_hi = 10.0\n")
     assert main(["kernel-check", "--config", cfg, "--out", str(tmp_path / "k")]) == 0
-    assert calls == {"symbol": 1, "pair": 0, "boxed": 0}
+    assert calls == {"symbol": 1, "pair": 0}
     assert transforms == []
     # the counters are live: the multiplier pair's passes go through them
     helmlab.grid.apply_multiplier_values(helmlab.RealField.zeros(helmlab.build_grid(2, 16.0, 8)), 1.0)
@@ -548,14 +545,15 @@ def test_kernel_check_transform_budget(tmp_path, monkeypatch):
 
 
 def test_interaction_check_transform_budget(tmp_path, monkeypatch):
-    # R is self-adjoint, so one application to the inner bump serves every gap,
-    # and it runs from the inner bump's box to the outer bumps' boxes
-    calls = count_transforms(monkeypatch)
+    # R is self-adjoint, so one convolution of the inner bump serves every gap; its
+    # kernel is a cosine sum of one quadrant symbol at the offsets between the boxes
+    calls, transforms = count_transforms(monkeypatch)
     cfg = write_cfg(
         tmp_path, "i.cfg", CUBE_CFG + "interaction.gaps = 1.0, 2.0, 3.0\ninteraction.bump_radius = 1.5\n"
     )
     assert main(["interaction-check", "--config", cfg, "--out", str(tmp_path / "i")]) == 0
-    assert calls == {"symbol": 1, "pair": 0, "boxed": 1}
+    assert calls == {"symbol": 1, "pair": 0}
+    assert transforms == []
 
 
 # -------------------------------------------------------- interaction-check
@@ -589,6 +587,16 @@ def test_interaction_check_rejects_a_box_too_small(tmp_path, capsys):
     )
     assert main(["interaction-check", "--config", cfg, "--out", str(tmp_path / "x")]) == 2
     assert "half_width" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("radius", ["0.2", "1e-300"])
+def test_interaction_check_rejects_a_bump_over_no_node(tmp_path, capsys, radius):
+    # at unit spacing the outer bumps of radius 0.2 fall between nodes, and a
+    # radius of 1e-300 squares to 0, so its bumps hold no node at all
+    cfg = write_cfg(tmp_path, "i.cfg", CUBE_CFG + f"interaction.bump_radius = {radius}\n")
+    assert main(["interaction-check", "--config", cfg, "--out", str(tmp_path / "x")]) == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    assert "no grid node" in line and "interaction.bump_radius" in line
 
 
 # ----------------------------------------------------------- sweep / levels

@@ -27,9 +27,9 @@ from helmlab import (
     solve_ground_state,
 )
 from helmlab.errors import NumericalError
-from helmlab.grid import apply_multiplier_boxed, multiplier_kernel, multiplier_values
+from helmlab.grid import multiplier_kernel, multiplier_values
 
-from conftest import quadrant
+from conftest import mirror, octant, quadrant
 
 
 def random_field(grid, seed=0):
@@ -245,29 +245,8 @@ def test_multiplier_kernel_matches_the_delta_through_the_pair(dim, n):
     delta = np.zeros(grid.shape)
     delta[grid.origin_index] = 1.0 / grid.cell_volume
     reference = apply_multiplier_values(RealField(grid, delta), m)
-    kernel = multiplier_kernel(grid, quadrant(m))
-    assert np.max(np.abs(kernel.values - reference.values)) <= 1e-12 * np.max(np.abs(reference.values))
-
-
-@pytest.mark.parametrize("dim,n", [(1, 64), (2, 32), (3, 16)])
-def test_boxed_application_matches_the_full_pair_on_the_target_box(dim, n):
-    # boxes that wrap the periodic edge and have gaps; values on every Nyquist plane
-    grid = build_grid(dim, 16.0, n)
-    h = grid.spacing
-    m = multiplier_values(grid, lambda *a: 1.0 + 0.5 * np.cos(h * a[0]) + 0.25 * np.cos(h * a[-1]))
-    assert np.all(m[..., -1] != 0.0) and np.all(m[n // 2] != 0.0)
-    source = [np.array([0, 1, 2, n - 2, n - 1]), np.array([3, 5, 6, 10]), np.arange(n // 2 - 2, n // 2 + 3)]
-    target = [np.array([1, 4, 7, n - 1]), np.array([0, 1, n - 3]), np.arange(n // 4, 3 * n // 4)]
-    for shift in range(dim):
-        src = [source[(k + shift) % 3] for k in range(dim)]
-        tgt = [target[(k + shift) % 3] for k in range(dim)]
-        block = np.random.default_rng(40 + dim + shift).standard_normal(tuple(len(i) for i in src))
-        values = np.zeros(grid.shape)
-        values[np.ix_(*src)] = block
-        reference = apply_multiplier_values(RealField(grid, values), m).values[np.ix_(*tgt)]
-        boxed = apply_multiplier_boxed(grid, block, src, m, tgt)
-        assert boxed.shape == reference.shape
-        assert np.max(np.abs(boxed - reference)) <= 1e-12 * np.max(np.abs(reference))
+    kernel = mirror(grid, multiplier_kernel(grid, quadrant(m), octant(grid)))
+    assert np.max(np.abs(kernel - reference.values)) <= 1e-12 * np.max(np.abs(reference.values))
 
 
 @pytest.mark.parametrize("dim,n", [(1, 64), (2, 32), (3, 16)])
@@ -296,14 +275,10 @@ def test_multiplier_paths_leave_their_inputs_untouched(dim, n, writable):
     if writable:
         m = np.array(m)
     f = random_field(grid, seed=70 + dim)
-    source = [np.arange(n // 2 - 3, n // 2 + 2)] * dim
-    target = [np.array([0, 1, n - 1])] * dim
-    block = np.random.default_rng(80 + dim).standard_normal((5,) * dim)
-    before = (f.values.copy(), m.copy(), block.copy())
+    before = (f.values.copy(), m.copy())
     apply_multiplier_values(f, m)
-    multiplier_kernel(grid, quadrant(m))
-    apply_multiplier_boxed(grid, block, source, m, target)
-    for kept, now in zip(before, (f.values, m, block)):
+    multiplier_kernel(grid, quadrant(m), octant(grid))
+    for kept, now in zip(before, (f.values, m)):
         assert np.array_equal(kept, now)
 
 
@@ -314,7 +289,7 @@ def test_multiplier_kernel_takes_only_the_quadrant():
             if shape == grid.quadrant_norm.shape:
                 continue
             with pytest.raises(ValueError, match="quadrant"):
-                multiplier_kernel(grid, np.ones(shape))
+                multiplier_kernel(grid, np.ones(shape), octant(grid))
 
 
 def test_uneven_multiplier_rejected():

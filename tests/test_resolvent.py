@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from helmlab import (
+    EvenKernel,
     InsufficientDataError,
     RealField,
     ResolventSpec,
@@ -21,11 +22,11 @@ from helmlab import (
     radial_envelope,
 )
 from helmlab.errors import NumericalError
-from helmlab.grid import multiplier_kernel
+from helmlab.grid import multiplier_kernel, multiplier_values
 from helmlab.resolvent import exp_smoothstep
 from helmlab import resolvent
 
-from conftest import half_norm, quadrant
+from conftest import half_norm, mirror, octant, quadrant
 
 
 def symbol(mu, delta):
@@ -180,7 +181,7 @@ def test_kernel_is_even():
     # exactly, axis by axis: the kernel is the mirror of its octant
     for dim, n in [(1, 64), (2, 32), (3, 16)]:
         grid = build_grid(dim, 16.0, n)
-        k = multiplier_kernel(grid, quadrant(ResolventSpec(s=1.0, delta=0.2).symbol_values(grid))).values
+        k = mirror(grid, multiplier_kernel(grid, quadrant(ResolventSpec(s=1.0, delta=0.2).symbol_values(grid)), octant(grid)))
         for axis in range(dim):
             # x_i -> -x_i is a flip plus a one-cell roll (the -L node has no mirror)
             assert np.array_equal(k, np.roll(np.flip(k, axis=axis), 1, axis=axis))
@@ -189,7 +190,7 @@ def test_kernel_is_even():
 def test_kernel_reproduces_resolvent_by_convolution():
     grid = build_grid(1, 16.0, 32)
     spec = ResolventSpec(s=1.0, delta=0.3)
-    kernel = multiplier_kernel(grid, quadrant(spec.symbol_values(grid))).values
+    kernel = mirror(grid, multiplier_kernel(grid, quadrant(spec.symbol_values(grid)), octant(grid)))
     f = np.random.default_rng(3).standard_normal(32)
     direct = apply_multiplier_values(RealField(grid, f), spec.symbol_values(grid)).values
     n = 32
@@ -205,10 +206,10 @@ def test_kernel_reproduces_resolvent_by_convolution():
 
 def test_unit_symbol_kernel_is_discrete_delta():
     grid = build_grid(2, 16.0, 16)
-    kernel = multiplier_kernel(grid, np.ones(grid.quadrant_norm.shape))
+    kernel = mirror(grid, multiplier_kernel(grid, np.ones(grid.quadrant_norm.shape), octant(grid)))
     expected = np.zeros(grid.shape)
     expected[grid.origin_index] = 1.0 / grid.cell_volume
-    assert np.allclose(kernel.values, expected, atol=1e-10)
+    assert np.allclose(kernel, expected, atol=1e-10)
 
 
 # ---------------------------------------------------------------- band split
@@ -259,8 +260,8 @@ def test_band_split_adds_back_to_kernel():
     grid = build_grid(2, 16.0, 32)
     spec = ResolventSpec(s=1.0, delta=0.2)
     bundle = band_decompose(spec, grid)
-    kernel = multiplier_kernel(grid, quadrant(spec.symbol_values(grid))).values
-    total = bundle.band.values + bundle.remainder.values
+    kernel = mirror(grid, multiplier_kernel(grid, quadrant(spec.symbol_values(grid)), octant(grid)))
+    total = mirror(grid, bundle.band.values) + mirror(grid, bundle.remainder.values)
     assert np.allclose(total, kernel, atol=1e-13 * np.max(np.abs(kernel)))
 
 
@@ -270,8 +271,9 @@ def test_band_part_is_spectrally_confined():
     bundle = band_decompose(spec, grid)
     # compared on the half spectrum
     norm = half_norm(grid)
-    spectrum = forward_transform(bundle.band).coeffs[..., : grid.points_per_axis // 2 + 1]
-    full = forward_transform(multiplier_kernel(grid, quadrant(spec.symbol_values(grid)))).coeffs[..., : grid.points_per_axis // 2 + 1]
+    spectrum = forward_transform(RealField(grid, mirror(grid, bundle.band.values))).coeffs[..., : grid.points_per_axis // 2 + 1]
+    kernel = mirror(grid, multiplier_kernel(grid, quadrant(spec.symbol_values(grid)), octant(grid)))
+    full = forward_transform(RealField(grid, kernel)).coeffs[..., : grid.points_per_axis // 2 + 1]
     off_band = np.abs(norm - 1.0) >= 0.25
     plateau = np.abs(norm - 1.0) <= 1.0 / 6.0
     scale = np.max(np.abs(full))
@@ -281,14 +283,14 @@ def test_band_part_is_spectrally_confined():
 
 @pytest.mark.parametrize("n", [32, 64])
 def test_kernel_check_peak_memory(n):
-    # Counted in H, one float64 half spectrum. The peak comes while the
-    # envelopes make grid.radius (2, a real grid), with K1 and K2 (2 each)
-    # and grid.quadrant_norm (Q, cached on the grid) held. band_decompose
-    # stays below: K1, K2 and one finiteness mask (1/4) on the full grid,
-    # beside a few quadrant arrays of Q each.
+    # Counted in Q, one float64 quadrant of (n/2+1)^3 values. The peak comes
+    # in a cosine product, with grid.quadrant_norm (cached on the grid), the
+    # remainder's multiplier, the band's multiplier or K1, and the product's
+    # input and output held: 5 Q. The envelopes hold only slabs of
+    # (n/2+1)^2 nodes. The full-grid kernels and radii of a mirrored
+    # kernel-check take about 24 Q, and the bound is 5 1/4 Q.
     grid = build_grid(3, 32.0, n)
-    half = 8 * n * n * (n // 2 + 1)
-    arrays = (n // 2 + 1) ** 3 * 8 / half + 2 + 2 + 2
+    quadrant_bytes = 8 * (n // 2 + 1) ** 3
     tracemalloc.start()
     try:
         bundle = band_decompose(ResolventSpec(s=1.0, delta=0.2), grid)
@@ -297,10 +299,9 @@ def test_kernel_check_peak_memory(n):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # a quarter of H covers the envelope blocks and the Python objects;
-    # the broadcast sum that makes grid.radius takes 128 KiB of numpy's
-    # iterator buffers (8192 elements for each of its two inputs)
-    assert peak <= (arrays + 0.25) * half + 128 * 1024
+    # a quarter of Q covers the cosine matrices and the envelope slabs,
+    # 64 KiB the Python objects
+    assert peak <= 5.25 * quadrant_bytes + 64 * 1024
 
 
 # ---------------------------------------------------------------- envelopes
@@ -308,7 +309,7 @@ def test_kernel_check_peak_memory(n):
 
 def test_radial_envelope_constant_field():
     grid = build_grid(2, 16.0, 64)
-    env = radial_envelope(RealField(grid, np.ones(grid.shape)), 8)
+    env = radial_envelope(EvenKernel(grid, np.ones(grid.quadrant_norm.shape)), 8)
     centers = [c for c, _ in env]
     assert centers == pytest.approx([(i + 0.5) * 2.0 for i in range(8)])
     assert all(v == 1.0 for _, v in env)
@@ -316,32 +317,55 @@ def test_radial_envelope_constant_field():
 
 def test_radial_envelope_ignores_origin_node():
     grid = build_grid(2, 16.0, 64)
-    values = np.zeros(grid.shape)
-    values[grid.origin_index] = 7.0
-    env = radial_envelope(RealField(grid, values), 8)
+    values = np.zeros(grid.quadrant_norm.shape)
+    values[0, 0] = 7.0  # offset 0: the origin node
+    env = radial_envelope(EvenKernel(grid, values), 8)
     assert all(v == 0.0 for _, v in env)
+
+
+def masked_gather(grid, values, shells, nodes=slice(None)):
+    # the octant mirrored to the full grid, the origin and the nodes past
+    # half_width dropped by boolean masks, every node at its own radius;
+    # `nodes` picks the nodes taken on each axis
+    pick = (nodes,) * grid.dim
+    full = mirror(grid, values)[pick]
+    width = grid.half_width / shells
+    r = grid.radius[pick]
+    idx = np.minimum((r / width).astype(int), shells - 1)
+    mask = (r > 0.0) & (r <= grid.half_width)
+    want = np.zeros(shells)
+    np.maximum.at(want, idx[mask], np.abs(full)[mask])
+    return want
 
 
 @pytest.mark.parametrize("dim,n,shells", [(1, 64, 5), (2, 64, 8), (3, 32, 12)])
 def test_radial_envelope_equals_the_masked_gather(dim, n, shells):
-    # the origin and the nodes past half_width dropped by boolean masks
     grid = build_grid(dim, 16.0, n)
-    values = np.random.default_rng(dim).standard_normal(grid.shape)
-    values[grid.origin_index] = 100.0
-    width = grid.half_width / shells
-    r = grid.radius
-    idx = np.minimum((r / width).astype(int), shells - 1)
-    mask = (r > 0.0) & (r <= grid.half_width)
-    want = np.zeros(shells)
-    np.maximum.at(want, idx[mask], np.abs(values)[mask])
-    env = radial_envelope(RealField(grid, values), shells)
+    values = np.random.default_rng(dim).standard_normal(grid.quadrant_norm.shape)
+    values[(0,) * dim] = 100.0
+    env = radial_envelope(EvenKernel(grid, values), shells)
+    assert np.array_equal([v for _, v in env], masked_gather(grid, values, shells))
+
+
+def test_radial_envelope_equals_the_masked_gather_off_the_dyadic_grid():
+    # h = 10/24 is not dyadic: 16 nodes n/2 + a sit one ulp off the mirror
+    # of n/2 - a, and with shells one cell wide some of those ulps cross a
+    # shell edge, so the nodes 0 ... n/2 alone give another envelope
+    grid = build_grid(3, 10.0, 48)
+    x, n = grid.coordinate_axis, grid.points_per_axis
+    a = np.arange(1, n // 2)
+    assert np.count_nonzero(x[n // 2 + a] != -x[n // 2 - a]) == 16
+    values = np.random.default_rng(48).standard_normal(grid.quadrant_norm.shape)
+    want = masked_gather(grid, values, 24)
+    assert not np.array_equal(masked_gather(grid, values, 24, slice(0, n // 2 + 1)), want)
+    env = radial_envelope(EvenKernel(grid, values), 24)
     assert np.array_equal([v for _, v in env], want)
 
 
 def test_radial_envelope_shell_count_floor():
     grid = build_grid(2, 16.0, 16)
     with pytest.raises(ValueError):
-        radial_envelope(RealField.zeros(grid), 3)
+        radial_envelope(EvenKernel(grid, np.zeros(grid.quadrant_norm.shape)), 3)
 
 
 def test_fit_recovers_exact_power_law():
@@ -370,7 +394,8 @@ def test_grid_sampled_power_law_fit():
     r = grid.radius
     values = np.zeros(grid.shape)
     np.divide(1.0, (1.0 + r) ** 2, out=values)
-    env = radial_envelope(RealField(grid, values), 16)
+    # the nodes n/2 ... 0 of each axis, at offsets 0 ... n/2
+    env = radial_envelope(EvenKernel(grid, values[64::-1, 64::-1]), 16)
     slope = fit_decay_exponent(env, (4.0, 16.0))
     # (1+r)^-2 is not exactly r^-2 at these radii; stay loose
     assert slope == pytest.approx(-2.0, abs=0.15)
@@ -387,6 +412,25 @@ def test_compact_bump_support_is_exact():
     assert bump.values[grid.origin_index] == pytest.approx(np.exp(-1.0))
     with pytest.raises(ValueError):
         compact_bump(grid, (0.0, 0.0), 0.0)
+
+
+@pytest.mark.parametrize("center,radius", [((0.5, 0.0), 0.4), ((0.0, 0.0), 1e-300)])
+def test_bump_over_no_node_is_refused(center, radius):
+    # between nodes at spacing 1, and a radius whose square underflows to 0
+    grid = build_grid(2, 32.0, 64)
+    with pytest.raises(ValueError, match="no grid node"):
+        compact_bump(grid, center, radius)
+
+
+def test_disjoint_interaction_rejects_a_zero_field():
+    grid = build_grid(2, 32.0, 64)
+    spec = ResolventSpec(s=1.0, delta=0.1)
+    u = compact_bump(grid, (0.0, 0.0), 2.0)
+    v = compact_bump(grid, (8.0, 0.0), 2.0)
+    with pytest.raises(ValueError, match="u has no nonzero node"):
+        disjoint_interaction(RealField.zeros(grid), [(4.0, v)], spec, inner_radius=2.0)
+    with pytest.raises(ValueError, match="v has no nonzero node"):
+        disjoint_interaction(u, [(4.0, RealField.zeros(grid))], spec, inner_radius=2.0)
 
 
 @pytest.mark.parametrize(
@@ -452,6 +496,58 @@ def test_disjoint_interaction_checks_every_node(stray):
         v = RealField(grid, values)
     with pytest.raises(NumericalError, match="the ball of radius"):
         disjoint_interaction(u, [(4.0, v)], spec, inner_radius=2.0)
+
+
+def test_disjoint_interaction_peak_memory():
+    # Counted in Q, one float64 quadrant of (n/2+1)^3 values, after the bumps
+    # are built and once the code paths have run on a smaller grid. The peak
+    # comes while the symbol is evaluated: grid.quadrant_norm (cached on the
+    # grid) and the symbol's two arrays, 3 Q. Each support check's mask of
+    # nonzero nodes, n^3 bytes or 0.9 Q, is freed before, and the kernel at
+    # the offsets between the boxes and the partial sums are far smaller. A
+    # boxed FFT holds the complex spectrum, 2 H, and the half-spectrum
+    # symbol, 1 H, where H = 8 n^2 (n/2+1) bytes is 3.8 Q: about 11 Q.
+    def bumps(grid):
+        inner = compact_bump(grid, (0.0, 0.0, 0.0), 2.0)
+        return inner, [(g, compact_bump(grid, (4.0 + g + grid.spacing, 0.0, 0.0), 2.0)) for g in (2.0, 4.0, 8.0)]
+
+    spec = ResolventSpec(s=1.0, delta=0.2)
+    disjoint_interaction(*bumps(build_grid(3, 32.0, 32)), spec, inner_radius=2.0)
+    grid = build_grid(3, 32.0, 64)
+    inner, outer = bumps(grid)
+    tracemalloc.start()
+    try:
+        values = disjoint_interaction(inner, outer, spec, inner_radius=2.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert all(v > 0.0 for v in values)
+    # a quarter of Q covers the kernel, the partial sums and the Python objects
+    assert peak <= 3.25 * 8 * 33**3
+
+
+@pytest.mark.parametrize("dim,n", [(1, 64), (2, 32), (3, 16)])
+def test_box_convolution_matches_the_full_pair_on_the_target_box(dim, n):
+    # boxes that wrap the periodic edge and have gaps; values on every Nyquist
+    # plane, and a kernel that reaches every offset
+    grid = build_grid(dim, 16.0, n)
+    h = grid.spacing
+    m = multiplier_values(grid, lambda *a: 1.0 / (1.0 + sum(x * x for x in a)) + 0.25 * np.cos(h * a[-1]))
+    assert np.all(m[..., -1] != 0.0) and np.all(m[n // 2] != 0.0)
+    source = [np.array([0, 1, 2, n - 2, n - 1]), np.array([3, 5, 6, 10]), np.arange(n // 2 - 2, n // 2 + 3)]
+    target = [np.array([1, 4, 7, n - 1]), np.array([0, 1, n - 3]), np.arange(n // 4, 3 * n // 4)]
+    for shift in range(dim):
+        src = [source[(k + shift) % 3] for k in range(dim)]
+        tgt = [target[(k + shift) % 3] for k in range(dim)]
+        block = np.random.default_rng(40 + dim + shift).standard_normal(tuple(len(i) for i in src))
+        values = np.zeros(grid.shape)
+        values[np.ix_(*src)] = block
+        reference = apply_multiplier_values(RealField(grid, values), m).values[np.ix_(*tgt)]
+        before = block.copy()
+        boxed = resolvent._resolve_between(grid, quadrant(m), block, src, tgt)
+        assert np.array_equal(block, before)
+        assert boxed.shape == reference.shape
+        assert np.max(np.abs(boxed - reference)) <= 1e-12 * np.max(np.abs(reference))
 
 
 def test_disjoint_interaction_gap_floor():

@@ -55,6 +55,7 @@ from .grid import (
 )
 from .params import OUTSIDE_HYPOTHESES_MARKER, Exponents, HypothesisCheck
 from .resolvent import (
+    BoxField,
     EvenKernel,
     KernelBundle,
     ResolventSpec,
@@ -78,6 +79,6 @@ __all__ = [
     "RealField", "SpectralField", "TorusGrid", "apply_multiplier", "apply_multiplier_values",
     "build_grid", "forward_transform", "inner_product", "inverse_transform", "lq_norm",
     "OUTSIDE_HYPOTHESES_MARKER", "Exponents", "HypothesisCheck",
-    "EvenKernel", "KernelBundle", "ResolventSpec", "auto_delta", "band_decompose", "compact_bump",
+    "BoxField", "EvenKernel", "KernelBundle", "ResolventSpec", "auto_delta", "band_decompose", "compact_bump",
     "disjoint_interaction", "fit_decay_exponent", "radial_envelope",
 ]

@@ -17,12 +17,14 @@ dim-2 ... 0; inverse: ifft on axes 0 ... dim-2, then irfft on the last
 axis), and writes each complex pass back into the one spectrum buffer
 the first pass allocated, so its result equals the n-D pair's bit for
 bit and its inputs are never written.
-`multiplier_kernel` applies a multiplier that is even in each axis to
+`multiplier_kernel` applies multipliers that are even in each axis to
 the origin delta, whose spectrum is known, with no transform: from the
-multiplier's quadrant values it sums cosines, one dense matrix per
-axis, at the non-negative node offsets it is asked for, the whole
-octant 0 ... n/2 or the offsets between two index boxes. No full-grid
-array is made.
+multipliers' quadrant values, fed one axis-1 slab at a time
+(`quadrant_slabs` gives |xi| in those slabs), it sums cosines, one
+dense matrix per axis, at the non-negative node offsets it is asked
+for, the whole octant 0 ... n/2 or the offsets between two index
+boxes. No full-grid array is made, and no quadrant-sized one beyond
+the kernels and their intermediates.
 `multiplier_values` checks evenness on the full spectrum before it
 keeps the half. The explicit `SpectralField` transforms stay complex,
 on the full spectrum, and check Hermitian symmetry. Geometry and
@@ -34,7 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 import math
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -130,6 +132,22 @@ class TorusGrid:
         """
         axes = self._open_axes(self.frequency_axis[: self.points_per_axis // 2 + 1])
         return np.sqrt(sum(a * a for a in axes))
+
+    def quadrant_slabs(self) -> Iterator[np.ndarray]:
+        """`quadrant_norm` in fresh slabs of at most (n//2+1)^2 values, in the order `multiplier_kernel` takes them.
+
+        In 3D, one axis-1 row at a time, shape (n//2+1, 1, n//2+1); in 1D
+        and 2D, the whole quadrant at once. Each slab sums the same squares
+        in the same order as `quadrant_norm`, so the values are its own bit
+        for bit, and no quadrant-sized array is made or cached.
+        """
+        squares = [a * a for a in self._open_axes(self.frequency_axis[: self.points_per_axis // 2 + 1])]
+        if self.dim < 3:
+            yield np.sqrt(sum(squares))
+            return
+        first, middle, last = squares
+        for j in range(middle.shape[1]):
+            yield np.sqrt(first + middle[:, j : j + 1] + last)
 
     def half_spectrum(self, values: np.ndarray) -> np.ndarray:
         """Quadrant values of a multiplier even in each axis, spread to the half spectrum.
@@ -298,39 +316,72 @@ def apply_multiplier_values(field: RealField, values: np.ndarray) -> RealField:
     return RealField(grid, np.fft.irfft(spectrum, n=grid.points_per_axis, axis=last, norm="ortho"))
 
 
-def multiplier_kernel(grid: TorusGrid, values: np.ndarray, offsets: Sequence[np.ndarray]) -> np.ndarray:
-    """The multiplier applied to the unit-mass delta at the origin node, at per-axis node offsets.
+def multiplier_kernel(
+    grid: TorusGrid, slabs: Iterable[Sequence[np.ndarray]], offsets: Sequence[np.ndarray]
+) -> list[np.ndarray]:
+    """Multipliers applied to the unit-mass delta at the origin node, at per-axis node offsets.
 
-    The multiplier must be even in each axis, m(.., -xi_i, ..) = m(.., xi_i, ..),
-    as a radial one is, and `values` holds it on the quadrant of
-    non-negative wavenumbers, shape (n//2 + 1,)*dim (as
-    `grid.quadrant_norm` has it); any other shape raises ValueError.
-    The delta, 1/h^dim at `origin_index` = (n/2, ...), has the spectrum
-    (-1)^(k_0 + ... + k_(dim-1)) / h^dim, so at the nodes n/2 +- a the
-    kernel is the separable cosine sum
+    Each multiplier must be even in each axis, m(.., -xi_i, ..) = m(.., xi_i, ..),
+    as a radial one is, and is given by its values on the quadrant of
+    non-negative wavenumbers, shape (n//2 + 1,)*dim, fed one slab at a
+    time: each item of `slabs` holds, for every multiplier in the same
+    order, its quadrant values on the next run of axis-1 rows, of shape
+    (n//2 + 1, rows, n//2 + 1) in 3D and (n//2 + 1, rows) in 2D (in 1D
+    the one slab is the whole quadrant). `grid.quadrant_slabs` gives |xi|
+    in those slabs, and one item holding the whole quadrant is a valid
+    feed. Any other shape, or slabs that do not make up the quadrant,
+    raise ValueError. The delta, 1/h^dim at `origin_index` = (n/2, ...),
+    has the spectrum (-1)^(k_0 + ... + k_(dim-1)) / h^dim, so at the
+    nodes n/2 +- a the kernel is the separable cosine sum
 
         prod_i 1/(n h) sum_(k_i = 0)^(n/2) w_(k_i) cos(2 pi k_i a_i / n)  m(k),
 
     with w = 1 at k in {0, n/2} and 2 elsewhere. It is even in each a_i,
     so `offsets` holds one 1D array of offsets a_i in 0 ... n/2 per axis,
-    and the result, of shape tuple(len(a) for a in offsets), is the
-    kernel on their product: one dense (n//2 + 1) x len(a_i) cosine
+    and each returned kernel, of shape tuple(len(a) for a in offsets), is
+    the kernel on their product: one dense (n//2 + 1) x len(a_i) cosine
     matrix per axis through BLAS, each product contracting the first
     axis and appending the new one last, so after dim products the axes
-    are back in order. `values` is not written.
+    are back in order. The first product runs slab by slab into rows of
+    the [(k_1 ... k_(dim-1)), a_0] intermediate; the rest run on whole
+    intermediates, one multiplier after the other, each input released
+    once its product is made, so beside one array per multiplier (its
+    intermediate, partial product or kernel) only one product output is
+    held at a time. No slab is written.
     """
     n = grid.points_per_axis
     q = n // 2 + 1
-    if values.shape != (q,) * grid.dim:
-        raise ValueError(f"values shape {values.shape} is not the quadrant shape {(q,) * grid.dim}")
     k = np.arange(q)
     weights = np.where((k == 0) | (k == n // 2), 1.0, 2.0) / (n * grid.spacing)
-    kernel = values
-    for a in offsets:
-        # the argument reduced mod n in integers, so it never leaves [0, 2 pi)
-        cosines = np.cos(2.0 * np.pi * (np.multiply.outer(a, k) % n) / n) * weights
-        kernel = kernel.reshape(q, -1).T @ cosines.T
-    return kernel.reshape(tuple(len(a) for a in offsets))
+    # the argument reduced mod n in integers, so it never leaves [0, 2 pi)
+    cosines = [np.cos(2.0 * np.pi * (np.multiply.outer(a, k) % n) / n) * weights for a in offsets]
+    rows = q ** (grid.dim - 1)  # of the first product's output, one per quadrant node off axis 0
+    firsts, filled = None, 0
+    for parts in slabs:
+        shape = parts[0].shape
+        size = parts[0].size // q
+        if (
+            len(shape) != grid.dim
+            or shape != (q,) + shape[1:2] + (q,) * (grid.dim - 2)
+            or any(values.shape != shape for values in parts)
+            or (firsts is not None and len(parts) != len(firsts))
+            or filled + size > rows
+        ):
+            raise ValueError(f"slab shapes {[v.shape for v in parts]} do not fit the quadrant shape {(q,) * grid.dim}")
+        if firsts is None:
+            firsts = [np.empty((rows, len(offsets[0]))) for _ in parts]
+        for i, values in enumerate(parts):  # no loop name left bound to an intermediate
+            firsts[i][filled : filled + size] = values.reshape(q, -1).T @ cosines[0].T
+        filled += size
+    if filled != rows:
+        raise ValueError(f"the slabs make {filled} of the {rows} rows of the quadrant shape {(q,) * grid.dim}")
+    kernels = []
+    while firsts:  # popped, so no list entry keeps an intermediate alive
+        kernel = firsts.pop(0)
+        for matrix in cosines[1:]:
+            kernel = kernel.reshape(q, -1).T @ matrix.T
+        kernels.append(kernel.reshape(tuple(len(a) for a in offsets)))
+    return kernels
 
 
 def apply_multiplier(field: RealField, multiplier) -> RealField:

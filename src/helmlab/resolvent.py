@@ -14,12 +14,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 import itertools
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from .errors import InsufficientDataError, NumericalError
-from .grid import RealField, TorusGrid, multiplier_kernel
+from .grid import TorusGrid, multiplier_kernel
 
 
 @dataclass(frozen=True)
@@ -122,6 +122,37 @@ class EvenKernel:
 
 
 @dataclass(frozen=True)
+class BoxField:
+    """A real field held on an index box of its grid and zero off it.
+
+    `box` holds one strictly increasing array of node indices per axis;
+    it may wrap the periodic edge or have gaps. `block`, of shape
+    tuple(len(i) for i in box), holds the finite values on the box's
+    nodes. The full grid is never formed.
+    """
+
+    grid: TorusGrid
+    box: tuple[np.ndarray, ...]
+    block: np.ndarray
+
+    def __post_init__(self):
+        box = tuple(np.asarray(i) for i in self.box)
+        n = self.grid.points_per_axis
+        if len(box) != self.grid.dim or any(
+            i.ndim != 1 or i.dtype.kind not in "iu" or np.any(np.diff(i) <= 0) or np.any((i < 0) | (i >= n))
+            for i in box
+        ):
+            raise ValueError(f"box must hold {self.grid.dim} increasing index arrays in 0 ... {n - 1}")
+        block = np.asarray(self.block, dtype=float)
+        if block.shape != tuple(len(i) for i in box):
+            raise ValueError(f"block shape {block.shape} does not match the box {tuple(len(i) for i in box)}")
+        if not np.all(np.isfinite(block)):
+            raise ValueError("field values must all be finite")
+        object.__setattr__(self, "box", box)
+        object.__setattr__(self, "block", block)
+
+
+@dataclass(frozen=True)
 class KernelBundle:
     """A kernel split into its near-sphere band part and the remainder."""
 
@@ -139,21 +170,27 @@ def band_decompose(spec: ResolventSpec, grid: TorusGrid) -> KernelBundle:
     far-field envelope; K2 = K - K1 carries everything else and decays
     faster. The cutoff psi is fixed: 1 for ||xi| - 1| <= 1/6 and 0 for
     ||xi| - 1| >= 1/4. The symbol m and psi are radial, hence even in
-    each axis, so both are evaluated on the quadrant `grid.quadrant_norm`
-    alone; K1 is the kernel of m*psi and K2 that of m - m*psi, each a
-    cosine sum on the octant of offsets 0 ... n/2 (`multiplier_kernel`),
-    returned as an `EvenKernel`. No Fourier transform runs, and neither
-    K itself nor any full-grid array is formed. The absorption delta > 0
-    that every `ResolventSpec` carries confines the oscillating kernel
-    tail to the box.
+    each axis, so both are evaluated on the quadrant of non-negative
+    wavenumbers alone, once per node; K1 is the kernel of m*psi and K2
+    that of m - m*psi, each a cosine sum on the octant of offsets
+    0 ... n/2 (`multiplier_kernel`), returned as an `EvenKernel`. Both
+    multipliers are made and fed one slab of |xi| at a time
+    (`grid.quadrant_slabs`), so neither they nor |xi| ever take a
+    quadrant-sized array, and the kernels equal those of the whole
+    quadrant bit for bit. No Fourier transform runs, and neither K itself
+    nor any full-grid array is formed. The absorption delta > 0 that
+    every `ResolventSpec` carries confines the oscillating kernel tail to
+    the box.
     """
-    norm = grid.quadrant_norm
-    symbol = spec._symbol(norm)
-    band = symbol * _band_cutoff(norm)
-    symbol -= band
+    def parts(norm):
+        symbol = spec._symbol(norm)
+        band = symbol * _band_cutoff(norm)
+        symbol -= band
+        return band, symbol
+
     octant = (np.arange(grid.points_per_axis // 2 + 1),) * grid.dim
-    band = multiplier_kernel(grid, band, octant)  # K1 replaces its multiplier before K2 is summed
-    return KernelBundle(EvenKernel(grid, band), EvenKernel(grid, multiplier_kernel(grid, symbol, octant)))
+    band, remainder = multiplier_kernel(grid, map(parts, grid.quadrant_slabs()), octant)
+    return KernelBundle(EvenKernel(grid, band), EvenKernel(grid, remainder))
 
 
 def radial_envelope(kernel: EvenKernel, shell_count: int) -> list[tuple[float, float]]:
@@ -215,33 +252,33 @@ def fit_decay_exponent(envelope, window: tuple[float, float]) -> float:
     return float(np.polyfit(radii, vals, 1)[0])
 
 
-def _support(field: RealField, name: str):
-    """A field's nonzero index box, its nonzero nodes, and a mask of those above 1e-14 of max |f|.
+def _support(field: BoxField, name: str) -> tuple[BoxField, list[np.ndarray]]:
+    """A box-held field cut to its nonzero sub-box, and its nodes above 1e-14 of max |f|.
 
-    One pass over the field finds the nonzero nodes; their box comes
-    from that mask's projections on the axes, and the nodes themselves
-    from the box alone. A field with no nonzero node raises ValueError.
+    The nodes, found on every node the field holds, come as per-axis
+    grid indices. A field with no nonzero node raises ValueError.
     """
-    nonzero = field.values != 0.0
-    axes = range(nonzero.ndim)
-    box = [np.flatnonzero(nonzero.any(axis=tuple(a for a in axes if a != k))) for k in axes]
-    if box[0].size == 0:
+    nonzero = field.block != 0.0
+    if not nonzero.any():
         raise ValueError(f"{name} has no nonzero node")
-    nodes = tuple(b[i] for b, i in zip(box, np.nonzero(nonzero[np.ix_(*box)])))
-    magnitude = np.abs(field.values[nodes])
-    return box, nodes, magnitude > 1e-14 * magnitude.max()
+    axes = range(nonzero.ndim)
+    within = [np.flatnonzero(nonzero.any(axis=tuple(a for a in axes if a != k))) for k in axes]
+    magnitude = np.abs(field.block)
+    above = np.nonzero(magnitude > 1e-14 * magnitude.max())
+    cut = BoxField(field.grid, tuple(b[i] for b, i in zip(field.box, within)), field.block[np.ix_(*within)])
+    return cut, [b[i] for b, i in zip(field.box, above)]
 
 
 def _resolve_between(
     grid: TorusGrid,
-    values: np.ndarray,
+    slabs: Iterable[Sequence[np.ndarray]],
     block: np.ndarray,
     source: Sequence[np.ndarray],
     target: Sequence[np.ndarray],
 ) -> np.ndarray:
     """h^dim sum_s K(t - s) f(s) at every node t of the box `target`, K the kernel of a quadrant multiplier.
 
-    `values` holds an even multiplier on its quadrant, as
+    `slabs` feeds one even multiplier on its quadrant, as
     `multiplier_kernel` takes it, so the result is the multiplier
     applied to f on the target box. A box is one index array per axis;
     it may wrap the periodic edge or have gaps. f equals `block`, of
@@ -260,8 +297,9 @@ def _resolve_between(
         unique, index = np.unique(np.minimum(d, n - d).ravel(), return_inverse=True)
         offsets.append(unique)
         folds.append(index.reshape(d.shape))
+    (kernel,) = multiplier_kernel(grid, slabs, offsets)
     # axes (t_0, d_1 ... d_(dim-1), s_1 ... s_(dim-1))
-    partial = np.tensordot(multiplier_kernel(grid, values, offsets)[folds[0]], block, axes=([1], [0]))
+    partial = np.tensordot(kernel[folds[0]], block, axes=([1], [0]))
     for axis in range(1, grid.dim):
         # d_axis sits at `axis` and s_axis at `dim`; taken to the front, both are indexed as (t_axis, s_axis)
         front = np.moveaxis(partial, (axis, grid.dim), (0, 1))
@@ -271,57 +309,65 @@ def _resolve_between(
 
 
 def disjoint_interaction(
-    u: RealField,
-    outer: Sequence[tuple[float, RealField]],
+    u: BoxField,
+    outer: Sequence[tuple[float, BoxField]],
     spec: ResolventSpec,
     inner_radius: float,
 ) -> list[float]:
-    """|<R u, v>| for each (gap, v) in `outer`, fields with disjoint radial supports.
+    """|<R u, v>| for each (gap, v) in `outer`, box-held fields with disjoint radial supports.
 
     u must vanish outside the ball of radius inner_radius and each v
     inside the ball of radius inner_radius + gap; both are checked on
-    every node to 1e-14 of each field's maximum, with the radii of
-    `grid.node_radius`. A field with no nonzero node raises ValueError,
-    and every gap must be at least 1. R is self-adjoint,
+    every node the field holds to 1e-14 of its maximum, with the radii
+    of `grid.node_radius`. A field with no nonzero node raises
+    ValueError, every gap must be at least 1, and a v on another grid
+    than u raises NumericalError. R is self-adjoint,
     <u, R v> = <R u, v>, so R is applied to u once for all pairs, and
     only between supports: the convolution of u with the resolvent
-    kernel, h^dim sum_s K(t - s) u(s), from the index box of u's nonzero
-    nodes to the union of the v's nonzero boxes, with K evaluated from
-    the quadrant symbol at the offsets between the boxes alone. No
-    Fourier transform runs and no full-grid array beyond each field's
-    nonzero mask is made. Each pairing is h^dim times the sum over that
-    target box.
+    kernel, h^dim sum_s K(t - s) u(s), from u's nonzero sub-box (taken
+    from its block) to the union of the v's nonzero sub-boxes, with K
+    evaluated from the symbol, fed one slab of |xi| at a time, at the
+    offsets between the boxes alone. Each pairing is h^dim times the sum
+    over that target box, v's block embedded there. No Fourier transform
+    runs and no array of the grid's or the quadrant's size is made.
     """
     grid = u.grid
-    source, nodes, above = _support(u, "u")
-    if np.any(grid.node_radius([i[above] for i in nodes]) > inner_radius):
+    u, nodes = _support(u, "u")
+    if np.any(grid.node_radius(nodes) > inner_radius):
         raise NumericalError(f"u is nonzero outside the ball of radius {inner_radius}")
     target = [np.zeros(0, dtype=int)] * grid.dim
+    cut = []
     for gap, v in outer:
         if gap < 1.0:
             raise ValueError("gap must be at least 1")
         if grid != v.grid:
             raise NumericalError("fields live on different grids")
-        box, nodes, above = _support(v, "v")
-        if np.any(grid.node_radius([i[above] for i in nodes]) < inner_radius + gap):
+        v, nodes = _support(v, "v")
+        if np.any(grid.node_radius(nodes) < inner_radius + gap):
             raise NumericalError(f"v is nonzero inside the ball of radius {inner_radius + gap}")
-        target = [np.union1d(t, b) for t, b in zip(target, box)]
-    block = u.values[np.ix_(*source)]
-    resolved = _resolve_between(grid, spec._symbol(grid.quadrant_norm), block, source, target)
-    on_target = np.ix_(*target)
-    return [abs(float(grid.cell_volume * np.sum(resolved * v.values[on_target]))) for _, v in outer]
+        cut.append(v)
+        target = [np.union1d(t, b) for t, b in zip(target, v.box)]
+    slabs = ((spec._symbol(norm),) for norm in grid.quadrant_slabs())
+    resolved = _resolve_between(grid, slabs, u.block, u.box, target)
+    pairings = []
+    for v in cut:
+        on_target = np.zeros(resolved.shape)
+        on_target[np.ix_(*(np.searchsorted(t, b) for t, b in zip(target, v.box)))] = v.block
+        pairings.append(abs(float(grid.cell_volume * np.sum(resolved * on_target))))
+    return pairings
 
 
-def compact_bump(grid: TorusGrid, center, radius: float) -> RealField:
-    """Smooth bump exactly supported in the ball of given radius around center.
+def compact_bump(grid: TorusGrid, center, radius: float) -> BoxField:
+    """Smooth bump exactly supported in the ball of given radius around center, held on its box.
 
     The profile exp(-1/(1 - q^2)) with q the scaled torus distance;
     values are exactly zero outside, which support-checked interactions
     rely on. The profile is evaluated only on the bump's index box, the
     nodes whose per-axis offset d (from `grid.periodic_offsets`) has
-    d^2 below radius^2, which holds the whole support: the values equal
-    the full-grid formula bit for bit, and every node off the box is an
-    exact zero. Dividing only on the box, by radius^2 above every d^2
+    d^2 below radius^2, which holds the whole support, and the result is
+    a `BoxField` on that box (it wraps the periodic edge where the ball
+    does): embedded in the grid, its values equal the full-grid formula
+    bit for bit. Dividing only on the box, by radius^2 above every d^2
     there, the formula cannot overflow or divide by zero. A bump whose
     ball holds no grid node raises ValueError, as does a radius <= 0.
     """
@@ -329,7 +375,7 @@ def compact_bump(grid: TorusGrid, center, radius: float) -> RealField:
         raise ValueError("radius must be positive")
     r2 = radius * radius
     offsets = grid.periodic_offsets(center)
-    box = [np.flatnonzero(d * d < r2) for d in offsets]
+    box = tuple(np.flatnonzero(d * d < r2) for d in offsets)
     near = np.meshgrid(*(d[i] for d, i in zip(offsets, box)), indexing="ij", sparse=True)
     q2 = sum(d * d for d in near) / r2
     block = np.zeros(q2.shape)
@@ -337,6 +383,4 @@ def compact_bump(grid: TorusGrid, center, radius: float) -> RealField:
     if not inside.any():
         raise ValueError(f"a bump of radius {radius:g} around {center} holds no grid node")
     block[inside] = np.exp(-1.0 / (1.0 - q2[inside]))
-    values = np.zeros(grid.shape)
-    values[np.ix_(*box)] = block
-    return RealField(grid, values)
+    return BoxField(grid, box, block)

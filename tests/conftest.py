@@ -26,6 +26,7 @@ from helmlab import (
     sample_Q,
     solve_ground_state,
 )
+from helmlab.grid import multiplier_kernel
 
 STANDARD_LEVEL = 5.380510993273907  # constant Q = 1 on the grid below, frozen
 
@@ -72,6 +73,19 @@ def quadrant(values):
 def octant(grid):
     """The offsets 0 ... n/2 on every axis, at which `multiplier_kernel` gives a kernel's whole octant."""
     return (np.arange(grid.points_per_axis // 2 + 1),) * grid.dim
+
+
+def whole_kernel(grid, values):
+    """The octant kernel of one multiplier, fed to `multiplier_kernel` as one slab holding its whole quadrant."""
+    (kernel,) = multiplier_kernel(grid, [(values,)], octant(grid))
+    return kernel
+
+
+def embed(field):
+    """A box-held field's block embedded in a full grid of zeros."""
+    values = np.zeros(field.grid.shape)
+    values[np.ix_(*field.box)] = field.block
+    return values
 
 
 def mirror(grid, values):

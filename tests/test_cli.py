@@ -9,6 +9,7 @@ import os
 import shutil
 import subprocess
 import sys
+import tracemalloc
 import types
 from pathlib import Path
 
@@ -497,11 +498,13 @@ def test_kernel_window_past_half_box_warns(tmp_path, capsys):
 
 
 def count_transforms(monkeypatch):
-    """Count symbol evaluations and full-grid multiplier pairs, wherever bound, and every numpy.fft call.
+    """Count symbol nodes and full-grid multiplier pairs, wherever bound, and every numpy.fft call.
 
     Symbol evaluations are counted at the one formula that `symbol_values`,
-    `band_decompose` and `disjoint_interaction` share. The returned list
-    names each numpy.fft transform called, in order.
+    `band_decompose` and `disjoint_interaction` share, as the number of
+    wavenumber nodes passed to it: the kernel commands feed it one slab at
+    a time, so a count of calls would count slabs. The returned list names
+    each numpy.fft transform called, in order.
     """
     calls = {"symbol": 0, "pair": 0}
     symbol = ResolventSpec._symbol
@@ -509,7 +512,7 @@ def count_transforms(monkeypatch):
     transforms = []
 
     def counted_symbol(self, norm):
-        calls["symbol"] += 1
+        calls["symbol"] += norm.size
         return symbol(self, norm)
 
     def counted_pair(field, values):
@@ -533,11 +536,12 @@ def count_transforms(monkeypatch):
 
 
 def test_kernel_check_transform_budget(tmp_path, monkeypatch):
-    # both kernels are cosine sums of one quadrant symbol: no Fourier transform runs
+    # both kernels are cosine sums of the symbol, evaluated once on each of
+    # the 17^3 quadrant nodes: no Fourier transform runs
     calls, transforms = count_transforms(monkeypatch)
     cfg = write_cfg(tmp_path, "k.cfg", CUBE_CFG + "kernel.window_lo = 2.0\nkernel.window_hi = 10.0\n")
     assert main(["kernel-check", "--config", cfg, "--out", str(tmp_path / "k")]) == 0
-    assert calls == {"symbol": 1, "pair": 0}
+    assert calls == {"symbol": 17**3, "pair": 0}
     assert transforms == []
     # the counters are live: the multiplier pair's passes go through them
     helmlab.grid.apply_multiplier_values(helmlab.RealField.zeros(helmlab.build_grid(2, 16.0, 8)), 1.0)
@@ -546,14 +550,42 @@ def test_kernel_check_transform_budget(tmp_path, monkeypatch):
 
 def test_interaction_check_transform_budget(tmp_path, monkeypatch):
     # R is self-adjoint, so one convolution of the inner bump serves every gap; its
-    # kernel is a cosine sum of one quadrant symbol at the offsets between the boxes
+    # kernel is a cosine sum, at the offsets between the boxes, of the symbol
+    # evaluated once on each of the 17^3 quadrant nodes
     calls, transforms = count_transforms(monkeypatch)
     cfg = write_cfg(
         tmp_path, "i.cfg", CUBE_CFG + "interaction.gaps = 1.0, 2.0, 3.0\ninteraction.bump_radius = 1.5\n"
     )
     assert main(["interaction-check", "--config", cfg, "--out", str(tmp_path / "i")]) == 0
-    assert calls == {"symbol": 1, "pair": 0}
+    assert calls == {"symbol": 17**3, "pair": 0}
     assert transforms == []
+
+
+@pytest.mark.parametrize(
+    "command,keys",
+    [
+        ("kernel-check", "kernel.window_lo = 4.0\nkernel.window_hi = 16.0\n"),
+        ("interaction-check", "interaction.gaps = 2.0, 4.0, 8.0\ninteraction.bump_radius = 2.0\n"),
+    ],
+    ids=["kernel-check", "interaction-check"],
+)
+def test_kernel_commands_never_allocate_a_grid_sized_array(tmp_path, command, keys):
+    # Every array these commands make is octant-, slab- or box-sized: the
+    # traced peak of a whole 64^3 run stays below one n^3 float64 array
+    # (2 MiB, 7.3 quadrants), so a full-grid bump, kernel or radius fails it.
+    n = 64
+    cfg = write_cfg(
+        tmp_path, "c.cfg", f"grid.dim = 3\ngrid.points = {n}\ngrid.half_width = 32.0\nmodel.delta = 0.2\n" + keys
+    )
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "first")]) == 0  # imports and caches
+    tracemalloc.start()
+    try:
+        code = main([command, "--config", cfg, "--out", str(tmp_path / "traced")])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < 8 * n**3
 
 
 # -------------------------------------------------------- interaction-check

@@ -29,7 +29,7 @@ from helmlab import (
 from helmlab.errors import NumericalError
 from helmlab.grid import multiplier_kernel, multiplier_values
 
-from conftest import mirror, octant, quadrant
+from conftest import mirror, octant, quadrant, whole_kernel
 
 
 def random_field(grid, seed=0):
@@ -245,7 +245,7 @@ def test_multiplier_kernel_matches_the_delta_through_the_pair(dim, n):
     delta = np.zeros(grid.shape)
     delta[grid.origin_index] = 1.0 / grid.cell_volume
     reference = apply_multiplier_values(RealField(grid, delta), m)
-    kernel = mirror(grid, multiplier_kernel(grid, quadrant(m), octant(grid)))
+    kernel = mirror(grid, whole_kernel(grid, quadrant(m)))
     assert np.max(np.abs(kernel - reference.values)) <= 1e-12 * np.max(np.abs(reference.values))
 
 
@@ -277,7 +277,7 @@ def test_multiplier_paths_leave_their_inputs_untouched(dim, n, writable):
     f = random_field(grid, seed=70 + dim)
     before = (f.values.copy(), m.copy())
     apply_multiplier_values(f, m)
-    multiplier_kernel(grid, quadrant(m), octant(grid))
+    multiplier_kernel(grid, [(quadrant(m),)], octant(grid))
     for kept, now in zip(before, (f.values, m)):
         assert np.array_equal(kept, now)
 
@@ -289,7 +289,25 @@ def test_multiplier_kernel_takes_only_the_quadrant():
             if shape == grid.quadrant_norm.shape:
                 continue
             with pytest.raises(ValueError, match="quadrant"):
-                multiplier_kernel(grid, np.ones(shape), octant(grid))
+                multiplier_kernel(grid, [(np.ones(shape),)], octant(grid))
+    # slabs that fall short of the quadrant, overrun it, or change the number of multipliers
+    grid = build_grid(3, 16.0, 16)
+    row = np.ones((9, 1, 9))
+    for feed in ([(row,)] * 8, [(row,)] * 10, [(row, row)] + [(row,)] * 8, [(row, np.ones((9, 2, 9)))] * 9):
+        with pytest.raises(ValueError, match="quadrant"):
+            multiplier_kernel(grid, feed, octant(grid))
+
+
+@pytest.mark.parametrize("dim,n", [(1, 32), (2, 32), (3, 32), (3, 64)])
+def test_quadrant_slabs_are_the_quadrant_norm_bit_for_bit(dim, n):
+    # one axis-1 row at a time in 3D, the whole quadrant in 1D and 2D
+    grid = build_grid(dim, 16.0, n)
+    q = n // 2 + 1
+    slabs = list(grid.quadrant_slabs())
+    assert all(slab.size <= q * q for slab in slabs)
+    assert len(slabs) == (q if dim == 3 else 1)
+    assert "quadrant_norm" not in vars(grid)  # nothing quadrant-sized is cached
+    assert np.array_equal(np.concatenate(slabs, axis=min(dim - 1, 1)), grid.quadrant_norm)
 
 
 def test_uneven_multiplier_rejected():

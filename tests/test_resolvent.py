@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from helmlab import (
+    BoxField,
     EvenKernel,
     InsufficientDataError,
     RealField,
@@ -26,7 +27,7 @@ from helmlab.grid import multiplier_kernel, multiplier_values
 from helmlab.resolvent import exp_smoothstep
 from helmlab import resolvent
 
-from conftest import half_norm, mirror, octant, quadrant
+from conftest import embed, half_norm, mirror, octant, quadrant, whole_kernel
 
 
 def symbol(mu, delta):
@@ -181,7 +182,7 @@ def test_kernel_is_even():
     # exactly, axis by axis: the kernel is the mirror of its octant
     for dim, n in [(1, 64), (2, 32), (3, 16)]:
         grid = build_grid(dim, 16.0, n)
-        k = mirror(grid, multiplier_kernel(grid, quadrant(ResolventSpec(s=1.0, delta=0.2).symbol_values(grid)), octant(grid)))
+        k = mirror(grid, whole_kernel(grid, quadrant(ResolventSpec(s=1.0, delta=0.2).symbol_values(grid))))
         for axis in range(dim):
             # x_i -> -x_i is a flip plus a one-cell roll (the -L node has no mirror)
             assert np.array_equal(k, np.roll(np.flip(k, axis=axis), 1, axis=axis))
@@ -190,7 +191,7 @@ def test_kernel_is_even():
 def test_kernel_reproduces_resolvent_by_convolution():
     grid = build_grid(1, 16.0, 32)
     spec = ResolventSpec(s=1.0, delta=0.3)
-    kernel = mirror(grid, multiplier_kernel(grid, quadrant(spec.symbol_values(grid)), octant(grid)))
+    kernel = mirror(grid, whole_kernel(grid, quadrant(spec.symbol_values(grid))))
     f = np.random.default_rng(3).standard_normal(32)
     direct = apply_multiplier_values(RealField(grid, f), spec.symbol_values(grid)).values
     n = 32
@@ -206,7 +207,7 @@ def test_kernel_reproduces_resolvent_by_convolution():
 
 def test_unit_symbol_kernel_is_discrete_delta():
     grid = build_grid(2, 16.0, 16)
-    kernel = mirror(grid, multiplier_kernel(grid, np.ones(grid.quadrant_norm.shape), octant(grid)))
+    kernel = mirror(grid, whole_kernel(grid, np.ones(grid.quadrant_norm.shape)))
     expected = np.zeros(grid.shape)
     expected[grid.origin_index] = 1.0 / grid.cell_volume
     assert np.allclose(kernel, expected, atol=1e-10)
@@ -260,7 +261,7 @@ def test_band_split_adds_back_to_kernel():
     grid = build_grid(2, 16.0, 32)
     spec = ResolventSpec(s=1.0, delta=0.2)
     bundle = band_decompose(spec, grid)
-    kernel = mirror(grid, multiplier_kernel(grid, quadrant(spec.symbol_values(grid)), octant(grid)))
+    kernel = mirror(grid, whole_kernel(grid, quadrant(spec.symbol_values(grid))))
     total = mirror(grid, bundle.band.values) + mirror(grid, bundle.remainder.values)
     assert np.allclose(total, kernel, atol=1e-13 * np.max(np.abs(kernel)))
 
@@ -272,7 +273,7 @@ def test_band_part_is_spectrally_confined():
     # compared on the half spectrum
     norm = half_norm(grid)
     spectrum = forward_transform(RealField(grid, mirror(grid, bundle.band.values))).coeffs[..., : grid.points_per_axis // 2 + 1]
-    kernel = mirror(grid, multiplier_kernel(grid, quadrant(spec.symbol_values(grid)), octant(grid)))
+    kernel = mirror(grid, whole_kernel(grid, quadrant(spec.symbol_values(grid))))
     full = forward_transform(RealField(grid, kernel)).coeffs[..., : grid.points_per_axis // 2 + 1]
     off_band = np.abs(norm - 1.0) >= 0.25
     plateau = np.abs(norm - 1.0) <= 1.0 / 6.0
@@ -281,16 +282,48 @@ def test_band_part_is_spectrally_confined():
     assert np.allclose(spectrum[plateau], full[plateau], atol=1e-12 * scale)
 
 
+def full_quadrant_kernel(grid, values):
+    # the cosine products with the whole quadrant multiplier contracted at once
+    n = grid.points_per_axis
+    q = n // 2 + 1
+    k = np.arange(q)
+    weights = np.where((k == 0) | (k == n // 2), 1.0, 2.0) / (n * grid.spacing)
+    kernel = values
+    for a in octant(grid):
+        cosines = np.cos(2.0 * np.pi * (np.multiply.outer(a, k) % n) / n) * weights
+        kernel = kernel.reshape(q, -1).T @ cosines.T
+    return kernel.reshape((q,) * grid.dim)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("n", [32, 64])
+def test_band_decompose_equals_the_full_quadrant_formula_bit_for_bit(dim, n):
+    # the slab-fed symbol and first products give the very kernels of the
+    # whole-quadrant formula; rerun with OPENBLAS_NUM_THREADS=1 in CI
+    grid = build_grid(dim, 32.0, n)
+    spec = ResolventSpec(s=1.0, delta=0.2)
+    norm = grid.quadrant_norm
+    symbol = spec._symbol(norm)
+    band = symbol * resolvent._band_cutoff(norm)
+    symbol -= band
+    bundle = band_decompose(spec, grid)
+    assert np.array_equal(bundle.band.values, full_quadrant_kernel(grid, band))
+    assert np.array_equal(bundle.remainder.values, full_quadrant_kernel(grid, symbol))
+
+
 @pytest.mark.parametrize("n", [32, 64])
 def test_kernel_check_peak_memory(n):
-    # Counted in Q, one float64 quadrant of (n/2+1)^3 values. The peak comes
-    # in a cosine product, with grid.quadrant_norm (cached on the grid), the
-    # remainder's multiplier, the band's multiplier or K1, and the product's
-    # input and output held: 5 Q. The envelopes hold only slabs of
-    # (n/2+1)^2 nodes. The full-grid kernels and radii of a mirrored
-    # kernel-check take about 24 Q, and the bound is 5 1/4 Q.
+    # Counted in Q, one float64 quadrant of (n/2+1)^3 values, and in slabs of
+    # (n/2+1)^2 values, 1/(n/2+1) Q. |xi|, the symbol and the band cutoff are
+    # made one slab at a time, and the first cosine product of each part runs
+    # slab by slab into its intermediate: 2 Q and a few slabs. The peak comes
+    # in K2's later products, with K1, K2's intermediate and the product's
+    # output held: 3 Q, beside the three cosine matrices of one slab each.
+    # The envelopes hold only slabs. The whole-quadrant evaluation this
+    # replaced took 5 Q, and a mirrored kernel-check about 24 Q.
     grid = build_grid(3, 32.0, n)
     quadrant_bytes = 8 * (n // 2 + 1) ** 3
+    slab_bytes = 8 * (n // 2 + 1) ** 2
     tracemalloc.start()
     try:
         bundle = band_decompose(ResolventSpec(s=1.0, delta=0.2), grid)
@@ -299,9 +332,9 @@ def test_kernel_check_peak_memory(n):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # a quarter of Q covers the cosine matrices and the envelope slabs,
-    # 64 KiB the Python objects
-    assert peak <= 5.25 * quadrant_bytes + 64 * 1024
+    # six slabs cover the cosine matrices and the slab temporaries, 64 KiB
+    # the Python objects
+    assert peak <= 3 * quadrant_bytes + 6 * slab_bytes + 64 * 1024
 
 
 # ---------------------------------------------------------------- envelopes
@@ -407,9 +440,11 @@ def test_grid_sampled_power_law_fit():
 def test_compact_bump_support_is_exact():
     grid = build_grid(2, 32.0, 64)
     bump = compact_bump(grid, (0.0, 0.0), 2.0)
+    assert bump.block.shape == (3, 3)  # held on its box, not on the grid
+    values = embed(bump)
     outside = grid.radius >= 2.0
-    assert np.all(bump.values[outside] == 0.0)
-    assert bump.values[grid.origin_index] == pytest.approx(np.exp(-1.0))
+    assert np.all(values[outside] == 0.0)
+    assert values[grid.origin_index] == pytest.approx(np.exp(-1.0))
     with pytest.raises(ValueError):
         compact_bump(grid, (0.0, 0.0), 0.0)
 
@@ -422,15 +457,34 @@ def test_bump_over_no_node_is_refused(center, radius):
         compact_bump(grid, center, radius)
 
 
+def test_box_field_checks_its_box_and_block():
+    grid = build_grid(2, 32.0, 64)
+    box = (np.array([0, 1, 63]), np.array([5, 9]))
+    assert BoxField(grid, box, np.ones((3, 2))).block.shape == (3, 2)
+    bad_boxes = [
+        (np.array([1, 0, 63]), box[1]),  # not increasing
+        (np.array([0, 1, 64]), box[1]),  # past the grid
+        box[:1],  # one axis short
+        (np.array([0.0, 1.0, 63.0]), box[1]),  # not integers
+    ]
+    for bad_box in bad_boxes:
+        with pytest.raises(ValueError, match="box"):
+            BoxField(grid, bad_box, np.ones((3, 2)))
+    with pytest.raises(ValueError, match="block shape"):
+        BoxField(grid, box, np.ones((2, 3)))
+    with pytest.raises(ValueError, match="finite"):
+        BoxField(grid, box, np.full((3, 2), np.nan))
+
+
 def test_disjoint_interaction_rejects_a_zero_field():
     grid = build_grid(2, 32.0, 64)
     spec = ResolventSpec(s=1.0, delta=0.1)
     u = compact_bump(grid, (0.0, 0.0), 2.0)
     v = compact_bump(grid, (8.0, 0.0), 2.0)
     with pytest.raises(ValueError, match="u has no nonzero node"):
-        disjoint_interaction(RealField.zeros(grid), [(4.0, v)], spec, inner_radius=2.0)
+        disjoint_interaction(BoxField(grid, u.box, np.zeros_like(u.block)), [(4.0, v)], spec, inner_radius=2.0)
     with pytest.raises(ValueError, match="v has no nonzero node"):
-        disjoint_interaction(u, [(4.0, RealField.zeros(grid))], spec, inner_radius=2.0)
+        disjoint_interaction(u, [(4.0, BoxField(grid, v.box, np.zeros_like(v.block)))], spec, inner_radius=2.0)
 
 
 @pytest.mark.parametrize(
@@ -450,9 +504,12 @@ def test_compact_bump_equals_the_full_grid_formula(dim, center, wraps):
     want = np.zeros(grid.shape)
     inside = q2 < 1.0
     want[inside] = np.exp(-1.0 / (1.0 - q2[inside]))
-    bump = compact_bump(grid, center, radius).values
+    field = compact_bump(grid, center, radius)
+    bump = embed(field)
     assert np.array_equal(bump, want)
     assert (np.any(bump[0] != 0.0) and np.any(bump[-1] != 0.0)) == wraps
+    # a wrapped box holds both ends of the first axis, in increasing order
+    assert (field.box[0][0] == 0 and field.box[0][-1] == 63) == wraps
 
 
 def test_disjoint_interaction_matches_direct_pairing():
@@ -461,9 +518,47 @@ def test_disjoint_interaction_matches_direct_pairing():
     u = compact_bump(grid, (0.0, 0.0), 2.0)
     v = compact_bump(grid, (8.0, 0.0), 2.0)
     (got,) = disjoint_interaction(u, [(4.0, v)], spec, inner_radius=2.0)
-    want = abs(inner_product(u, apply_multiplier_values(v, spec.symbol_values(grid))))
+    full_u, full_v = RealField(grid, embed(u)), RealField(grid, embed(v))
+    want = abs(inner_product(full_u, apply_multiplier_values(full_v, spec.symbol_values(grid))))
     assert got == pytest.approx(want, rel=1e-14)
     assert got > 0.0
+
+
+def full_grid_pairings(u, outer, spec):
+    # the pairing from full-grid fields: each nonzero box found on the whole
+    # grid, the symbol on the whole quadrant as one slab, v read off the grid
+    grid = u.grid
+
+    def nonzero_box(values):
+        axes = range(grid.dim)
+        return [np.flatnonzero((values != 0.0).any(axis=tuple(a for a in axes if a != k))) for k in axes]
+
+    full_u = embed(u)
+    source = nonzero_box(full_u)
+    fulls = [embed(v) for _, v in outer]
+    target = [np.zeros(0, dtype=int)] * grid.dim
+    for v in fulls:
+        target = [np.union1d(t, b) for t, b in zip(target, nonzero_box(v))]
+    resolved = resolvent._resolve_between(
+        grid, [(spec._symbol(grid.quadrant_norm),)], full_u[np.ix_(*source)], source, target
+    )
+    return [abs(float(grid.cell_volume * np.sum(resolved * v[np.ix_(*target)]))) for v in fulls]
+
+
+@pytest.mark.parametrize("dim,n", [(2, 64), (3, 32)])
+def test_disjoint_interaction_equals_the_full_grid_pairing(dim, n):
+    # box-held bumps, one of them wrapping the periodic edge, pair exactly as
+    # the same bumps held on the whole grid
+    grid = build_grid(dim, 16.0, n)
+    spec = ResolventSpec(s=1.0, delta=0.2)
+    radius = 1.5
+    inner = compact_bump(grid, (0.0,) * dim, radius)
+    centers = [(5.0,) + (0.5,) * (dim - 1), (-7.0,) + (0.0,) * (dim - 1), (15.5,) + (-15.0,) * (dim - 1)]
+    outer = [(2.0, compact_bump(grid, c, radius)) for c in centers]
+    assert outer[2][1].box[0][0] == 0 and outer[2][1].box[0][-1] == n - 1  # wraps
+    got = disjoint_interaction(inner, outer, spec, inner_radius=radius)
+    assert got == full_grid_pairings(inner, outer, spec)
+    assert all(g > 0.0 for g in got)
 
 
 def test_disjoint_interaction_rejects_overlap():
@@ -479,34 +574,42 @@ def test_disjoint_interaction_rejects_overlap():
         disjoint_interaction(wide, [(4.0, far)], spec, inner_radius=2.0)
 
 
+def with_stray_node(field, node, value):
+    # the field on its box plus one more index per axis, zero on the gap between, `value` at `node`
+    box = [np.union1d(b, [i]) for b, i in zip(field.box, node)]
+    block = np.zeros(tuple(len(b) for b in box))
+    block[np.ix_(*(np.searchsorted(wide, b) for wide, b in zip(box, field.box)))] = field.block
+    block[tuple(np.searchsorted(wide, i) for wide, i in zip(box, node))] = value
+    return BoxField(field.grid, box, block)
+
+
 @pytest.mark.parametrize("stray", ["u", "v"])
 def test_disjoint_interaction_checks_every_node(stray):
-    # one node at 1e-10 of the max, far from both bumps, still breaks the support
+    # one node at 1e-10 of the max, far from both bumps and across a gap in
+    # the box, still breaks the support
     grid = build_grid(3, 16.0, 32)
     spec = ResolventSpec(s=1.0, delta=0.2)
     u = compact_bump(grid, (0.0, 0.0, 0.0), 2.0)
     v = compact_bump(grid, (8.0, 0.0, 0.0), 2.0)
     if stray == "u":
-        values = u.values.copy()
-        values[-1, -1, -1] = 1e-10 * np.max(values)  # the far corner of the box
-        u = RealField(grid, values)
+        u = with_stray_node(u, (31, 31, 31), 1e-10 * np.max(u.block))  # the far corner of the grid
     else:
-        values = v.values.copy()
-        values[grid.nearest_index((-3.0, -3.0, -3.0))] = 1e-10 * np.max(values)  # inside radius 2 + 4, opposite v
-        v = RealField(grid, values)
+        # inside radius 2 + 4, opposite v
+        v = with_stray_node(v, grid.nearest_index((-3.0, -3.0, -3.0)), 1e-10 * np.max(v.block))
+    assert any(np.any(np.diff(b) > 1) for b in (u.box if stray == "u" else v.box))  # the box has a gap
     with pytest.raises(NumericalError, match="the ball of radius"):
         disjoint_interaction(u, [(4.0, v)], spec, inner_radius=2.0)
 
 
 def test_disjoint_interaction_peak_memory():
-    # Counted in Q, one float64 quadrant of (n/2+1)^3 values, after the bumps
-    # are built and once the code paths have run on a smaller grid. The peak
-    # comes while the symbol is evaluated: grid.quadrant_norm (cached on the
-    # grid) and the symbol's two arrays, 3 Q. Each support check's mask of
-    # nonzero nodes, n^3 bytes or 0.9 Q, is freed before, and the kernel at
-    # the offsets between the boxes and the partial sums are far smaller. A
-    # boxed FFT holds the complex spectrum, 2 H, and the half-spectrum
-    # symbol, 1 H, where H = 8 n^2 (n/2+1) bytes is 3.8 Q: about 11 Q.
+    # Counted in Q, one float64 quadrant of (n/2+1)^3 values, once the code
+    # paths have run on a smaller grid, with the bumps built inside the
+    # window. Each bump is held on its box of 3^3 nodes. The kernel's first
+    # cosine product fills an intermediate of (n/2+1)^2 rows by the 11
+    # distinct axis-0 offsets between the boxes, 11/33 Q; |xi|, the symbol
+    # and its temporaries take a few slabs of (n/2+1)^2 values, 1/33 Q each,
+    # and the later products and partial sums far less. A full-grid bump is
+    # 7.3 Q and the whole-quadrant symbol 1 Q; the bound is 3/4 Q.
     def bumps(grid):
         inner = compact_bump(grid, (0.0, 0.0, 0.0), 2.0)
         return inner, [(g, compact_bump(grid, (4.0 + g + grid.spacing, 0.0, 0.0), 2.0)) for g in (2.0, 4.0, 8.0)]
@@ -514,16 +617,16 @@ def test_disjoint_interaction_peak_memory():
     spec = ResolventSpec(s=1.0, delta=0.2)
     disjoint_interaction(*bumps(build_grid(3, 32.0, 32)), spec, inner_radius=2.0)
     grid = build_grid(3, 32.0, 64)
-    inner, outer = bumps(grid)
     tracemalloc.start()
     try:
+        inner, outer = bumps(grid)
         values = disjoint_interaction(inner, outer, spec, inner_radius=2.0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert all(v > 0.0 for v in values)
-    # a quarter of Q covers the kernel, the partial sums and the Python objects
-    assert peak <= 3.25 * 8 * 33**3
+    assert inner.block.shape == (3, 3, 3)
+    assert peak <= 0.75 * 8 * 33**3
 
 
 @pytest.mark.parametrize("dim,n", [(1, 64), (2, 32), (3, 16)])
@@ -544,7 +647,7 @@ def test_box_convolution_matches_the_full_pair_on_the_target_box(dim, n):
         values[np.ix_(*src)] = block
         reference = apply_multiplier_values(RealField(grid, values), m).values[np.ix_(*tgt)]
         before = block.copy()
-        boxed = resolvent._resolve_between(grid, quadrant(m), block, src, tgt)
+        boxed = resolvent._resolve_between(grid, [(quadrant(m),)], block, src, tgt)
         assert np.array_equal(block, before)
         assert boxed.shape == reference.shape
         assert np.max(np.abs(boxed - reference)) <= 1e-12 * np.max(np.abs(reference))

@@ -29,7 +29,6 @@ from .dual import (
     DualState,
     GroundState,
     cutoff_projection,
-    default_initial_guess,
     diagnose,
     dihedral_average,
     dual_energy,
@@ -72,7 +71,7 @@ __all__ = [
     "LevelRow", "LevelTable", "SweepRecord", "level_table", "profile_distance",
     "run_sweep", "single_bubble_check", "single_bubble_fraction",
     "RunConfig", "load_config", "render_config",
-    "DualState", "GroundState", "cutoff_projection", "default_initial_guess", "diagnose",
+    "DualState", "GroundState", "cutoff_projection", "diagnose",
     "dihedral_average", "dual_energy", "dual_gradient", "limit_ground_state", "nehari_project",
     "nehari_scale", "random_initial_guess", "solve_ground_state",
     "ConfigError", "InsufficientDataError",

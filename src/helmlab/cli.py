@@ -38,7 +38,7 @@ from .config import (
     make_spec,
     render_config,
 )
-from .dual import default_initial_guess, random_initial_guess, solve_ground_state
+from .dual import random_initial_guess, solve_ground_state
 from .errors import ConfigError, InsufficientDataError, NumericalError
 from .grid import TorusGrid
 from .params import OUTSIDE_HYPOTHESES_MARKER, Exponents
@@ -183,20 +183,10 @@ def _cmd_interaction_check(run: _Run) -> int:
 
 def _cmd_solve(run: _Run) -> int:
     cfg, exps, grid, spec, Q = run.cfg, run.exps, run.grid, run.spec, run.Q
-    Qfield = sample_Q(Q, grid, exps.eps)
-    # one solve per coefficient maximum (lowest level wins), or a seeded random start
-    if cfg.init == "random":
-        starts = [random_initial_guess(grid, spec, cfg.seed)]
-    else:
-        if len(Q.maxima) > 1:
-            starts = [
-                default_initial_guess(Qfield, exps, spec, center=tuple(c / exps.eps for c in m))
-                for m in Q.maxima
-            ]
-        else:
-            starts = [None]  # the solver's cold start is default_initial_guess's, on the same operator
-    solves = (solve_ground_state(Qfield, exps, spec, init=s, tol=cfg.tol, max_iter=cfg.max_iter) for s in starts)
-    gs = min(solves, key=lambda state: state.level)
+    # one solve, from the solver's cold start on the sampled Q's largest node (where every
+    # family member of levels and sweep starts) or from seeded noise
+    init = random_initial_guess(grid, spec, cfg.seed) if cfg.init == "random" else None
+    gs = solve_ground_state(sample_Q(Q, grid, exps.eps), exps, spec, init=init, tol=cfg.tol, max_iter=cfg.max_iter)
     columns = (
         ["level", "residual", "iterations", "converged", "quad_form", "nehari_defect", "scale_factor"]
         + _peak_columns(grid.dim, "peak")

@@ -252,12 +252,11 @@ class _DualOperator:
             "model.p is too close to 2"
         )
 
-    def initial_guess(self, center: tuple[float, ...] | None = None) -> RealField:
+    def initial_guess(self) -> RealField:
         """See `default_initial_guess`."""
         grid = self.grid
-        if center is None:
-            node = max_node(self.Qfield) or grid.origin_index
-            center = tuple(float(grid.coordinate_axis[i]) for i in node)
+        node = max_node(self.Qfield) or grid.origin_index
+        center = tuple(float(grid.coordinate_axis[i]) for i in node)
         gauss = np.exp(-grid.periodic_distance2(center) / 2.0)
         return apply_multiplier_values(RealField(grid, gauss), np.maximum(self.symbol, 0.0))
 
@@ -297,12 +296,7 @@ def diagnose(v: RealField, Qfield: RealField, exps: Exponents, spec: ResolventSp
     return _DualOperator(Qfield, exps, spec).state(v)
 
 
-def default_initial_guess(
-    Qfield: RealField,
-    exps: Exponents,
-    spec: ResolventSpec,
-    center: tuple[float, ...] | None = None,
-) -> RealField:
+def default_initial_guess(Qfield: RealField, exps: Exponents, spec: ResolventSpec) -> RealField:
     """Unit-width Gaussian at the coefficient maximum, filtered into the cone.
 
     The raw Gaussian concentrates too much spectral mass inside the unit
@@ -310,12 +304,11 @@ def default_initial_guess(
     comes out negative on every standard grid, so it cannot be projected
     onto the Nehari manifold. Keeping only the modes where the symbol is
     positive makes the quadratic form strictly positive by construction.
-    An explicit `center` overrides the default placement (used to seed
-    one solve per maximum for multi-peak coefficients); otherwise the
-    bump sits at the coefficient argmax, or at the origin node for a
-    (near-)constant coefficient where the argmax tie-break is arbitrary.
+    The bump sits on the largest node of the sampled coefficient, or on
+    the origin node for a (near-)constant coefficient where the argmax
+    tie-break is arbitrary. This is the solver's cold start.
     """
-    return _DualOperator(Qfield, exps, spec).initial_guess(center)
+    return _DualOperator(Qfield, exps, spec).initial_guess()
 
 
 def random_initial_guess(grid: TorusGrid, spec: ResolventSpec, seed: int) -> RealField:

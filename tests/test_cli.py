@@ -21,8 +21,10 @@ import helmlab.cli
 import helmlab.dual
 import helmlab.grid
 import helmlab.resolvent
+from helmlab import RealField, apply_multiplier_values, sample_Q, solve_ground_state
 from helmlab.cli import main
-from helmlab.config import parse_config_text
+from helmlab.coefficients import max_node
+from helmlab.config import make_coefficient, make_exponents, make_grid, make_spec, parse_config_text
 from helmlab.resolvent import ResolventSpec
 
 from conftest import STANDARD_LEVEL, readme_config
@@ -254,9 +256,13 @@ sweep.eps_values = 0.5, 0.25, 0.125
 """
 
 
-def test_solve_evaluates_the_symbol_once(tmp_path, monkeypatch):
-    # a single-maximum solve starts from the solver's own cold start, so the
-    # start and the solve share one dual operator and one symbol evaluation
+TWO_CENTRES = "grid.points = 64\ncoefficient.centers = 1.0, 0.0; -1.0, 0.0\n"
+
+
+@pytest.mark.parametrize("text", [README_CONFIG, TWO_CENTRES], ids=["one-centre", "two-centres"])
+def test_solve_evaluates_the_symbol_once(tmp_path, monkeypatch, text):
+    # a solve starts from the solver's own cold start for any number of centres,
+    # so the start and the solve share one dual operator and one symbol evaluation
     calls = []
     original = ResolventSpec.symbol_values
 
@@ -265,9 +271,32 @@ def test_solve_evaluates_the_symbol_once(tmp_path, monkeypatch):
         return original(self, grid)
 
     monkeypatch.setattr(ResolventSpec, "symbol_values", counted)
-    cfg = write_cfg(tmp_path, "run.cfg", README_CONFIG)
+    cfg = write_cfg(tmp_path, "run.cfg", text)
     assert main(["solve", "--config", cfg, "--out", str(tmp_path / "run"), "--force"]) == 0
     assert len(calls) == 1
+
+
+def test_two_centre_solve_starts_on_the_sampled_maximum(tmp_path):
+    # the bumps at (+-1, 0) overlap, so the sampled Q is largest at the origin node,
+    # between the centres; the one solve starts there and ends below a solve
+    # started on a cone-filtered Gaussian at either centre c / eps
+    cfg = parse_config_text(TWO_CENTRES)
+    path = write_cfg(tmp_path, "two.cfg", TWO_CENTRES)
+    assert main(["solve", "--config", path, "--out", str(tmp_path / "run"), "--force"]) == 0
+    columns, rows = read_rows(tmp_path / "run" / "ground_state.csv")
+    row = dict(zip(columns, rows[0]))
+    assert row["converged"] == "true"
+    grid, exps = make_grid(cfg), make_exponents(cfg)
+    spec = make_spec(cfg, grid)
+    Qfield = sample_Q(make_coefficient(cfg), grid, exps.eps)
+    assert max_node(Qfield) == grid.origin_index
+    assert all(abs(float(row[f"peak_{axis}"])) <= grid.spacing for axis in "xy")
+    positive_part = np.maximum(spec.symbol_values(grid), 0.0)
+    for centre in cfg.centers:
+        gauss = np.exp(-grid.periodic_distance2(tuple(c / exps.eps for c in centre)) / 2.0)
+        start = apply_multiplier_values(RealField(grid, gauss), positive_part)
+        other = solve_ground_state(Qfield, exps, spec, init=start, tol=cfg.tol, max_iter=cfg.max_iter)
+        assert float(row["level"]) < other.level
 
 
 def test_readme_configs_validate_as_documented(tmp_path):
@@ -322,8 +351,8 @@ def test_a_run_makes_its_coefficient_once(tmp_path, monkeypatch, command):
 
 
 def test_solve_reports_a_warning_as_one_line(tmp_path, capsys):
-    # the window at k = 1 is [-2, 2)^2 on 64 points: (2, 0) lies outside it, and
-    # (-2, 0) is node 0, inside it
+    # the window at the default k = 8 is [-2, 2)^2 on 64 points: (2, 0) lies outside
+    # it, and (-2, 0) is node 0, inside it
     cfg = write_cfg(
         tmp_path,
         "w.cfg",

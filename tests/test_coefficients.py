@@ -20,7 +20,7 @@ def test_constant_coefficient():
     Q = ConstantQ(2.0)
     assert Q.sup_value == 2.0
     assert Q.background_value == 2.0
-    assert Q.maxima == []  # attained everywhere: no point to seed a solve at
+    assert Q.maxima == []  # attained everywhere, so no point for sample_Q to check against the window
     grid = build_grid(2, 16.0, 16)
     field = sample_Q(Q, grid, eps=0.25)
     assert np.all(field.values == 2.0)

@@ -13,7 +13,6 @@ from helmlab import (
     apply_multiplier_values,
     build_grid,
     cutoff_projection,
-    default_initial_guess,
     diagnose,
     dihedral_average,
     dual_energy,
@@ -27,6 +26,7 @@ from helmlab import (
     solve_ground_state,
 )
 from helmlab import dual
+from helmlab.dual import default_initial_guess
 from helmlab.errors import NumericalError
 
 EXPS = Exponents(dim=2, s=1.0, p=5.0, k=1.0)

@@ -71,6 +71,29 @@ def test_translated_start_finds_translated_minimizer(ground2d, unitQ, exps2d, sp
     assert np.allclose(gs.peak, moved, atol=1e-6)
 
 
+@pytest.mark.parametrize("dim, points", [(2, 64), (3, 32)])
+def test_negated_start_gives_the_same_ground_state_bit_for_bit(dim, points):
+    # J is even, and with round-to-nearest every pass commutes with negation
+    # exactly, so J(-v) = J(v) to the bit and a solve from -v runs the mirror
+    # image of the solve from v; the sign fix at exit makes the two one state
+    grid = build_grid(dim, 16.0, points)
+    spec = ResolventSpec(s=1.0, delta=auto_delta(grid, 1.0))
+    exps = Exponents(dim=dim, s=1.0, p=5.0, k=4.0)
+    bump = BumpOnBackgroundQ(background=0.5, amplitude=1.0, width=1.0, centers=((0.0,) * dim,))
+    Qf = sample_Q(bump, grid, exps.eps)
+    v = dual.random_initial_guess(grid, spec, 11)
+    assert dual.dual_energy(RealField(grid, -v.values), Qf, exps, spec) == dual.dual_energy(v, Qf, exps, spec)
+    start = dual.default_initial_guess(Qf, exps, spec)
+    plus = solve_ground_state(Qf, exps, spec, init=start)
+    minus = solve_ground_state(Qf, exps, spec, init=RealField(grid, -start.values))
+    assert plus.converged and plus.iterations > 1
+    assert np.array_equal(minus.v.values, plus.v.values)
+    assert np.array_equal(minus.u_rescaled.values, plus.u_rescaled.values)
+    fields = ("level", "peak", "fixed_point_residual", "iterations", "converged")
+    assert [getattr(minus, f) for f in fields] == [getattr(plus, f) for f in fields]
+    assert (minus.state.quad_form, minus.state.nehari_residual) == (plus.state.quad_form, plus.state.nehari_residual)
+
+
 def test_scale_factor_metadata(unitQ, spec2d):
     exps = Exponents(dim=2, s=1.0, p=5.0, k=8.0)
     gs = solve_ground_state(unitQ, exps, spec2d, tol=1e-4, max_iter=200)

@@ -23,7 +23,7 @@ class ConstantQ:
     value: float = 1.0
 
     def __post_init__(self):
-        if self.value <= 0:
+        if not self.value > 0:
             raise NumericalError("constant coefficient must be positive")
 
     def evaluate(self, *coords):
@@ -60,11 +60,11 @@ class BumpOnBackgroundQ:
     centers: tuple[tuple[float, ...], ...] = ((0.0, 0.0),)
 
     def __post_init__(self):
-        if self.background < 0:
+        if not self.background >= 0:
             raise NumericalError("background must be nonnegative")
-        if self.amplitude <= 0:
+        if not self.amplitude > 0:
             raise ValueError("amplitude must be positive")
-        if self.width <= 0:
+        if not self.width > 0:
             raise ValueError("width must be positive")
         if not self.centers:
             raise ValueError("need at least one bump center")

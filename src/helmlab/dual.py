@@ -53,11 +53,18 @@ rows hold the increments r_{j+1} - r_j, g_{j+1} - g_j and
 R(Q^(1/p) g_{j+1}) - R(Q^(1/p) g_j), next to the newest g_k,
 R(Q^(1/p) g_k) and r_k. Each new candidate overwrites the oldest row of
 all three, in rotation, and adds one row and column to the Gram matrix
-D^T D, computed by one matrix-vector product. Theta solves
-D^T D theta = D^T r_k (Walker & Ni, SIAM J. Numer. Anal. 49, 2011) by
-least squares, so that a rank-deficient history still gets the
-minimum-norm theta, and the trial and its resolved field are each one
-more matrix-vector product. An iteration applies the resolvent once,
+D^T D, computed by one product of the history with the new increment.
+Theta solves D^T D theta = D^T r_k (Walker & Ni, SIAM J. Numer. Anal.
+49, 2011) by least squares, so that a rank-deficient history still gets
+the minimum-norm theta, and the trial and its resolved field are each
+one more product, of theta with a history. These products, and the sum
+int c w for A(c) below, are `np.einsum` calls with optimize=False,
+which run numpy's own single-thread loops rather than BLAS: at a few
+rows by a whole grid, BLAS splits a product over threads whose split
+changes the last bits of the result with the thread count, and a
+worker parked after idle takes milliseconds to wake, several times per
+iteration, so a cold command waited longer on threads than it spent
+computing. An iteration applies the resolvent once,
 to project the Euler-Lagrange candidate: 1.16 applications per
 iteration (74 in 64) over one levels + sweep cycle of the
 plane-concentration benchmark workload, each solve's start included.
@@ -200,7 +207,7 @@ class _DualOperator:
         that build c, with no power pass of its own.
         """
         cand = _signed_power(w, self.exps.p - 1.0)
-        return cand, self.cell_volume * float(np.dot(cand.ravel(), w.ravel()))
+        return cand, self.cell_volume * float(np.einsum("i,i->", cand.ravel(), w.ravel(), optimize=False))
 
     def state(self, v: RealField, resolved: np.ndarray | None = None) -> DualState:
         """Energy, B(v) and Nehari defect at v; `resolved` as in `resolve`."""
@@ -431,16 +438,18 @@ def solve_ground_state(
                 newest = (g, rg, r)
                 filled = min(pushes, slots)
                 if filled:  # every projected candidate after the first has just pushed `row`
-                    gram[row, :filled] = gram[:filled, row] = d_r[:filled] @ d_r[row]
+                    history = d_r[:filled]
+                    gram[row, :filled] = gram[:filled, row] = np.einsum("ji,i->j", history, d_r[row], optimize=False)
+                    rhs = np.einsum("ji,i->j", history, r, optimize=False)
                     try:
-                        theta, *_ = np.linalg.lstsq(gram[:filled, :filled], d_r[:filled] @ r, rcond=None)
+                        theta, *_ = np.linalg.lstsq(gram[:filled, :filled], rhs, rcond=None)
                     except np.linalg.LinAlgError:
                         theta = None
                     if theta is not None:
 
                         def combine(last, diffs):
                             """last - theta . diffs on the grid, written over the product."""
-                            out = theta @ diffs[:filled]
+                            out = np.einsum("j,ji->i", theta, diffs[:filled], optimize=False)
                             return np.subtract(last, out, out=out).reshape(grid.shape)
 
                         # g_k - sum_j theta_j (g_{j+1} - g_j); R is linear, so the

@@ -64,7 +64,7 @@ class TorusGrid:
     def __post_init__(self):
         if self.dim not in _SUPPORTED_DIMS:
             raise ValueError(f"unsupported dimension {self.dim}, expected one of {_SUPPORTED_DIMS}")
-        if self.half_width <= 0:
+        if not self.half_width > 0:
             raise ValueError("half_width must be positive")
         n = self.points_per_axis
         if n < 8 or n % 2 != 0:

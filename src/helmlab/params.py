@@ -37,11 +37,11 @@ class Exponents:
     def __post_init__(self):
         if int(self.dim) != self.dim or self.dim < 1:
             raise ValueError("dim must be a positive integer")
-        if self.s <= 0:
+        if not self.s > 0:
             raise ValueError("s must be positive")
-        if self.p <= 2:
+        if not self.p > 2:
             raise ValueError("p must exceed 2")
-        if self.k <= 0:
+        if not self.k > 0:
             raise ValueError("k must be positive")
 
     @property

@@ -30,9 +30,9 @@ class ResolventSpec:
     delta: float
 
     def __post_init__(self):
-        if self.s <= 0:
+        if not self.s > 0:
             raise ValueError("s must be positive")
-        if self.delta <= 0:
+        if not self.delta > 0:
             raise ValueError("delta must be positive")
 
     def symbol_values(self, grid: TorusGrid) -> np.ndarray:
@@ -64,21 +64,30 @@ def auto_delta(grid: TorusGrid, s: float) -> float:
 
     Four times the local spacing of the values |xi|^(2s) near the unit
     sphere, measured as the median gap between consecutive distinct
-    values in the window (0.5, 1.5). This smooths the singular sphere at
-    the scale the grid can resolve, which also keeps the oscillating
-    kernel tail inside the box. |xi| is bitwise even in each axis, so
-    the values over the quadrant `grid.quadrant_norm` are the values
-    over the whole spectrum.
+    values in the window (0.5, 1.5), or in (0, 4) when the narrow window
+    holds fewer than two; gaps of 1e-12 or less do not count, and a
+    grid with no gap left raises ValueError. This smooths the singular
+    sphere at the scale the grid can resolve, which also keeps the
+    oscillating kernel tail inside the box. |xi| is bitwise even in each
+    axis, so the values over the quadrant `grid.quadrant_norm` are the
+    values over the whole spectrum. The values are sorted with their
+    repeats, whose zero gaps the 1e-12 floor drops, and the median is
+    np.median's arithmetic on the sorted gaps, so delta equals the
+    np.unique and np.median result bit for bit without the 12-18 ms
+    import of numpy.ma that those two make.
     """
-    mu = np.unique(grid.quadrant_norm ** (2.0 * s))
-    window = mu[(mu > 0.5) & (mu < 1.5)]
-    if window.size < 2:
-        window = mu[(mu > 0.0) & (mu < 4.0)]
-    if window.size < 2:
+    mu = np.sort(grid.quadrant_norm ** (2.0 * s), axis=None)
+    gaps = np.diff(mu[(mu > 0.5) & (mu < 1.5)])
+    if not np.any(gaps > 0.0):  # fewer than two distinct values
+        gaps = np.diff(mu[(mu > 0.0) & (mu < 4.0)])
+    if not np.any(gaps > 0.0):
         raise ValueError("grid has too few distinct wavenumber magnitudes near the unit sphere")
-    gaps = np.diff(window)
-    gaps = gaps[gaps > 1e-12]
-    return 4.0 * float(np.median(gaps))
+    gaps = np.sort(gaps[gaps > 1e-12])
+    if gaps.size == 0:
+        raise ValueError("no gap between wavenumber magnitudes near the unit sphere exceeds 1e-12")
+    half = gaps.size // 2
+    median = gaps[half] if gaps.size % 2 else (gaps[half - 1] + gaps[half]) / 2.0
+    return 4.0 * float(median)
 
 
 def exp_smoothstep(t: np.ndarray) -> np.ndarray:
@@ -269,6 +278,14 @@ def _support(field: BoxField, name: str) -> tuple[BoxField, list[np.ndarray]]:
     return cut, [b[i] for b, i in zip(field.box, above)]
 
 
+def _union(first: np.ndarray, second: np.ndarray) -> np.ndarray:
+    """The sorted distinct values of two index arrays, as np.union1d gives them without importing numpy.ma."""
+    both = np.sort(np.concatenate((first, second)))
+    keep = np.ones(both.size, dtype=bool)
+    keep[1:] = both[1:] != both[:-1]
+    return both[keep]
+
+
 def _resolve_between(
     grid: TorusGrid,
     slabs: Iterable[Sequence[np.ndarray]],
@@ -346,7 +363,7 @@ def disjoint_interaction(
         if np.any(grid.node_radius(nodes) < inner_radius + gap):
             raise NumericalError(f"v is nonzero inside the ball of radius {inner_radius + gap}")
         cut.append(v)
-        target = [np.union1d(t, b) for t, b in zip(target, v.box)]
+        target = [_union(t, b) for t, b in zip(target, v.box)]
     slabs = ((spec._symbol(norm),) for norm in grid.quadrant_slabs())
     resolved = _resolve_between(grid, slabs, u.block, u.box, target)
     pairings = []

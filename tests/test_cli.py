@@ -501,6 +501,54 @@ def test_kernel_check_is_the_same_on_one_and_two_blas_threads(tmp_path):
     assert outputs[0] == outputs[1]
 
 
+# the plane-concentration benchmark's bump, off the origin node, on the default 2D 128^2 grid
+# with auto delta: 128^2 products are past the size at which OpenBLAS splits them over threads
+PLANE_CFG = (
+    "coefficient.centers = 0.125, -0.125\n"
+    "sweep.eps_values = 0.5, 0.25\noutput.format = json\n"
+)
+
+
+@pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="OpenBLAS runs one thread on one CPU")
+def test_levels_is_the_same_on_one_and_two_blas_threads(tmp_path):
+    # the solver's products run in numpy's own loops, not in BLAS, so the thread
+    # count reaches neither the full-precision mirror nor the manifest
+    cfg = write_cfg(tmp_path, "l.cfg", PLANE_CFG)
+    outputs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}"
+        done = run_script(
+            sys.executable, "-m", "helmlab.cli", "levels", "--force", "--config", cfg, "--out", str(out),
+            OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+        )
+        assert done.returncode == 0, done.stderr
+        manifest = json.loads((out / "run_manifest.json").read_text(encoding="utf-8"))
+        del manifest["wall_time_s"]
+        outputs.append(((out / "levels.json").read_bytes(), json.dumps(manifest, sort_keys=True)))
+    assert outputs[0] == outputs[1]
+
+
+def test_levels_and_interaction_check_leave_numpy_ma_unloaded(tmp_path):
+    # np.unique, np.median and np.union1d import numpy.ma, 12-18 ms of a cold
+    # process; auto delta and the interaction supports do without them
+    levels = write_cfg(tmp_path, "l.cfg", PLANE_CFG)
+    inter = write_cfg(
+        tmp_path, "i.cfg", CUBE_CFG + "interaction.gaps = 1.0, 2.0\ninteraction.bump_radius = 1.5\n"
+    )
+    code = (
+        "import sys\nimport numpy\nbare = 'numpy.ma' in sys.modules\nfrom helmlab.cli import main\n"
+        f"codes = [main(['levels', '--force', '--config', {levels!r}, '--out', {str(tmp_path / 'l')!r}]),\n"
+        f"         main(['interaction-check', '--config', {inter!r}, '--out', {str(tmp_path / 'i')!r}])]\n"
+        "print(bare, codes, 'numpy.ma' in sys.modules)\n"
+    )
+    done = run_script(sys.executable, "-c", code)
+    assert done.returncode == 0, done.stderr
+    bare, *rest = done.stdout.splitlines()[-1].split(" ", 1)
+    if bare == "True":
+        pytest.skip("this numpy loads numpy.ma on import")
+    assert rest == ["[0, 0] False"]
+
+
 def test_kernel_check_process_never_loads_numpy_fft(tmp_path):
     # the kernels are cosine sums and the wavenumbers integers times 1/(n h),
     # so a kernel-check process leaves numpy's FFT module unloaded

@@ -5,6 +5,7 @@ import pytest
 from helmlab import (
     OUTSIDE_HYPOTHESES_MARKER,
     BumpOnBackgroundQ,
+    ConstantQ,
     Exponents,
     RealField,
     ResolventSpec,
@@ -14,6 +15,8 @@ from helmlab import (
     sample_Q,
     solve_ground_state,
 )
+from helmlab.errors import NumericalError
+from helmlab.grid import TorusGrid
 
 
 def test_dual_exponent():
@@ -87,6 +90,31 @@ def test_with_k_replaces_only_k():
 def test_constructor_rejects_bad_values(kwargs):
     with pytest.raises(ValueError):
         Exponents(**kwargs)
+
+
+NAN = float("nan")
+
+
+@pytest.mark.parametrize(
+    "cls, kwargs",
+    [
+        (ResolventSpec, dict(s=NAN, delta=0.1)),
+        (ResolventSpec, dict(s=1.0, delta=NAN)),
+        (Exponents, dict(dim=3, s=NAN, p=5.0, k=1.0)),
+        (Exponents, dict(dim=3, s=1.0, p=NAN, k=1.0)),
+        (Exponents, dict(dim=3, s=1.0, p=5.0, k=NAN)),
+        (TorusGrid, dict(dim=2, half_width=NAN, points_per_axis=16)),
+        (ConstantQ, dict(value=NAN)),
+        (BumpOnBackgroundQ, dict(background=NAN)),
+        (BumpOnBackgroundQ, dict(amplitude=NAN)),
+        (BumpOnBackgroundQ, dict(width=NAN)),
+    ],
+    ids=lambda x: x.__name__ if isinstance(x, type) else ",".join(k for k, v in x.items() if v != v),
+)
+def test_constructors_reject_nan(cls, kwargs):
+    # `x <= 0` is false for NaN, so every positivity check is written to fail on it
+    with pytest.raises((ValueError, NumericalError)):
+        cls(**kwargs)
 
 
 def test_admissible_window_for_p():

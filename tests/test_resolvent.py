@@ -1,5 +1,6 @@
 """Resolvent multiplier, kernel extraction and decay diagnostics."""
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
@@ -22,7 +23,8 @@ from helmlab import (
     lq_norm,
     radial_envelope,
 )
-from helmlab.errors import NumericalError
+from helmlab.config import RunConfig, make_spec
+from helmlab.errors import ConfigError, NumericalError
 from helmlab.grid import multiplier_kernel, multiplier_values
 from helmlab.resolvent import exp_smoothstep
 from helmlab import resolvent
@@ -157,6 +159,17 @@ def test_auto_delta_on_the_quadrant_is_the_half_spectrum_value(s):
         window = mu[(mu > 0.5) & (mu < 1.5)]
         gaps = np.diff(window)
         assert delta == 4.0 * float(np.median(gaps[gaps > 1e-12]))
+
+
+def test_auto_delta_without_a_gap_above_the_floor_is_an_error():
+    # two distinct values near the sphere, 1e-13 apart: no gap counts, so there
+    # is no median to take; the command-line runs report it as a config error
+    crowded = types.SimpleNamespace(quadrant_norm=np.sqrt(np.array([0.0, 1.0, 1.0 + 1e-13])))
+    with pytest.raises(ValueError, match="exceeds 1e-12"):
+        auto_delta(crowded, 1.0)
+    with pytest.raises(ConfigError) as err:
+        make_spec(RunConfig(), crowded)
+    assert err.value.field == "model.delta"
 
 
 def test_auto_delta_shrinks_with_box_size():

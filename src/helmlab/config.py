@@ -1,11 +1,13 @@
 """Flat text run configuration: parsing, validation, canonical rendering.
 
 A config file is a list of `section.key = value` lines; `#` starts a
-comment and blank lines are ignored. Every key has a default, so the
-empty file is a valid config. `render_config` writes the fully resolved
-state back out in a canonical order, and parsing that output reproduces
-the config exactly; runs echo it next to their results so a result
-directory is self-describing and reproducible.
+comment and blank lines are ignored. Each key is declared once, on its
+`RunConfig` field: the field holds its default, so the empty file is a
+valid config, and its metadata the key, its parser and its renderer.
+`render_config` writes the fully resolved state back out in field
+order, and parsing that output reproduces the config exactly; runs echo
+it next to their results so a result directory is self-describing and
+reproducible.
 
 Every number must be finite. Each key's own range is one rule in its
 parser, so its error names the key and its line; `_validate` holds only
@@ -15,45 +17,13 @@ wavenumbers with the geometry and the coefficient.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, fields, replace
 
 from .coefficients import BumpOnBackgroundQ, CoefficientQ, ConstantQ
 from .errors import ConfigError
 from .grid import TorusGrid, build_grid
 from .params import Exponents
 from .resolvent import ResolventSpec, auto_delta
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Fully resolved settings for one run."""
-
-    dim: int = 2
-    points: int = 128
-    half_width: float = 16.0
-    s: float = 1.0
-    p: float = 5.0
-    k: float = 8.0
-    delta: float | None = None  # None means: derive from the grid
-    kind: str = "bump"
-    background: float = 0.5
-    amplitude: float = 1.0
-    width: float = 1.0
-    centers: tuple[tuple[float, ...], ...] | None = None  # None means: the origin
-    value: float = 1.0
-    tol: float = 1e-6
-    max_iter: int = 500
-    init: str = "default"
-    seed: int = 12345
-    k_values: tuple[float, ...] = (2.0, 4.0, 8.0)
-    eps_values: tuple[float, ...] = (0.5, 0.25, 0.125)
-    shells: int = 12
-    window_lo: float = 4.0
-    window_hi: float = 16.0
-    gaps: tuple[float, ...] = (2.0, 4.0, 8.0)
-    bump_radius: float = 2.0
-    out_dir: str = "runs"
-    out_format: str = "csv"
 
 
 def _number(text: str) -> float:
@@ -133,35 +103,47 @@ def _render_delta(delta) -> str:
     return "auto" if delta is None else _render_float(delta)
 
 
-# key -> (attribute, parser, renderer); also fixes the canonical output order
-_SCHEMA = {
-    "grid.dim": ("dim", _rule(int, lambda n: n in (1, 2, 3), "must be 1, 2 or 3"), str),
-    "grid.points": ("points", _rule(int, lambda n: n >= 8 and n % 2 == 0, "must be even and at least 8"), str),
-    "grid.half_width": ("half_width", _positive_float, _render_float),
-    "model.s": ("s", _positive_float, _render_float),
-    "model.p": ("p", _rule(_number, lambda x: x > 2, "must exceed 2"), _render_float),
-    "model.k": ("k", _positive_float, _render_float),
-    "model.delta": ("delta", _parse_delta, _render_delta),
-    "coefficient.kind": ("kind", _parse_choice("bump", "constant"), str),
-    "coefficient.background": ("background", _nonnegative_float, _render_float),
-    "coefficient.amplitude": ("amplitude", _positive_float, _render_float),
-    "coefficient.width": ("width", _positive_float, _render_float),
-    "coefficient.centers": ("centers", _parse_centers, _render_centers),
-    "coefficient.value": ("value", _positive_float, _render_float),
-    "solver.tol": ("tol", _positive_float, _render_float),
-    "solver.max_iter": ("max_iter", _positive_int, str),
-    "solver.init": ("init", _parse_choice("default", "random"), str),
-    "solver.seed": ("seed", _rule(int, lambda n: n >= 0, "must be a nonnegative integer"), str),
-    "sweep.k_values": ("k_values", _positive_floats, _render_float_list),
-    "sweep.eps_values": ("eps_values", _eps_values, _render_float_list),
-    "kernel.shells": ("shells", _rule(int, lambda n: n >= 4, "must be at least 4"), str),
-    "kernel.window_lo": ("window_lo", _positive_float, _render_float),
-    "kernel.window_hi": ("window_hi", _positive_float, _render_float),
-    "interaction.gaps": ("gaps", _distinct_gaps, _render_float_list),
-    "interaction.bump_radius": ("bump_radius", _positive_float, _render_float),
-    "output.dir": ("out_dir", str, str),
-    "output.format": ("out_format", _parse_choice("csv", "json"), str),
-}
+def _key(key: str, default, parse, render=_render_float):
+    """A `RunConfig` field read from config `key` by `parse` and written back by `render`."""
+    return field(default=default, metadata={"key": key, "parse": parse, "render": render})
+
+
+@dataclass(frozen=True)
+class RunConfig:
+    """Fully resolved settings for one run; each field declares its config key, in canonical order."""
+
+    dim: int = _key("grid.dim", 2, _rule(int, lambda n: n in (1, 2, 3), "must be 1, 2 or 3"), str)
+    points: int = _key("grid.points", 128, _rule(int, lambda n: n >= 8 and n % 2 == 0, "must be even and at least 8"), str)
+    half_width: float = _key("grid.half_width", 16.0, _positive_float)
+    s: float = _key("model.s", 1.0, _positive_float)
+    p: float = _key("model.p", 5.0, _rule(_number, lambda x: x > 2, "must exceed 2"))
+    k: float = _key("model.k", 8.0, _positive_float)
+    # None means: derive from the grid
+    delta: float | None = _key("model.delta", None, _parse_delta, _render_delta)
+    kind: str = _key("coefficient.kind", "bump", _parse_choice("bump", "constant"), str)
+    background: float = _key("coefficient.background", 0.5, _nonnegative_float)
+    amplitude: float = _key("coefficient.amplitude", 1.0, _positive_float)
+    width: float = _key("coefficient.width", 1.0, _positive_float)
+    # None means: the origin
+    centers: tuple[tuple[float, ...], ...] | None = _key("coefficient.centers", None, _parse_centers, _render_centers)
+    value: float = _key("coefficient.value", 1.0, _positive_float)
+    tol: float = _key("solver.tol", 1e-6, _positive_float)
+    max_iter: int = _key("solver.max_iter", 500, _positive_int, str)
+    init: str = _key("solver.init", "default", _parse_choice("default", "random"), str)
+    seed: int = _key("solver.seed", 12345, _rule(int, lambda n: n >= 0, "must be a nonnegative integer"), str)
+    k_values: tuple[float, ...] = _key("sweep.k_values", (2.0, 4.0, 8.0), _positive_floats, _render_float_list)
+    eps_values: tuple[float, ...] = _key("sweep.eps_values", (0.5, 0.25, 0.125), _eps_values, _render_float_list)
+    shells: int = _key("kernel.shells", 12, _rule(int, lambda n: n >= 4, "must be at least 4"), str)
+    window_lo: float = _key("kernel.window_lo", 4.0, _positive_float)
+    window_hi: float = _key("kernel.window_hi", 16.0, _positive_float)
+    gaps: tuple[float, ...] = _key("interaction.gaps", (2.0, 4.0, 8.0), _distinct_gaps, _render_float_list)
+    bump_radius: float = _key("interaction.bump_radius", 2.0, _positive_float)
+    out_dir: str = _key("output.dir", "runs", str, str)
+    out_format: str = _key("output.format", "csv", _parse_choice("csv", "json"), str)
+
+
+# key -> (attribute, parser, renderer), in field order: the canonical output order
+_SCHEMA = {f.metadata["key"]: (f.name, f.metadata["parse"], f.metadata["render"]) for f in fields(RunConfig)}
 
 
 def parse_config_text(text: str) -> RunConfig:

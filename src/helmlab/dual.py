@@ -216,37 +216,39 @@ class _DualOperator:
         return DualState(v=v, energy=a / self.exps.p_dual - 0.5 * b, quad_form=b, nehari_residual=a - b)
 
     def project(self, c: np.ndarray, resolved: np.ndarray | None = None, a: float | None = None):
-        """Nehari-project raw values; returns (t, t*c, R(Q^(1/p) t*c), level), or None.
+        """Nehari-project raw values; returns (t, t*c, R(Q^(1/p) t*c), level).
 
-        None means B(c) <= 0, or a scale t that is 0 or not finite: with
-        p' near 2 the exponent 1/(2-p') is huge and (A/B)^(1/(2-p'))
-        underflows or overflows. A given `resolved` (R(Q^(1/p) c), as in
-        `resolve`) or `a` (A(c)) is used in place of computing it.
+        A refusal is (None, None, R(Q^(1/p) c), None): B(c) <= 0, or a
+        scale t that is 0 or not finite, since with p' near 2 the exponent
+        1/(2-p') is huge and (A/B)^(1/(2-p')) underflows or overflows.
+        A given `resolved` (R(Q^(1/p) c), as in `resolve`) or `a` (A(c))
+        is used in place of computing it.
         """
         b, resolved = self.resolve(c, resolved)
+        refusal = None, None, resolved, None
         if b <= 0.0:
-            return None
+            return refusal
         if a is None:
             a = self.mass(c)
         try:
             t = (a / b) ** (1.0 / (2.0 - self.exps.p_dual))
         except OverflowError:
-            return None
+            return refusal
         if not 0.0 < t < np.inf:
-            return None
+            return refusal
         return t, t * c, t * resolved, (1.0 / self.exps.p_dual - 0.5) * t**self.exps.p_dual * a
 
     def project_or_raise(self, values: np.ndarray):
-        """`project`, raising for a zero field, B(v) <= 0 or a scale outside the float range in place of None.
+        """`project`, raising for a zero field, B(v) <= 0 or a scale outside the float range in place of a refusal.
 
-        Only a failed projection resolves `values` again, to say which.
+        The error reads B(v) off the refusal's R(Q^(1/p) v), so it costs no second transform.
         """
         projected = self.project(values)
-        if projected is not None:
+        if projected[0] is not None:
             return projected
         if not np.any(values):
             raise NumericalError("cannot project the zero field onto the Nehari manifold")
-        b, _ = self.resolve(values)
+        b, _ = self.resolve(values, projected[2])
         if b <= 0.0:
             raise NumericalError(
                 "nonpositive quadratic form: the ray through this field misses the Nehari manifold; "
@@ -260,7 +262,17 @@ class _DualOperator:
         )
 
     def initial_guess(self) -> RealField:
-        """See `default_initial_guess`."""
+        """Unit-width Gaussian at the coefficient maximum, filtered into the cone.
+
+        The raw Gaussian concentrates too much spectral mass inside the unit
+        sphere, where the resolvent symbol is negative; its quadratic form
+        comes out negative on every standard grid, so it cannot be projected
+        onto the Nehari manifold. Keeping only the modes where the symbol is
+        positive makes the quadratic form strictly positive by construction.
+        The bump sits on the largest node of the sampled coefficient, or on
+        the origin node for a (near-)constant coefficient where the argmax
+        tie-break is arbitrary. This is the solver's cold start.
+        """
         grid = self.grid
         node = max_node(self.Qfield) or grid.origin_index
         center = tuple(float(grid.coordinate_axis[i]) for i in node)
@@ -301,21 +313,6 @@ def nehari_project(v: RealField, Qfield: RealField, exps: Exponents, spec: Resol
 def diagnose(v: RealField, Qfield: RealField, exps: Exponents, spec: ResolventSpec) -> DualState:
     """Evaluate the dual functional, quadratic form and Nehari defect at a field."""
     return _DualOperator(Qfield, exps, spec).state(v)
-
-
-def default_initial_guess(Qfield: RealField, exps: Exponents, spec: ResolventSpec) -> RealField:
-    """Unit-width Gaussian at the coefficient maximum, filtered into the cone.
-
-    The raw Gaussian concentrates too much spectral mass inside the unit
-    sphere, where the resolvent symbol is negative; its quadratic form
-    comes out negative on every standard grid, so it cannot be projected
-    onto the Nehari manifold. Keeping only the modes where the symbol is
-    positive makes the quadratic form strictly positive by construction.
-    The bump sits on the largest node of the sampled coefficient, or on
-    the origin node for a (near-)constant coefficient where the argmax
-    tie-break is arbitrary. This is the solver's cold start.
-    """
-    return _DualOperator(Qfield, exps, spec).initial_guess()
 
 
 def random_initial_guess(grid: TorusGrid, spec: ResolventSpec, seed: int) -> RealField:
@@ -423,10 +420,10 @@ def solve_ground_state(
         del w  # no full-grid temporary is held through the trials
 
         def trials():
-            """(projected trial or None, level slack), in the order they are tried."""
+            """(projection or refusal, as `project` returns it, and level slack), in the order they are tried."""
             nonlocal newest, pushes
             projected_cand = op.project(cand, a=a_cand)
-            if projected_cand is not None:
+            if projected_cand[0] is not None:
                 g, rg = projected_cand[1].ravel(), projected_cand[2].ravel()
                 r = g - v.ravel()
                 if newest is not None:
@@ -461,17 +458,16 @@ def solve_ground_state(
             if a_cand > 0.0:
                 kappa = (a_v / a_cand) ** (1.0 / pd)
                 matched = kappa * cand
-                # R is linear: the candidate's projection (t, t c, t R(Q^(1/p) c), level) resolves the mixes
-                if projected_cand is None:
-                    resolved_cand = kappa * op.resolve(cand)[1]
-                else:
-                    resolved_cand = (kappa / projected_cand[0]) * projected_cand[2]
+                # R is linear: the candidate's projection, (t, t c, t R(Q^(1/p) c), level)
+                # or a refusal holding R(Q^(1/p) c), resolves the mixes
+                t_cand, _, resolved_cand, _ = projected_cand
+                resolved_cand = kappa * resolved_cand if t_cand is None else (kappa / t_cand) * resolved_cand
                 for mix in 0.5 ** np.arange(1.0, 12.0):
                     yield op.project(v + mix * (matched - v), rw_v + mix * (resolved_cand - rw_v)), 1e-12
 
         found_positive = False
         for trial, slack in trials():
-            if trial is not None:
+            if trial[0] is not None:
                 found_positive = True
                 if trial[3] <= energy + slack * abs(energy):
                     _, v, rw_v, energy = trial

@@ -427,7 +427,10 @@ def test_numerical_failure_is_a_one_line_exit_4(monkeypatch, tmp_path, capsys):
 
     def project_start_only(self, c, *args, **kwargs):
         calls.append(len(calls))
-        return original(self, c, *args, **kwargs) if len(calls) == 1 else None
+        out = original(self, c, *args, **kwargs)
+        if len(calls) == 1 or out[0] is None:
+            return out
+        return None, None, out[2] / out[0], None  # a refusal holds R(Q^(1/p) c)
 
     monkeypatch.setattr(helmlab.dual._DualOperator, "project", project_start_only)
     cfg = write_cfg(tmp_path, "c.cfg", CUBE_CFG + "coefficient.kind = constant\n")

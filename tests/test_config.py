@@ -1,8 +1,11 @@
 """Config parsing, validation and the render round trip."""
+from pathlib import Path
+
 import pytest
 
 from helmlab.coefficients import BumpOnBackgroundQ, ConstantQ
 from helmlab.config import (
+    _SCHEMA,
     RunConfig,
     load_config,
     make_coefficient,
@@ -39,6 +42,67 @@ def test_render_parse_round_trip_is_byte_stable():
     cfg = parse_config_text(text)
     assert cfg == RunConfig()
     assert render_config(cfg) == text
+
+
+CANONICAL_DEFAULTS = """# grid
+grid.dim = 2
+grid.points = 128
+grid.half_width = 16.0
+
+# model
+model.s = 1.0
+model.p = 5.0
+model.k = 8.0
+model.delta = auto
+
+# coefficient
+coefficient.kind = bump
+coefficient.background = 0.5
+coefficient.amplitude = 1.0
+coefficient.width = 1.0
+coefficient.centers = origin
+coefficient.value = 1.0
+
+# solver
+solver.tol = 1e-06
+solver.max_iter = 500
+solver.init = default
+solver.seed = 12345
+
+# sweep
+sweep.k_values = 2.0, 4.0, 8.0
+sweep.eps_values = 0.5, 0.25, 0.125
+
+# kernel
+kernel.shells = 12
+kernel.window_lo = 4.0
+kernel.window_hi = 16.0
+
+# interaction
+interaction.gaps = 2.0, 4.0, 8.0
+interaction.bump_radius = 2.0
+
+# output
+output.dir = runs
+output.format = csv
+"""
+
+
+def test_default_config_renders_to_its_canonical_text():
+    # every run echoes this form as resolved_config.cfg: its keys, their order and renderings
+    assert render_config(RunConfig()) == CANONICAL_DEFAULTS
+
+
+def test_readme_documents_every_key_with_its_default():
+    # one table row per key: | `key` | `default as rendered` | rule |
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    rows = {}
+    for line in readme.splitlines():
+        if line.startswith("| `"):
+            key, default = (cell.strip().strip("`") for cell in line.split("|")[1:3])
+            rows[key] = default
+    defaults = dict(line.split(" = ", 1) for line in render_config(RunConfig()).splitlines() if " = " in line)
+    assert {key: rows.get(key) for key in _SCHEMA} == defaults
 
 
 def test_round_trip_of_nondefault_config():

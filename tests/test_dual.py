@@ -26,7 +26,6 @@ from helmlab import (
     solve_ground_state,
 )
 from helmlab import dual
-from helmlab.dual import default_initial_guess
 from helmlab.errors import NumericalError
 
 EXPS = Exponents(dim=2, s=1.0, p=5.0, k=1.0)
@@ -210,7 +209,7 @@ def test_nehari_scale_errors():
 
 
 def test_a_successful_projection_resolves_once(monkeypatch):
-    # B(v) and R(Q^(1/p) v) are computed once; only a failure resolves again
+    # B(v) and R(Q^(1/p) v) are computed once
     grid = small_grid()
     Qf = bump_field(grid)
     resolve = dual._DualOperator.resolve
@@ -223,6 +222,25 @@ def test_a_successful_projection_resolves_once(monkeypatch):
     monkeypatch.setattr(dual._DualOperator, "resolve", counted)
     nehari_scale(cone_field(grid), Qf, EXPS, SPEC)
     assert calls == [True]
+
+
+def test_a_refused_projection_resolves_once(monkeypatch):
+    # the refusal hands back R(Q^(1/p) v), and the error reads B(v) off it
+    grid = small_grid()
+    Qf = bump_field(grid)
+    x = np.meshgrid(grid.coordinate_axis, grid.coordinate_axis, indexing="ij")[0]
+    inside = RealField(grid, np.cos((np.pi * 2 / 16.0) * x))  # negative quadratic form
+    apply = dual.apply_multiplier_values
+    applications = []
+
+    def counted(*args):
+        applications.append(len(applications))
+        return apply(*args)
+
+    monkeypatch.setattr(dual, "apply_multiplier_values", counted)
+    with pytest.raises(NumericalError, match="nonpositive quadratic form"):
+        nehari_scale(inside, Qf, EXPS, SPEC)
+    assert len(applications) == 1
 
 
 def test_nehari_projection_energy_identity():
@@ -288,7 +306,7 @@ def test_diagnose_consistency():
 def test_default_initial_guess_lies_in_cone():
     grid = small_grid()
     Qf = bump_field(grid)
-    init = default_initial_guess(Qf, EXPS, SPEC)
+    init = dual._DualOperator(Qf, EXPS, SPEC).initial_guess()
     assert diagnose(init, Qf, EXPS, SPEC).quad_form > 0.0
     # bump Q puts the guess at the coefficient argmax
     peak = np.unravel_index(int(np.argmax(np.abs(init.values))), grid.shape)

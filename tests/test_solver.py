@@ -83,7 +83,7 @@ def test_negated_start_gives_the_same_ground_state_bit_for_bit(dim, points):
     Qf = sample_Q(bump, grid, exps.eps)
     v = dual.random_initial_guess(grid, spec, 11)
     assert dual.dual_energy(RealField(grid, -v.values), Qf, exps, spec) == dual.dual_energy(v, Qf, exps, spec)
-    start = dual.default_initial_guess(Qf, exps, spec)
+    start = dual._DualOperator(Qf, exps, spec).initial_guess()
     plus = solve_ground_state(Qf, exps, spec, init=start)
     minus = solve_ground_state(Qf, exps, spec, init=RealField(grid, -start.values))
     assert plus.converged and plus.iterations > 1
@@ -294,7 +294,7 @@ def test_anderson_trial_matches_its_definition(monkeypatch, exps2d):
 
     def recording_project(self, c, resolved=None, a=None):
         out = project(self, c, resolved, a)
-        if a is not None and out is not None:  # the projected candidate
+        if a is not None and out[0] is not None:  # the projected candidate
             events.append(("candidate", out[1].copy()))
         elif resolved is not None:  # the start, then the Anderson trials
             events.append(("trial", c.copy()))
@@ -355,7 +355,7 @@ def test_solve_memory_is_its_history_and_one_iteration():
 
 def test_solver_start_is_not_a_view_of_its_seed(monkeypatch, unitQ, exps2d, spec2d):
     # the start projection returns a fresh iterate, so nothing after it reads the seed
-    seed = dual.default_initial_guess(unitQ, exps2d, spec2d)
+    seed = dual._DualOperator(unitQ, exps2d, spec2d).initial_guess()
     aliased = []
     original = dual._DualOperator.project_or_raise
 
@@ -384,7 +384,7 @@ def test_solver_releases_its_seed_after_the_start_projection(monkeypatch):
     seeds = []
 
     def seed():
-        values = dual.default_initial_guess(Qf, exps, spec).values.copy()
+        values = dual._DualOperator(Qf, exps, spec).initial_guess().values.copy()
         seeds.append(weakref.ref(values))
         return RealField(grid, values)
 
@@ -407,7 +407,10 @@ def test_cone_exit_when_no_step_keeps_the_form_positive(monkeypatch, unitQ, exps
 
     def project_start_only(self, c, *args, **kwargs):
         calls.append(len(calls))
-        return original(self, c, *args, **kwargs) if len(calls) == 1 else None
+        out = original(self, c, *args, **kwargs)
+        if len(calls) == 1 or out[0] is None:
+            return out
+        return None, None, out[2] / out[0], None  # a refusal holds R(Q^(1/p) c)
 
     monkeypatch.setattr(dual._DualOperator, "project", project_start_only)
     with pytest.raises(NumericalError, match="no trial step keeps the quadratic form positive"):
@@ -428,7 +431,7 @@ def test_stagnant_solve_returns_its_best_iterate(monkeypatch, unitQ, exps2d, spe
         if not start:
             start.append(out)
             return out
-        return None if out is None else (out[0], out[1], out[2], start[0][3] + 1.0)
+        return out if out[0] is None else (out[0], out[1], out[2], start[0][3] + 1.0)
 
     monkeypatch.setattr(dual._DualOperator, "project", project_uphill)
     gs = solve_ground_state(unitQ, exps2d, spec2d, tol=1e-6, max_iter=50)
@@ -486,9 +489,11 @@ def test_line_search_mixes_apply_no_resolvent(monkeypatch, exps2d):
 
 
 def test_mixes_after_a_candidate_outside_the_cone_resolve_it_once(monkeypatch, exps2d):
-    # with no projection of the candidate to reuse, its resolved field costs one application
-    level, gs, applications, mixes = solve_refusing_the_first_candidate(monkeypatch, exps2d, lambda out: None)
+    # a refused candidate hands back R(Q^(1/p) c), so its mixes cost no application either
+    level, gs, applications, mixes = solve_refusing_the_first_candidate(
+        monkeypatch, exps2d, lambda out: (None, None, out[2] / out[0], None)
+    )
     assert mixes == ["trial"]
     assert gs.converged
     assert gs.level == pytest.approx(level, rel=1e-10)
-    assert applications == gs.iterations + 3
+    assert applications == gs.iterations + 2

@@ -781,12 +781,15 @@ def write_console_script(tmp_path):
     return script
 
 
-def run_script(exe, *args, **variables):
+def script_env(**variables):
     # this checkout's src first, so a stale install cannot stand in for it
     path = [str(REPO / "src"), os.environ.get("PYTHONPATH", "")]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)), **variables)
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)), **variables)
+
+
+def run_script(exe, *args, **variables):
     return subprocess.run(
-        [str(exe), *args], capture_output=True, text=True, timeout=60, env=env
+        [str(exe), *args], capture_output=True, text=True, timeout=60, env=script_env(**variables)
     )
 
 
@@ -797,7 +800,7 @@ def test_console_script_is_installed(tmp_path):
     assert done.returncode == 0, done.stderr
     assert "pass" in done.stdout
 
-    # main()'s return value is the process exit code
+    # the entry ends the process with main()'s return value as its exit code
     done = run_script(script, "validate-params")
     assert done.returncode == 3, done.stderr
     assert "FAIL" in done.stdout
@@ -811,6 +814,145 @@ def test_installed_console_script_runs(tmp_path):
     done = run_script(shutil.which("helmlab"), "validate-params", "--config", cfg)
     assert done.returncode == 0, done.stderr
     assert "pass" in done.stdout
+
+
+def entry_command(entry, tmp_path):
+    """The argv prefix of a helmlab process started through `entry`."""
+    if entry == "module":
+        return [sys.executable, "-m", "helmlab.cli"]
+    return [str(write_console_script(tmp_path))]
+
+
+def take_artifacts(out_dir):
+    """Every file of a run as bytes, the manifest without its wall time; removes the directory."""
+    files = {}
+    for path in sorted(out_dir.iterdir()):
+        files[path.name] = path.read_bytes()
+        if path.name == "run_manifest.json":
+            manifest = json.loads(files[path.name])
+            del manifest["wall_time_s"]
+            files[path.name] = manifest
+    shutil.rmtree(out_dir)
+    return files
+
+
+KERNEL_32_CFG = CUBE_CFG + "kernel.window_lo = 2.0\nkernel.window_hi = 10.0\n"
+
+# one config per exit code, each taken from an in-process test above
+EXIT_CASES = {
+    0: ("kernel-check", KERNEL_32_CFG, []),
+    1: ("solve", "coefficient.kind = constant\nsolver.tol = 1e-12\nsolver.max_iter = 15\n", ["--force"]),
+    2: ("validate-params", "grid.dim = 2\ngrid.dim = 2\n", []),
+    3: ("validate-params", "", []),
+    4: ("solve", "model.s = 1e-9\nmodel.p = 2.0000001\ngrid.points = 8\n", ["--force"]),
+}
+
+
+@pytest.mark.parametrize("entry", ["module", "script"])
+@pytest.mark.parametrize("code", sorted(EXIT_CASES))
+def test_process_entries_keep_the_exit_code_contract(tmp_path, capsys, entry, code):
+    # a process ends as main() returns: same code, same stdout and stderr, same files
+    command, text, flags = EXIT_CASES[code]
+    cfg = write_cfg(tmp_path, "run.cfg", text)
+    out = tmp_path / "out"
+    args = [command, "--config", cfg, "--out", str(out), *flags]
+    assert main(args) == code
+    expected = capsys.readouterr()
+    in_process = take_artifacts(out) if code in (0, 1) else None
+    done = subprocess.run(
+        [*entry_command(entry, tmp_path), *args], capture_output=True, text=True, timeout=60, env=script_env()
+    )
+    assert done.returncode == code, done.stderr
+    assert "Traceback" not in done.stderr
+    assert (done.stdout, done.stderr) == (expected.out, expected.err)
+    if in_process is None:
+        assert not out.exists()
+    else:
+        assert take_artifacts(out) == in_process
+
+
+@pytest.mark.parametrize("entry", ["module", "script"])
+@pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+def test_closed_stdout_keeps_the_artifacts_and_exits_120(tmp_path, entry, unbuffered):
+    # the summary follows the files, so a reader gone away costs none of them; unbuffered,
+    # the first print fails inside main, buffered, the entry's flush before the exit
+    cfg = write_cfg(tmp_path, "k.cfg", KERNEL_32_CFG)
+    out = tmp_path / "out"
+    args = ["kernel-check", "--config", cfg, "--out", str(out)]
+    assert main(args) == 0
+    expected = take_artifacts(out)
+    env = script_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        done = subprocess.run(
+            [*entry_command(entry, tmp_path), *args],
+            stdout=write, stderr=subprocess.PIPE, text=True, timeout=60, env=env,
+        )
+    finally:
+        os.close(write)
+    assert done.returncode == 120, done.stderr
+    diagnosis = [line for line in done.stderr.splitlines() if not line.startswith("warning: ")]
+    assert diagnosis == ["stdout error: [Errno 32] Broken pipe"]
+    assert take_artifacts(out) == expected
+
+
+def test_in_process_main_answers_a_failing_stdout_with_120(tmp_path, monkeypatch, capsys):
+    class ClosedPipe:
+        def write(self, text):
+            raise BrokenPipeError(32, "Broken pipe")
+
+    cfg = write_cfg(tmp_path, "k.cfg", KERNEL_32_CFG)
+    monkeypatch.setattr(sys, "stdout", ClosedPipe())
+    assert main(["kernel-check", "--config", cfg, "--out", str(tmp_path / "out")]) == 120
+    assert capsys.readouterr().err.splitlines()[-1] == "stdout error: [Errno 32] Broken pipe"
+    assert "kernel_decay.csv" in take_artifacts(tmp_path / "out")
+
+
+def test_process_entry_runs_atexit_handlers_and_flushes_before_it_ends(tmp_path):
+    # runpy with alter_sys makes helmlab.cli the process's own __main__, as -m does;
+    # buffered, the handler's line reaches the pipe only through the entry's flush
+    cfg = write_cfg(tmp_path, "v.cfg", "grid.dim = 3\ngrid.points = 64\n")
+    code = (
+        "import atexit, runpy, sys\n"
+        "atexit.register(print, 'atexit handler ran')\n"
+        f"sys.argv = ['helmlab', 'validate-params', '--config', {cfg!r}]\n"
+        "try:\n"
+        "    runpy.run_module('helmlab.cli', run_name='__main__', alter_sys=True)\n"
+        "finally:\n"
+        "    print('returned from helmlab.cli')\n"
+    )
+    env = script_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60, env=env)
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    assert "pass" in lines[0] and lines[-1] == "atexit handler ran"
+    assert "returned from helmlab.cli" not in lines
+
+
+def test_profiler_keeps_the_ordinary_exit_and_prints_its_stats(tmp_path):
+    # cProfile runs the module in a namespace of its own, so main returns to it
+    cfg = write_cfg(tmp_path, "v.cfg", "grid.dim = 3\ngrid.points = 64\n")
+    done = run_script(sys.executable, "-m", "cProfile", "-m", "helmlab.cli", "validate-params", "--config", cfg)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.count("pass") == 3
+    assert "function calls" in done.stdout and "ncalls" in done.stdout
+
+
+def test_process_entry_leaves_an_exception_to_the_ordinary_exit(monkeypatch):
+    # only a return of main ends the process at once; argparse's SystemExit propagates
+    def hard_exit(*args):
+        raise AssertionError("the entry skipped the ordinary exit")
+
+    monkeypatch.setattr(helmlab.cli.atexit, "_run_exitfuncs", hard_exit)
+    monkeypatch.setattr(helmlab.cli.os, "_exit", hard_exit)
+    with pytest.raises(SystemExit) as exc:
+        helmlab.cli.run(["frobnicate"])
+    assert exc.value.code == 2
 
 
 def test_public_names_are_objects_not_modules():

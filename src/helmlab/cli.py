@@ -54,7 +54,7 @@ from .config import (
     make_spec,
     render_config,
 )
-from .dual import random_initial_guess, solve_ground_state
+from .dual import limit_ground_state, random_initial_guess, solve_ground_state
 from .errors import ConfigError, InsufficientDataError, NumericalError
 from .grid import TorusGrid
 from .params import OUTSIDE_HYPOTHESES_MARKER, Exponents
@@ -115,12 +115,13 @@ class _Run:
             "marker": "" if exps.within_hypotheses else OUTSIDE_HYPOTHESES_MARKER,
         }
 
-    def table(self, name: str, columns: list[str], rows: list[list]) -> None:
-        lines = [",".join(columns)]
-        lines += [",".join(_format_cell(cell) for cell in row) for row in rows]
+    def table(self, name: str, rows: list[dict]) -> None:
+        """A result table from its rows, each a dict from column name to cell in column order."""
+        lines = [",".join(rows[0])]
+        lines += [",".join(_format_cell(cell) for cell in row.values()) for row in rows]
         self.files[f"{name}.csv"] = "\n".join(lines) + "\n"
         if self.cfg.out_format == "json":
-            objects = ",\n".join("  " + json.dumps(dict(zip(columns, row))) for row in rows)
+            objects = ",\n".join("  " + json.dumps(row) for row in rows)
             self.files[f"{name}.json"] = "[\n" + objects + "\n]\n"
 
     def finish(self, code: int, **extra) -> int:
@@ -135,8 +136,9 @@ class _Run:
         return code
 
 
-def _peak_columns(dim: int, prefix: str) -> list[str]:
-    return [f"{prefix}_{_AXES[i]}" for i in range(dim)]
+def _per_axis(prefix: str, coords) -> dict:
+    """One column per axis of a point: `{prefix}_x`, `{prefix}_y`, ..."""
+    return {f"{prefix}_{axis}": c for axis, c in zip(_AXES, coords)}
 
 
 def _cmd_kernel_check(run: _Run) -> int:
@@ -157,15 +159,16 @@ def _cmd_kernel_check(run: _Run) -> int:
     for name, field, target in parts:
         envelope = radial_envelope(field, cfg.shells)
         slope = fit_decay_exponent(envelope, window)
-        decay_rows.append([name, window[0], window[1], slope, target])
-        envelope_rows.extend([name, r, v] for r, v in envelope)
-    run.table("kernel_decay", ["part", "window_lo", "window_hi", "slope", "target_slope"], decay_rows)
-    run.table("kernel_envelope", ["part", "radius", "value"], envelope_rows)
-    run.lines += [
-        f"{row[0]}: slope {row[3]:+.4f} over radii ({row[1]:g}, {row[2]:g}), reference {row[4]:+.2f}"
-        for row in decay_rows
-    ]
-    return run.finish(0, slopes={row[0]: row[3] for row in decay_rows})
+        decay_rows.append(
+            {"part": name, "window_lo": window[0], "window_hi": window[1], "slope": slope, "target_slope": target}
+        )
+        envelope_rows += ({"part": name, "radius": r, "value": v} for r, v in envelope)
+        run.lines.append(
+            f"{name}: slope {slope:+.4f} over radii ({window[0]:g}, {window[1]:g}), reference {target:+.2f}"
+        )
+    run.table("kernel_decay", decay_rows)
+    run.table("kernel_envelope", envelope_rows)
+    return run.finish(0, slopes={row["part"]: row["slope"] for row in decay_rows})
 
 
 def _cmd_interaction_check(run: _Run) -> int:
@@ -188,14 +191,11 @@ def _cmd_interaction_check(run: _Run) -> int:
         # the radius is positive, so the bump's ball holds no grid node
         raise ConfigError(str(exc), field="interaction.bump_radius") from None
     values = disjoint_interaction(inner, outer, run.spec, inner_radius=radius)
-    rows = [[gap, value] for gap, value in zip(cfg.gaps, values)]
-    run.lines += [f"gap {gap:g}: interaction {value:.6e}" for gap, value in rows]
-    run.table("interaction", ["gap", "interaction"], rows)
+    run.table("interaction", [{"gap": gap, "interaction": value} for gap, value in zip(cfg.gaps, values)])
+    run.lines += [f"gap {gap:g}: interaction {value:.6e}" for gap, value in zip(cfg.gaps, values)]
     slope = None
-    if len(rows) >= 2 and all(row[1] > 0 for row in rows):
-        slope = float(
-            np.polyfit(np.log([row[0] for row in rows]), np.log([row[1] for row in rows]), 1)[0]
-        )
+    if len(values) >= 2 and all(value > 0 for value in values):
+        slope = float(np.polyfit(np.log(cfg.gaps), np.log(values), 1)[0])
         run.lines.append(f"interaction decay slope {slope:+.4f} (lambda_p = {run.exps.lambda_p:g})")
     return run.finish(0, interaction_slope=slope, lambda_p=run.exps.lambda_p)
 
@@ -206,23 +206,12 @@ def _cmd_solve(run: _Run) -> int:
     # family member of levels and sweep starts) or from seeded noise
     init = random_initial_guess(grid, spec, cfg.seed) if cfg.init == "random" else None
     gs = solve_ground_state(sample_Q(Q, grid, exps.eps), exps, spec, init=init, tol=cfg.tol, max_iter=cfg.max_iter)
-    columns = (
-        ["level", "residual", "iterations", "converged", "quad_form", "nehari_defect", "scale_factor"]
-        + _peak_columns(grid.dim, "peak")
-        + _peak_columns(grid.dim, "peak_phys")
-    )
-    row = [
-        gs.level,
-        gs.fixed_point_residual,
-        gs.iterations,
-        gs.converged,
-        gs.state.quad_form,
-        gs.state.nehari_residual,
-        exps.scale_factor,
-        *gs.peak,
-        *(exps.eps * c for c in gs.peak),
-    ]
-    run.table("ground_state", columns, [row])
+    row = {
+        "level": gs.level, "residual": gs.fixed_point_residual, "iterations": gs.iterations, "converged": gs.converged,
+        "quad_form": gs.state.quad_form, "nehari_defect": gs.state.nehari_residual, "scale_factor": exps.scale_factor,
+        **_per_axis("peak", gs.peak), **_per_axis("peak_phys", (exps.eps * c for c in gs.peak)),
+    }
+    run.table("ground_state", [row])
     peak_text = ", ".join(f"{c:.4f}" for c in gs.peak)
     run.lines.append(
         f"level {gs.level:.8f} after {gs.iterations} iterations "
@@ -249,10 +238,11 @@ def _cmd_levels(run: _Run) -> int:
         max_iter=cfg.max_iter,
     )
     rows = [
-        [row.eps, row.level, table.peak_level, table.background_level, row.gap_low, row.gap_high, row.converged]
+        {"eps": row.eps, "c_eps": row.level, "c_0": table.peak_level, "c_inf": table.background_level,
+         "gap_low": row.gap_low, "gap_high": row.gap_high, "converged": row.converged}
         for row in table.rows
     ]
-    run.table("levels", ["eps", "c_eps", "c_0", "c_inf", "gap_low", "gap_high", "converged"], rows)
+    run.table("levels", rows)
     run.lines.append(f"c_0 {table.peak_level:.8f}   c_inf {table.background_level:.8f}")
     run.lines += [
         f"eps {row.eps:g}: c_eps {row.level:.8f} gap_low {row.gap_low:+.6f} "
@@ -264,33 +254,25 @@ def _cmd_levels(run: _Run) -> int:
         0 if all_ok else 1,
         peak_level=table.peak_level,
         background_level=table.background_level,
-        limits_converged=[table.peak_converged, table.background_converged],
+        limits_converged=[table.peak_converged],  # c_inf is c_0 rescaled: one limit solve
         rows_converged=[r.converged for r in table.rows],
     )
 
 
 def _cmd_sweep(run: _Run) -> int:
-    cfg, dim = run.cfg, run.grid.dim
+    cfg = run.cfg
+    # solved here, not inside run_sweep, so the run can report it: every profile_distance is measured to it
+    limit = limit_ground_state(run.Q.sup_value, run.grid, run.exps, run.spec, tol=cfg.tol, max_iter=cfg.max_iter)
     records = run_sweep(
-        run.Q,
-        cfg.k_values,
-        run.exps,
-        run.grid,
-        run.spec,
-        tol=cfg.tol,
-        max_iter=cfg.max_iter,
-    )
-    columns = (
-        ["k", "eps", "level"]
-        + _peak_columns(dim, "peak")
-        + _peak_columns(dim, "peak_phys")
-        + ["profile_distance", "iterations", "converged"]
+        run.Q, cfg.k_values, run.exps, run.grid, run.spec, tol=cfg.tol, max_iter=cfg.max_iter, limit=limit
     )
     rows = [
-        [rec.k, rec.eps, rec.level, *rec.peak_rescaled, *rec.peak_physical, rec.profile_distance, rec.iterations, rec.converged]
+        {"k": rec.k, "eps": rec.eps, "level": rec.level,
+         **_per_axis("peak", rec.peak_rescaled), **_per_axis("peak_phys", rec.peak_physical),
+         "profile_distance": rec.profile_distance, "iterations": rec.iterations, "converged": rec.converged}
         for rec in records
     ]
-    run.table("sweep", columns, rows)
+    run.table("sweep", rows)
     final_fraction = None
     for rec in reversed(records):
         if rec.converged:
@@ -303,7 +285,8 @@ def _cmd_sweep(run: _Run) -> int:
             f"distance {rec.profile_distance:.4f} ({rec.iterations} iterations)"
         )
     return run.finish(
-        0 if all(rec.converged for rec in records) else 1,
+        0 if limit.converged and all(rec.converged for rec in records) else 1,
+        limits_converged=[limit.converged],
         rows_converged=[rec.converged for rec in records],
         final_single_bubble_fraction=final_fraction,
     )

@@ -24,7 +24,7 @@ class ConstantQ:
 
     def __post_init__(self):
         if not self.value > 0:
-            raise NumericalError("constant coefficient must be positive")
+            raise ValueError("constant coefficient must be positive")
 
     def evaluate(self, *coords):
         return np.full(np.broadcast(*coords).shape, self.value, dtype=float)
@@ -61,7 +61,7 @@ class BumpOnBackgroundQ:
 
     def __post_init__(self):
         if not self.background >= 0:
-            raise NumericalError("background must be nonnegative")
+            raise ValueError("background must be nonnegative")
         if not self.amplitude > 0:
             raise ValueError("amplitude must be positive")
         if not self.width > 0:

@@ -6,6 +6,7 @@ console script as a separate process.
 import ast
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -740,11 +741,99 @@ def test_levels_command_pinches_the_constant_case(tmp_path):
     )
     assert main(["levels", "--config", cfg, "--force"]) == 0
     columns, rows = read_rows(out_dir / "levels.csv")
-    assert columns == ["eps", "c_eps", "c_0", "c_inf", "gap_low", "gap_high", "converged"]
+    assert ",".join(columns) == TABLE_HEADERS["levels"][2]
     (row,) = rows
     assert row[columns.index("gap_low")] == "0"
     assert row[columns.index("gap_high")] == "0"
     assert float(row[columns.index("c_0")]) == pytest.approx(STANDARD_LEVEL, rel=1e-9)
+
+
+# the 64^2 plane with the bump off the origin node: from solver.max_iter 8 to 11 every
+# family solve converges but the limit solve at sup Q does not
+UNDER_ITERATED_PLANE = (
+    "grid.points = 64\ngrid.half_width = 8.0\ncoefficient.centers = 0.125, -0.125\n"
+    "sweep.k_values = 2, 4, 8\nsweep.eps_values = 0.5, 0.25, 0.125\n"
+)
+
+
+@pytest.mark.parametrize("max_iter", range(5, 16))
+def test_levels_and_sweep_agree_on_the_limit_solve(tmp_path, max_iter):
+    # both commands solve the same limit state; sweep measures every profile_distance
+    # against it, so it fails as levels does when that solve has not converged
+    cfg = write_cfg(tmp_path, "p.cfg", UNDER_ITERATED_PLANE + f"solver.max_iter = {max_iter}\n")
+    outcomes = []
+    for command in ("levels", "sweep"):
+        code = main([command, "--force", "--config", cfg, "--out", str(tmp_path / command)])
+        manifest = json.loads((tmp_path / command / "run_manifest.json").read_text(encoding="utf-8"))
+        (limit_converged,) = manifest["limits_converged"]  # one limit solve, c_inf is c_0 rescaled
+        assert code == (0 if limit_converged and all(manifest["rows_converged"]) else 1)
+        outcomes.append((code, limit_converged))
+    assert outcomes[0] == outcomes[1]
+
+
+# ------------------------------------------------------------- table headers
+
+SMALL_PLANE = "grid.points = 32\ngrid.half_width = 8.0\nsweep.k_values = 2.0\nsweep.eps_values = 0.5\n"
+SMALL_CUBE = "grid.dim = 3\ngrid.points = 16\ngrid.half_width = 8.0\nsweep.k_values = 2.0\n"
+
+KERNEL_WINDOW = CUBE_CFG + "kernel.window_lo = 2.0\nkernel.window_hi = 10.0\n"
+INTERACTION_GAPS = CUBE_CFG + "interaction.gaps = 1.0, 2.0\ninteraction.bump_radius = 1.5\n"
+
+# every result table's CSV header line as written, with the command and config that write it;
+# the README names each header
+TABLE_HEADERS = {
+    "ground_state 1D": (
+        "solve",
+        "grid.dim = 1\ngrid.points = 64\n",
+        "level,residual,iterations,converged,quad_form,nehari_defect,scale_factor,peak_x,peak_phys_x",
+    ),
+    "ground_state 2D": (
+        "solve",
+        SMALL_PLANE + "coefficient.centers = 0.5, -0.25\n",
+        "level,residual,iterations,converged,quad_form,nehari_defect,scale_factor,"
+        "peak_x,peak_y,peak_phys_x,peak_phys_y",
+    ),
+    "ground_state 3D": (
+        "solve",
+        SMALL_CUBE,
+        "level,residual,iterations,converged,quad_form,nehari_defect,scale_factor,"
+        "peak_x,peak_y,peak_z,peak_phys_x,peak_phys_y,peak_phys_z",
+    ),
+    "levels": ("levels", SMALL_PLANE, "eps,c_eps,c_0,c_inf,gap_low,gap_high,converged"),
+    "sweep 2D": (
+        "sweep",
+        SMALL_PLANE,
+        "k,eps,level,peak_x,peak_y,peak_phys_x,peak_phys_y,profile_distance,iterations,converged",
+    ),
+    "sweep 3D": (
+        "sweep",
+        SMALL_CUBE,
+        "k,eps,level,peak_x,peak_y,peak_z,peak_phys_x,peak_phys_y,peak_phys_z,profile_distance,iterations,converged",
+    ),
+    "kernel_decay": ("kernel-check", KERNEL_WINDOW, "part,window_lo,window_hi,slope,target_slope"),
+    "kernel_envelope": ("kernel-check", KERNEL_WINDOW, "part,radius,value"),
+    "interaction": ("interaction-check", INTERACTION_GAPS, "gap,interaction"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(TABLE_HEADERS))
+def test_every_table_header_is_pinned_and_mirrored(tmp_path, case):
+    command, text, expected = TABLE_HEADERS[case]
+    table = case.split()[0]
+    cfg = write_cfg(tmp_path, "t.cfg", text + "output.format = json\n")
+    assert main([command, "--force", "--config", cfg, "--out", str(tmp_path)]) in (0, 1)
+    header = (tmp_path / f"{table}.csv").read_text(encoding="utf-8").splitlines()[0]
+    assert header == expected
+    mirror = json.loads((tmp_path / f"{table}.json").read_text(encoding="utf-8"))
+    assert mirror and all(list(row) == header.split(",") for row in mirror)
+
+
+def test_readme_names_every_table_header():
+    # per-axis columns in the README's notation: peak_x,peak_y,peak_z is peak_x..
+    text = (REPO / "README.md").read_text(encoding="utf-8")
+    for case, (_, _, header) in TABLE_HEADERS.items():
+        written = re.sub(r"(\w+)_x(,\1_[yz])*", r"\1_x..", header)
+        assert f"`{written}`" in text, case
 
 
 # ---------------------------------------------------------------- packaging

@@ -21,7 +21,6 @@ from .concentration import (
     level_table,
     profile_distance,
     run_sweep,
-    single_bubble_check,
     single_bubble_fraction,
 )
 from .config import RunConfig, load_config, render_config
@@ -69,7 +68,7 @@ from .resolvent import (
 __all__ = [
     "BumpOnBackgroundQ", "CoefficientQ", "ConstantQ", "sample_Q",
     "LevelRow", "LevelTable", "SweepRecord", "level_table", "profile_distance",
-    "run_sweep", "single_bubble_check", "single_bubble_fraction",
+    "run_sweep", "single_bubble_fraction",
     "RunConfig", "load_config", "render_config",
     "DualState", "GroundState", "cutoff_projection", "diagnose",
     "dihedral_average", "dual_energy", "dual_gradient", "limit_ground_state", "nehari_project",

@@ -261,7 +261,7 @@ def _cmd_levels(run: _Run) -> int:
 
 def _cmd_sweep(run: _Run) -> int:
     cfg = run.cfg
-    # solved here, not inside run_sweep, so the run can report it: every profile_distance is measured to it
+    # the run reports this limit's convergence, since every profile_distance is measured to it
     limit = limit_ground_state(run.Q.sup_value, run.grid, run.exps, run.spec, tol=cfg.tol, max_iter=cfg.max_iter)
     records = run_sweep(
         run.Q, cfg.k_values, run.exps, run.grid, run.spec, tol=cfg.tol, max_iter=cfg.max_iter, limit=limit

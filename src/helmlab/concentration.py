@@ -8,8 +8,9 @@ the profile peaks (`GroundState.peak`), how far it is from the limit
 profile once one roll puts both peaks on one node (`profile_distance`),
 and how the ground-state level is pinched between the two
 constant-coefficient levels built from max Q and the background value of Q.
-Every family solve starts from the limit state rolled so its peak node
-lands on the maximum node of the sampled Q (`_solve_family`);
+Every family solve starts from the limit state its caller holds,
+rolled so its peak node lands on the maximum node of the sampled Q
+(`_solve_family`); `level_table` solves that state, `run_sweep` takes it;
 `profile_distance` and `dual.cutoff_projection` place profiles by the
 same roll.
 """
@@ -22,7 +23,7 @@ import numpy as np
 from .coefficients import CoefficientQ, max_node, sample_Q
 from .dual import GroundState, limit_ground_state, solve_ground_state
 from .errors import NumericalError
-from .grid import RealField, TorusGrid, _roll_onto, lq_norm, peak_node
+from .grid import RealField, TorusGrid, _check_same_grid, _roll_onto, lq_norm, peak_node
 from .params import Exponents
 from .resolvent import ResolventSpec
 
@@ -40,8 +41,7 @@ def profile_distance(field: RealField, reference: RealField, norm_exponent: floa
     same distance. `tests/test_concentration.py` checks both facts on
     a 2D sweep with an off-grid centre and on the README's 3D example.
     """
-    if field.grid != reference.grid:
-        raise NumericalError("fields live on different grids")
+    _check_same_grid(field, reference)
     ref_norm = lq_norm(reference, norm_exponent)
     if ref_norm <= 0.0:
         raise NumericalError("reference profile is identically zero")
@@ -65,7 +65,11 @@ class SweepRecord:
 
 
 def single_bubble_fraction(gs: GroundState) -> float:
-    """Fraction of the dual p'-mass within a quarter box width of the peak."""
+    """Fraction of the dual p'-mass within a quarter box width of the peak.
+
+    Near 1 for one bubble around the peak; a second bubble of comparable
+    mass elsewhere pulls it below any strict threshold.
+    """
     grid = gs.v.grid
     pd = gs.exps.p_dual
     weight = np.abs(gs.v.values) ** pd
@@ -77,15 +81,11 @@ def single_bubble_fraction(gs: GroundState) -> float:
     return near / total
 
 
-def single_bubble_check(record: SweepRecord, fraction: float = 0.9) -> bool:
-    """Whether the record's dual mass sits in one bubble around its peak.
-
-    True when at least `fraction` of the p'-mass of the record's state
-    lies within 0.25 * half_width of the recorded peak; a second bubble
-    of comparable mass elsewhere pulls the fraction below any strict
-    threshold.
-    """
-    return single_bubble_fraction(record.state) >= fraction
+def _wavenumbers(ks) -> list[float]:
+    ks = [float(k) for k in ks]
+    if not ks:
+        raise ValueError("need at least one wavenumber")
+    return ks
 
 
 def _solve_family(
@@ -96,26 +96,26 @@ def _solve_family(
     spec: ResolventSpec,
     tol: float,
     max_iter: int,
-    limit: GroundState | None,
-) -> tuple[GroundState, list[GroundState]]:
-    """The limit state and one ground state per entry of `ks`, Q sampled at eps = 1/k.
+    limit: GroundState,
+) -> list[GroundState]:
+    """One ground state per entry of `ks`, Q sampled at eps = 1/k.
 
-    `limit` is the constant-coefficient ground state at sup Q; it is
-    solved here when not given, and one on another grid raises
-    `NumericalError` before any solve. Every family solve starts from
-    it, rolled so its profile peak lands on the maximum node of the
-    sampled coefficient: the state the family converges to as eps -> 0,
-    placed where the paper's concentration result puts it. A
-    (near-)constant coefficient has no maximum node, so its solve starts
-    from the solver's cold start, like the limit solve itself. No solve
-    depends on another or on the order of `ks`.
+    `limit` is the constant-coefficient ground state at sup Q. One on
+    another grid raises `NumericalError`, and one of another s or p
+    raises `ValueError`, before any solve; its k may differ, and its
+    delta goes unchecked, since a `GroundState` does not carry its
+    resolvent spec. Every family solve starts from `limit`, rolled so
+    its profile peak lands on the maximum node of the sampled
+    coefficient: the state the family converges to as eps -> 0, placed
+    where the paper's concentration result puts it. A (near-)constant
+    coefficient has no maximum node, so its solve starts from the
+    solver's cold start, like the limit solve itself. No solve depends
+    on another or on the order of `ks`.
     """
-    if not ks:
-        raise ValueError("need at least one wavenumber")
-    if limit is None:
-        limit = limit_ground_state(Q.sup_value, grid, exps, spec, tol=tol, max_iter=max_iter)
-    elif limit.v.grid != grid:
+    if limit.v.grid != grid:
         raise NumericalError("the limit state lives on another grid than the family")
+    if (limit.exps.s, limit.exps.p) != (exps.s, exps.p):
+        raise ValueError("the limit state has other exponents s, p than the family")
     limit_node = peak_node(limit.u_rescaled.values)
     states: list[GroundState] = []
     for k in ks:
@@ -135,7 +135,7 @@ def _solve_family(
                 max_iter=max_iter,
             )
         )
-    return limit, states
+    return states
 
 
 def run_sweep(
@@ -146,19 +146,20 @@ def run_sweep(
     spec: ResolventSpec,
     tol: float = 1e-6,
     max_iter: int = 500,
-    limit: GroundState | None = None,
+    *,
+    limit: GroundState,
 ) -> list[SweepRecord]:
     """Solve along increasing wavenumbers and compare against the limit profile.
 
     Solves the same family as `level_table` (see `_solve_family`), one
     member per k with the coefficient sampled at eps = 1/k, from
-    `limit`, the constant-coefficient state at the peak value of Q
-    (solved on `grid` when not given). Each step records the profile
+    `limit`, the constant-coefficient state at the peak value of Q on
+    `grid`, which the caller solves and owns. Each step records the profile
     distance to `limit` and the peak in both frames. A step that
     stagnates is recorded with converged=False and the sweep moves on.
     """
-    ks = [float(k) for k in ks]
-    limit, states = _solve_family(Q, ks, exps, grid, spec, tol, max_iter, limit)
+    ks = _wavenumbers(ks)
+    states = _solve_family(Q, ks, exps, grid, spec, tol, max_iter, limit)
     return [
         SweepRecord(
             k=k,
@@ -195,8 +196,7 @@ class LevelTable:
     the family descends to; `background_level` is the level at the
     background value of Q, strictly above it whenever the bump helps.
     Constant-coefficient levels scale exactly as c(q) = q^(-2/(p-2)) c(1),
-    so `background_level` is `peak_level` rescaled, with no second solve,
-    and `background_converged` is `peak_converged`.
+    so `background_level` is `peak_level` rescaled, with no second solve.
     Rows report c_eps with gap_low = c_eps - peak_level (should shrink
     to zero from above) and gap_high = background_level - c_eps (should
     become positive once eps resolves the bump).
@@ -206,10 +206,6 @@ class LevelTable:
     background_level: float
     rows: tuple[LevelRow, ...]
     peak_converged: bool
-
-    @property
-    def background_converged(self) -> bool:
-        return self.peak_converged
 
 
 def level_table(
@@ -225,12 +221,15 @@ def level_table(
 
     Solves the same family as `run_sweep` (see `_solve_family`) at
     k = 1/eps, so the row at eps reproduces the sweep's level at
-    k = 1/eps. The family's limit solve at max Q gives `peak_level`.
+    k = 1/eps, from the limit state solved here at max Q, which also
+    gives `peak_level`.
     """
     if Q.background_value <= 0:
         raise ValueError("background value must be positive to define the background limit level")
     eps_list = [float(eps) for eps in eps_list]
-    peak_gs, states = _solve_family(Q, [1.0 / eps for eps in eps_list], exps, grid, spec, tol, max_iter, None)
+    ks = _wavenumbers(1.0 / eps for eps in eps_list)
+    peak_gs = limit_ground_state(Q.sup_value, grid, exps, spec, tol=tol, max_iter=max_iter)
+    states = _solve_family(Q, ks, exps, grid, spec, tol, max_iter, peak_gs)
     background_level = (Q.background_value / Q.sup_value) ** (-2.0 / (exps.p - 2.0)) * peak_gs.level
     rows = tuple(
         LevelRow(

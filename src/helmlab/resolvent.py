@@ -19,7 +19,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import InsufficientDataError, NumericalError
-from .grid import TorusGrid, multiplier_kernel
+from .grid import TorusGrid, _check_same_grid, multiplier_kernel
 
 
 @dataclass(frozen=True)
@@ -357,8 +357,7 @@ def disjoint_interaction(
     for gap, v in outer:
         if gap < 1.0:
             raise ValueError("gap must be at least 1")
-        if grid != v.grid:
-            raise NumericalError("fields live on different grids")
+        _check_same_grid(u, v)
         v, nodes = _support(v, "v")
         if np.any(grid.node_radius(nodes) < inner_radius + gap):
             raise NumericalError(f"v is nonzero inside the ball of radius {inner_radius + gap}")

@@ -4,6 +4,8 @@ Most tests run in process via main(); the packaging tests run the declared
 console script as a separate process.
 """
 import ast
+import dataclasses
+import inspect
 import json
 import os
 import re
@@ -12,6 +14,7 @@ import subprocess
 import sys
 import tracemalloc
 import types
+import typing
 from pathlib import Path
 
 import numpy as np
@@ -1048,6 +1051,59 @@ def test_public_names_are_objects_not_modules():
     assert len(set(helmlab.__all__)) == len(helmlab.__all__)
     for name in helmlab.__all__:
         assert not isinstance(getattr(helmlab, name), types.ModuleType), name
+
+
+def _named_in(path):
+    """Every name, attribute and imported name the module at `path` spells out."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name)
+    return names
+
+
+def _hinted_types(obj):
+    """The types in the parameter and return annotations of a function, or of a
+    class's methods and dataclass fields, with generic arguments unwrapped."""
+    if inspect.isclass(obj):
+        hints = [typing.get_type_hints(obj)] if dataclasses.is_dataclass(obj) else []
+        for member in vars(obj).values():
+            member = getattr(member, "fget", getattr(member, "__func__", member))
+            if inspect.isfunction(member):
+                hints.append(typing.get_type_hints(member))
+    else:
+        hints = [typing.get_type_hints(obj)] if callable(obj) else []
+    todo = [hint for found in hints for hint in found.values()]
+    leaves = []
+    while todo:
+        hint = todo.pop()
+        args = typing.get_args(hint)
+        if args:
+            todo.extend(args)
+        else:
+            leaves.append(hint)
+    return leaves
+
+
+def test_every_public_name_is_reached_by_a_command_or_criterion():
+    # the rule "no public name that no command or acceptance criterion reaches": each
+    # exported name is spelled out in the CLI or the acceptance tests, or it is the
+    # annotated type of a parameter, return or dataclass field of a name reached so far
+    named = _named_in(REPO / "src" / "helmlab" / "cli.py") | _named_in(REPO / "tests" / "test_acceptance.py")
+    public = {id(getattr(helmlab, name)): name for name in helmlab.__all__}
+    reached = {name for name in helmlab.__all__ if name in named}
+    todo = list(reached)
+    while todo:
+        for hint in _hinted_types(getattr(helmlab, todo.pop())):
+            name = public.get(id(hint))
+            if name is not None and name not in reached:
+                reached.add(name)
+                todo.append(name)
+    assert sorted(set(helmlab.__all__) - reached) == []
 
 
 def test_cli_import_leaves_scipy_unloaded():

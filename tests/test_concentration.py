@@ -11,14 +11,7 @@ from hypothesis import assume, given, settings, strategies as st
 from helmlab import concentration, dual
 from helmlab.cli import main
 from helmlab.coefficients import BumpOnBackgroundQ, ConstantQ, max_node, sample_Q
-from helmlab.concentration import (
-    SweepRecord,
-    level_table,
-    profile_distance,
-    run_sweep,
-    single_bubble_check,
-    single_bubble_fraction,
-)
+from helmlab.concentration import level_table, profile_distance, run_sweep, single_bubble_fraction
 from helmlab.config import make_coefficient, make_exponents, make_grid, make_spec, parse_config_text
 from helmlab.dual import DualState, GroundState, diagnose, limit_ground_state, solve_ground_state
 from helmlab.errors import NumericalError
@@ -169,20 +162,7 @@ def test_two_bumps_split_the_mass(grid2d, unitQ, exps2d, spec2d):
     vals = np.exp(-grid2d.periodic_distance2((-8.0, -8.0)) / 2.0)
     vals += np.exp(-grid2d.periodic_distance2((8.0, 8.0)) / 2.0)
     gs = _fake_ground_state(RealField(grid2d, vals), unitQ, exps2d, spec2d, (-8.0, -8.0))
-    frac = single_bubble_fraction(gs)
-    assert frac == pytest.approx(0.5, abs=0.01)
-    record = SweepRecord(
-        k=1.0,
-        eps=1.0,
-        level=gs.level,
-        peak_rescaled=(-8.0, -8.0),
-        peak_physical=(-8.0, -8.0),
-        profile_distance=0.0,
-        iterations=0,
-        converged=False,
-        state=gs,
-    )
-    assert not single_bubble_check(record)
+    assert single_bubble_fraction(gs) == pytest.approx(0.5, abs=0.01)
 
 
 def test_bubble_fraction_respects_center_override(grid2d, unitQ, exps2d, spec2d):
@@ -219,7 +199,7 @@ def test_constant_sweep_reproduces_the_limit(grid2d, exps2d, spec2d, limit2d):
         assert record.level == pytest.approx(STANDARD_LEVEL, rel=1e-9)
         assert record.profile_distance <= 1e-6
         assert record.peak_physical == tuple(record.eps * c for c in record.peak_rescaled)
-        assert single_bubble_check(record)
+        assert single_bubble_fraction(record.state) >= 0.9
         # a constant coefficient has no maximum node to place a seed on, so
         # each step is the limit solve itself, bit for bit
         assert np.array_equal(record.state.v.values, limit2d.v.values)
@@ -238,12 +218,14 @@ def test_cold_sweep_matches_warm_sweep_levels(grid2d, exps2d, spec2d, limit2d):
 
 
 @pytest.mark.parametrize("family", [run_sweep, level_table], ids=["run_sweep", "level_table"])
-def test_sweep_needs_wavenumbers(monkeypatch, family, grid2d, exps2d, spec2d):
-    # an empty family is refused before the limit solve, by both views alike
+def test_sweep_needs_wavenumbers(monkeypatch, family, grid2d, exps2d, spec2d, limit2d):
+    # an empty family is refused before any solve, by both views alike
     solves = []
     monkeypatch.setattr(concentration, "solve_ground_state", lambda *a, **k: solves.append(a))
+    monkeypatch.setattr(concentration, "limit_ground_state", lambda *a, **k: solves.append(a))
+    extra = {"limit": limit2d} if family is run_sweep else {}
     with pytest.raises(ValueError, match="at least one wavenumber"):
-        family(ConstantQ(1.0), [], exps2d, grid2d, spec=spec2d)
+        family(ConstantQ(1.0), [], exps2d, grid2d, spec=spec2d, **extra)
     assert solves == []
 
 
@@ -252,7 +234,7 @@ def test_sweep_needs_wavenumbers(monkeypatch, family, grid2d, exps2d, spec2d):
 
 def test_constant_level_table_has_zero_gaps(grid2d, exps2d, spec2d):
     table = level_table(ConstantQ(1.0), [0.5], exps2d, grid2d, spec=spec2d)
-    assert table.peak_converged and table.background_converged
+    assert table.peak_converged
     # sup and background coincide, so both pinching gaps collapse
     assert table.peak_level == pytest.approx(STANDARD_LEVEL, rel=1e-9)
     assert table.background_level == table.peak_level
@@ -277,7 +259,7 @@ def test_level_table_scales_the_background_limit(monkeypatch, grid2d, exps2d, sp
     Q = BumpOnBackgroundQ(background=0.5, amplitude=1.0, width=1.0)
     table = level_table(Q, [0.5], exps2d, grid2d, spec=spec2d)
     assert solved == [Q.sup_value]
-    assert table.peak_converged and table.background_converged
+    assert table.peak_converged
     direct = original(Q.background_value, grid2d, exps2d, spec2d)
     assert table.background_level == pytest.approx(direct.level, rel=1e-10)
 
@@ -288,12 +270,20 @@ def test_level_table_rejects_zero_background(grid2d, exps2d, spec2d):
         level_table(flat_bottom, [0.5], exps2d, grid2d, spec=spec2d)
 
 
-def test_off_origin_level_table_matches_the_sweep(grid2d, exps2d, spec2d):
+OFF_ORIGIN = BumpOnBackgroundQ(background=0.5, amplitude=1.0, width=1.0, centers=((0.25, 0.125),))
+
+
+@pytest.fixture(scope="module")
+def off_origin_limit(grid2d, exps2d, spec2d):
+    # the limit state at sup Q = 1.5, solved as level_table solves it, for every sweep of OFF_ORIGIN
+    return limit_ground_state(OFF_ORIGIN.sup_value, grid2d, exps2d, spec2d)
+
+
+def test_off_origin_level_table_matches_the_sweep(grid2d, exps2d, spec2d, off_origin_limit):
     # rows and sweep steps start alike, from the limit state rolled onto the
     # maximum node of Q at their eps, so the two families agree step by step
-    Q = BumpOnBackgroundQ(background=0.5, amplitude=1.0, width=1.0, centers=((0.25, 0.125),))
-    table = level_table(Q, [0.5, 0.25, 0.125], exps2d, grid2d, spec=spec2d)
-    records = run_sweep(Q, [2.0, 4.0, 8.0], exps2d, grid2d, spec=spec2d)
+    table = level_table(OFF_ORIGIN, [0.5, 0.25, 0.125], exps2d, grid2d, spec=spec2d)
+    records = run_sweep(OFF_ORIGIN, [2.0, 4.0, 8.0], exps2d, grid2d, spec=spec2d, limit=off_origin_limit)
     for row, record in zip(table.rows, records):
         assert row.converged and record.converged
         assert row.eps == record.eps
@@ -302,15 +292,13 @@ def test_off_origin_level_table_matches_the_sweep(grid2d, exps2d, spec2d):
 
 # ------------------------------------------------------ limit-state seeding
 
-OFF_ORIGIN = BumpOnBackgroundQ(background=0.5, amplitude=1.0, width=1.0, centers=((0.25, 0.125),))
 
-
-def test_seeded_family_matches_cold_solves(grid2d, exps2d, spec2d):
+def test_seeded_family_matches_cold_solves(grid2d, exps2d, spec2d, off_origin_limit):
     # a seed changes where a solve starts, not where it ends; from the limit
     # state placed on max Q it gets there no slower than the cold start once
     # the bump is resolved
     table = level_table(OFF_ORIGIN, [0.5, 0.25, 0.125], exps2d, grid2d, spec=spec2d)
-    records = run_sweep(OFF_ORIGIN, [2.0, 4.0, 8.0], exps2d, grid2d, spec=spec2d)
+    records = run_sweep(OFF_ORIGIN, [2.0, 4.0, 8.0], exps2d, grid2d, spec=spec2d, limit=off_origin_limit)
     for row, record in zip(table.rows, records):
         step_exps = exps2d.with_k(record.k)
         cold = solve_ground_state(sample_Q(OFF_ORIGIN, grid2d, step_exps.eps), step_exps, spec2d)
@@ -323,11 +311,12 @@ def test_seeded_family_matches_cold_solves(grid2d, exps2d, spec2d):
 
 
 @pytest.mark.parametrize("Q", [OFF_ORIGIN, ConstantQ(1.0)], ids=["bump", "constant"])
-def test_family_does_not_depend_on_the_order_of_ks(Q, grid2d, exps2d, spec2d):
+def test_family_does_not_depend_on_the_order_of_ks(Q, grid2d, exps2d, spec2d, limit2d, off_origin_limit):
     # every member starts from the limit state or from the cold start, never
     # from another member, so reversing the wavenumbers changes no bit
-    forward = run_sweep(Q, [2.0, 4.0, 8.0], exps2d, grid2d, spec=spec2d)
-    backward = run_sweep(Q, [8.0, 4.0, 2.0], exps2d, grid2d, spec=spec2d)
+    limit = off_origin_limit if Q is OFF_ORIGIN else limit2d
+    forward = run_sweep(Q, [2.0, 4.0, 8.0], exps2d, grid2d, spec=spec2d, limit=limit)
+    backward = run_sweep(Q, [8.0, 4.0, 2.0], exps2d, grid2d, spec=spec2d, limit=limit)
     for record, mirror in zip(forward, reversed(backward)):
         assert record.k == mirror.k
         assert np.array_equal(record.state.v.values, mirror.state.v.values)
@@ -342,6 +331,21 @@ def test_sweep_rejects_a_limit_on_another_grid(monkeypatch, grid2d, exps2d, spec
     monkeypatch.setattr(concentration, "solve_ground_state", lambda *a, **k: solves.append(a))
     with pytest.raises(NumericalError, match="another grid"):
         run_sweep(OFF_ORIGIN, [2.0], exps2d, grid2d, spec=spec2d, limit=limit)
+    assert solves == []
+
+
+@pytest.mark.parametrize("s, p", [(0.9, 5.0), (1.0, 4.5)], ids=["other-s", "other-p"])
+def test_sweep_rejects_a_limit_of_other_exponents(monkeypatch, s, p):
+    # a limit solved at another s or p is another state on the same grid: every
+    # profile_distance to it would measure the exponents, not the concentration
+    grid = build_grid(2, 8.0, 32)
+    other = Exponents(dim=2, s=s, p=p, k=1.0)
+    limit = limit_ground_state(1.5, grid, other, ResolventSpec(s=s, delta=auto_delta(grid, s)))
+    solves = []
+    monkeypatch.setattr(concentration, "solve_ground_state", lambda *a, **k: solves.append(a))
+    spec = ResolventSpec(s=1.0, delta=auto_delta(grid, 1.0))
+    with pytest.raises(ValueError, match="other exponents"):
+        run_sweep(OFF_ORIGIN, [2.0, 4.0], Exponents(dim=2, s=1.0, p=5.0, k=1.0), grid, spec, limit=limit)
     assert solves == []
 
 
@@ -392,19 +396,23 @@ def test_plane_cycle_solver_budget(monkeypatch, tmp_path):
     assert [row["c_eps"] for row in levels_json] == [row["level"] for row in sweep_json]
 
 
-def _mirror_levels(grid, spec, center):
-    exps = Exponents(dim=2, s=1.0, p=5.0, k=1.0)
+MIRROR_EXPS = Exponents(dim=2, s=1.0, p=5.0, k=1.0)
+
+
+def _mirror_levels(grid, spec, limit, center):
     Q = BumpOnBackgroundQ(background=0.5, amplitude=1.0, width=1.0, centers=(center,))
-    table = level_table(Q, [1.0, 0.5], exps, grid, spec=spec)
-    records = run_sweep(Q, [1.0, 2.0], exps, grid, spec=spec)
+    table = level_table(Q, [1.0, 0.5], MIRROR_EXPS, grid, spec=spec)
+    records = run_sweep(Q, [1.0, 2.0], MIRROR_EXPS, grid, spec=spec, limit=limit)
     return [row.level for row in table.rows] + [record.level for record in records]
 
 
 @pytest.fixture(scope="module")
 def mirror_box():
+    # the limit state at sup Q = 1.5 does not depend on the centre, so one solve serves every image
     grid = build_grid(2, 16.0, 64)
     spec = ResolventSpec(s=1.0, delta=auto_delta(grid, 1.0))
-    return grid, spec, _mirror_levels(grid, spec, (0.5, 1.0))
+    limit = limit_ground_state(1.5, grid, MIRROR_EXPS, spec)
+    return grid, spec, limit, _mirror_levels(grid, spec, limit, (0.5, 1.0))
 
 
 @settings(max_examples=16, derandomize=True, database=None, deadline=None)
@@ -421,13 +429,13 @@ def test_family_levels_are_mirror_and_swap_invariant(mirror_box, signs, swap, ce
     # land on the image node. |centre| <= 1 keeps the window edge at +-8 eps at
     # least 7 from the centre at eps = 1/2, where the bump is exp(-49/2) < 1e-10
     # of its amplitude, so the box cuts the same tails off every image
-    grid, spec, reference = mirror_box
+    grid, spec, limit, reference = mirror_box
     center = (signs[0] * 0.5, signs[1] * 1.0)
     if swap:
         center = center[::-1]
     center = tuple(c + grid.spacing * k for c, k in zip(center, cells))
     assume(max(abs(c) for c in center) <= 1.0)
-    assert _mirror_levels(grid, spec, center) == pytest.approx(reference, rel=1e-8)
+    assert _mirror_levels(grid, spec, limit, center) == pytest.approx(reference, rel=1e-8)
 
 
 @pytest.mark.parametrize("case", ["off-grid-2d", "readme-cube"])
@@ -467,7 +475,7 @@ def check_concentration_inside_the_hypotheses(s, p):
     records = run_sweep(Q, [2.0, 4.0, 8.0], exps, grid, spec=spec, tol=1e-6, limit=limit)
 
     c0 = table.peak_level
-    assert limit.converged and table.peak_converged and table.background_converged
+    assert limit.converged and table.peak_converged
     assert abs(c0 - limit.level) <= 1e-9 * c0
     assert all(row.converged for row in table.rows)
     assert all(row.level >= c0 - 1e-3 * abs(c0) for row in table.rows)
@@ -482,7 +490,7 @@ def check_concentration_inside_the_hypotheses(s, p):
     assert final.profile_distance <= 0.1
     cell = grid.spacing * final.eps
     assert all(abs(x - c) <= 2.0 * cell for x, c in zip(final.peak_physical, Q.maxima[0]))
-    assert single_bubble_check(final, fraction=0.9)
+    assert single_bubble_fraction(final.state) >= 0.9
 
 
 def test_concentration_inside_the_hypotheses():

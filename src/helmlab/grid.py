@@ -8,9 +8,8 @@ Fourier multipliers are real and even, m(-xi) = m(xi), so they keep
 fields real and live on the half spectrum: the rfftn layout of shape
 (n,)*(dim-1) + (n//2+1,), as `multiplier_values` and the resolvent
 symbol return them. A multiplier even in each axis, as a radial one is,
-is determined by its values on the quadrant of non-negative wavenumbers
-(`quadrant_norm`, shape (n//2+1,)*dim), and `half_spectrum` spreads
-those to the half spectrum. The transform pair `apply_multiplier_values`
+is determined by its values on the quadrant of non-negative wavenumbers,
+shape (n//2+1,)*dim. The transform pair `apply_multiplier_values`
 runs numpy's 1D transforms one axis at a time, in the order rfftn and
 irfftn use (forward: rfft on the last axis, then fft on axes
 dim-2 ... 0; inverse: ifft on axes 0 ... dim-2, then irfft on the last
@@ -123,23 +122,15 @@ class TorusGrid:
         """Euclidean distance of every node from the origin."""
         return self.node_radius(self._open_axes(np.arange(self.points_per_axis)))
 
-    @cached_property
-    def quadrant_norm(self) -> np.ndarray:
-        """|xi| on the quadrant of non-negative wavenumbers, shape (n//2+1,)*dim.
-
-        The wavenumbers j and n - j are exact negatives, so |xi| is
-        bitwise even in each axis and the quadrant holds every value.
-        """
-        axes = self._open_axes(self.frequency_axis[: self.points_per_axis // 2 + 1])
-        return np.sqrt(sum(a * a for a in axes))
-
     def quadrant_slabs(self) -> Iterator[np.ndarray]:
-        """`quadrant_norm` in fresh slabs of at most (n//2+1)^2 values, in the order `multiplier_kernel` takes them.
+        """|xi| on the quadrant of non-negative wavenumbers, shape (n//2+1,)*dim, in fresh slabs.
 
-        In 3D, one axis-1 row at a time, shape (n//2+1, 1, n//2+1); in 1D
-        and 2D, the whole quadrant at once. Each slab sums the same squares
-        in the same order as `quadrant_norm`, so the values are its own bit
-        for bit, and no quadrant-sized array is made or cached.
+        The slabs hold at most (n//2+1)^2 values each, in the order
+        `multiplier_kernel` takes them: in 3D, one axis-1 row at a time,
+        shape (n//2+1, 1, n//2+1); in 1D and 2D, the whole quadrant at
+        once. No quadrant-sized array is made or cached. The wavenumbers
+        j and n - j are exact negatives, so |xi| is bitwise even in each
+        axis and the quadrant holds every value of the full spectrum.
         """
         squares = [a * a for a in self._open_axes(self.frequency_axis[: self.points_per_axis // 2 + 1])]
         if self.dim < 3:
@@ -148,21 +139,6 @@ class TorusGrid:
         first, middle, last = squares
         for j in range(middle.shape[1]):
             yield np.sqrt(first + middle[:, j : j + 1] + last)
-
-    def half_spectrum(self, values: np.ndarray) -> np.ndarray:
-        """Quadrant values of a multiplier even in each axis, spread to the half spectrum.
-
-        `values` has the shape of `quadrant_norm`; the result has
-        (n,)*(dim-1) + (n//2+1,), as `apply_multiplier_values` takes it,
-        row j of each of axes 0 ... dim-2 taking quadrant row min(j, n - j).
-        In 1D the quadrant is the half spectrum and `values` is returned.
-        """
-        n = self.points_per_axis
-        k = np.arange(n)
-        rows = np.minimum(k, n - k)
-        for axis in range(self.dim - 1):
-            values = np.take(values, rows, axis=axis)
-        return values
 
     def periodic_offsets(self, center) -> list[np.ndarray]:
         """Per axis, the signed torus offsets x_i - c in [-L, L) of the coordinate axis from a point."""

@@ -38,12 +38,15 @@ class ResolventSpec:
     def symbol_values(self, grid: TorusGrid) -> np.ndarray:
         """Symbol on the grid's half spectrum, shape (n,)*(dim-1) + (n//2+1,).
 
-        The layout `apply_multiplier_values` takes. The symbol is radial,
-        hence even in each axis, so it is evaluated on the quadrant
-        `grid.quadrant_norm` alone, as `band_decompose` evaluates it, and
-        spread by `grid.half_spectrum`.
+        The layout `apply_multiplier_values` takes: |xi| on the open
+        frequency axes, the last one cut to its n//2+1 non-negative
+        wavenumbers, summing the squares in the order
+        `grid.quadrant_slabs` does, so every value is bit for bit the one
+        the kernel commands evaluate at that |xi|.
         """
-        return grid.half_spectrum(self._symbol(grid.quadrant_norm))
+        *axes, last = grid._open_axes(grid.frequency_axis)
+        squared = sum(a * a for a in (*axes, last[..., : grid.points_per_axis // 2 + 1]))
+        return self._symbol(np.sqrt(squared, out=squared))
 
     def _symbol(self, norm: np.ndarray) -> np.ndarray:
         """The symbol at wavenumber magnitudes `norm`, in a fresh array.
@@ -69,14 +72,14 @@ def auto_delta(grid: TorusGrid, s: float) -> float:
     grid with no gap left raises ValueError. This smooths the singular
     sphere at the scale the grid can resolve, which also keeps the
     oscillating kernel tail inside the box. |xi| is bitwise even in each
-    axis, so the values over the quadrant `grid.quadrant_norm` are the
+    axis, so the values over the quadrant (`grid.quadrant_slabs`) are the
     values over the whole spectrum. The values are sorted with their
     repeats, whose zero gaps the 1e-12 floor drops, and the median is
     np.median's arithmetic on the sorted gaps, so delta equals the
     np.unique and np.median result bit for bit without the 12-18 ms
     import of numpy.ma that those two make.
     """
-    mu = np.sort(grid.quadrant_norm ** (2.0 * s), axis=None)
+    mu = np.sort(np.concatenate(tuple(grid.quadrant_slabs()), axis=None) ** (2.0 * s))
     gaps = np.diff(mu[(mu > 0.5) & (mu < 1.5)])
     if not np.any(gaps > 0.0):  # fewer than two distinct values
         gaps = np.diff(mu[(mu > 0.0) & (mu < 4.0)])

@@ -29,7 +29,7 @@ from helmlab import (
 from helmlab.errors import NumericalError
 from helmlab.grid import multiplier_kernel, multiplier_values
 
-from conftest import mirror, octant, quadrant, whole_kernel
+from conftest import half_norm, mirror, octant, quadrant, whole_kernel
 
 
 def random_field(grid, seed=0):
@@ -94,12 +94,8 @@ def test_geometry_matches_the_full_mesh_formulas(dim, n):
     coords = np.meshgrid(*([grid.coordinate_axis] * dim), indexing="ij")
     freqs = np.meshgrid(*([grid.frequency_axis] * dim), indexing="ij")
     assert np.array_equal(grid.radius, np.sqrt(sum(m * m for m in coords)))
-    # the quadrant is the same sum, and |xi| is bitwise even in each axis, so
-    # half_spectrum spreads it to the rfftn layout that multipliers live on
+    # |xi| is bitwise even in each axis, so its quadrant holds every value
     full_norm = np.sqrt(sum(m * m for m in freqs))
-    half = full_norm[..., : n // 2 + 1]
-    assert np.array_equal(grid.quadrant_norm, quadrant(half))
-    assert np.array_equal(grid.half_spectrum(grid.quadrant_norm), half)
     for axis in range(dim):
         assert np.array_equal(full_norm, np.take(full_norm, (-np.arange(n)) % n, axis=axis))
     for center in [(15.5, -15.9, 0.3), (0.0, 0.0, 0.0), (-16.0, 7.25, -3.1)]:
@@ -286,7 +282,7 @@ def test_multiplier_kernel_takes_only_the_quadrant():
     for dim, n in [(1, 64), (2, 32), (3, 16)]:
         grid = build_grid(dim, 16.0, n)
         for shape in [grid.shape[:-1] + (n // 2 + 1,), grid.shape, (n // 2,) * dim, (n // 2 + 1,) * (dim + 1)]:
-            if shape == grid.quadrant_norm.shape:
+            if shape == (n // 2 + 1,) * dim:
                 continue
             with pytest.raises(ValueError, match="quadrant"):
                 multiplier_kernel(grid, [(np.ones(shape),)], octant(grid))
@@ -299,15 +295,15 @@ def test_multiplier_kernel_takes_only_the_quadrant():
 
 
 @pytest.mark.parametrize("dim,n", [(1, 32), (2, 32), (3, 32), (3, 64)])
-def test_quadrant_slabs_are_the_quadrant_norm_bit_for_bit(dim, n):
+def test_quadrant_slabs_are_the_full_mesh_quadrant_bit_for_bit(dim, n):
     # one axis-1 row at a time in 3D, the whole quadrant in 1D and 2D
     grid = build_grid(dim, 16.0, n)
     q = n // 2 + 1
     slabs = list(grid.quadrant_slabs())
     assert all(slab.size <= q * q for slab in slabs)
     assert len(slabs) == (q if dim == 3 else 1)
-    assert "quadrant_norm" not in vars(grid)  # nothing quadrant-sized is cached
-    assert np.array_equal(np.concatenate(slabs, axis=min(dim - 1, 1)), grid.quadrant_norm)
+    assert all(np.size(value) <= n for value in vars(grid).values())  # nothing quadrant-sized is cached
+    assert np.array_equal(np.concatenate(slabs, axis=min(dim - 1, 1)), quadrant(half_norm(grid)))
 
 
 def test_uneven_multiplier_rejected():

@@ -18,6 +18,8 @@ from helmlab import (
 from helmlab.errors import NumericalError
 from helmlab.grid import TorusGrid
 
+from conftest import half_norm
+
 
 def test_dual_exponent():
     assert Exponents(dim=3, s=1.0, p=5.0, k=1.0).p_dual == pytest.approx(1.25)
@@ -58,7 +60,7 @@ def test_eps_and_scale_factor_rescale_the_equation_with_k_to_the_2s():
     amplitude = exps.scale_factor
 
     def residual(grid, u, wavenumber_term):
-        laplacian = grid.half_spectrum(grid.quadrant_norm ** (2.0 * s))
+        laplacian = half_norm(grid) ** (2.0 * s)
         fractional = apply_multiplier_values(RealField(grid, u), laplacian).values
         return fractional - wavenumber_term * u - Q.values * np.abs(u) ** (p - 2.0) * u
 

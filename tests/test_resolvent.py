@@ -120,18 +120,27 @@ def test_resolvent_linearity():
     assert np.max(np.abs(lhs.values - rhs.values)) <= 1e-12 * np.max(np.abs(lhs.values))
 
 
-@pytest.mark.parametrize("s", [0.9, 1.0, 1.25])
-def test_symbol_values_equal_the_formula_bit_for_bit(s):
+@pytest.mark.parametrize(
+    "dim,half_width,n,s",
+    [pytest.param(3, 16.0, 32, s, id=str(s)) for s in (0.9, 1.0, 1.25)]
+    + [
+        pytest.param(dim, half_width, n, s, id=f"{dim}D-{half_width}-{n}-{s}")
+        for dim, half_width, n in [(1, 16.0, 64), (2, 16.0, 64), (3, 10.0, 48)]
+        for s in (0.9, 1.0, 1.25)
+    ],
+)
+def test_symbol_values_equal_the_formula_bit_for_bit(dim, half_width, n, s):
     # the in-place steps are the formula's operations in the formula's order,
-    # on the quadrant, spread to the half spectrum
-    grid = build_grid(3, 16.0, 32)
+    # on the half spectrum's |xi| summed as the full mesh sums it
+    grid = build_grid(dim, half_width, n)
     delta = auto_delta(grid, s)
     mu = half_norm(grid) ** (2.0 * s)
     want = (mu - 1.0) / ((mu - 1.0) ** 2 + delta * delta)
     spec = ResolventSpec(s=s, delta=delta)
     assert np.array_equal(spec.symbol_values(grid), want)
-    # band_decompose's evaluation on the quadrant is the same formula
-    assert np.array_equal(spec._symbol(grid.quadrant_norm), quadrant(want))
+    # band_decompose's evaluation on the quadrant slabs is the same formula
+    slabs = [spec._symbol(norm) for norm in grid.quadrant_slabs()]
+    assert np.array_equal(np.concatenate(slabs, axis=min(dim - 1, 1)), quadrant(want))
 
 
 def test_spec_validation():
@@ -153,7 +162,8 @@ def test_auto_delta_frozen_values():
 def test_auto_delta_on_the_quadrant_is_the_half_spectrum_value(s):
     # |xi| is bitwise even in each axis, so the quadrant holds every distinct
     # |xi|^(2s) of the half spectrum
-    for grid in (build_grid(1, 16.0, 64), build_grid(2, 16.0, 128), build_grid(3, 32.0, 64)):
+    grids = (build_grid(1, 16.0, 64), build_grid(2, 16.0, 128), build_grid(3, 32.0, 64), build_grid(3, 10.0, 48))
+    for grid in grids:
         delta = auto_delta(grid, s)
         mu = np.unique(half_norm(grid) ** (2.0 * s))
         window = mu[(mu > 0.5) & (mu < 1.5)]
@@ -161,10 +171,18 @@ def test_auto_delta_on_the_quadrant_is_the_half_spectrum_value(s):
         assert delta == 4.0 * float(np.median(gaps[gaps > 1e-12]))
 
 
+@pytest.mark.parametrize("dim,n", [(2, 64), (3, 32)])
+def test_symbol_and_auto_delta_cache_nothing_quadrant_sized(dim, n):
+    # |xi| is made where each is evaluated, and only 1D axes stay on the grid
+    grid = build_grid(dim, 16.0, n)
+    ResolventSpec(s=1.0, delta=auto_delta(grid, 1.0)).symbol_values(grid)
+    assert all(np.size(value) <= n for value in vars(grid).values())
+
+
 def test_auto_delta_without_a_gap_above_the_floor_is_an_error():
     # two distinct values near the sphere, 1e-13 apart: no gap counts, so there
     # is no median to take; the command-line runs report it as a config error
-    crowded = types.SimpleNamespace(quadrant_norm=np.sqrt(np.array([0.0, 1.0, 1.0 + 1e-13])))
+    crowded = types.SimpleNamespace(quadrant_slabs=lambda: [np.sqrt(np.array([0.0, 1.0, 1.0 + 1e-13]))])
     with pytest.raises(ValueError, match="exceeds 1e-12"):
         auto_delta(crowded, 1.0)
     with pytest.raises(ConfigError) as err:
@@ -220,7 +238,7 @@ def test_kernel_reproduces_resolvent_by_convolution():
 
 def test_unit_symbol_kernel_is_discrete_delta():
     grid = build_grid(2, 16.0, 16)
-    kernel = mirror(grid, whole_kernel(grid, np.ones(grid.quadrant_norm.shape)))
+    kernel = mirror(grid, whole_kernel(grid, np.ones((9, 9))))
     expected = np.zeros(grid.shape)
     expected[grid.origin_index] = 1.0 / grid.cell_volume
     assert np.allclose(kernel, expected, atol=1e-10)
@@ -315,7 +333,7 @@ def test_band_decompose_equals_the_full_quadrant_formula_bit_for_bit(dim, n):
     # whole-quadrant formula; rerun with OPENBLAS_NUM_THREADS=1 in CI
     grid = build_grid(dim, 32.0, n)
     spec = ResolventSpec(s=1.0, delta=0.2)
-    norm = grid.quadrant_norm
+    norm = quadrant(half_norm(grid))
     symbol = spec._symbol(norm)
     band = symbol * resolvent._band_cutoff(norm)
     symbol -= band
@@ -355,7 +373,7 @@ def test_kernel_check_peak_memory(n):
 
 def test_radial_envelope_constant_field():
     grid = build_grid(2, 16.0, 64)
-    env = radial_envelope(EvenKernel(grid, np.ones(grid.quadrant_norm.shape)), 8)
+    env = radial_envelope(EvenKernel(grid, np.ones((33, 33))), 8)
     centers = [c for c, _ in env]
     assert centers == pytest.approx([(i + 0.5) * 2.0 for i in range(8)])
     assert all(v == 1.0 for _, v in env)
@@ -363,7 +381,7 @@ def test_radial_envelope_constant_field():
 
 def test_radial_envelope_ignores_origin_node():
     grid = build_grid(2, 16.0, 64)
-    values = np.zeros(grid.quadrant_norm.shape)
+    values = np.zeros((33, 33))
     values[0, 0] = 7.0  # offset 0: the origin node
     env = radial_envelope(EvenKernel(grid, values), 8)
     assert all(v == 0.0 for _, v in env)
@@ -387,7 +405,7 @@ def masked_gather(grid, values, shells, nodes=slice(None)):
 @pytest.mark.parametrize("dim,n,shells", [(1, 64, 5), (2, 64, 8), (3, 32, 12)])
 def test_radial_envelope_equals_the_masked_gather(dim, n, shells):
     grid = build_grid(dim, 16.0, n)
-    values = np.random.default_rng(dim).standard_normal(grid.quadrant_norm.shape)
+    values = np.random.default_rng(dim).standard_normal((n // 2 + 1,) * dim)
     values[(0,) * dim] = 100.0
     env = radial_envelope(EvenKernel(grid, values), shells)
     assert np.array_equal([v for _, v in env], masked_gather(grid, values, shells))
@@ -401,7 +419,7 @@ def test_radial_envelope_equals_the_masked_gather_off_the_dyadic_grid():
     x, n = grid.coordinate_axis, grid.points_per_axis
     a = np.arange(1, n // 2)
     assert np.count_nonzero(x[n // 2 + a] != -x[n // 2 - a]) == 16
-    values = np.random.default_rng(48).standard_normal(grid.quadrant_norm.shape)
+    values = np.random.default_rng(48).standard_normal((25,) * 3)
     want = masked_gather(grid, values, 24)
     assert not np.array_equal(masked_gather(grid, values, 24, slice(0, n // 2 + 1)), want)
     env = radial_envelope(EvenKernel(grid, values), 24)
@@ -411,7 +429,7 @@ def test_radial_envelope_equals_the_masked_gather_off_the_dyadic_grid():
 def test_radial_envelope_shell_count_floor():
     grid = build_grid(2, 16.0, 16)
     with pytest.raises(ValueError):
-        radial_envelope(EvenKernel(grid, np.zeros(grid.quadrant_norm.shape)), 3)
+        radial_envelope(EvenKernel(grid, np.zeros((9, 9))), 3)
 
 
 def test_fit_recovers_exact_power_law():
@@ -553,7 +571,7 @@ def full_grid_pairings(u, outer, spec):
     for v in fulls:
         target = [np.union1d(t, b) for t, b in zip(target, nonzero_box(v))]
     resolved = resolvent._resolve_between(
-        grid, [(spec._symbol(grid.quadrant_norm),)], full_u[np.ix_(*source)], source, target
+        grid, [(spec._symbol(quadrant(half_norm(grid))),)], full_u[np.ix_(*source)], source, target
     )
     return [abs(float(grid.cell_volume * np.sum(resolved * v[np.ix_(*target)]))) for v in fulls]
 

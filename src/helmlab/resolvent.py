@@ -13,7 +13,6 @@ a fixed radial cutoff: 1 for ||xi| - 1| <= 1/6, 0 for ||xi| - 1| >= 1/4.
 from __future__ import annotations
 
 from dataclasses import dataclass
-import itertools
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -210,37 +209,34 @@ def radial_envelope(kernel: EvenKernel, shell_count: int) -> list[tuple[float, f
 
     Returns (shell center radius, shell maximum) pairs; the origin node
     and nodes farther than half_width from it are ignored, and empty
-    shells report 0. This is the envelope of the kernel mirrored to the
-    full grid, bit for bit: the octant value at offsets a is binned at
-    the radius (`grid.node_radius`) of the nodes n/2 - a_i, the nodes
-    0 ... n/2 of each axis. Where the coordinates of the nodes n/2 + a
-    are not the exact negatives of those of n/2 - a (a spacing that is
-    not dyadic), it is also binned at the radii of every mirror image,
-    each axis taking either side. Ignored nodes go to an extra shell
-    that is dropped, so every node is binned with no gather. The radii
-    come from open axes, one first-axis slab of (n/2+1)^(dim-1) nodes at
-    a time in 3D (the whole octant in 1D and 2D), so the shell index and
-    |K| never take more than (n/2+1)^2 entries at once.
+    shells report 0. The octant value at offsets a is binned at its
+    node-offset distance h|a|, the squares summed in axis order as
+    `grid.node_radius` sums them: on a dyadic spacing that is the
+    coordinate radius of the nodes n/2 - a_i bit for bit, and on every
+    grid the origin node is at distance exactly 0. Ignored nodes go to
+    an extra shell that is dropped, so every node is binned with no
+    gather. The distances come from open axes, one first-axis slab of
+    (n/2+1)^(dim-1) nodes at a time in 3D (the whole octant in 1D and
+    2D), so the shell index and |K| never take more than (n/2+1)^2
+    entries at once.
     """
     if shell_count < 4:
         raise ValueError("shell_count must be at least 4")
     grid = kernel.grid
-    half = grid.points_per_axis // 2
-    offset = np.arange(half + 1)
-    below, above = half - offset, (half + offset) % grid.points_per_axis  # at a = n/2 both are node 0
-    x = grid.coordinate_axis
-    sides = [below] if np.array_equal(x[below] * x[below], x[above] * x[above]) else [below, above]
+    squares = [d * d for d in grid._open_axes(grid.spacing * np.arange(grid.points_per_axis // 2 + 1))]
+    if grid.dim < 3:
+        slabs = [(squares, kernel.values)]
+    else:
+        first, middle, last = squares
+        slabs = [((f, middle[0], last[0]), v) for f, v in zip(first, kernel.values)]
     width = grid.half_width / shell_count
     env = np.zeros(shell_count + 1)
-    for nodes in itertools.product(sides, repeat=grid.dim):
-        block = np.ix_(*nodes[-2:])
-        slabs = [((), kernel.values)] if grid.dim < 3 else [((i,), v) for i, v in zip(nodes[0], kernel.values)]
-        for lead, values in slabs:
-            r = grid.node_radius(lead + block)
-            idx = np.minimum((r / width).astype(int), shell_count - 1)
-            np.putmask(idx, (r == 0.0) | (r > grid.half_width), shell_count)
-            # raveled: a 2-D index array sends np.maximum.at down its slow path
-            np.maximum.at(env, idx.ravel(), np.abs(values).ravel())
+    for squared, values in slabs:
+        r = np.sqrt(sum(squared))
+        idx = np.minimum((r / width).astype(int), shell_count - 1)
+        np.putmask(idx, (r == 0.0) | (r > grid.half_width), shell_count)
+        # raveled: a 2-D index array sends np.maximum.at down its slow path
+        np.maximum.at(env, idx.ravel(), np.abs(values).ravel())
     centers = (np.arange(shell_count) + 0.5) * width
     return [(float(c), float(e)) for c, e in zip(centers, env[:shell_count])]
 

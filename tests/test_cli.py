@@ -581,6 +581,22 @@ def test_kernel_window_past_half_box_warns(tmp_path, capsys):
     assert "wraparound" in capsys.readouterr().err
 
 
+def test_kernel_envelope_leaves_the_origin_node_out_of_the_first_shell(tmp_path):
+    # the centre node's coordinate is -8.9e-16 on this grid, and the shell
+    # (0, h) holds no other node, so both first rows read 0
+    cfg = write_cfg(
+        tmp_path,
+        "k.cfg",
+        "grid.dim = 3\ngrid.points = 48\ngrid.half_width = 7.3\nmodel.delta = 0.2\n"
+        "kernel.shells = 24\nkernel.window_lo = 1\nkernel.window_hi = 3.6\n",
+    )
+    assert main(["kernel-check", "--config", cfg, "--out", str(tmp_path / "k")]) == 0
+    header, rows = read_rows(tmp_path / "k" / "kernel_envelope.csv")
+    value = header.index("value")
+    firsts = [next(r for r in rows if r[0] == part) for part in ("K1", "K2")]
+    assert [float(r[value]) for r in firsts] == [0.0, 0.0]
+
+
 def count_transforms(monkeypatch):
     """Count symbol nodes and full-grid multiplier pairs, wherever bound, and every numpy.fft call.
 

@@ -387,14 +387,31 @@ def test_radial_envelope_ignores_origin_node():
     assert all(v == 0.0 for _, v in env)
 
 
-def masked_gather(grid, values, shells, nodes=slice(None)):
+def test_radial_envelope_drops_the_origin_node_off_the_dyadic_grid():
+    # -L + h n/2 rounds to -8.9e-16 here, so the centre node's coordinate
+    # radius is not 0; its offset distance is
+    grid = build_grid(3, 7.3, 48)
+    assert grid.coordinate_axis[24] != 0.0
+    values = np.zeros((25,) * 3)
+    values[0, 0, 0] = 7.0
+    env = radial_envelope(EvenKernel(grid, values), 24)
+    assert all(v == 0.0 for _, v in env)
+
+
+def offset_distance(grid):
+    # every node's distance h|j - n/2| from the centre node in node
+    # offsets, the squares summed in axis order
+    d = grid.spacing * np.abs(np.arange(grid.points_per_axis) - grid.points_per_axis // 2)
+    return np.sqrt(sum(m * m for m in np.meshgrid(*[d] * grid.dim, indexing="ij")))
+
+
+def masked_gather(grid, values, shells, radius=None):
     # the octant mirrored to the full grid, the origin and the nodes past
-    # half_width dropped by boolean masks, every node at its own radius;
-    # `nodes` picks the nodes taken on each axis
-    pick = (nodes,) * grid.dim
-    full = mirror(grid, values)[pick]
+    # half_width dropped by boolean masks, every node binned at its own
+    # coordinate radius, or at `radius` where given
+    full = mirror(grid, values)
     width = grid.half_width / shells
-    r = grid.radius[pick]
+    r = grid.radius if radius is None else radius
     idx = np.minimum((r / width).astype(int), shells - 1)
     mask = (r > 0.0) & (r <= grid.half_width)
     want = np.zeros(shells)
@@ -412,18 +429,18 @@ def test_radial_envelope_equals_the_masked_gather(dim, n, shells):
 
 
 def test_radial_envelope_equals_the_masked_gather_off_the_dyadic_grid():
-    # h = 10/24 is not dyadic: 16 nodes n/2 + a sit one ulp off the mirror
-    # of n/2 - a, and with shells one cell wide some of those ulps cross a
-    # shell edge, so the nodes 0 ... n/2 alone give another envelope
-    grid = build_grid(3, 10.0, 48)
-    x, n = grid.coordinate_axis, grid.points_per_axis
-    a = np.arange(1, n // 2)
-    assert np.count_nonzero(x[n // 2 + a] != -x[n // 2 - a]) == 16
-    values = np.random.default_rng(48).standard_normal((25,) * 3)
-    want = masked_gather(grid, values, 24)
-    assert not np.array_equal(masked_gather(grid, values, 24, slice(0, n // 2 + 1)), want)
-    env = radial_envelope(EvenKernel(grid, values), 24)
-    assert np.array_equal([v for _, v in env], want)
+    # off a dyadic spacing the coordinate radius of a node is not its
+    # offset distance h|a| bit for bit, and with shells one cell wide some
+    # of those ulps cross a shell edge: the envelope bins at the offset
+    # distance, which the coordinate radius does not reproduce
+    for dim, half_width, n in [(1, 7.3, 40), (2, 16.0 / 3.0, 96), (3, 10.0, 48)]:
+        grid = build_grid(dim, half_width, n)
+        values = np.random.default_rng(n).standard_normal((n // 2 + 1,) * dim)
+        values[(0,) * dim] = 100.0
+        want = masked_gather(grid, values, n // 2, offset_distance(grid))
+        assert not np.array_equal(masked_gather(grid, values, n // 2), want)
+        env = radial_envelope(EvenKernel(grid, values), n // 2)
+        assert np.array_equal([v for _, v in env], want)
 
 
 def test_radial_envelope_shell_count_floor():

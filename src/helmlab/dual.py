@@ -89,7 +89,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coefficients import max_node
+from .coefficients import ConstantQ, max_node, sample_Q
 from .errors import NumericalError
 from .grid import RealField, TorusGrid, _roll_onto, apply_multiplier_values, locate_peak, peak_node
 from .params import Exponents
@@ -522,10 +522,7 @@ def limit_ground_state(
     the torus, so the position of the state carries no meaning: callers
     that compare it with another state place it by `peak_node`.
     """
-    if value <= 0:
-        raise ValueError("constant coefficient must be positive")
-    Qfield = RealField(grid, np.full(grid.shape, float(value)))
-    return solve_ground_state(Qfield, exps, spec, tol=tol, max_iter=max_iter)
+    return solve_ground_state(sample_Q(ConstantQ(value), grid), exps, spec, tol=tol, max_iter=max_iter)
 
 
 def cutoff_projection(

@@ -209,36 +209,35 @@ def radial_envelope(kernel: EvenKernel, shell_count: int) -> list[tuple[float, f
 
     Returns (shell center radius, shell maximum) pairs; the origin node
     and nodes farther than half_width from it are ignored, and empty
-    shells report 0. The octant value at offsets a is binned at its
-    node-offset distance h|a|, the squares summed in axis order as
-    `grid.node_radius` sums them: on a dyadic spacing that is the
-    coordinate radius of the nodes n/2 - a_i bit for bit, and on every
-    grid the origin node is at distance exactly 0. Ignored nodes go to
-    an extra shell that is dropped, so every node is binned with no
-    gather. The distances come from open axes, one first-axis slab of
-    (n/2+1)^(dim-1) nodes at a time in 3D (the whole octant in 1D and
-    2D), so the shell index and |K| never take more than (n/2+1)^2
-    entries at once.
+    shells report 0. A node at octant offsets a lies at distance h|a|,
+    h = 2 half_width / n, so its shell depends only on the integer
+    S = sum a_i^2: shell j = max{j : (j n)^2 <= 4 shells^2 S}, the last
+    shell also taking 4 S = n^2, and S = 0 (the origin) and 4 S > n^2
+    are dropped. The rule is exact on every grid. |K| is first folded
+    into its maximum per S, one first-axis slab of (n/2+1)^(dim-1)
+    nodes at a time, so no array beyond one slab and the table of
+    dim (n/2)^2 + 1 values of S is made; each shell is then a run of
+    consecutive S in that table.
     """
     if shell_count < 4:
         raise ValueError("shell_count must be at least 4")
     grid = kernel.grid
-    squares = [d * d for d in grid._open_axes(grid.spacing * np.arange(grid.points_per_axis // 2 + 1))]
-    if grid.dim < 3:
-        slabs = [(squares, kernel.values)]
-    else:
-        first, middle, last = squares
-        slabs = [((f, middle[0], last[0]), v) for f, v in zip(first, kernel.values)]
-    width = grid.half_width / shell_count
-    env = np.zeros(shell_count + 1)
-    for squared, values in slabs:
-        r = np.sqrt(sum(squared))
-        idx = np.minimum((r / width).astype(int), shell_count - 1)
-        np.putmask(idx, (r == 0.0) | (r > grid.half_width), shell_count)
+    n = grid.points_per_axis
+    squares = [a * a for a in grid._open_axes(np.arange(n // 2 + 1))]
+    rest = sum(squares[1:])
+    table = np.zeros(grid.dim * (n // 2) ** 2 + 1)
+    for first, values in zip(squares[0], kernel.values):
         # raveled: a 2-D index array sends np.maximum.at down its slow path
-        np.maximum.at(env, idx.ravel(), np.abs(values).ravel())
-    centers = (np.arange(shell_count) + 0.5) * width
-    return [(float(c), float(e)) for c, e in zip(centers, env[:shell_count])]
+        np.maximum.at(table, np.ravel(first + rest), np.abs(values).ravel())
+    # shell j takes the S from ceil((j n)^2 / (4 shells^2)) to the next shell's
+    # first, the last shell up to 4 S = n^2; shell 0 starts past the origin
+    starts = [max(1, -(-((j * n) ** 2) // (4 * shell_count**2))) for j in range(shell_count)]
+    ends = starts[1:] + [n * n // 4 + 1]
+    width = grid.half_width / shell_count
+    return [
+        ((j + 0.5) * width, float(table[lo:hi].max(initial=0.0)))
+        for j, (lo, hi) in enumerate(zip(starts, ends))
+    ]
 
 
 def fit_decay_exponent(envelope, window: tuple[float, float]) -> float:

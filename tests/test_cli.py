@@ -582,7 +582,8 @@ def test_kernel_window_past_half_box_warns(tmp_path, capsys):
 
 
 def test_kernel_envelope_leaves_the_origin_node_out_of_the_first_shell(tmp_path):
-    # the centre node's coordinate is -8.9e-16 on this grid, and the shell
+    # the origin is the octant offset with S = sum a_i^2 = 0, dropped on
+    # every grid (here its coordinate rounds to -8.9e-16), and the shell
     # (0, h) holds no other node, so both first rows read 0
     cfg = write_cfg(
         tmp_path,

@@ -399,29 +399,40 @@ def test_plane_cycle_solver_budget(monkeypatch, tmp_path):
 MIRROR_EXPS = Exponents(dim=2, s=1.0, p=5.0, k=1.0)
 
 
-def _mirror_levels(grid, spec, limit, center):
-    Q = BumpOnBackgroundQ(background=0.5, amplitude=1.0, width=1.0, centers=(center,))
-    table = level_table(Q, [1.0, 0.5], MIRROR_EXPS, grid, spec=spec)
-    records = run_sweep(Q, [1.0, 2.0], MIRROR_EXPS, grid, spec=spec, limit=limit)
-    return [row.level for row in table.rows] + [record.level for record in records]
+MIRROR_KS = (1.0, 2.0)
 
 
 @pytest.fixture(scope="module")
 def mirror_box():
-    # the limit state at sup Q = 1.5 does not depend on the centre, so one solve serves every image
+    # the limit state at sup Q = 1.5 does not depend on the centre, so one solve
+    # serves every image; each image's family is solved once for both tests below
     grid = build_grid(2, 16.0, 64)
     spec = ResolventSpec(s=1.0, delta=auto_delta(grid, 1.0))
     limit = limit_ground_state(1.5, grid, MIRROR_EXPS, spec)
-    return grid, spec, limit, _mirror_levels(grid, spec, limit, (0.5, 1.0))
+    families = {}
+
+    def family(center):
+        # the levels of the table at eps = 1, 1/2 and of the sweep at k = 1, 2,
+        # and the sweep members' profiles
+        if center not in families:
+            Q = BumpOnBackgroundQ(background=0.5, amplitude=1.0, width=1.0, centers=(center,))
+            table = level_table(Q, [1.0, 0.5], MIRROR_EXPS, grid, spec=spec)
+            records = run_sweep(Q, MIRROR_KS, MIRROR_EXPS, grid, spec=spec, limit=limit)
+            levels = [row.level for row in table.rows] + [record.level for record in records]
+            families[center] = levels, [record.state.u_rescaled for record in records]
+        return families[center]
+
+    return grid, family
 
 
-@settings(max_examples=16, derandomize=True, database=None, deadline=None)
-@given(
+MIRROR_IMAGES = dict(
     signs=st.tuples(st.sampled_from([1.0, -1.0]), st.sampled_from([1.0, -1.0])),
     swap=st.booleans(),
     cells=st.tuples(st.integers(-2, 2), st.integers(-2, 2)),
 )
-def test_family_levels_are_mirror_and_swap_invariant(mirror_box, signs, swap, cells):
+
+
+def _mirror_center(grid, signs, swap, cells):
     # reflecting an axis or swapping the axes maps the grid onto itself, and so
     # does a shift by whole cells: the grid spacing h = 1/2 is one cell of the
     # sampled Q(eps x) at eps = 1 and two at eps = 1/2, so every centre on the
@@ -429,13 +440,52 @@ def test_family_levels_are_mirror_and_swap_invariant(mirror_box, signs, swap, ce
     # land on the image node. |centre| <= 1 keeps the window edge at +-8 eps at
     # least 7 from the centre at eps = 1/2, where the bump is exp(-49/2) < 1e-10
     # of its amplitude, so the box cuts the same tails off every image
-    grid, spec, limit, reference = mirror_box
     center = (signs[0] * 0.5, signs[1] * 1.0)
     if swap:
         center = center[::-1]
     center = tuple(c + grid.spacing * k for c, k in zip(center, cells))
     assume(max(abs(c) for c in center) <= 1.0)
-    assert _mirror_levels(grid, spec, limit, center) == pytest.approx(reference, rel=1e-8)
+    return center
+
+
+@settings(max_examples=16, derandomize=True, database=None, deadline=None)
+@given(**MIRROR_IMAGES)
+def test_family_levels_are_mirror_and_swap_invariant(mirror_box, signs, swap, cells):
+    grid, family = mirror_box
+    levels, _ = family(_mirror_center(grid, signs, swap, cells))
+    assert levels == pytest.approx(family((0.5, 1.0))[0], rel=1e-8)
+
+
+@settings(max_examples=16, derandomize=True, database=None, deadline=None)
+@given(**MIRROR_IMAGES)
+def test_family_profiles_are_mirror_and_swap_invariant(mirror_box, signs, swap, cells):
+    # The image x -> P(S x) + h cells of the centre (S the signs, P the swap)
+    # moves the rescaled profile at k by P S and by k cells per cell, so the
+    # image member, read at the image of each node, is the reference member.
+    # Bound: every solver step commutes with these node permutations in exact
+    # arithmetic (pointwise maps, and a radial symbol they leave unchanged), so
+    # only round-off tells the two sweeps apart. At worst it flips one stop
+    # test res <= tol, and the solve that goes on takes one more step toward its
+    # Euler-Lagrange candidate c = sgn(w)|w|^(p-1). sgn|.|^(p-1) inverts the map
+    # sgn|.|^(p'-1) whose defect res measures, so that step moves the state by
+    # at most about (p - 1) res <= (p - 1) tol relative to it, and so moves its
+    # profile R(Q^(1/p) v), R being linear. Either member may take that step:
+    # 2 (p - 1) tol in the relative L^p distance that profile_distance uses.
+    grid, family = mirror_box
+    _, profiles = family(_mirror_center(grid, signs, swap, cells))
+    _, reference = family((0.5, 1.0))
+    p, tol = MIRROR_EXPS.p, 1e-6  # run_sweep's default tol
+    for k, image, ref in zip(MIRROR_KS, profiles, reference):
+        back = np.roll(image.values, tuple(-int(k) * c for c in cells), axis=(0, 1))
+        if swap:
+            back = back.T
+        for axis, sign in enumerate(signs):
+            if sign < 0:
+                # node i sits at -L + h i, so x -> -x takes node i to node n - i
+                back = np.roll(np.flip(back, axis), 1, axis)
+        distance = lq_norm(RealField(grid, back - ref.values), p) / lq_norm(ref, p)
+        assert distance <= 2.0 * (p - 1.0) * tol
+        assert peak_node(back) == peak_node(ref.values)
 
 
 @pytest.mark.parametrize("case", ["off-grid-2d", "readme-cube"])

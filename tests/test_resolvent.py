@@ -1,4 +1,5 @@
 """Resolvent multiplier, kernel extraction and decay diagnostics."""
+import itertools
 import tracemalloc
 import types
 
@@ -389,7 +390,7 @@ def test_radial_envelope_ignores_origin_node():
 
 def test_radial_envelope_drops_the_origin_node_off_the_dyadic_grid():
     # -L + h n/2 rounds to -8.9e-16 here, so the centre node's coordinate
-    # radius is not 0; its offset distance is
+    # radius is not 0; its squared offset S is
     grid = build_grid(3, 7.3, 48)
     assert grid.coordinate_axis[24] != 0.0
     values = np.zeros((25,) * 3)
@@ -398,24 +399,32 @@ def test_radial_envelope_drops_the_origin_node_off_the_dyadic_grid():
     assert all(v == 0.0 for _, v in env)
 
 
-def offset_distance(grid):
-    # every node's distance h|j - n/2| from the centre node in node
-    # offsets, the squares summed in axis order
-    d = grid.spacing * np.abs(np.arange(grid.points_per_axis) - grid.points_per_axis // 2)
-    return np.sqrt(sum(m * m for m in np.meshgrid(*[d] * grid.dim, indexing="ij")))
-
-
-def masked_gather(grid, values, shells, radius=None):
+def masked_gather(grid, values, shells):
     # the octant mirrored to the full grid, the origin and the nodes past
     # half_width dropped by boolean masks, every node binned at its own
-    # coordinate radius, or at `radius` where given
+    # coordinate radius
     full = mirror(grid, values)
     width = grid.half_width / shells
-    r = grid.radius if radius is None else radius
+    r = grid.radius
     idx = np.minimum((r / width).astype(int), shells - 1)
     mask = (r > 0.0) & (r <= grid.half_width)
     want = np.zeros(shells)
     np.maximum.at(want, idx[mask], np.abs(full)[mask])
+    return want
+
+
+def exact_envelope(grid, values, shells):
+    # every octant offset a in plain Python ints: h|a| lies in shell j when
+    # j width <= h|a|, that is (j n)^2 <= 4 shells^2 |a|^2 with h = 2L/n and
+    # width = L/shells; the origin and |a| > n/2 are dropped
+    n = grid.points_per_axis
+    want = [0.0] * shells
+    for a in itertools.product(range(n // 2 + 1), repeat=grid.dim):
+        squared = sum(i * i for i in a)
+        if squared == 0 or 4 * squared > n * n:
+            continue
+        j = min(max(j for j in range(shells + 1) if (j * n) ** 2 <= 4 * shells**2 * squared), shells - 1)
+        want[j] = max(want[j], abs(float(values[a])))
     return want
 
 
@@ -429,18 +438,27 @@ def test_radial_envelope_equals_the_masked_gather(dim, n, shells):
 
 
 def test_radial_envelope_equals_the_masked_gather_off_the_dyadic_grid():
-    # off a dyadic spacing the coordinate radius of a node is not its
-    # offset distance h|a| bit for bit, and with shells one cell wide some
-    # of those ulps cross a shell edge: the envelope bins at the offset
-    # distance, which the coordinate radius does not reproduce
-    for dim, half_width, n in [(1, 7.3, 40), (2, 16.0 / 3.0, 96), (3, 10.0, 48)]:
+    # off a dyadic spacing a float radius, coordinate or offset distance, is
+    # not h|a| exactly, and with shells one cell wide some nodes sit on a
+    # shell edge: the envelope must bin them as exact integer arithmetic does
+    for dim, half_width, n in [(1, 7.3, 40), (2, 16.0 / 3.0, 96), (3, 10.0, 48), (3, 7.3, 24)]:
         grid = build_grid(dim, half_width, n)
         values = np.random.default_rng(n).standard_normal((n // 2 + 1,) * dim)
         values[(0,) * dim] = 100.0
-        want = masked_gather(grid, values, n // 2, offset_distance(grid))
-        assert not np.array_equal(masked_gather(grid, values, n // 2), want)
         env = radial_envelope(EvenKernel(grid, values), n // 2)
-        assert np.array_equal([v for _, v in env], want)
+        assert [v for _, v in env] == exact_envelope(grid, values, n // 2)
+
+
+def test_radial_envelope_fills_every_shell_one_cell_wide():
+    # shells one node spacing wide: shell j holds the node at offset j, so
+    # only shell 0 (the origin alone) is empty; a float shell index rounded
+    # h a / width just below a and emptied shells 7 and 14 here
+    grid = build_grid(1, 7.3, 40)
+    bundle = band_decompose(ResolventSpec(s=1.0, delta=0.2), grid)
+    for kernel in (bundle.band, bundle.remainder):
+        env = radial_envelope(kernel, 20)
+        assert env[0][1] == 0.0
+        assert all(v > 0.0 for _, v in env[1:])
 
 
 def test_radial_envelope_shell_count_floor():

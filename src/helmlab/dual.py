@@ -56,16 +56,21 @@ R(Q^(1/p) g_k) and r_k. Each new candidate overwrites the oldest row of
 all three, in rotation, and adds one row and column to the Gram matrix
 D^T D, computed by one product of the history with the new increment.
 Theta solves D^T D theta = D^T r_k (Walker & Ni, SIAM J. Numer. Anal.
-49, 2011) by least squares, so that a rank-deficient history still gets
-the minimum-norm theta, and the trial and its resolved field are each
+49, 2011) by Gaussian elimination in Python floats, pivoting on the
+largest remaining diagonal entry; once that pivot is no larger than
+eps times the largest diagonal entry times the number of increments
+held, lstsq's default relative cutoff, the increments left depend on
+those taken and get theta_j = 0, and a history with no increment above
+the cutoff skips the trial. The trial and its resolved field are each
 one more product, of theta with a history. These products, and the sum
 int c w for A(c) below, are `np.einsum` calls with optimize=False,
-which run numpy's own single-thread loops rather than BLAS: at a few
-rows by a whole grid, BLAS splits a product over threads whose split
-changes the last bits of the result with the thread count, and a
-worker parked after idle takes milliseconds to wake, several times per
-iteration, so a cold command waited longer on threads than it spent
-computing. An iteration applies the resolvent once,
+which run numpy's own single-thread loops, so a solve runs no BLAS or
+LAPACK code: at a few rows by a whole grid, BLAS splits a product over
+threads whose split changes the last bits of the result with the
+thread count, and a worker parked after idle takes milliseconds to
+wake, several times per iteration, so a cold command waited longer on
+threads than it spent computing; and the results would depend on the
+CPU kernel OpenBLAS selects. An iteration applies the resolvent once,
 to project the Euler-Lagrange candidate: 1.16 applications per
 iteration (74 in 64) over one levels + sweep cycle of the
 plane-concentration benchmark workload, each solve's start included.
@@ -85,6 +90,8 @@ with a single evaluation of the resolvent symbol.
 """
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -97,6 +104,43 @@ from .resolvent import ResolventSpec, exp_smoothstep
 
 
 _ANDERSON_MEMORY = 5  # iterates in the Anderson history
+
+
+def _solve_gram(gram: list[list[float]], rhs: list[float]) -> list[float] | None:
+    """theta with gram @ theta = rhs for a small symmetric positive semidefinite matrix, or None.
+
+    Gaussian elimination in Python floats, pivoting on the largest
+    remaining diagonal entry. A pivot no larger than n * eps times the
+    largest diagonal entry, lstsq's default relative cutoff, marks the
+    directions left as dependent on the ones taken, and their theta_j
+    are 0. None when an entry is not finite, no direction is taken or
+    theta is not finite.
+    """
+    if not all(math.isfinite(x) for row in (*gram, rhs) for x in row):
+        return None
+    n = len(rhs)
+    a = [row[:] for row in gram]
+    b = rhs[:]
+    cutoff = n * sys.float_info.epsilon * max(abs(a[i][i]) for i in range(n))
+    left, taken = list(range(n)), []
+    while left:
+        k = max(left, key=lambda i: a[i][i])
+        if not a[k][k] > cutoff:  # also refuses a pivot that overflowed to NaN
+            break
+        left.remove(k)
+        taken.append(k)
+        for i in left:
+            f = a[i][k] / a[k][k]
+            for j in left:
+                a[i][j] -= f * a[k][j]
+            b[i] -= f * b[k]
+    if not taken:
+        return None
+    theta = [0.0] * n
+    for pos in reversed(range(len(taken))):
+        k = taken[pos]
+        theta[k] = (b[k] - sum(a[k][j] * theta[j] for j in taken[pos + 1 :])) / a[k][k]
+    return theta if all(map(math.isfinite, theta)) else None
 
 
 def _signed_power(values: np.ndarray, exponent: float) -> np.ndarray:
@@ -439,10 +483,7 @@ def solve_ground_state(
                     history = d_r[:filled]
                     gram[row, :filled] = gram[:filled, row] = np.einsum("ji,i->j", history, d_r[row], optimize=False)
                     rhs = np.einsum("ji,i->j", history, r, optimize=False)
-                    try:
-                        theta, *_ = np.linalg.lstsq(gram[:filled, :filled], rhs, rcond=None)
-                    except np.linalg.LinAlgError:
-                        theta = None
+                    theta = _solve_gram(gram[:filled, :filled].tolist(), rhs.tolist())
                     if theta is not None:
 
                         def combine(last, diffs):

@@ -45,15 +45,22 @@ class ResolventSpec:
         """
         *axes, last = grid._open_axes(grid.frequency_axis)
         squared = sum(a * a for a in (*axes, last[..., : grid.points_per_axis // 2 + 1]))
-        return self._symbol(np.sqrt(squared, out=squared))
+        # |xi| is this call's own array, so the power is taken in place
+        # and two half-spectrum arrays are held at once, not three
+        norm = np.sqrt(squared, out=squared)
+        norm **= 2.0 * self.s
+        return self._from_power(norm)
 
     def _symbol(self, norm: np.ndarray) -> np.ndarray:
         """The symbol at wavenumber magnitudes `norm`, in a fresh array.
 
         Each step after the power writes into that array, so two arrays
-        of `norm`'s size are held at once.
+        of `norm`'s size are held at once besides `norm`.
         """
-        shifted = norm ** (2.0 * self.s)
+        return self._from_power(norm ** (2.0 * self.s))
+
+    def _from_power(self, shifted: np.ndarray) -> np.ndarray:
+        """The symbol from |xi|^(2s), computed in place in `shifted`, which it returns."""
         shifted -= 1.0
         denominator = shifted * shifted
         denominator += self.delta * self.delta

@@ -8,6 +8,7 @@ import dataclasses
 import inspect
 import json
 import os
+import platform
 import re
 import shutil
 import subprocess
@@ -516,23 +517,45 @@ PLANE_CFG = (
 )
 
 
+def plane_levels(tmp_path, name, **variables):
+    """levels.json and the manifest less its wall time, from a cold `levels` run on PLANE_CFG."""
+    cfg = write_cfg(tmp_path, "l.cfg", PLANE_CFG)
+    out = tmp_path / name
+    done = run_script(
+        sys.executable, "-m", "helmlab.cli", "levels", "--force", "--config", cfg, "--out", str(out), **variables
+    )
+    assert done.returncode == 0, done.stderr
+    manifest = json.loads((out / "run_manifest.json").read_text(encoding="utf-8"))
+    del manifest["wall_time_s"]
+    return (out / "levels.json").read_bytes(), json.dumps(manifest, sort_keys=True)
+
+
 @pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="OpenBLAS runs one thread on one CPU")
 def test_levels_is_the_same_on_one_and_two_blas_threads(tmp_path):
     # the solver's products run in numpy's own loops, not in BLAS, so the thread
     # count reaches neither the full-precision mirror nor the manifest
-    cfg = write_cfg(tmp_path, "l.cfg", PLANE_CFG)
-    outputs = []
-    for threads in ("1", "2"):
-        out = tmp_path / f"threads{threads}"
-        done = run_script(
-            sys.executable, "-m", "helmlab.cli", "levels", "--force", "--config", cfg, "--out", str(out),
-            OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
-        )
-        assert done.returncode == 0, done.stderr
-        manifest = json.loads((out / "run_manifest.json").read_text(encoding="utf-8"))
-        del manifest["wall_time_s"]
-        outputs.append(((out / "levels.json").read_bytes(), json.dumps(manifest, sort_keys=True)))
+    outputs = [
+        plane_levels(tmp_path, f"threads{threads}", OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        for threads in ("1", "2")
+    ]
     assert outputs[0] == outputs[1]
+
+
+def numpy_runs_x86_openblas():
+    """Whether numpy's BLAS is OpenBLAS on an x86-64 CPU, where every OPENBLAS_CORETYPE below runs."""
+    try:
+        name = np.__config__.CONFIG["Build Dependencies"]["blas"]["name"]
+    except (AttributeError, KeyError, TypeError):
+        return False
+    return "openblas" in str(name).lower() and platform.machine().lower() in ("x86_64", "amd64")
+
+
+@pytest.mark.skipif(not numpy_runs_x86_openblas(), reason="OPENBLAS_CORETYPE selects OpenBLAS's x86-64 kernels")
+@pytest.mark.parametrize("core", ["Prescott", "Nehalem"])
+def test_levels_is_the_same_under_each_openblas_kernel(tmp_path, core):
+    # the solver runs no BLAS or LAPACK code, not even for its Gram system, so
+    # the CPU kernel OpenBLAS selects reaches neither the mirror nor the manifest
+    assert plane_levels(tmp_path, core, OPENBLAS_CORETYPE=core) == plane_levels(tmp_path, "default")
 
 
 def test_levels_and_interaction_check_leave_numpy_ma_unloaded(tmp_path):
@@ -608,13 +631,13 @@ def count_transforms(monkeypatch):
     each numpy.fft transform called, in order.
     """
     calls = {"symbol": 0, "pair": 0}
-    symbol = ResolventSpec._symbol
+    symbol = ResolventSpec._from_power
     pair = helmlab.grid.apply_multiplier_values
     transforms = []
 
-    def counted_symbol(self, norm):
-        calls["symbol"] += norm.size
-        return symbol(self, norm)
+    def counted_symbol(self, shifted):
+        calls["symbol"] += shifted.size
+        return symbol(self, shifted)
 
     def counted_pair(field, values):
         calls["pair"] += 1
@@ -627,7 +650,7 @@ def count_transforms(monkeypatch):
 
         return run
 
-    monkeypatch.setattr(ResolventSpec, "_symbol", counted_symbol)
+    monkeypatch.setattr(ResolventSpec, "_from_power", counted_symbol)
     for module in (helmlab.grid, helmlab.dual):
         monkeypatch.setattr(module, "apply_multiplier_values", counted_pair)
     for name in np.fft.__all__:
@@ -1130,24 +1153,85 @@ def test_cli_import_leaves_scipy_unloaded():
     assert done.stdout.strip() == "False"
 
 
+ENVIRONMENT_NAMES = {"environ", "environb", "getenv", "getenvb", "putenv", "unsetenv"}
+
+
+def environment_accesses(source):
+    """Line numbers at which `source` reaches the process environment through the os module.
+
+    A name counts as the os module, in every scope of the source, once
+    `import os`, `import os.<sub>`, `import os as name` or `name = <os name>`
+    binds it; `getattr(<os name>, "<constant>")` counts as that attribute,
+    and `from os import *` as importing them all.
+    """
+    tree = ast.parse(source)
+    modules = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name == "os" or (alias.asname is None and alias.name.startswith("os.")):
+                    modules.add(alias.asname or "os")
+    assigns = [node for node in ast.walk(tree) if isinstance(node, ast.Assign) and isinstance(node.value, ast.Name)]
+    while True:  # a chain of aliases may be written in any order
+        bound = {t.id for a in assigns if a.value.id in modules for t in a.targets if isinstance(t, ast.Name)}
+        if bound <= modules:
+            break
+        modules |= bound
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            hit = node.attr in ENVIRONMENT_NAMES and isinstance(node.value, ast.Name) and node.value.id in modules
+        elif isinstance(node, ast.ImportFrom):
+            hit = node.module == "os" and any(a.name in ENVIRONMENT_NAMES | {"*"} for a in node.names)
+        elif isinstance(node, ast.Call):
+            args = node.args
+            hit = (
+                isinstance(node.func, ast.Name)
+                and node.func.id == "getattr"
+                and len(args) >= 2
+                and isinstance(args[0], ast.Name)
+                and args[0].id in modules
+                and isinstance(args[1], ast.Constant)
+                and args[1].value in ENVIRONMENT_NAMES
+            )
+        else:
+            hit = False
+        if hit:
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+@pytest.mark.parametrize(
+    "source,lines",
+    [
+        ("import os\nos.environ['A']\n", [2]),
+        ("import os as _os\n_os.environ.setdefault('A', '1')\n", [2]),
+        ("import os.path\nos.putenv('A', '1')\n", [2]),
+        ("import sys, os as system\nx = system.environb\n", [2]),
+        ("from os import getenv\n", [1]),
+        ("from os import path, getenvb as read\n", [1]),
+        ("from os import *\n", [1]),
+        ("import os\nsystem = os\nshell = system\nshell.unsetenv('A')\n", [4]),
+        ("import os\ngetattr(os, 'environ')\n", [2]),
+        ("def f():\n    import os as o\n    return o.getenv('A')\n", [3]),
+        ("import os\nos.path.join('a', 'b')\n", []),
+        ("import os.path as p\np.join('a')\n", []),
+        ("environ = {}\nenviron.get('A')\n", []),
+        ("import numpy as np\nnp.environ\n", []),
+    ],
+)
+def test_environment_scan(source, lines):
+    # the scan behind the test below, on aliased, imported and attribute access
+    assert environment_accesses(source) == lines
+
+
 def test_package_reads_no_environment_variables():
     # a run is set by its config file and command line alone
     paths = sorted((REPO / "src" / "helmlab").glob("*.py"))
     assert paths
-    reads = []
-    for path in paths:
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if (
-                isinstance(node, ast.Attribute)
-                and node.attr in ("environ", "getenv")
-                and isinstance(node.value, ast.Name)
-                and node.value.id == "os"
-            ) or (
-                isinstance(node, ast.ImportFrom)
-                and node.module == "os"
-                and any(alias.name in ("environ", "getenv") for alias in node.names)
-            ):
-                reads.append(f"{path.name}:{node.lineno}")
+    reads = [
+        f"{path.name}:{line}" for path in paths for line in environment_accesses(path.read_text(encoding="utf-8"))
+    ]
     assert reads == []
 
 

@@ -180,6 +180,24 @@ def test_symbol_and_auto_delta_cache_nothing_quadrant_sized(dim, n):
     assert all(np.size(value) <= n for value in vars(grid).values())
 
 
+def test_symbol_values_hold_two_half_spectrum_arrays():
+    # |xi| is symbol_values' own array, so its power is taken in place: the
+    # peak is that array and the denominator, plus the open-axis sums before
+    # them, (n, 1, 1) and (n, n, 1); a fresh power array would be a third
+    n = 64
+    grid = build_grid(3, 16.0, n)
+    spec = ResolventSpec(s=1.0, delta=0.1)
+    half_bytes = 8 * n * n * (n // 2 + 1)
+    tracemalloc.start()
+    try:
+        values = spec.symbol_values(grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert values.nbytes == half_bytes
+    assert peak <= 2 * half_bytes + 8 * (n + n * n)
+
+
 def test_auto_delta_without_a_gap_above_the_floor_is_an_error():
     # two distinct values near the sphere, 1e-13 apart: no gap counts, so there
     # is no median to take; the command-line runs report it as a config error

@@ -325,6 +325,61 @@ def test_anderson_trial_matches_its_definition(monkeypatch, exps2d):
     assert trials > memory  # more pushes than history rows
 
 
+@pytest.mark.parametrize("size", [1, 2, 3, 4])
+def test_gram_solve_matches_lstsq(size):
+    # Gram matrices of increments at condition numbers up to about 1e8; two
+    # backward-stable solves of one system differ by about cond * eps
+    rng = np.random.default_rng(size)
+    for decades in range(5):
+        d = rng.standard_normal((size, 40)) * np.logspace(0.0, -decades, size)[:, None]
+        gram = d @ d.T
+        rhs = d @ rng.standard_normal(40)
+        theta = dual._solve_gram(gram.tolist(), rhs.tolist())
+        want = np.linalg.lstsq(gram, rhs, rcond=None)[0]
+        tol = 16 * size * np.linalg.cond(gram) * np.finfo(float).eps
+        assert np.max(np.abs(np.subtract(theta, want))) <= tol * np.max(np.abs(want))
+
+
+def test_gram_solve_drops_a_repeated_increment():
+    # two equal increments make the Gram matrix singular: the repeat's
+    # theta_j is 0 and the others still solve the system to round-off; each
+    # entry is its own dot product, so the repeated rows are equal bit for bit
+    rng = np.random.default_rng(7)
+    d = rng.standard_normal((4, 40))
+    d[2] = d[0]
+    r = rng.standard_normal(40)
+    gram, rhs = np.array([[np.dot(x, y) for y in d] for x in d]), np.array([np.dot(x, r) for x in d])
+    theta = dual._solve_gram(gram.tolist(), rhs.tolist())
+    assert all(np.isfinite(theta))
+    assert theta[0] == 0.0 or theta[2] == 0.0
+    scale = np.max(np.abs(gram)) * np.max(np.abs(theta)) + np.max(np.abs(rhs))
+    assert np.max(np.abs(gram @ np.array(theta) - rhs)) <= 64 * np.finfo(float).eps * scale
+
+
+@pytest.mark.parametrize(
+    "gram,rhs",
+    [
+        ([[0.0, 0.0], [0.0, 0.0]], [0.0, 0.0]),
+        ([[0.0]], [1.0]),
+        ([[np.nan, 0.0], [0.0, 1.0]], [1.0, 1.0]),
+        ([[1.0, np.nan], [np.nan, 1.0]], [1.0, 1.0]),
+        ([[np.inf, 0.0], [0.0, 1.0]], [1.0, 1.0]),
+        ([[1e-300, 0.0], [0.0, 1e-300]], [1e300, 1e300]),
+    ],
+    ids=["zero", "zero-1x1", "nan-pivot", "nan-entry", "inf-pivot", "overflow"],
+)
+def test_gram_solve_skips_the_trial_without_raising(gram, rhs):
+    # no direction above the cutoff, or no finite theta: the Anderson trial is skipped
+    assert dual._solve_gram(gram, rhs) is None
+
+
+def test_solve_converges_when_every_anderson_trial_is_skipped(monkeypatch, exps2d):
+    # a skipped trial leaves the plain candidate and the mixes to the iteration
+    Qf, spec = bump_problem()
+    monkeypatch.setattr(dual, "_solve_gram", lambda gram, rhs: None)
+    assert solve_ground_state(Qf, exps2d, spec).converged
+
+
 def test_solve_memory_is_its_history_and_one_iteration():
     # the peak of a 3D solve, counted in full-grid arrays from what the solver
     # holds: the operator's Q^(1/p) and half-spectrum symbol, 3(m - 1) history

@@ -188,7 +188,7 @@ def _cmd_interaction_check(run: _Run) -> int:
             for gap in cfg.gaps
         ]
     except ValueError as exc:
-        # the radius is positive, so the bump's ball holds no grid node
+        # the radius is positive, so the bump is zero at every grid node
         raise ConfigError(str(exc), field="interaction.bump_radius") from None
     values = disjoint_interaction(inner, outer, run.spec, inner_radius=radius)
     run.table("interaction", [{"gap": gap, "interaction": value} for gap, value in zip(cfg.gaps, values)])

@@ -35,14 +35,17 @@ candidate, and mixes of the iterate toward the candidate at weights
 must stay in the positive cone and not raise the Nehari level beyond a
 slack. Over one levels + sweep cycle of the plane-concentration
 benchmark workload, 56 of 64 iterations accept the Anderson trial and 8
-the plain candidate. Over the test suite 3,275 steps took the Anderson
-trial, 499 the plain candidate and 166 a mix (56 at 1/2, 81 at 1/4, 29
-at 1/8), nearly all in its randomized configs; no deeper weight was
-ever accepted. When none is accepted the solve ends by one of two
-exits: it returns its best iterate unconverged if some trial stayed in
-the positive cone, and raises `NumericalError` if none did. Speed comes
-from the Anderson extrapolation over a short history of m = 5 iterates.
-With g_i = v_i + r_i the projected candidate of iterate v_i and r_i its
+the plain candidate. Over the test suite, run in one process, 3,214
+steps took the Anderson trial, 450 the plain candidate and 171 a mix
+(60 at 1/2, 81 at 1/4, 30 at 1/8), and 87 candidates left the cone.
+Over 3,000 solve, levels and sweep configs drawn as the config-space
+test draws them, the counts were 9,047, 877 and 2,038 (667, 1,053,
+318), with 932 candidates outside the cone. When no trial is accepted,
+whether none lowers the level or every one left the cone, the solve
+returns its best iterate unconverged; 17 of those drawn solves ended
+so, none with every trial outside the cone. Speed comes from the
+Anderson extrapolation over a short history of m = 5 iterates. With
+g_i = v_i + r_i the projected candidate of iterate v_i and r_i its
 fixed-point residual, the trial is
 
     g_k - sum_j theta_j (g_{j+1} - g_j),
@@ -417,15 +420,15 @@ def solve_ground_state(
     Euler-Lagrange candidate and takes the first trial that does not
     raise the level: an Anderson-extrapolated combination of recent
     iterates, the plain candidate, then mixes toward the candidate at
-    weights 1/2, 1/4 and 1/8. If none is taken the loop ends by one of
-    two exits: the best iterate seen is returned with `converged=False`
-    when some trial kept the quadratic form positive, and a
-    `NumericalError` is raised when none did.
+    weights 1/2, 1/4 and 1/8. If none is taken, whether every trial left
+    the positive cone or none lowered the level, and when `max_iter`
+    iterations do not reach `tol`, the best iterate seen is returned with
+    `converged=False`.
     """
     grid = Qfield.grid
     if init is not None and init.grid != grid:
         raise NumericalError("initial guess lives on a different grid than the coefficient")
-    if tol <= 0:
+    if not tol > 0:
         raise ValueError("tol must be positive")
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")
@@ -447,9 +450,6 @@ def solve_ground_state(
     pushes = 0
     newest = None  # g_k, R(Q^(1/p) g_k) and r_k of the newest projected candidate
     best = None
-    iterations = max_iter
-    res = np.inf
-    converged = False
     for it in range(max_iter):
         a_v = energy / (1.0 / pd - 0.5)  # A(v) on the Nehari manifold
         w = op.root * rw_v  # shared by the residual and the candidate
@@ -457,76 +457,67 @@ def solve_ground_state(
         if best is None or energy < best[2]:
             best = (v, rw_v, energy, res)
         if res <= tol:
-            converged = True
-            iterations = it
-            break
+            return _package(op, v, rw_v, res, it, True)
 
         cand, a_cand = op.candidate(w)
         del w  # no full-grid temporary is held through the trials
 
-        def trials():
-            """(projection or refusal, as `project` returns it, and level slack), in the order they are tried."""
-            nonlocal newest, pushes
-            projected_cand = op.project(cand, a=a_cand)
-            if projected_cand[0] is not None:
-                g, rg = projected_cand[1].ravel(), projected_cand[2].ravel()
-                r = g - v.ravel()
-                if newest is not None:
-                    row = pushes % slots
-                    np.subtract(g, newest[0], out=d_g[row])
-                    np.subtract(rg, newest[1], out=d_rg[row])
-                    np.subtract(r, newest[2], out=d_r[row])
-                    pushes += 1
-                newest = (g, rg, r)
-                filled = min(pushes, slots)
-                if filled:  # every projected candidate after the first has just pushed `row`
-                    history = d_r[:filled]
-                    gram[row, :filled] = gram[:filled, row] = np.einsum("ji,i->j", history, d_r[row], optimize=False)
-                    rhs = np.einsum("ji,i->j", history, r, optimize=False)
-                    theta = _solve_gram(gram[:filled, :filled].tolist(), rhs.tolist())
-                    if theta is not None:
+        # the step is the first trial that stays in the cone and does not
+        # raise the level beyond its slack, or None when no trial does
+        step = None
+        projected_cand = op.project(cand, a=a_cand)
+        if projected_cand[0] is not None:
+            g, rg = projected_cand[1].ravel(), projected_cand[2].ravel()
+            r = g - v.ravel()
+            if newest is not None:
+                row = pushes % slots
+                np.subtract(g, newest[0], out=d_g[row])
+                np.subtract(rg, newest[1], out=d_rg[row])
+                np.subtract(r, newest[2], out=d_r[row])
+                pushes += 1
+            newest = (g, rg, r)
+            filled = min(pushes, slots)
+            theta = None
+            if filled:  # every projected candidate after the first has just pushed `row`
+                history = d_r[:filled]
+                gram[row, :filled] = gram[:filled, row] = np.einsum("ji,i->j", history, d_r[row], optimize=False)
+                rhs = np.einsum("ji,i->j", history, r, optimize=False)
+                theta = _solve_gram(gram[:filled, :filled].tolist(), rhs.tolist())
+            if theta is not None:
 
-                        def combine(last, diffs):
-                            """last - theta . diffs on the grid, written over the product."""
-                            out = np.einsum("j,ji->i", theta, diffs[:filled], optimize=False)
-                            return np.subtract(last, out, out=out).reshape(grid.shape)
+                def combine(last, diffs):
+                    """last - theta . diffs on the grid, written over the product."""
+                    out = np.einsum("j,ji->i", theta, diffs[:filled], optimize=False)
+                    return np.subtract(last, out, out=out).reshape(grid.shape)
 
-                        # g_k - sum_j theta_j (g_{j+1} - g_j); R is linear, so the
-                        # same theta on the resolved increments resolves it; the
-                        # slack shrinks with the residual, so late extrapolations
-                        # cannot wander back up in level
-                        yield op.project(combine(g, d_g), combine(rg, d_rg)), min(0.5, res * res)
-            yield projected_cand, 1e-12
-            if a_cand > 0.0:
-                kappa = (a_v / a_cand) ** (1.0 / pd)
-                matched = kappa * cand
-                # R is linear: the candidate's projection, (t, t c, t R(Q^(1/p) c), level)
-                # or a refusal holding R(Q^(1/p) c), resolves the mixes
-                t_cand, _, resolved_cand, _ = projected_cand
-                resolved_cand = kappa * resolved_cand if t_cand is None else (kappa / t_cand) * resolved_cand
-                for mix in (0.5, 0.25, 0.125):
-                    yield op.project(v + mix * (matched - v), rw_v + mix * (resolved_cand - rw_v)), 1e-12
-
-        found_positive = False
-        for trial, slack in trials():
-            if trial[0] is not None:
-                found_positive = True
-                if trial[3] <= energy + slack * abs(energy):
-                    _, v, rw_v, energy = trial
+                # g_k - sum_j theta_j (g_{j+1} - g_j); R is linear, so the same
+                # theta on the resolved increments resolves it; the slack shrinks
+                # with the residual, so late extrapolations cannot wander back up in level
+                trial = op.project(combine(g, d_g), combine(rg, d_rg))
+                if trial[0] is not None and trial[3] <= energy + min(0.5, res * res) * abs(energy):
+                    step = trial
+            if step is None and projected_cand[3] <= energy + 1e-12 * abs(energy):
+                step = projected_cand
+        if step is None and a_cand > 0.0:
+            kappa = (a_v / a_cand) ** (1.0 / pd)
+            matched = kappa * cand
+            # R is linear: the candidate's projection, (t, t c, t R(Q^(1/p) c), level)
+            # or a refusal holding R(Q^(1/p) c), resolves the mixes
+            t_cand, _, resolved_cand, _ = projected_cand
+            resolved_cand = kappa * resolved_cand if t_cand is None else (kappa / t_cand) * resolved_cand
+            for mix in (0.5, 0.25, 0.125):
+                trial = op.project(v + mix * (matched - v), rw_v + mix * (resolved_cand - rw_v))
+                if trial[0] is not None and trial[3] <= energy + 1e-12 * abs(energy):
+                    step = trial
                     break
-        else:
-            if not found_positive:
-                raise NumericalError(
-                    "no trial step keeps the quadratic form positive; "
-                    "the iterate sits at the boundary of the admissible cone"
-                )
-            iterations = it
+        if step is None:
             break  # stagnant: nothing lowers the level
+        _, v, rw_v, energy = step
+    else:
+        it = max_iter
 
-    if not converged:
-        v, rw_v, energy, res = best
-
-    return _package(op, v, rw_v, res, iterations, converged)
+    v, rw_v, _, res = best
+    return _package(op, v, rw_v, res, it, False)
 
 
 def _package(op: _DualOperator, v, rw_v, res, iterations, converged) -> GroundState:

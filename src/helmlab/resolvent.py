@@ -389,8 +389,10 @@ def compact_bump(grid: TorusGrid, center, radius: float) -> BoxField:
     a `BoxField` on that box (it wraps the periodic edge where the ball
     does): embedded in the grid, its values equal the full-grid formula
     bit for bit. Dividing only on the box, by radius^2 above every d^2
-    there, the formula cannot overflow or divide by zero. A bump whose
-    ball holds no grid node raises ValueError, as does a radius <= 0.
+    there, the formula cannot overflow or divide by zero. A bump that is
+    zero at every node, because its ball holds no node or only nodes so
+    near the rim that the profile underflows to 0, raises ValueError, as
+    does a radius <= 0.
     """
     if radius <= 0:
         raise ValueError("radius must be positive")
@@ -401,7 +403,7 @@ def compact_bump(grid: TorusGrid, center, radius: float) -> BoxField:
     q2 = sum(d * d for d in near) / r2
     block = np.zeros(q2.shape)
     inside = q2 < 1.0
-    if not inside.any():
-        raise ValueError(f"a bump of radius {radius:g} around {center} holds no grid node")
     block[inside] = np.exp(-1.0 / (1.0 - q2[inside]))
+    if not block.any():
+        raise ValueError(f"a bump of radius {radius:g} around {center} is nonzero at no grid node")
     return BoxField(grid, box, block)

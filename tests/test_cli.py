@@ -397,6 +397,30 @@ def test_stalled_solve_exits_nonzero(tmp_path):
     assert manifest["converged"] is False
 
 
+@pytest.mark.parametrize(
+    "text, force, level",
+    [("grid.dim = 3\ngrid.points = 8\n", [], 174.33794356), ("grid.dim = 2\ngrid.points = 16\n", ["--force"], 5.24180915)],
+    ids=["3D-8", "2D-16"],
+)
+def test_coarse_default_grids_converge_through_the_line_search(monkeypatch, tmp_path, text, force, level):
+    # on these coarse grids a projected candidate leaves the cone, and only the
+    # line-search mixes toward it carry the solve on to convergence
+    original = helmlab.dual._DualOperator.project
+    refused = []
+
+    def project(self, c, resolved=None, a=None):
+        out = original(self, c, resolved, a)
+        refused.append(a is not None and out[0] is None)
+        return out
+
+    monkeypatch.setattr(helmlab.dual._DualOperator, "project", project)
+    out_dir = tmp_path / "run"
+    assert main(["solve", "--config", write_cfg(tmp_path, "c.cfg", text), "--out", str(out_dir)] + force) == 0
+    assert any(refused)
+    manifest = json.loads((out_dir / "run_manifest.json").read_text(encoding="utf-8"))
+    assert manifest["level"] == pytest.approx(level, rel=1e-9)
+
+
 def test_numerical_failure_is_a_one_line_exit_4(monkeypatch, tmp_path, capsys):
     # p' = p/(p-1) is so near 2 that the start's Nehari scale (A/B)^(1/(2-p')),
     # an exponent of 1e7, underflows to 0 on A/B < 1 and overflows on A/B > 1;
@@ -425,23 +449,13 @@ def test_numerical_failure_is_a_one_line_exit_4(monkeypatch, tmp_path, capsys):
         assert err[-1].startswith("numerical error: ") and message in err[-1], text
         assert not (tmp_path / "out").exists()
 
-    # only the start projects, so the solve ends in a cone-exit NumericalError; a 3D run
-    # inside the hypotheses leaves the gate silent
-    original = helmlab.dual._DualOperator.project
-    calls = []
-
-    def project_start_only(self, c, *args, **kwargs):
-        calls.append(len(calls))
-        out = original(self, c, *args, **kwargs)
-        if len(calls) == 1 or out[0] is None:
-            return out
-        return None, None, out[2] / out[0], None  # a refusal holds R(Q^(1/p) c)
-
-    monkeypatch.setattr(helmlab.dual._DualOperator, "project", project_start_only)
+    # a cold start forced to the zero field cannot be projected onto the Nehari
+    # manifold; a 3D run inside the hypotheses leaves the gate silent
+    monkeypatch.setattr(helmlab.dual._DualOperator, "initial_guess", lambda self: RealField.zeros(self.grid))
     cfg = write_cfg(tmp_path, "c.cfg", CUBE_CFG + "coefficient.kind = constant\n")
     assert main(["solve", "--config", cfg, "--out", str(tmp_path / "out")]) == 4
     (line,) = capsys.readouterr().err.splitlines()
-    assert line.startswith("numerical error: no trial step keeps the quadratic form positive")
+    assert line.startswith("numerical error: cannot project the zero field onto the Nehari manifold")
     assert not (tmp_path / "out").exists()
 
 
@@ -753,6 +767,16 @@ def test_interaction_check_rejects_a_bump_over_no_node(tmp_path, capsys, radius)
     assert main(["interaction-check", "--config", cfg, "--out", str(tmp_path / "x")]) == 2
     (line,) = capsys.readouterr().err.splitlines()
     assert "no grid node" in line and "interaction.bump_radius" in line
+
+
+def test_interaction_check_rejects_a_bump_that_underflows_at_its_nodes(tmp_path, capsys):
+    # the outer bump's only node sits at q^2 = 0.9999999 of its ball, where
+    # exp(-1/(1 - q^2)) underflows to 0: a bump zero everywhere is a config error
+    cfg = write_cfg(tmp_path, "i.cfg", "grid.dim = 3\ngrid.points = 8\ninteraction.gaps = 2.0000001\n")
+    assert main(["interaction-check", "--config", cfg, "--out", str(tmp_path / "x")]) == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("config error: ") and "no grid node" in line
+    assert not (tmp_path / "x").exists()
 
 
 # ----------------------------------------------------------- sweep / levels

@@ -106,7 +106,7 @@ def test_zero_init_rejected(unitQ, exps2d, spec2d):
 
 
 def test_solver_budget_rejected(unitQ, exps2d, spec2d):
-    for tol in (0.0, -1e-6):
+    for tol in (0.0, -1e-6, float("nan")):
         with pytest.raises(ValueError, match="tol must be positive"):
             solve_ground_state(unitQ, exps2d, spec2d, tol=tol)
     with pytest.raises(ValueError, match="max_iter must be at least 1"):
@@ -457,22 +457,30 @@ def test_solver_releases_its_seed_after_the_start_projection(monkeypatch):
     assert alive and not any(alive)
 
 
-def test_cone_exit_when_no_step_keeps_the_form_positive(monkeypatch, unitQ, exps2d, spec2d):
-    # only the start projects; every later trial of every tier misses the cone
+def test_no_trial_in_the_cone_returns_the_start_unconverged(monkeypatch, unitQ, exps2d, spec2d):
+    # only the start projects; every later trial of every tier misses the cone,
+    # so nothing lowers the level and the solve hands back its start, raising nothing
     original = dual._DualOperator.project
+    start = []
     calls = []
 
     def project_start_only(self, c, *args, **kwargs):
         calls.append(len(calls))
         out = original(self, c, *args, **kwargs)
-        if len(calls) == 1 or out[0] is None:
+        if not start:
+            start.append(out)
             return out
-        return None, None, out[2] / out[0], None  # a refusal holds R(Q^(1/p) c)
+        return out if out[0] is None else (None, None, out[2] / out[0], None)  # a refusal holds R(Q^(1/p) c)
 
     monkeypatch.setattr(dual._DualOperator, "project", project_start_only)
-    with pytest.raises(NumericalError, match="no trial step keeps the quadratic form positive"):
-        solve_ground_state(unitQ, exps2d, spec2d, max_iter=50)
-    assert len(calls) > 2  # the candidate and at least one fallback were tried
+    gs = solve_ground_state(unitQ, exps2d, spec2d, max_iter=50)
+    assert not gs.converged
+    assert gs.iterations == 0
+    assert gs.fixed_point_residual > 1e-6
+    assert np.array_equal(gs.v.values, start[0][1]) or np.array_equal(gs.v.values, -start[0][1])
+    assert gs.level == pytest.approx(start[0][3], rel=1e-12)
+    # the start, the refused candidate and the 3 line-search mixes
+    assert len(calls) == 5
 
 
 def test_stagnant_solve_returns_its_best_iterate(monkeypatch, unitQ, exps2d, spec2d):

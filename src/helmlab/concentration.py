@@ -65,7 +65,7 @@ class SweepRecord:
 
 
 def single_bubble_fraction(gs: GroundState) -> float:
-    """Fraction of the dual p'-mass within a quarter box width of the peak.
+    """Fraction of the dual p'-mass within half_width / 4 of the peak, an eighth of the box width.
 
     Near 1 for one bubble around the peak; a second bubble of comparable
     mass elsewhere pulls it below any strict threshold.

@@ -16,14 +16,14 @@ dim-2 ... 0; inverse: ifft on axes 0 ... dim-2, then irfft on the last
 axis), and writes each complex pass back into the one spectrum buffer
 the first pass allocated, so its result equals the n-D pair's bit for
 bit and its inputs are never written.
-`multiplier_kernel` applies multipliers that are even in each axis to
-the origin delta, whose spectrum is known, with no transform: from the
-multipliers' quadrant values, fed one axis-1 slab at a time
-(`quadrant_slabs` gives |xi| in those slabs), it sums cosines, one
-dense matrix per axis, at the non-negative node offsets it is asked
-for, the whole octant 0 ... n/2 or the offsets between two index
-boxes. No full-grid array is made, and no quadrant-sized one beyond
-the kernels and their intermediates.
+`multiplier_kernel` applies radial multipliers, given as a function of
+|xi|, to the origin delta, whose spectrum is known, with no transform:
+it evaluates them on the quadrant one slab of |xi| at a time (the slabs
+`quadrant_slabs` makes) and sums cosines, one dense matrix per axis, at
+the non-negative node offsets it is asked for, the whole octant
+0 ... n/2 or the offsets between two index boxes. No full-grid array is
+made, and no quadrant-sized one beyond the kernels and their
+intermediates.
 `multiplier_values` checks evenness on the full spectrum before it
 keeps the half. The explicit `SpectralField` transforms stay complex,
 on the full spectrum, and check Hermitian symmetry. Geometry and
@@ -35,7 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 import math
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -126,11 +126,13 @@ class TorusGrid:
         """|xi| on the quadrant of non-negative wavenumbers, shape (n//2+1,)*dim, in fresh slabs.
 
         The slabs hold at most (n//2+1)^2 values each, in the order
-        `multiplier_kernel` takes them: in 3D, one axis-1 row at a time,
-        shape (n//2+1, 1, n//2+1); in 1D and 2D, the whole quadrant at
-        once. No quadrant-sized array is made or cached. The wavenumbers
-        j and n - j are exact negatives, so |xi| is bitwise even in each
-        axis and the quadrant holds every value of the full spectrum.
+        `multiplier_kernel` evaluates its multipliers on them: in 3D, one
+        axis-1 row at a time, shape (n//2+1, 1, n//2+1); in 1D and 2D,
+        the whole quadrant at once. Each slab is a new array, which its
+        reader may overwrite, and no quadrant-sized array is made or
+        cached. The wavenumbers j and n - j are exact negatives, so |xi|
+        is bitwise even in each axis and the quadrant holds every value
+        of the full spectrum.
         """
         squares = [a * a for a in self._open_axes(self.frequency_axis[: self.points_per_axis // 2 + 1])]
         if self.dim < 3:
@@ -293,22 +295,18 @@ def apply_multiplier_values(field: RealField, values: np.ndarray) -> RealField:
 
 
 def multiplier_kernel(
-    grid: TorusGrid, slabs: Iterable[Sequence[np.ndarray]], offsets: Sequence[np.ndarray]
+    grid: TorusGrid, multipliers: Callable[[np.ndarray], Sequence[np.ndarray]], offsets: Sequence[np.ndarray]
 ) -> list[np.ndarray]:
-    """Multipliers applied to the unit-mass delta at the origin node, at per-axis node offsets.
+    """Radial multipliers applied to the unit-mass delta at the origin node, at per-axis node offsets.
 
-    Each multiplier must be even in each axis, m(.., -xi_i, ..) = m(.., xi_i, ..),
-    as a radial one is, and is given by its values on the quadrant of
-    non-negative wavenumbers, shape (n//2 + 1,)*dim, fed one slab at a
-    time: each item of `slabs` holds, for every multiplier in the same
-    order, its quadrant values on the next run of axis-1 rows, of shape
-    (n//2 + 1, rows, n//2 + 1) in 3D and (n//2 + 1, rows) in 2D (in 1D
-    the one slab is the whole quadrant). `grid.quadrant_slabs` gives |xi|
-    in those slabs, and one item holding the whole quadrant is a valid
-    feed. Any other shape, or slabs that do not make up the quadrant,
-    raise ValueError. The delta, 1/h^dim at `origin_index` = (n/2, ...),
-    has the spectrum (-1)^(k_0 + ... + k_(dim-1)) / h^dim, so at the
-    nodes n/2 +- a the kernel is the separable cosine sum
+    `multipliers` maps one slab of |xi| from `grid.quadrant_slabs` to a
+    tuple of value arrays of that slab's shape, one per multiplier, in
+    the same order for every slab; it may overwrite the slab, which is
+    fresh on each call. A function of |xi| is even in each axis, so its
+    values on the quadrant of non-negative wavenumbers, which the slabs
+    make up, determine it. The delta, 1/h^dim at `origin_index` =
+    (n/2, ...), has the spectrum (-1)^(k_0 + ... + k_(dim-1)) / h^dim,
+    so at the nodes n/2 +- a the kernel is the separable cosine sum
 
         prod_i 1/(n h) sum_(k_i = 0)^(n/2) w_(k_i) cos(2 pi k_i a_i / n)  m(k),
 
@@ -323,7 +321,7 @@ def multiplier_kernel(
     intermediates, one multiplier after the other, each input released
     once its product is made, so beside one array per multiplier (its
     intermediate, partial product or kernel) only one product output is
-    held at a time. No slab is written.
+    held at a time. No value array is written.
     """
     n = grid.points_per_axis
     q = n // 2 + 1
@@ -333,24 +331,14 @@ def multiplier_kernel(
     cosines = [np.cos(2.0 * np.pi * (np.multiply.outer(a, k) % n) / n) * weights for a in offsets]
     rows = q ** (grid.dim - 1)  # of the first product's output, one per quadrant node off axis 0
     firsts, filled = None, 0
-    for parts in slabs:
-        shape = parts[0].shape
-        size = parts[0].size // q
-        if (
-            len(shape) != grid.dim
-            or shape != (q,) + shape[1:2] + (q,) * (grid.dim - 2)
-            or any(values.shape != shape for values in parts)
-            or (firsts is not None and len(parts) != len(firsts))
-            or filled + size > rows
-        ):
-            raise ValueError(f"slab shapes {[v.shape for v in parts]} do not fit the quadrant shape {(q,) * grid.dim}")
+    for norm in grid.quadrant_slabs():
+        size = norm.size // q
+        parts = multipliers(norm)
         if firsts is None:
             firsts = [np.empty((rows, len(offsets[0]))) for _ in parts]
         for i, values in enumerate(parts):  # no loop name left bound to an intermediate
             firsts[i][filled : filled + size] = values.reshape(q, -1).T @ cosines[0].T
         filled += size
-    if filled != rows:
-        raise ValueError(f"the slabs make {filled} of the {rows} rows of the quadrant shape {(q,) * grid.dim}")
     kernels = []
     while firsts:  # popped, so no list entry keeps an intermediate alive
         kernel = firsts.pop(0)

@@ -13,7 +13,7 @@ a fixed radial cutoff: 1 for ||xi| - 1| <= 1/6, 0 for ||xi| - 1| >= 1/4.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -45,27 +45,22 @@ class ResolventSpec:
         """
         *axes, last = grid._open_axes(grid.frequency_axis)
         squared = sum(a * a for a in (*axes, last[..., : grid.points_per_axis // 2 + 1]))
-        # |xi| is this call's own array, so the power is taken in place
-        # and two half-spectrum arrays are held at once, not three
-        norm = np.sqrt(squared, out=squared)
-        norm **= 2.0 * self.s
-        return self._from_power(norm)
+        # |xi| is this call's own array, so two half-spectrum arrays are
+        # held at once, |xi| and the symbol's denominator, not three
+        return self._symbol(np.sqrt(squared, out=squared))
 
     def _symbol(self, norm: np.ndarray) -> np.ndarray:
-        """The symbol at wavenumber magnitudes `norm`, in a fresh array.
+        """The symbol at wavenumber magnitudes `norm`, computed in place in `norm`, which it returns.
 
-        Each step after the power writes into that array, so two arrays
-        of `norm`'s size are held at once besides `norm`.
+        Every step writes into `norm`, so besides it only the denominator,
+        one array of its size, is made.
         """
-        return self._from_power(norm ** (2.0 * self.s))
-
-    def _from_power(self, shifted: np.ndarray) -> np.ndarray:
-        """The symbol from |xi|^(2s), computed in place in `shifted`, which it returns."""
-        shifted -= 1.0
-        denominator = shifted * shifted
+        norm **= 2.0 * self.s
+        norm -= 1.0
+        denominator = norm * norm
         denominator += self.delta * self.delta
-        shifted /= denominator
-        return shifted
+        norm /= denominator
+        return norm
 
 
 def auto_delta(grid: TorusGrid, s: float) -> float:
@@ -79,16 +74,22 @@ def auto_delta(grid: TorusGrid, s: float) -> float:
     sphere at the scale the grid can resolve, which also keeps the
     oscillating kernel tail inside the box. |xi| is bitwise even in each
     axis, so the values over the quadrant (`grid.quadrant_slabs`) are the
-    values over the whole spectrum. The values are sorted with their
-    repeats, whose zero gaps the 1e-12 floor drops, and the median is
-    np.median's arithmetic on the sorted gaps, so delta equals the
-    np.unique and np.median result bit for bit without the 12-18 ms
-    import of numpy.ma that those two make.
+    values over the whole spectrum. Each slab keeps only its values in
+    (0, 4), the wider window, so no quadrant-sized array is made. The
+    values are sorted with their repeats, whose zero gaps the 1e-12
+    floor drops, and the median is np.median's arithmetic on the sorted
+    gaps, so delta equals the np.unique and np.median result bit for bit
+    without the 12-18 ms import of numpy.ma that those two make.
     """
-    mu = np.sort(np.concatenate(tuple(grid.quadrant_slabs()), axis=None) ** (2.0 * s))
+    kept = []
+    for mu in grid.quadrant_slabs():
+        mu **= 2.0 * s
+        kept.append(mu[(mu > 0.0) & (mu < 4.0)])
+    mu = np.concatenate(kept)
+    mu.sort()
     gaps = np.diff(mu[(mu > 0.5) & (mu < 1.5)])
     if not np.any(gaps > 0.0):  # fewer than two distinct values
-        gaps = np.diff(mu[(mu > 0.0) & (mu < 4.0)])
+        gaps = np.diff(mu)
     if not np.any(gaps > 0.0):
         raise ValueError("grid has too few distinct wavenumber magnitudes near the unit sphere")
     gaps = np.sort(gaps[gaps > 1e-12])
@@ -192,22 +193,23 @@ def band_decompose(spec: ResolventSpec, grid: TorusGrid) -> KernelBundle:
     wavenumbers alone, once per node; K1 is the kernel of m*psi and K2
     that of m - m*psi, each a cosine sum on the octant of offsets
     0 ... n/2 (`multiplier_kernel`), returned as an `EvenKernel`. Both
-    multipliers are made and fed one slab of |xi| at a time
-    (`grid.quadrant_slabs`), so neither they nor |xi| ever take a
-    quadrant-sized array, and the kernels equal those of the whole
-    quadrant bit for bit. No Fourier transform runs, and neither K itself
-    nor any full-grid array is formed. The absorption delta > 0 that
-    every `ResolventSpec` carries confines the oscillating kernel tail to
-    the box.
+    multipliers are functions of |xi|, which `multiplier_kernel` gives
+    them one slab at a time, so neither they nor |xi| ever take a
+    quadrant-sized array; psi is taken from each slab before the symbol
+    overwrites it. No Fourier transform runs, and neither K itself nor
+    any full-grid array is formed. The absorption delta > 0 that every
+    `ResolventSpec` carries confines the oscillating kernel tail to the
+    box.
     """
     def parts(norm):
+        cutoff = _band_cutoff(norm)
         symbol = spec._symbol(norm)
-        band = symbol * _band_cutoff(norm)
+        band = symbol * cutoff
         symbol -= band
         return band, symbol
 
     octant = (np.arange(grid.points_per_axis // 2 + 1),) * grid.dim
-    band, remainder = multiplier_kernel(grid, map(parts, grid.quadrant_slabs()), octant)
+    band, remainder = multiplier_kernel(grid, parts, octant)
     return KernelBundle(EvenKernel(grid, band), EvenKernel(grid, remainder))
 
 
@@ -293,15 +295,15 @@ def _union(first: np.ndarray, second: np.ndarray) -> np.ndarray:
 
 def _resolve_between(
     grid: TorusGrid,
-    slabs: Iterable[Sequence[np.ndarray]],
+    multiplier: Callable[[np.ndarray], np.ndarray],
     block: np.ndarray,
     source: Sequence[np.ndarray],
     target: Sequence[np.ndarray],
 ) -> np.ndarray:
-    """h^dim sum_s K(t - s) f(s) at every node t of the box `target`, K the kernel of a quadrant multiplier.
+    """h^dim sum_s K(t - s) f(s) at every node t of the box `target`, K the kernel of a radial multiplier.
 
-    `slabs` feeds one even multiplier on its quadrant, as
-    `multiplier_kernel` takes it, so the result is the multiplier
+    `multiplier` maps a slab of |xi| to the multiplier's values there,
+    as `multiplier_kernel` evaluates it, so the result is the multiplier
     applied to f on the target box. A box is one index array per axis;
     it may wrap the periodic edge or have gaps. f equals `block`, of
     shape tuple(len(i) for i in source), on the box `source` and zero
@@ -319,7 +321,7 @@ def _resolve_between(
         unique, index = np.unique(np.minimum(d, n - d).ravel(), return_inverse=True)
         offsets.append(unique)
         folds.append(index.reshape(d.shape))
-    (kernel,) = multiplier_kernel(grid, slabs, offsets)
+    (kernel,) = multiplier_kernel(grid, lambda norm: (multiplier(norm),), offsets)
     # axes (t_0, d_1 ... d_(dim-1), s_1 ... s_(dim-1))
     partial = np.tensordot(kernel[folds[0]], block, axes=([1], [0]))
     for axis in range(1, grid.dim):
@@ -348,8 +350,9 @@ def disjoint_interaction(
     only between supports: the convolution of u with the resolvent
     kernel, h^dim sum_s K(t - s) u(s), from u's nonzero sub-box (taken
     from its block) to the union of the v's nonzero sub-boxes, with K
-    evaluated from the symbol, fed one slab of |xi| at a time, at the
-    offsets between the boxes alone. Each pairing is h^dim times the sum
+    the cosine sum of the symbol, a function of |xi| that
+    `multiplier_kernel` evaluates one slab at a time, at the offsets
+    between the boxes alone. Each pairing is h^dim times the sum
     over that target box, v's block embedded there. No Fourier transform
     runs and no array of the grid's or the quadrant's size is made.
     """
@@ -368,8 +371,7 @@ def disjoint_interaction(
             raise NumericalError(f"v is nonzero inside the ball of radius {inner_radius + gap}")
         cut.append(v)
         target = [_union(t, b) for t, b in zip(target, v.box)]
-    slabs = ((spec._symbol(norm),) for norm in grid.quadrant_slabs())
-    resolved = _resolve_between(grid, slabs, u.block, u.box, target)
+    resolved = _resolve_between(grid, spec._symbol, u.block, u.box, target)
     pairings = []
     for v in cut:
         on_target = np.zeros(resolved.shape)

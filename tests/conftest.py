@@ -75,9 +75,9 @@ def octant(grid):
     return (np.arange(grid.points_per_axis // 2 + 1),) * grid.dim
 
 
-def whole_kernel(grid, values):
-    """The octant kernel of one multiplier, fed to `multiplier_kernel` as one slab holding its whole quadrant."""
-    (kernel,) = multiplier_kernel(grid, [(values,)], octant(grid))
+def whole_kernel(grid, multiplier):
+    """The octant kernel of one radial multiplier, a function of |xi|, which `multiplier_kernel` evaluates by slabs."""
+    (kernel,) = multiplier_kernel(grid, lambda norm: (multiplier(norm),), octant(grid))
     return kernel
 
 

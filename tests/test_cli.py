@@ -640,18 +640,18 @@ def count_transforms(monkeypatch):
 
     Symbol evaluations are counted at the one formula that `symbol_values`,
     `band_decompose` and `disjoint_interaction` share, as the number of
-    wavenumber nodes passed to it: the kernel commands feed it one slab at
-    a time, so a count of calls would count slabs. The returned list names
+    wavenumber nodes passed to it: the kernel commands evaluate it one slab
+    at a time, so a count of calls would count slabs. The returned list names
     each numpy.fft transform called, in order.
     """
     calls = {"symbol": 0, "pair": 0}
-    symbol = ResolventSpec._from_power
+    symbol = ResolventSpec._symbol
     pair = helmlab.grid.apply_multiplier_values
     transforms = []
 
-    def counted_symbol(self, shifted):
-        calls["symbol"] += shifted.size
-        return symbol(self, shifted)
+    def counted_symbol(self, norm):
+        calls["symbol"] += norm.size
+        return symbol(self, norm)
 
     def counted_pair(field, values):
         calls["pair"] += 1
@@ -664,7 +664,7 @@ def count_transforms(monkeypatch):
 
         return run
 
-    monkeypatch.setattr(ResolventSpec, "_from_power", counted_symbol)
+    monkeypatch.setattr(ResolventSpec, "_symbol", counted_symbol)
     for module in (helmlab.grid, helmlab.dual):
         monkeypatch.setattr(module, "apply_multiplier_values", counted_pair)
     for name in np.fft.__all__:
@@ -697,6 +697,82 @@ def test_interaction_check_transform_budget(tmp_path, monkeypatch):
     assert main(["interaction-check", "--config", cfg, "--out", str(tmp_path / "i")]) == 0
     assert calls == {"symbol": 17**3, "pair": 0}
     assert transforms == []
+
+
+# what the two kernel commands write on CUBE_CFG with the transform-budget keys
+# above; to 1e-10 they hold under the SkylakeX, Sandybridge, Haswell, Zen, Nehalem
+# and Prescott OpenBLAS kernels
+PINNED_KERNEL_OUTPUTS = {
+    "kernel-check": (
+        "kernel.window_lo = 2.0\nkernel.window_hi = 10.0\n",
+        {
+            "kernel_decay.csv": (
+                "part,window_lo,window_hi,slope,target_slope\n"
+                "K1,2,10,0.0253323622522,-1\n"
+                "K2,2,10,-2.03260451547,-2\n"
+            ),
+            "kernel_envelope.csv": (
+                "part,radius,value\n"
+                "K1,0.666666666667,0.00576186400274\n"
+                "K1,2,0.00330425794833\n"
+                "K1,3.33333333333,0.00496083582376\n"
+                "K1,4.66666666667,0.00390935130721\n"
+                "K1,6,0.00444604742932\n"
+                "K1,7.33333333333,0.00413575391823\n"
+                "K1,8.66666666667,0.00371511509982\n"
+                "K1,10,0.0038299818003\n"
+                "K1,11.3333333333,0.00273868201372\n"
+                "K1,12.6666666667,0.00323039137698\n"
+                "K1,14,0.00270064573252\n"
+                "K1,15.3333333333,0.00353431115487\n"
+                "K2,0.666666666667,0.0376881445909\n"
+                "K2,2,0.0168926387212\n"
+                "K2,3.33333333333,0.0159333216009\n"
+                "K2,4.66666666667,0.00525234303315\n"
+                "K2,6,0.00335840681208\n"
+                "K2,7.33333333333,0.00146319891988\n"
+                "K2,8.66666666667,0.00101979357573\n"
+                "K2,10,0.00103513229396\n"
+                "K2,11.3333333333,0.00105801974956\n"
+                "K2,12.6666666667,0.0015410879179\n"
+                "K2,14,0.00109493331378\n"
+                "K2,15.3333333333,0.00137651093398\n"
+            ),
+        },
+    ),
+    "interaction-check": (
+        "interaction.gaps = 1.0, 2.0, 3.0\ninteraction.bump_radius = 1.5\n",
+        {
+            "interaction.csv": (
+                "gap,interaction\n"
+                "1,0.00391494617711\n"
+                "2,0.0102779346789\n"
+                "3,0.00646095291802\n"
+            ),
+        },
+    ),
+}
+
+
+@pytest.mark.parametrize("command", sorted(PINNED_KERNEL_OUTPUTS))
+def test_kernel_commands_write_their_pinned_values(tmp_path, command):
+    # every value of every CSV, to 1e-10 relative: room for last-bit differences
+    # of the cosine products between BLAS kernels, none for a changed sum
+    keys, files = PINNED_KERNEL_OUTPUTS[command]
+    cfg = write_cfg(tmp_path, "c.cfg", CUBE_CFG + keys)
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+    for name, text in files.items():
+        got = (tmp_path / "out" / name).read_text(encoding="utf-8").splitlines()
+        want = text.splitlines()
+        assert got[0] == want[0] and len(got) == len(want)
+        for row, pinned in zip(got[1:], want[1:]):
+            cells, pinned_cells = row.split(","), pinned.split(",")
+            assert len(cells) == len(pinned_cells)
+            for cell, value in zip(cells, pinned_cells):
+                if value[0].isalpha():
+                    assert cell == value
+                else:
+                    assert float(cell) == pytest.approx(float(value), rel=1e-10, abs=0.0), (name, row)
 
 
 @pytest.mark.parametrize(

@@ -236,12 +236,16 @@ def test_multiplier_kernel_matches_the_delta_through_the_pair(dim, n):
     # the closed-form delta spectrum, with values on every Nyquist plane
     grid = build_grid(dim, 16.0, n)
     h = grid.spacing
-    m = multiplier_values(grid, lambda *a: 1.0 + 0.5 * np.cos(h * a[0]) + 0.25 * np.cos(h * a[-1]))
+
+    def radial(norm):
+        return 1.0 + 0.5 * np.cos(h * norm) + 0.25 * np.cos(0.5 * h * norm)
+
+    m = multiplier_values(grid, lambda *a: radial(np.sqrt(sum(x * x for x in a))))
     assert np.all(m[..., -1] != 0.0) and np.all(m[n // 2] != 0.0)
     delta = np.zeros(grid.shape)
     delta[grid.origin_index] = 1.0 / grid.cell_volume
     reference = apply_multiplier_values(RealField(grid, delta), m)
-    kernel = mirror(grid, whole_kernel(grid, quadrant(m)))
+    kernel = mirror(grid, whole_kernel(grid, radial))
     assert np.max(np.abs(kernel - reference.values)) <= 1e-12 * np.max(np.abs(reference.values))
 
 
@@ -263,8 +267,8 @@ def test_multiplier_paths_are_the_nd_transforms_bit_for_bit(dim, n):
 @pytest.mark.parametrize("writable", [False, True], ids=["broadcast-view", "owned-copy"])
 def test_multiplier_paths_leave_their_inputs_untouched(dim, n, writable):
     # the in-place passes write only into buffers the paths allocate: a
-    # read-only view of multiplier_values would raise, a writable copy
-    # must come back unchanged
+    # read-only view of multiplier_values, or of the values multiplier_kernel
+    # is given, would raise, and a writable copy must come back unchanged
     grid = build_grid(dim, 16.0, n)
     m = multiplier_values(grid, lambda *a: 1.0 + 0.5 * np.cos(grid.spacing * a[0]))
     assert not m.flags.writeable
@@ -273,25 +277,14 @@ def test_multiplier_paths_leave_their_inputs_untouched(dim, n, writable):
     f = random_field(grid, seed=70 + dim)
     before = (f.values.copy(), m.copy())
     apply_multiplier_values(f, m)
-    multiplier_kernel(grid, [(quadrant(m),)], octant(grid))
     for kept, now in zip(before, (f.values, m)):
         assert np.array_equal(kept, now)
 
+    def read_only(norm):
+        values = 1.0 + 0.5 * np.cos(grid.spacing * norm)
+        return np.broadcast_to(values, norm.shape), np.broadcast_to(values * values, norm.shape)
 
-def test_multiplier_kernel_takes_only_the_quadrant():
-    for dim, n in [(1, 64), (2, 32), (3, 16)]:
-        grid = build_grid(dim, 16.0, n)
-        for shape in [grid.shape[:-1] + (n // 2 + 1,), grid.shape, (n // 2,) * dim, (n // 2 + 1,) * (dim + 1)]:
-            if shape == (n // 2 + 1,) * dim:
-                continue
-            with pytest.raises(ValueError, match="quadrant"):
-                multiplier_kernel(grid, [(np.ones(shape),)], octant(grid))
-    # slabs that fall short of the quadrant, overrun it, or change the number of multipliers
-    grid = build_grid(3, 16.0, 16)
-    row = np.ones((9, 1, 9))
-    for feed in ([(row,)] * 8, [(row,)] * 10, [(row, row)] + [(row,)] * 8, [(row, np.ones((9, 2, 9)))] * 9):
-        with pytest.raises(ValueError, match="quadrant"):
-            multiplier_kernel(grid, feed, octant(grid))
+    multiplier_kernel(grid, read_only, octant(grid))
 
 
 @pytest.mark.parametrize("dim,n", [(1, 32), (2, 32), (3, 32), (3, 64)])

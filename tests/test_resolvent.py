@@ -26,7 +26,7 @@ from helmlab import (
 )
 from helmlab.config import RunConfig, make_spec
 from helmlab.errors import ConfigError, NumericalError
-from helmlab.grid import multiplier_kernel, multiplier_values
+from helmlab.grid import multiplier_values
 from helmlab.resolvent import exp_smoothstep
 from helmlab import resolvent
 
@@ -198,6 +198,29 @@ def test_symbol_values_hold_two_half_spectrum_arrays():
     assert peak <= 2 * half_bytes + 8 * (n + n * n)
 
 
+def test_auto_delta_holds_only_the_values_its_windows_read():
+    # Counted in slabs of (n/2+1)^2 values and in the c values of |xi|^(2s)
+    # in (0, 4), which are all the windows read. The slab loop holds the
+    # slab it filters while the next is summed and rooted, with numpy's
+    # temporaries about 4.4 slabs; 6 are allowed. The values kept from each
+    # slab, their concatenation and one window cut of it are 3 c values.
+    # One quadrant of values is 33 slabs at n = 64.
+    n, s = 64, 1.0
+    grid = build_grid(3, 32.0, n)
+    auto_delta(build_grid(3, 32.0, 16), s)  # the code paths, run on a smaller grid
+    powers = (norm ** (2.0 * s) for norm in grid.quadrant_slabs())
+    count = sum(np.count_nonzero((mu > 0.0) & (mu < 4.0)) for mu in powers)
+    slab_bytes = 8 * (n // 2 + 1) ** 2
+    tracemalloc.start()
+    try:
+        delta = auto_delta(grid, s)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert delta == pytest.approx(0.038553142191755096, rel=1e-12)
+    assert peak <= 6 * slab_bytes + 3 * 8 * count
+
+
 def test_auto_delta_without_a_gap_above_the_floor_is_an_error():
     # two distinct values near the sphere, 1e-13 apart: no gap counts, so there
     # is no median to take; the command-line runs report it as a config error
@@ -232,7 +255,7 @@ def test_kernel_is_even():
     # exactly, axis by axis: the kernel is the mirror of its octant
     for dim, n in [(1, 64), (2, 32), (3, 16)]:
         grid = build_grid(dim, 16.0, n)
-        k = mirror(grid, whole_kernel(grid, quadrant(ResolventSpec(s=1.0, delta=0.2).symbol_values(grid))))
+        k = mirror(grid, whole_kernel(grid, ResolventSpec(s=1.0, delta=0.2)._symbol))
         for axis in range(dim):
             # x_i -> -x_i is a flip plus a one-cell roll (the -L node has no mirror)
             assert np.array_equal(k, np.roll(np.flip(k, axis=axis), 1, axis=axis))
@@ -241,7 +264,7 @@ def test_kernel_is_even():
 def test_kernel_reproduces_resolvent_by_convolution():
     grid = build_grid(1, 16.0, 32)
     spec = ResolventSpec(s=1.0, delta=0.3)
-    kernel = mirror(grid, whole_kernel(grid, quadrant(spec.symbol_values(grid))))
+    kernel = mirror(grid, whole_kernel(grid, spec._symbol))
     f = np.random.default_rng(3).standard_normal(32)
     direct = apply_multiplier_values(RealField(grid, f), spec.symbol_values(grid)).values
     n = 32
@@ -257,7 +280,7 @@ def test_kernel_reproduces_resolvent_by_convolution():
 
 def test_unit_symbol_kernel_is_discrete_delta():
     grid = build_grid(2, 16.0, 16)
-    kernel = mirror(grid, whole_kernel(grid, np.ones((9, 9))))
+    kernel = mirror(grid, whole_kernel(grid, np.ones_like))
     expected = np.zeros(grid.shape)
     expected[grid.origin_index] = 1.0 / grid.cell_volume
     assert np.allclose(kernel, expected, atol=1e-10)
@@ -311,7 +334,7 @@ def test_band_split_adds_back_to_kernel():
     grid = build_grid(2, 16.0, 32)
     spec = ResolventSpec(s=1.0, delta=0.2)
     bundle = band_decompose(spec, grid)
-    kernel = mirror(grid, whole_kernel(grid, quadrant(spec.symbol_values(grid))))
+    kernel = mirror(grid, whole_kernel(grid, spec._symbol))
     total = mirror(grid, bundle.band.values) + mirror(grid, bundle.remainder.values)
     assert np.allclose(total, kernel, atol=1e-13 * np.max(np.abs(kernel)))
 
@@ -323,7 +346,7 @@ def test_band_part_is_spectrally_confined():
     # compared on the half spectrum
     norm = half_norm(grid)
     spectrum = forward_transform(RealField(grid, mirror(grid, bundle.band.values))).coeffs[..., : grid.points_per_axis // 2 + 1]
-    kernel = mirror(grid, whole_kernel(grid, quadrant(spec.symbol_values(grid))))
+    kernel = mirror(grid, whole_kernel(grid, spec._symbol))
     full = forward_transform(RealField(grid, kernel)).coeffs[..., : grid.points_per_axis // 2 + 1]
     off_band = np.abs(norm - 1.0) >= 0.25
     plateau = np.abs(norm - 1.0) <= 1.0 / 6.0
@@ -353,8 +376,9 @@ def test_band_decompose_equals_the_full_quadrant_formula_bit_for_bit(dim, n):
     grid = build_grid(dim, 32.0, n)
     spec = ResolventSpec(s=1.0, delta=0.2)
     norm = quadrant(half_norm(grid))
+    cutoff = resolvent._band_cutoff(norm)
     symbol = spec._symbol(norm)
-    band = symbol * resolvent._band_cutoff(norm)
+    band = symbol * cutoff
     symbol -= band
     bundle = band_decompose(spec, grid)
     assert np.array_equal(bundle.band.values, full_quadrant_kernel(grid, band))
@@ -610,7 +634,7 @@ def test_disjoint_interaction_matches_direct_pairing():
 
 def full_grid_pairings(u, outer, spec):
     # the pairing from full-grid fields: each nonzero box found on the whole
-    # grid, the symbol on the whole quadrant as one slab, v read off the grid
+    # grid, v read off the grid
     grid = u.grid
 
     def nonzero_box(values):
@@ -623,9 +647,7 @@ def full_grid_pairings(u, outer, spec):
     target = [np.zeros(0, dtype=int)] * grid.dim
     for v in fulls:
         target = [np.union1d(t, b) for t, b in zip(target, nonzero_box(v))]
-    resolved = resolvent._resolve_between(
-        grid, [(spec._symbol(quadrant(half_norm(grid))),)], full_u[np.ix_(*source)], source, target
-    )
+    resolved = resolvent._resolve_between(grid, spec._symbol, full_u[np.ix_(*source)], source, target)
     return [abs(float(grid.cell_volume * np.sum(resolved * v[np.ix_(*target)]))) for v in fulls]
 
 
@@ -719,7 +741,11 @@ def test_box_convolution_matches_the_full_pair_on_the_target_box(dim, n):
     # plane, and a kernel that reaches every offset
     grid = build_grid(dim, 16.0, n)
     h = grid.spacing
-    m = multiplier_values(grid, lambda *a: 1.0 / (1.0 + sum(x * x for x in a)) + 0.25 * np.cos(h * a[-1]))
+
+    def radial(norm):
+        return 1.0 / (1.0 + norm * norm) + 0.25 * np.cos(h * norm)
+
+    m = multiplier_values(grid, lambda *a: radial(np.sqrt(sum(x * x for x in a))))
     assert np.all(m[..., -1] != 0.0) and np.all(m[n // 2] != 0.0)
     source = [np.array([0, 1, 2, n - 2, n - 1]), np.array([3, 5, 6, 10]), np.arange(n // 2 - 2, n // 2 + 3)]
     target = [np.array([1, 4, 7, n - 1]), np.array([0, 1, n - 3]), np.arange(n // 4, 3 * n // 4)]
@@ -731,7 +757,7 @@ def test_box_convolution_matches_the_full_pair_on_the_target_box(dim, n):
         values[np.ix_(*src)] = block
         reference = apply_multiplier_values(RealField(grid, values), m).values[np.ix_(*tgt)]
         before = block.copy()
-        boxed = resolvent._resolve_between(grid, [(quadrant(m),)], block, src, tgt)
+        boxed = resolvent._resolve_between(grid, radial, block, src, tgt)
         assert np.array_equal(block, before)
         assert boxed.shape == reference.shape
         assert np.max(np.abs(boxed - reference)) <= 1e-12 * np.max(np.abs(reference))

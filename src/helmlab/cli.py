@@ -180,16 +180,22 @@ def _cmd_interaction_check(run: _Run) -> int:
             f"largest gap needs the box to reach {farthest:g} but grid.half_width is {grid.half_width:g}",
             field="interaction.gaps",
         )
-    origin = (0.0,) * grid.dim
     try:
-        inner = compact_bump(grid, origin, radius)
-        outer = [
-            (gap, compact_bump(grid, (2.0 * radius + gap + grid.spacing,) + (0.0,) * (grid.dim - 1), radius))
-            for gap in cfg.gaps
-        ]
+        inner = compact_bump(grid, (0.0,) * grid.dim, radius)
     except ValueError as exc:
         # the radius is positive, so the bump is zero at every grid node
         raise ConfigError(str(exc), field="interaction.bump_radius") from None
+    outer = []
+    for gap in cfg.gaps:
+        center = (2.0 * radius + gap + grid.spacing,) + (0.0,) * (grid.dim - 1)
+        try:
+            outer.append((gap, compact_bump(grid, center, radius)))
+        except ValueError as exc:
+            # a ball of radius >= h/2 centred on the axis reaches a node within h/2 of its
+            # centre, so its gap put that node on the rim, where the profile underflows;
+            # a smaller ball misses the nodes at most gaps
+            field = "interaction.gaps" if 2.0 * radius >= grid.spacing else "interaction.bump_radius"
+            raise ConfigError(f"{exc}, placed by the gap {gap}", field=field) from None
     values = disjoint_interaction(inner, outer, run.spec, inner_radius=radius)
     run.table("interaction", [{"gap": gap, "interaction": value} for gap, value in zip(cfg.gaps, values)])
     run.lines += [f"gap {gap:g}: interaction {value:.6e}" for gap, value in zip(cfg.gaps, values)]

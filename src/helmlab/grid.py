@@ -21,9 +21,10 @@ bit and its inputs are never written.
 it evaluates them on the quadrant one slab of |xi| at a time (the slabs
 `quadrant_slabs` makes) and sums cosines, one dense matrix per axis, at
 the non-negative node offsets it is asked for, the whole octant
-0 ... n/2 or the offsets between two index boxes. No full-grid array is
-made, and no quadrant-sized one beyond the kernels and their
-intermediates.
+0 ... n/2 or the offsets between two index boxes, each multiplier's sums
+only over the corner of wavenumbers where it can be nonzero. No
+full-grid array is made, and no quadrant-sized one beyond the kernels
+and their intermediates.
 `multiplier_values` checks evenness on the full spectrum before it
 keeps the half. The explicit `SpectralField` transforms stay complex,
 on the full spectrum, and check Hermitian symmetry. Geometry and
@@ -129,18 +130,27 @@ class TorusGrid:
         `multiplier_kernel` evaluates its multipliers on them: in 3D, one
         axis-1 row at a time, shape (n//2+1, 1, n//2+1); in 1D and 2D,
         the whole quadrant at once. Each slab is a new array, which its
-        reader may overwrite, and no quadrant-sized array is made or
-        cached. The wavenumbers j and n - j are exact negatives, so |xi|
-        is bitwise even in each axis and the quadrant holds every value
-        of the full spectrum.
+        reader may overwrite: the sum of squares, the last square added
+        and the square root taken in place, so a slab costs one
+        slab-sized array beside the buffer numpy's broadcasting add holds
+        while it runs, and no quadrant-sized array is made or cached. The wavenumbers j and
+        n - j are exact negatives, so |xi| is bitwise even in each axis
+        and the quadrant holds every value of the full spectrum.
         """
-        squares = [a * a for a in self._open_axes(self.frequency_axis[: self.points_per_axis // 2 + 1])]
+        q = self.points_per_axis // 2 + 1
+        *lead, last = [a * a for a in self._open_axes(self.frequency_axis[:q])]
+        # the leading squares' sum is assigned by broadcasting, which takes no
+        # buffer, so only the last square goes through a broadcasting ufunc,
+        # whose buffer for it is up to a slab in size (numpy 2.4)
         if self.dim < 3:
-            yield np.sqrt(sum(squares))
-            return
-        first, middle, last = squares
-        for j in range(middle.shape[1]):
-            yield np.sqrt(first + middle[:, j : j + 1] + last)
+            shape, heads = (q,) * self.dim, [sum(lead)]
+        else:
+            shape, heads = (q, 1, q), (lead[0] + lead[1][:, j : j + 1] for j in range(q))
+        for head in heads:
+            norm = np.empty(shape)
+            norm[...] = head
+            norm += last
+            yield np.sqrt(norm, out=norm)
 
     def periodic_offsets(self, center) -> list[np.ndarray]:
         """Per axis, the signed torus offsets x_i - c in [-L, L) of the coordinate axis from a point."""
@@ -295,7 +305,11 @@ def apply_multiplier_values(field: RealField, values: np.ndarray) -> RealField:
 
 
 def multiplier_kernel(
-    grid: TorusGrid, multipliers: Callable[[np.ndarray], Sequence[np.ndarray]], offsets: Sequence[np.ndarray]
+    grid: TorusGrid,
+    multipliers: Callable[[np.ndarray], Sequence[np.ndarray]],
+    offsets: Sequence[np.ndarray],
+    *,
+    corners: Sequence[int] | None = None,
 ) -> list[np.ndarray]:
     """Radial multipliers applied to the unit-mass delta at the origin node, at per-axis node offsets.
 
@@ -308,20 +322,26 @@ def multiplier_kernel(
     (n/2, ...), has the spectrum (-1)^(k_0 + ... + k_(dim-1)) / h^dim,
     so at the nodes n/2 +- a the kernel is the separable cosine sum
 
-        prod_i 1/(n h) sum_(k_i = 0)^(n/2) w_(k_i) cos(2 pi k_i a_i / n)  m(k),
+        prod_i 1/(n h) sum_(k_i = 0)^(c - 1) w_(k_i) cos(2 pi k_i a_i / n)  m(k),
 
-    with w = 1 at k in {0, n/2} and 2 elsewhere. It is even in each a_i,
-    so `offsets` holds one 1D array of offsets a_i in 0 ... n/2 per axis,
-    and each returned kernel, of shape tuple(len(a) for a in offsets), is
-    the kernel on their product: one dense (n//2 + 1) x len(a_i) cosine
-    matrix per axis through BLAS, each product contracting the first
-    axis and appending the new one last, so after dim products the axes
-    are back in order. The first product runs slab by slab into rows of
-    the [(k_1 ... k_(dim-1)), a_0] intermediate; the rest run on whole
-    intermediates, one multiplier after the other, each input released
-    once its product is made, so beside one array per multiplier (its
-    intermediate, partial product or kernel) only one product output is
-    held at a time. No value array is written.
+    with w = 1 at k in {0, n/2} and 2 elsewhere, and c = n/2 + 1, or a
+    multiplier's entry of `corners` in 1 ... n/2 + 1 when it is zero at
+    every wavenumber with some k_i >= c: its sums then run over that
+    corner of the quadrant alone, the terms they skip being exact zeros.
+    The kernel is even in each a_i, so `offsets` holds one 1D array of
+    offsets a_i in 0 ... n/2 per axis, and each returned kernel, of shape
+    tuple(len(a) for a in offsets), is the kernel on their product: one
+    dense (n//2 + 1) x len(a_i) cosine matrix per axis, its first c
+    columns, through BLAS, each product contracting the first axis and
+    appending the new one last, so after dim products the axes are back
+    in order. The first product runs slab by slab, on each slab's corner,
+    into rows of the [(k_1 ... k_(dim-1)), a_0] intermediate; the rest
+    run on whole intermediates, one multiplier after the other, widest
+    corner first, each input released once its product is made. So
+    beside one array per multiplier (its intermediate, partial product
+    or kernel) only one product output is held at a time, and the
+    narrower chains, run last, hold intermediates smaller than a kernel.
+    No value array is written.
     """
     n = grid.points_per_axis
     q = n // 2 + 1
@@ -329,22 +349,26 @@ def multiplier_kernel(
     weights = np.where((k == 0) | (k == n // 2), 1.0, 2.0) / (n * grid.spacing)
     # the argument reduced mod n in integers, so it never leaves [0, 2 pi)
     cosines = [np.cos(2.0 * np.pi * (np.multiply.outer(a, k) % n) / n) * weights for a in offsets]
-    rows = q ** (grid.dim - 1)  # of the first product's output, one per quadrant node off axis 0
-    firsts, filled = None, 0
-    for norm in grid.quadrant_slabs():
-        size = norm.size // q
+    firsts = None
+    for j, norm in enumerate(grid.quadrant_slabs()):  # j: the slab's axis-1 wavenumber in 3D, else 0
         parts = multipliers(norm)
         if firsts is None:
-            firsts = [np.empty((rows, len(offsets[0]))) for _ in parts]
-        for i, values in enumerate(parts):  # no loop name left bound to an intermediate
-            firsts[i][filled : filled + size] = values.reshape(q, -1).T @ cosines[0].T
-        filled += size
-    kernels = []
-    while firsts:  # popped, so no list entry keeps an intermediate alive
-        kernel = firsts.pop(0)
+            corners = [q] * len(parts) if corners is None else corners
+            # rows of the first product's output, one per corner node off axis 0
+            firsts = [np.empty((c ** (grid.dim - 1), len(offsets[0]))) for c in corners]
+        for i, c in enumerate(corners):
+            if j < c:
+                # the slab's corner; the 3D slab's length-1 axis 1 is kept whole by its slice
+                product = parts[i][(slice(c),) * norm.ndim].reshape(c, -1).T @ cosines[0][:, :c].T
+                firsts[i][j * len(product) : (j + 1) * len(product)] = product
+    del norm, parts, product  # the last slab's arrays, released before the quadrant-sized products
+    kernels = [None] * len(firsts)
+    for i in sorted(range(len(firsts)), key=lambda i: -corners[i]):
+        kernel, firsts[i] = firsts[i], None  # so no list entry keeps an intermediate alive
+        c = corners[i]
         for matrix in cosines[1:]:
-            kernel = kernel.reshape(q, -1).T @ matrix.T
-        kernels.append(kernel.reshape(tuple(len(a) for a in offsets)))
+            kernel = kernel.reshape(c, -1).T @ matrix[:, :c].T
+        kernels[i] = kernel.reshape(tuple(len(a) for a in offsets))
     return kernels
 
 

@@ -122,6 +122,18 @@ def _band_cutoff(norm: np.ndarray) -> np.ndarray:
     return exp_smoothstep((np.abs(norm - 1.0) - 1.0 / 6.0) / (1.0 / 4.0 - 1.0 / 6.0))
 
 
+def _band_corner(grid: TorusGrid) -> int:
+    """How many non-negative wavenumbers of an axis lie below 5/4, where the band cutoff psi ends.
+
+    psi is exactly 0 at |xi| >= 5/4, where its smoothstep argument is
+    1.0 in floats and only grows, and a node with some |xi_i| >= 5/4 has
+    |xi| >= 5/4, a root of a sum of squares being at least each root.
+    So psi, and any multiple of it, can be nonzero only on the corner of
+    the quadrant where every wavenumber index is below this count.
+    """
+    return int(np.count_nonzero(np.abs(grid.frequency_axis[: grid.points_per_axis // 2 + 1]) < 1.25))
+
+
 @dataclass(frozen=True)
 class EvenKernel:
     """A kernel even in each axis, held on its octant of non-negative node offsets.
@@ -192,11 +204,15 @@ def band_decompose(spec: ResolventSpec, grid: TorusGrid) -> KernelBundle:
     each axis, so both are evaluated on the quadrant of non-negative
     wavenumbers alone, once per node; K1 is the kernel of m*psi and K2
     that of m - m*psi, each a cosine sum on the octant of offsets
-    0 ... n/2 (`multiplier_kernel`), returned as an `EvenKernel`. Both
-    multipliers are functions of |xi|, which `multiplier_kernel` gives
-    them one slab at a time, so neither they nor |xi| ever take a
-    quadrant-sized array; psi is taken from each slab before the symbol
-    overwrites it. No Fourier transform runs, and neither K itself nor
+    0 ... n/2 (`multiplier_kernel`), returned as an `EvenKernel`. K2's
+    sums run over the whole quadrant and K1's over the corner of
+    wavenumbers below 5/4 on every axis, outside which psi is exactly 0
+    (13^3 of 65^3 nodes at L = 32, n = 128). Both multipliers are
+    functions of |xi|, which `multiplier_kernel` gives them one slab at
+    a time, so neither they nor |xi| ever take a quadrant-sized array;
+    psi is taken from each slab before the symbol overwrites it. K2's
+    later products run first, so at most two octant-sized arrays are
+    held at once. No Fourier transform runs, and neither K itself nor
     any full-grid array is formed. The absorption delta > 0 that every
     `ResolventSpec` carries confines the oscillating kernel tail to the
     box.
@@ -208,8 +224,8 @@ def band_decompose(spec: ResolventSpec, grid: TorusGrid) -> KernelBundle:
         symbol -= band
         return band, symbol
 
-    octant = (np.arange(grid.points_per_axis // 2 + 1),) * grid.dim
-    band, remainder = multiplier_kernel(grid, parts, octant)
+    q = grid.points_per_axis // 2 + 1
+    band, remainder = multiplier_kernel(grid, parts, (np.arange(q),) * grid.dim, corners=(_band_corner(grid), q))
     return KernelBundle(EvenKernel(grid, band), EvenKernel(grid, remainder))
 
 
@@ -309,10 +325,15 @@ def _resolve_between(
     shape tuple(len(i) for i in source), on the box `source` and zero
     elsewhere. K is even in each axis, so the offset t_i - s_i folds to
     min(|t_i - s_i|, n - |t_i - s_i|) in 0 ... n/2, and K is evaluated
-    only at the distinct folded offsets of each axis. The sum contracts
-    one source axis at a time: each step gathers the kernel, or the
-    partial sum, at one axis's (len(t_i), len(s_i)) matrix of folded
-    offsets and sums s_i out, so no array spans both whole boxes.
+    only at the distinct folded offsets of each axis. The multiplier is
+    radial and the grid cubic, so K is symmetric under swaps of its axes
+    (to round-off, |xi| summing its squares in a fixed order): its cosine
+    sums take the axes with the fewest offsets first, which shrinks the
+    first product, the only one over the whole quadrant, and the kernel
+    is transposed back. The sum contracts one source axis at a time: each
+    step gathers the kernel, or the partial sum, at one axis's
+    (len(t_i), len(s_i)) matrix of folded offsets and sums s_i out, so
+    no array spans both whole boxes.
     """
     n = grid.points_per_axis
     offsets, folds = [], []
@@ -321,7 +342,9 @@ def _resolve_between(
         unique, index = np.unique(np.minimum(d, n - d).ravel(), return_inverse=True)
         offsets.append(unique)
         folds.append(index.reshape(d.shape))
-    (kernel,) = multiplier_kernel(grid, lambda norm: (multiplier(norm),), offsets)
+    order = sorted(range(grid.dim), key=lambda i: len(offsets[i]))
+    (kernel,) = multiplier_kernel(grid, lambda norm: (multiplier(norm),), [offsets[i] for i in order])
+    kernel = kernel.transpose(np.argsort(order))
     # axes (t_0, d_1 ... d_(dim-1), s_1 ... s_(dim-1))
     partial = np.tensordot(kernel[folds[0]], block, axes=([1], [0]))
     for axis in range(1, grid.dim):

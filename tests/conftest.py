@@ -4,6 +4,7 @@ The expensive objects (a converged 2D ground state and the matching
 limit state) are session-scoped so the dual, solver and concentration
 tests all reuse one solve instead of paying ~1 s each.
 """
+import platform
 import warnings
 from pathlib import Path
 
@@ -98,6 +99,15 @@ def half_norm(grid):
     """|xi| on the half spectrum, the rfftn layout, from the full frequency mesh."""
     freqs = np.meshgrid(*([grid.frequency_axis] * grid.dim), indexing="ij")
     return np.sqrt(sum(m * m for m in freqs))[..., : grid.points_per_axis // 2 + 1]
+
+
+def numpy_runs_x86_openblas():
+    """Whether numpy's BLAS is OpenBLAS on an x86-64 CPU, where every OPENBLAS_CORETYPE the tests name runs."""
+    try:
+        name = np.__config__.CONFIG["Build Dependencies"]["blas"]["name"]
+    except (AttributeError, KeyError, TypeError):
+        return False
+    return "openblas" in str(name).lower() and platform.machine().lower() in ("x86_64", "amd64")
 
 
 def rng(seed):

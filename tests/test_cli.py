@@ -8,7 +8,6 @@ import dataclasses
 import inspect
 import json
 import os
-import platform
 import re
 import shutil
 import subprocess
@@ -32,7 +31,7 @@ from helmlab.coefficients import max_node
 from helmlab.config import make_coefficient, make_exponents, make_grid, make_spec, parse_config_text
 from helmlab.resolvent import ResolventSpec
 
-from conftest import STANDARD_LEVEL, readme_config
+from conftest import STANDARD_LEVEL, numpy_runs_x86_openblas, readme_config
 
 MARKER = "outside paper hypotheses"
 
@@ -555,15 +554,6 @@ def test_levels_is_the_same_on_one_and_two_blas_threads(tmp_path):
     assert outputs[0] == outputs[1]
 
 
-def numpy_runs_x86_openblas():
-    """Whether numpy's BLAS is OpenBLAS on an x86-64 CPU, where every OPENBLAS_CORETYPE below runs."""
-    try:
-        name = np.__config__.CONFIG["Build Dependencies"]["blas"]["name"]
-    except (AttributeError, KeyError, TypeError):
-        return False
-    return "openblas" in str(name).lower() and platform.machine().lower() in ("x86_64", "amd64")
-
-
 @pytest.mark.skipif(not numpy_runs_x86_openblas(), reason="OPENBLAS_CORETYPE selects OpenBLAS's x86-64 kernels")
 @pytest.mark.parametrize("core", ["Prescott", "Nehalem"])
 def test_levels_is_the_same_under_each_openblas_kernel(tmp_path, core):
@@ -847,11 +837,13 @@ def test_interaction_check_rejects_a_bump_over_no_node(tmp_path, capsys, radius)
 
 def test_interaction_check_rejects_a_bump_that_underflows_at_its_nodes(tmp_path, capsys):
     # the outer bump's only node sits at q^2 = 0.9999999 of its ball, where
-    # exp(-1/(1 - q^2)) underflows to 0: a bump zero everywhere is a config error
+    # exp(-1/(1 - q^2)) underflows to 0: a bump zero everywhere is a config error,
+    # and the gap put it there, as the default radius is half the spacing of 4
     cfg = write_cfg(tmp_path, "i.cfg", "grid.dim = 3\ngrid.points = 8\ninteraction.gaps = 2.0000001\n")
     assert main(["interaction-check", "--config", cfg, "--out", str(tmp_path / "x")]) == 2
     (line,) = capsys.readouterr().err.splitlines()
     assert line.startswith("config error: ") and "no grid node" in line
+    assert "'interaction.gaps'" in line and "bump_radius" not in line
     assert not (tmp_path / "x").exists()
 
 

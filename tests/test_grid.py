@@ -1,5 +1,6 @@
 """Spectral substrate: grids, transforms, multipliers, norms."""
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -297,6 +298,31 @@ def test_quadrant_slabs_are_the_full_mesh_quadrant_bit_for_bit(dim, n):
     assert len(slabs) == (q if dim == 3 else 1)
     assert all(np.size(value) <= n for value in vars(grid).values())  # nothing quadrant-sized is cached
     assert np.array_equal(np.concatenate(slabs, axis=min(dim - 1, 1)), quadrant(half_norm(grid)))
+
+
+def test_a_quadrant_slab_costs_one_slab_and_one_ufunc_buffer():
+    # a 3D slab is the leading squares' sum, assigned to a new slab, with the
+    # last square added and the root taken in place: one slab-sized array,
+    # beside the buffer numpy's broadcasting add takes for its broadcast
+    # operand, measured here on the same shapes; the sum and its root made as
+    # new arrays took 3.1 slabs
+    grid = build_grid(3, 32.0, 128)
+    q = 65
+    slab_bytes = 8 * q * q
+    assert grid.frequency_axis.size == 128  # cached before tracing
+    norm, last = np.zeros((q, 1, q)), np.ones((1, 1, q))
+    tracemalloc.start()
+    try:
+        norm += last
+        buffer = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        slab = next(grid.quadrant_slabs())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert slab.shape == (q, 1, q)
+    # 8 KiB for the squares of the wavenumber axes and the Python objects
+    assert peak <= slab_bytes + buffer + 8 * 1024
 
 
 def test_uneven_multiplier_rejected():

@@ -1,7 +1,11 @@
 """Resolvent multiplier, kernel extraction and decay diagnostics."""
 import itertools
+import os
+import subprocess
+import sys
 import tracemalloc
 import types
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -30,7 +34,7 @@ from helmlab.grid import multiplier_values
 from helmlab.resolvent import exp_smoothstep
 from helmlab import resolvent
 
-from conftest import embed, half_norm, mirror, octant, quadrant, whole_kernel
+from conftest import embed, half_norm, mirror, numpy_runs_x86_openblas, octant, quadrant, whole_kernel
 
 
 def symbol(mu, delta):
@@ -355,34 +359,111 @@ def test_band_part_is_spectrally_confined():
     assert np.allclose(spectrum[plateau], full[plateau], atol=1e-12 * scale)
 
 
-def full_quadrant_kernel(grid, values):
-    # the cosine products with the whole quadrant multiplier contracted at once
+def full_quadrant_kernel(grid, values, absolute=False):
+    # the cosine products with the whole quadrant multiplier contracted at
+    # once; absolute: the same products of |values| and |cosines|, which give
+    # each kernel entry's sum of |terms|
     n = grid.points_per_axis
     q = n // 2 + 1
     k = np.arange(q)
     weights = np.where((k == 0) | (k == n // 2), 1.0, 2.0) / (n * grid.spacing)
-    kernel = values
+    kernel = np.abs(values) if absolute else values
     for a in octant(grid):
         cosines = np.cos(2.0 * np.pi * (np.multiply.outer(a, k) % n) / n) * weights
-        kernel = kernel.reshape(q, -1).T @ cosines.T
+        kernel = kernel.reshape(q, -1).T @ (np.abs(cosines) if absolute else cosines).T
     return kernel.reshape((q,) * grid.dim)
 
 
-@pytest.mark.parametrize("dim", [1, 2, 3])
-@pytest.mark.parametrize("n", [32, 64])
-def test_band_decompose_equals_the_full_quadrant_formula_bit_for_bit(dim, n):
-    # the slab-fed symbol and first products give the very kernels of the
-    # whole-quadrant formula; rerun with OPENBLAS_NUM_THREADS=1 in CI
-    grid = build_grid(dim, 32.0, n)
+def gamma(m):
+    """gamma_m = m u / (1 - m u), u = eps/2: a product of m factors 1 + d_i, |d_i| <= u, lies within gamma_m of 1."""
+    u = np.finfo(float).eps / 2.0
+    return m * u / (1.0 - m * u)
+
+
+def assert_band_kernels_within_roundoff(grid, band_values, remainder_values):
+    # Each kernel entry is a sum over the quadrant of terms m(k) prod_i C_i(a_i, k_i),
+    # formed by dim products whose sums have length_i terms. In any order and
+    # blocking, each term of a product's sum passes through at most length_i
+    # roundings, its multiply and length_i - 1 adds (fewer with FMA), so the
+    # computed entry is within gamma_(length_0 + ... + length_(dim-1)) of the
+    # exact sum, relative to its sum of |terms| (Higham, Accuracy and Stability
+    # of Numerical Algorithms, 2nd ed., ch. 3). band_decompose
+    # sums K1 over c = _band_corner wavenumbers per axis and the reference over
+    # n/2 + 1, whose extra terms are exact zeros, and both sum K2 over n/2 + 1.
+    # The sum of |terms|, computed in floats, is divided by 1 - gamma to cover
+    # its own rounding.
     spec = ResolventSpec(s=1.0, delta=0.2)
     norm = quadrant(half_norm(grid))
     cutoff = resolvent._band_cutoff(norm)
     symbol = spec._symbol(norm)
     band = symbol * cutoff
     symbol -= band
-    bundle = band_decompose(spec, grid)
-    assert np.array_equal(bundle.band.values, full_quadrant_kernel(grid, band))
-    assert np.array_equal(bundle.remainder.values, full_quadrant_kernel(grid, symbol))
+    dim, q = grid.dim, grid.points_per_axis // 2 + 1
+    for values, kernel, length in ((band, band_values, resolvent._band_corner(grid)), (symbol, remainder_values, q)):
+        magnitude = full_quadrant_kernel(grid, values, absolute=True) / (1.0 - gamma(dim * q))
+        bound = (gamma(dim * length) + gamma(dim * q)) * magnitude
+        assert np.all(np.abs(kernel - full_quadrant_kernel(grid, values)) <= bound)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("n", [16, 32, 64])
+def test_band_decompose_equals_the_full_quadrant_formula_within_roundoff(dim, n):
+    # the slab-fed symbol and first products, and K1's corner sums, give the
+    # whole-quadrant formula's kernels to round-off; at L = 32, K1's corner is
+    # all 9 wavenumbers per axis at n = 16 and 13 of 17 and of 33 above; rerun
+    # with OPENBLAS_NUM_THREADS=1 in CI
+    grid = build_grid(dim, 32.0, n)
+    bundle = band_decompose(ResolventSpec(s=1.0, delta=0.2), grid)
+    assert_band_kernels_within_roundoff(grid, bundle.band.values, bundle.remainder.values)
+
+
+BAND_KERNELS_SCRIPT = """
+import sys
+import numpy as np
+from helmlab import ResolventSpec, band_decompose, build_grid
+for dim in (1, 2, 3):
+    for n in (16, 32, 64):
+        bundle = band_decompose(ResolventSpec(s=1.0, delta=0.2), build_grid(dim, 32.0, n))
+        np.savez(f"{sys.argv[1]}/{dim}-{n}.npz", band=bundle.band.values, remainder=bundle.remainder.values)
+"""
+
+
+@pytest.mark.skipif(not numpy_runs_x86_openblas(), reason="OPENBLAS_CORETYPE selects OpenBLAS's x86-64 kernels")
+@pytest.mark.parametrize("core", ["SkylakeX", "Sandybridge", "Cooperlake", "Haswell", "Zen", "Nehalem", "Prescott"])
+def test_band_decompose_is_within_roundoff_under_each_openblas_kernel(tmp_path, core):
+    # OpenBLAS picks its GEMM kernel from the CPU, and a product's rows may sum
+    # in another order on another kernel, or in a call with fewer rows; the
+    # kernels made in a process under each hold the same round-off bound
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run(
+        [sys.executable, "-c", BAND_KERNELS_SCRIPT, str(tmp_path)],
+        capture_output=True, text=True, timeout=120, env=dict(os.environ, PYTHONPATH=path, OPENBLAS_CORETYPE=core),
+    )
+    assert done.returncode == 0, done.stderr
+    for dim, n in itertools.product((1, 2, 3), (16, 32, 64)):
+        with np.load(tmp_path / f"{dim}-{n}.npz") as kernels:
+            assert_band_kernels_within_roundoff(build_grid(dim, 32.0, n), kernels["band"], kernels["remainder"])
+
+
+@pytest.mark.parametrize(
+    "dim,half_width,n,corner",
+    [(1, 32.0, 64, 13), (2, 32.0, 64, 13), (3, 32.0, 32, 13), (2, 8.0, 64, 4), (1, 32.0, 16, 9), (3, 32.0, 16, 9)],
+)
+def test_band_multiplier_is_zero_outside_its_corner(dim, half_width, n, corner):
+    # K1's sums run only over the corner of wavenumber indices below
+    # _band_corner, so m psi, here on the whole quadrant from the full mesh's
+    # |xi|, must be exactly 0 at every node with an index at or past it; at
+    # n = 16, pi/h < 5/4 and the corner is the whole quadrant
+    grid = build_grid(dim, half_width, n)
+    q = n // 2 + 1
+    assert resolvent._band_corner(grid) == corner == np.count_nonzero(np.abs(grid.frequency_axis[:q]) < 1.25)
+    norm = quadrant(half_norm(grid))
+    band = resolvent._band_cutoff(norm) * ResolventSpec(s=1.0, delta=0.2)._symbol(norm.copy())
+    outside = np.ones(band.shape, dtype=bool)
+    outside[(slice(corner),) * dim] = False
+    assert not np.any(band[outside])
+    assert np.any(band[~outside])
 
 
 @pytest.mark.parametrize("n", [32, 64])
@@ -390,14 +471,18 @@ def test_kernel_check_peak_memory(n):
     # Counted in Q, one float64 quadrant of (n/2+1)^3 values, and in slabs of
     # (n/2+1)^2 values, 1/(n/2+1) Q. |xi|, the symbol and the band cutoff are
     # made one slab at a time, and the first cosine product of each part runs
-    # slab by slab into its intermediate: 2 Q and a few slabs. The peak comes
-    # in K2's later products, with K1, K2's intermediate and the product's
-    # output held: 3 Q, beside the three cosine matrices of one slab each.
-    # The envelopes hold only slabs. The whole-quadrant evaluation this
-    # replaced took 5 Q, and a mirrored kernel-check about 24 Q.
+    # slab by slab into its intermediate: K2's of 1 Q, K1's of c^2 (n/2+1)
+    # values on its corner of c = 13 wavenumbers per axis. K2's later products
+    # run first, with K2's intermediate and its product held: 2 Q. Then K1's,
+    # beside K2: its second intermediate of c slabs and its kernel, 2 Q + c
+    # slabs, the peak. The three cosine matrices take a slab each, and the
+    # envelopes hold only slabs. K1 summed over the whole quadrant, with its
+    # chain first, took 3 Q, and a mirrored kernel-check about 24 Q.
     grid = build_grid(3, 32.0, n)
     quadrant_bytes = 8 * (n // 2 + 1) ** 3
     slab_bytes = 8 * (n // 2 + 1) ** 2
+    corner = resolvent._band_corner(grid)
+    assert corner == 13
     tracemalloc.start()
     try:
         bundle = band_decompose(ResolventSpec(s=1.0, delta=0.2), grid)
@@ -406,9 +491,8 @@ def test_kernel_check_peak_memory(n):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # six slabs cover the cosine matrices and the slab temporaries, 64 KiB
-    # the Python objects
-    assert peak <= 3 * quadrant_bytes + 6 * slab_bytes + 64 * 1024
+    # 16 KiB for the Python objects
+    assert peak <= 2 * quadrant_bytes + (corner + 3) * slab_bytes + 16 * 1024
 
 
 # ---------------------------------------------------------------- envelopes
@@ -710,9 +794,10 @@ def test_disjoint_interaction_checks_every_node(stray):
 def test_disjoint_interaction_peak_memory():
     # Counted in Q, one float64 quadrant of (n/2+1)^3 values, once the code
     # paths have run on a smaller grid, with the bumps built inside the
-    # window. Each bump is held on its box of 3^3 nodes. The kernel's first
-    # cosine product fills an intermediate of (n/2+1)^2 rows by the 11
-    # distinct axis-0 offsets between the boxes, 11/33 Q; |xi|, the symbol
+    # window. Each bump is held on its box of 3^3 nodes. The kernel's cosine
+    # sums take first an axis with the fewest distinct offsets between the
+    # boxes, 3 (axis 0 has 11), so the first product fills an intermediate
+    # of (n/2+1)^2 rows by 3, 3/33 Q; |xi|, the symbol
     # and its temporaries take a few slabs of (n/2+1)^2 values, 1/33 Q each,
     # and the later products and partial sums far less. A full-grid bump is
     # 7.3 Q and the whole-quadrant symbol 1 Q; the bound is 3/4 Q.

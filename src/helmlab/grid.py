@@ -9,7 +9,8 @@ fields real and live on the half spectrum: the rfftn layout of shape
 (n,)*(dim-1) + (n//2+1,), as `multiplier_values` and the resolvent
 symbol return them. A multiplier even in each axis, as a radial one is,
 is determined by its values on the quadrant of non-negative wavenumbers,
-shape (n//2+1,)*dim. The transform pair `apply_multiplier_values`
+shape (n//2+1,)*dim, which `quadrant_slabs`, the one producer of |xi|,
+makes. The transform pair `apply_multiplier_values`
 runs numpy's 1D transforms one axis at a time, in the order rfftn and
 irfftn use (forward: rfft on the last axis, then fft on axes
 dim-2 ... 0; inverse: ifft on axes 0 ... dim-2, then irfft on the last
@@ -22,7 +23,7 @@ it evaluates them on the quadrant one slab of |xi| at a time (the slabs
 `quadrant_slabs` makes) and sums cosines, one dense matrix per axis, at
 the non-negative node offsets it is asked for, the whole octant
 0 ... n/2 or the offsets between two index boxes, each multiplier's sums
-only over the corner of wavenumbers where it can be nonzero. No
+only over the corner of wavenumbers it is returned on. No
 full-grid array is made, and no quadrant-sized one beyond the kernels
 and their intermediates.
 `multiplier_values` checks evenness on the full spectrum before it
@@ -118,9 +119,9 @@ class TorusGrid:
         squared = sum(axis[i] * axis[i] for i in index)
         return np.sqrt(squared, out=squared)
 
-    @cached_property
+    @property
     def radius(self) -> np.ndarray:
-        """Euclidean distance of every node from the origin."""
+        """Euclidean distance of every node from the origin, made on each read so no grid-sized array stays."""
         return self.node_radius(self._open_axes(np.arange(self.points_per_axis)))
 
     def quadrant_slabs(self) -> Iterator[np.ndarray]:
@@ -135,7 +136,8 @@ class TorusGrid:
         slab-sized array beside the buffer numpy's broadcasting add holds
         while it runs, and no quadrant-sized array is made or cached. The wavenumbers j and
         n - j are exact negatives, so |xi| is bitwise even in each axis
-        and the quadrant holds every value of the full spectrum.
+        and the quadrant holds every value of the full spectrum. The one
+        producer of |xi|, for the kernels, `auto_delta` and the symbol.
         """
         q = self.points_per_axis // 2 + 1
         *lead, last = [a * a for a in self._open_axes(self.frequency_axis[:q])]
@@ -308,26 +310,25 @@ def multiplier_kernel(
     grid: TorusGrid,
     multipliers: Callable[[np.ndarray], Sequence[np.ndarray]],
     offsets: Sequence[np.ndarray],
-    *,
-    corners: Sequence[int] | None = None,
 ) -> list[np.ndarray]:
     """Radial multipliers applied to the unit-mass delta at the origin node, at per-axis node offsets.
 
     `multipliers` maps one slab of |xi| from `grid.quadrant_slabs` to a
-    tuple of value arrays of that slab's shape, one per multiplier, in
-    the same order for every slab; it may overwrite the slab, which is
-    fresh on each call. A function of |xi| is even in each axis, so its
-    values on the quadrant of non-negative wavenumbers, which the slabs
-    make up, determine it. The delta, 1/h^dim at `origin_index` =
-    (n/2, ...), has the spectrum (-1)^(k_0 + ... + k_(dim-1)) / h^dim,
-    so at the nodes n/2 +- a the kernel is the separable cosine sum
+    tuple of value arrays, one per multiplier, in the same order for
+    every slab; it may overwrite the slab, which is fresh on each call.
+    Each holds its multiplier on the slab's corner `(slice(c),) * dim`,
+    c its leading extent and the same on every slab: n/2 + 1 for the
+    whole slab, less for a multiplier that is 0 wherever some k_i >= c
+    (so a 3D slab past the corner is not read). A function of |xi| is
+    even in each axis, so its values on the quadrant of non-negative
+    wavenumbers, which the slabs make up, determine it. The delta,
+    1/h^dim at `origin_index` = (n/2, ...), has the spectrum
+    (-1)^(k_0 + ... + k_(dim-1)) / h^dim, so at the nodes n/2 +- a the
+    kernel is the separable cosine sum
 
         prod_i 1/(n h) sum_(k_i = 0)^(c - 1) w_(k_i) cos(2 pi k_i a_i / n)  m(k),
 
-    with w = 1 at k in {0, n/2} and 2 elsewhere, and c = n/2 + 1, or a
-    multiplier's entry of `corners` in 1 ... n/2 + 1 when it is zero at
-    every wavenumber with some k_i >= c: its sums then run over that
-    corner of the quadrant alone, the terms they skip being exact zeros.
+    with w = 1 at k in {0, n/2} and 2 elsewhere and c the multiplier's corner.
     The kernel is even in each a_i, so `offsets` holds one 1D array of
     offsets a_i in 0 ... n/2 per axis, and each returned kernel, of shape
     tuple(len(a) for a in offsets), is the kernel on their product: one
@@ -353,13 +354,12 @@ def multiplier_kernel(
     for j, norm in enumerate(grid.quadrant_slabs()):  # j: the slab's axis-1 wavenumber in 3D, else 0
         parts = multipliers(norm)
         if firsts is None:
-            corners = [q] * len(parts) if corners is None else corners
+            corners = [len(part) for part in parts]
             # rows of the first product's output, one per corner node off axis 0
             firsts = [np.empty((c ** (grid.dim - 1), len(offsets[0]))) for c in corners]
         for i, c in enumerate(corners):
             if j < c:
-                # the slab's corner; the 3D slab's length-1 axis 1 is kept whole by its slice
-                product = parts[i][(slice(c),) * norm.ndim].reshape(c, -1).T @ cosines[0][:, :c].T
+                product = parts[i].reshape(c, -1).T @ cosines[0][:, :c].T
                 firsts[i][j * len(product) : (j + 1) * len(product)] = product
     del norm, parts, product  # the last slab's arrays, released before the quadrant-sized products
     kernels = [None] * len(firsts)

@@ -37,17 +37,16 @@ class ResolventSpec:
     def symbol_values(self, grid: TorusGrid) -> np.ndarray:
         """Symbol on the grid's half spectrum, shape (n,)*(dim-1) + (n//2+1,).
 
-        The layout `apply_multiplier_values` takes: |xi| on the open
-        frequency axes, the last one cut to its n//2+1 non-negative
-        wavenumbers, summing the squares in the order
-        `grid.quadrant_slabs` does, so every value is bit for bit the one
-        the kernel commands evaluate at that |xi|.
+        The layout `apply_multiplier_values` takes, mirrored from the
+        symbol on the slabs of `grid.quadrant_slabs` by unfolding each
+        leading axis with j -> min(j, n - j): wavenumbers j and n - j are
+        exact negatives, so each value is bit for bit the kernel commands'
+        at that |xi|. Beside the result only quadrant-sized arrays are held.
         """
-        *axes, last = grid._open_axes(grid.frequency_axis)
-        squared = sum(a * a for a in (*axes, last[..., : grid.points_per_axis // 2 + 1]))
-        # |xi| is this call's own array, so two half-spectrum arrays are
-        # held at once, |xi| and the symbol's denominator, not three
-        return self._symbol(np.sqrt(squared, out=squared))
+        n = grid.points_per_axis
+        quadrant = np.concatenate([self._symbol(norm) for norm in grid.quadrant_slabs()], axis=min(grid.dim - 1, 1))
+        fold = np.minimum(np.arange(n), n - np.arange(n))
+        return quadrant[np.ix_(*[fold] * (grid.dim - 1))]
 
     def _symbol(self, norm: np.ndarray) -> np.ndarray:
         """The symbol at wavenumber magnitudes `norm`, computed in place in `norm`, which it returns.
@@ -201,31 +200,32 @@ def band_decompose(spec: ResolventSpec, grid: TorusGrid) -> KernelBundle:
     far-field envelope; K2 = K - K1 carries everything else and decays
     faster. The cutoff psi is fixed: 1 for ||xi| - 1| <= 1/6 and 0 for
     ||xi| - 1| >= 1/4. The symbol m and psi are radial, hence even in
-    each axis, so both are evaluated on the quadrant of non-negative
-    wavenumbers alone, once per node; K1 is the kernel of m*psi and K2
-    that of m - m*psi, each a cosine sum on the octant of offsets
-    0 ... n/2 (`multiplier_kernel`), returned as an `EvenKernel`. K2's
-    sums run over the whole quadrant and K1's over the corner of
-    wavenumbers below 5/4 on every axis, outside which psi is exactly 0
-    (13^3 of 65^3 nodes at L = 32, n = 128). Both multipliers are
-    functions of |xi|, which `multiplier_kernel` gives them one slab at
-    a time, so neither they nor |xi| ever take a quadrant-sized array;
-    psi is taken from each slab before the symbol overwrites it. K2's
-    later products run first, so at most two octant-sized arrays are
-    held at once. No Fourier transform runs, and neither K itself nor
-    any full-grid array is formed. The absorption delta > 0 that every
-    `ResolventSpec` carries confines the oscillating kernel tail to the
-    box.
+    each axis, so m is evaluated on the quadrant of non-negative
+    wavenumbers alone, once per node, and psi and m*psi only on each
+    slab's corner of wavenumbers below 5/4 on every axis, outside which
+    psi is exactly 0; K1 is the kernel of m*psi and K2 that of m - m*psi,
+    each a cosine sum on the octant of offsets 0 ... n/2
+    (`multiplier_kernel`), returned as an `EvenKernel`. K2's sums run
+    over the whole quadrant and K1's over the corner (13^3 of 65^3 nodes
+    at L = 32, n = 128). Both multipliers are functions of |xi|, which
+    `multiplier_kernel` gives them one slab at a time, so neither they
+    nor |xi| ever take a quadrant-sized array; psi is taken from the
+    slab's corner before the symbol overwrites it. K2's later products
+    run first, so at most two octant-sized arrays are held at once. No
+    Fourier transform runs, and neither K itself nor any full-grid array
+    is formed. The absorption delta > 0 that every `ResolventSpec`
+    carries confines the oscillating kernel tail to the box.
     """
+    corner = (slice(_band_corner(grid)),) * grid.dim
+
     def parts(norm):
-        cutoff = _band_cutoff(norm)
+        cutoff = _band_cutoff(norm[corner])
         symbol = spec._symbol(norm)
-        band = symbol * cutoff
-        symbol -= band
+        band = symbol[corner] * cutoff
+        symbol[corner] -= band
         return band, symbol
 
-    q = grid.points_per_axis // 2 + 1
-    band, remainder = multiplier_kernel(grid, parts, (np.arange(q),) * grid.dim, corners=(_band_corner(grid), q))
+    band, remainder = multiplier_kernel(grid, parts, (np.arange(grid.points_per_axis // 2 + 1),) * grid.dim)
     return KernelBundle(EvenKernel(grid, band), EvenKernel(grid, remainder))
 
 

@@ -27,10 +27,11 @@ from helmlab import (
     inner_product,
     lq_norm,
     radial_envelope,
+    random_initial_guess,
 )
 from helmlab.config import RunConfig, make_spec
 from helmlab.errors import ConfigError, NumericalError
-from helmlab.grid import multiplier_values
+from helmlab.grid import multiplier_kernel, multiplier_values
 from helmlab.resolvent import exp_smoothstep
 from helmlab import resolvent
 
@@ -178,20 +179,29 @@ def test_auto_delta_on_the_quadrant_is_the_half_spectrum_value(s):
 
 @pytest.mark.parametrize("dim,n", [(2, 64), (3, 32)])
 def test_symbol_and_auto_delta_cache_nothing_quadrant_sized(dim, n):
-    # |xi| is made where each is evaluated, and only 1D axes stay on the grid
+    # |xi| is made where each is evaluated, the radius of the random start
+    # too, and only 1D axes stay on the grid
     grid = build_grid(dim, 16.0, n)
-    ResolventSpec(s=1.0, delta=auto_delta(grid, 1.0)).symbol_values(grid)
+    spec = ResolventSpec(s=1.0, delta=auto_delta(grid, 1.0))
+    spec.symbol_values(grid)
+    random_initial_guess(grid, spec, 1)
     assert all(np.size(value) <= n for value in vars(grid).values())
 
 
-def test_symbol_values_hold_two_half_spectrum_arrays():
-    # |xi| is symbol_values' own array, so its power is taken in place: the
-    # peak is that array and the denominator, plus the open-axis sums before
-    # them, (n, 1, 1) and (n, n, 1); a fresh power array would be a third
+def test_symbol_values_hold_one_half_spectrum_and_two_quadrants():
+    # Counted in H, the half spectrum of n^2 (n/2+1) values, and Q, the
+    # quadrant of (n/2+1)^3, 0.27 H at n = 64. The symbol is taken in place
+    # on each quadrant slab, beside its denominator, one slab; the slabs
+    # and their concatenation are 2 Q. The unfold onto the half spectrum
+    # holds that quadrant and the result, Q + H, and its index arrays, at
+    # most one (n, n) array per leading axis, 2 n^2 values, under Q. So
+    # H + 2 Q holds both steps; |xi| and a denominator on the whole half
+    # spectrum were 2 H.
     n = 64
     grid = build_grid(3, 16.0, n)
     spec = ResolventSpec(s=1.0, delta=0.1)
     half_bytes = 8 * n * n * (n // 2 + 1)
+    quadrant_bytes = 8 * (n // 2 + 1) ** 3
     tracemalloc.start()
     try:
         values = spec.symbol_values(grid)
@@ -199,7 +209,7 @@ def test_symbol_values_hold_two_half_spectrum_arrays():
     finally:
         tracemalloc.stop()
     assert values.nbytes == half_bytes
-    assert peak <= 2 * half_bytes + 8 * (n + n * n)
+    assert peak <= half_bytes + 2 * quadrant_bytes
 
 
 def test_auto_delta_holds_only_the_values_its_windows_read():
@@ -464,6 +474,49 @@ def test_band_multiplier_is_zero_outside_its_corner(dim, half_width, n, corner):
     outside[(slice(corner),) * dim] = False
     assert not np.any(band[outside])
     assert np.any(band[~outside])
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_band_cutoff_is_evaluated_only_on_its_corner(monkeypatch, dim):
+    # psi is taken on each slab's corner of c = 13 < n/2 + 1 = 17 wavenumbers
+    # per axis: c^dim nodes in 1D and 2D, where the one slab is the whole
+    # quadrant, and c^2 on each of the n/2 + 1 axis-1 slabs in 3D
+    grid = build_grid(dim, 32.0, 32)
+    q, c = 17, resolvent._band_corner(grid)
+    assert c == 13
+    cutoff, nodes = resolvent._band_cutoff, []
+
+    def counted(norm):
+        nodes.append(norm.size)
+        return cutoff(norm)
+
+    monkeypatch.setattr(resolvent, "_band_cutoff", counted)
+    band_decompose(ResolventSpec(s=1.0, delta=0.2), grid)
+    assert sum(nodes) == (c * c * q if dim == 3 else c**dim)
+
+
+@pytest.mark.parametrize("dim,n", [(1, 64), (2, 32), (3, 16)])
+def test_a_corner_multiplier_gives_the_kernel_of_its_zero_padded_quadrant(dim, n):
+    # A multiplier returned on the corner of c < n/2 + 1 wavenumbers per axis
+    # is summed over that corner alone; the one returned on the whole slab
+    # beside it over the quadrant. The first is the kernel of its values
+    # zero-padded to the quadrant, whose extra terms are exact zeros, within
+    # the round-off bound of assert_band_kernels_within_roundoff.
+    grid = build_grid(dim, 16.0, n)
+    q, c = n // 2 + 1, n // 4
+    corner = (slice(c),) * dim
+
+    def radial(norm):
+        return 1.0 + 0.5 * np.cos(grid.spacing * norm) + 0.25 * np.cos(0.5 * grid.spacing * norm)
+
+    kernels = multiplier_kernel(grid, lambda norm: (radial(norm[corner]), radial(norm)), octant(grid))
+    whole = radial(quadrant(half_norm(grid)))
+    padded = np.zeros(whole.shape)
+    padded[corner] = whole[corner]
+    for values, kernel, length in ((padded, kernels[0], c), (whole, kernels[1], q)):
+        magnitude = full_quadrant_kernel(grid, values, absolute=True) / (1.0 - gamma(dim * q))
+        bound = (gamma(dim * length) + gamma(dim * q)) * magnitude
+        assert np.all(np.abs(kernel - full_quadrant_kernel(grid, values)) <= bound)
 
 
 @pytest.mark.parametrize("n", [32, 64])

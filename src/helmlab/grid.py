@@ -306,6 +306,27 @@ def apply_multiplier_values(field: RealField, values: np.ndarray) -> RealField:
     return RealField(grid, np.fft.irfft(spectrum, n=grid.points_per_axis, axis=last, norm="ortho"))
 
 
+# OpenBLAS runs a GEMM of m*n*k <= SMP_THRESHOLD_MIN * GEMM_MULTITHREAD_THRESHOLD
+# = 65536 * 4 multiply-adds on its calling thread, whatever its thread count
+# (interface/gemm.c), so a product split into blocks of at most that many
+# wakes no worker thread
+_GEMM_BLOCK = 1 << 18
+
+
+def _matmul_rows(rows: np.ndarray, right: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """`rows @ right` written into `out`, which it returns, in blocks of rows that OpenBLAS keeps on the calling thread.
+
+    Each block does at most 2^18 multiply-adds, so no block wakes an
+    OpenBLAS worker; a row wider than that is a block of its own. Each
+    entry is the same sum as the whole product's, which a GEMM kernel
+    may round differently in a call with fewer rows.
+    """
+    step = max(1, _GEMM_BLOCK // right.size)
+    for start in range(0, len(rows), step):
+        np.matmul(rows[start : start + step], right, out=out[start : start + step])
+    return out
+
+
 def multiplier_kernel(
     grid: TorusGrid,
     multipliers: Callable[[np.ndarray], Sequence[np.ndarray]],
@@ -319,10 +340,10 @@ def multiplier_kernel(
     Each holds its multiplier on the slab's corner `(slice(c),) * dim`,
     c its leading extent and the same on every slab: n/2 + 1 for the
     whole slab, less for a multiplier that is 0 wherever some k_i >= c
-    (so a 3D slab past the corner is not read). A function of |xi| is
-    even in each axis, so its values on the quadrant of non-negative
-    wavenumbers, which the slabs make up, determine it. The delta,
-    1/h^dim at `origin_index` = (n/2, ...), has the spectrum
+    (so a 3D slab past the corner is not read, and may hold None there).
+    A function of |xi| is even in each axis, so its values on the
+    quadrant of non-negative wavenumbers, which the slabs make up,
+    determine it. The delta, 1/h^dim at `origin_index` = (n/2, ...), has the spectrum
     (-1)^(k_0 + ... + k_(dim-1)) / h^dim, so at the nodes n/2 +- a the
     kernel is the separable cosine sum
 
@@ -333,10 +354,11 @@ def multiplier_kernel(
     offsets a_i in 0 ... n/2 per axis, and each returned kernel, of shape
     tuple(len(a) for a in offsets), is the kernel on their product: one
     dense (n//2 + 1) x len(a_i) cosine matrix per axis, its first c
-    columns, through BLAS, each product contracting the first axis and
-    appending the new one last, so after dim products the axes are back
-    in order. The first product runs slab by slab, on each slab's corner,
-    into rows of the [(k_1 ... k_(dim-1)), a_0] intermediate; the rest
+    columns, through BLAS in row blocks that OpenBLAS keeps on the
+    calling thread (`_matmul_rows`), each product contracting the first
+    axis and appending the new one last, so after dim products the axes
+    are back in order. The first product runs slab by slab, on each
+    slab's corner, into rows of the [(k_1 ... k_(dim-1)), a_0] intermediate; the rest
     run on whole intermediates, one multiplier after the other, widest
     corner first, each input released once its product is made. So
     beside one array per multiplier (its intermediate, partial product
@@ -359,15 +381,15 @@ def multiplier_kernel(
             firsts = [np.empty((c ** (grid.dim - 1), len(offsets[0]))) for c in corners]
         for i, c in enumerate(corners):
             if j < c:
-                product = parts[i].reshape(c, -1).T @ cosines[0][:, :c].T
-                firsts[i][j * len(product) : (j + 1) * len(product)] = product
-    del norm, parts, product  # the last slab's arrays, released before the quadrant-sized products
+                rows = parts[i].reshape(c, -1).T
+                _matmul_rows(rows, cosines[0][:, :c].T, firsts[i][j * len(rows) : (j + 1) * len(rows)])
+    del norm, parts, rows  # the last slab's arrays, released before the quadrant-sized products
     kernels = [None] * len(firsts)
     for i in sorted(range(len(firsts)), key=lambda i: -corners[i]):
         kernel, firsts[i] = firsts[i], None  # so no list entry keeps an intermediate alive
         c = corners[i]
         for matrix in cosines[1:]:
-            kernel = kernel.reshape(c, -1).T @ matrix[:, :c].T
+            kernel = _matmul_rows(kernel.reshape(c, -1).T, matrix[:, :c].T, np.empty((kernel.size // c, len(matrix))))
         kernels[i] = kernel.reshape(tuple(len(a) for a in offsets))
     return kernels
 

@@ -13,12 +13,13 @@ a fixed radial cutoff: 1 for ||xi| - 1| <= 1/6, 0 for ||xi| - 1| >= 1/4.
 from __future__ import annotations
 
 from dataclasses import dataclass
+import itertools
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .errors import InsufficientDataError, NumericalError
-from .grid import TorusGrid, _check_same_grid, multiplier_kernel
+from .grid import TorusGrid, _check_same_grid, _matmul_rows, multiplier_kernel
 
 
 @dataclass(frozen=True)
@@ -201,10 +202,11 @@ def band_decompose(spec: ResolventSpec, grid: TorusGrid) -> KernelBundle:
     faster. The cutoff psi is fixed: 1 for ||xi| - 1| <= 1/6 and 0 for
     ||xi| - 1| >= 1/4. The symbol m and psi are radial, hence even in
     each axis, so m is evaluated on the quadrant of non-negative
-    wavenumbers alone, once per node, and psi and m*psi only on each
-    slab's corner of wavenumbers below 5/4 on every axis, outside which
-    psi is exactly 0; K1 is the kernel of m*psi and K2 that of m - m*psi,
-    each a cosine sum on the octant of offsets 0 ... n/2
+    wavenumbers alone, once per node, and psi and m*psi only on the
+    corner of wavenumbers below 5/4 on every axis, outside which psi is
+    exactly 0: on each slab's corner, and in 3D on the slabs below it.
+    K1 is the kernel of m*psi and K2 that of m - m*psi, each a cosine
+    sum on the octant of offsets 0 ... n/2
     (`multiplier_kernel`), returned as an `EvenKernel`. K2's sums run
     over the whole quadrant and K1's over the corner (13^3 of 65^3 nodes
     at L = 32, n = 128). Both multipliers are functions of |xi|, which
@@ -216,9 +218,13 @@ def band_decompose(spec: ResolventSpec, grid: TorusGrid) -> KernelBundle:
     is formed. The absorption delta > 0 that every `ResolventSpec`
     carries confines the oscillating kernel tail to the box.
     """
-    corner = (slice(_band_corner(grid)),) * grid.dim
+    c = _band_corner(grid)
+    corner = (slice(c),) * grid.dim
+    slabs = itertools.count()  # the slab's axis-1 wavenumber in 3D, else 0, as multiplier_kernel counts them
 
     def parts(norm):
+        if next(slabs) >= c:  # psi is 0 on the whole slab, where K1 is not read
+            return None, spec._symbol(norm)
         cutoff = _band_cutoff(norm[corner])
         symbol = spec._symbol(norm)
         band = symbol[corner] * cutoff
@@ -332,8 +338,10 @@ def _resolve_between(
     first product, the only one over the whole quadrant, and the kernel
     is transposed back. The sum contracts one source axis at a time: each
     step gathers the kernel, or the partial sum, at one axis's
-    (len(t_i), len(s_i)) matrix of folded offsets and sums s_i out, so
-    no array spans both whole boxes.
+    (len(t_i), len(s_i)) matrix of folded offsets and sums s_i out, the
+    first through a BLAS product in row blocks that OpenBLAS keeps on
+    the calling thread (`grid._matmul_rows`), so no array spans both
+    whole boxes.
     """
     n = grid.points_per_axis
     offsets, folds = [], []
@@ -345,8 +353,14 @@ def _resolve_between(
     order = sorted(range(grid.dim), key=lambda i: len(offsets[i]))
     (kernel,) = multiplier_kernel(grid, lambda norm: (multiplier(norm),), [offsets[i] for i in order])
     kernel = kernel.transpose(np.argsort(order))
+    # axes (d_1 ... d_(dim-1), t_0, s_0), taken into a fresh C-ordered array, so its rows of
+    # s_0 are one matrix, whose product with the block sums s_0 out
+    gathered = np.take(np.moveaxis(kernel, 0, -1), folds[0], axis=-1)
+    rows, right = gathered.reshape(-1, len(block)), block.reshape(len(block), -1)
+    product = _matmul_rows(rows, right, np.empty((len(rows), right.shape[1])))
     # axes (t_0, d_1 ... d_(dim-1), s_1 ... s_(dim-1))
-    partial = np.tensordot(kernel[folds[0]], block, axes=([1], [0]))
+    partial = np.moveaxis(product.reshape(gathered.shape[:-1] + block.shape[1:]), grid.dim - 1, 0)
+    del gathered, rows  # the gathered kernel, released before the partial sums
     for axis in range(1, grid.dim):
         # d_axis sits at `axis` and s_axis at `dim`; taken to the front, both are indexed as (t_axis, s_axis)
         front = np.moveaxis(partial, (axis, grid.dim), (0, 1))

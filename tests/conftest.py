@@ -101,13 +101,24 @@ def half_norm(grid):
     return np.sqrt(sum(m * m for m in freqs))[..., : grid.points_per_axis // 2 + 1]
 
 
-def numpy_runs_x86_openblas():
-    """Whether numpy's BLAS is OpenBLAS on an x86-64 CPU, where every OPENBLAS_CORETYPE the tests name runs."""
+def numpy_runs_openblas():
+    """Whether numpy's BLAS is OpenBLAS."""
     try:
         name = np.__config__.CONFIG["Build Dependencies"]["blas"]["name"]
     except (AttributeError, KeyError, TypeError):
         return False
-    return "openblas" in str(name).lower() and platform.machine().lower() in ("x86_64", "amd64")
+    return "openblas" in str(name).lower()
+
+
+def numpy_runs_x86_openblas():
+    """Whether numpy's BLAS is OpenBLAS on an x86-64 CPU, where every OPENBLAS_CORETYPE the tests name runs."""
+    return numpy_runs_openblas() and platform.machine().lower() in ("x86_64", "amd64")
+
+
+def gamma(m):
+    """gamma_m = m u / (1 - m u), u = eps/2: a product of m factors 1 + d_i, |d_i| <= u, lies within gamma_m of 1."""
+    u = np.finfo(float).eps / 2.0
+    return m * u / (1.0 - m * u)
 
 
 def rng(seed):

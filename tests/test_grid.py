@@ -28,9 +28,9 @@ from helmlab import (
     solve_ground_state,
 )
 from helmlab.errors import NumericalError
-from helmlab.grid import multiplier_kernel, multiplier_values
+from helmlab.grid import _matmul_rows, multiplier_kernel, multiplier_values
 
-from conftest import half_norm, mirror, octant, quadrant, whole_kernel
+from conftest import gamma, half_norm, mirror, octant, quadrant, whole_kernel
 
 
 def random_field(grid, seed=0):
@@ -230,6 +230,35 @@ def test_real_pair_matches_the_complex_reference(dim, n):
     real_pair = apply_multiplier_values(f, m)
     reference = inverse_transform(SpectralField(grid, full * forward_transform(f).coeffs))
     assert np.max(np.abs(real_pair.values - reference.values)) <= 1e-12 * np.max(np.abs(reference.values))
+
+
+@pytest.mark.parametrize(
+    "rows,inner,cols",
+    # 62 rows of 65 x 65 a block, with 11 left over; one row under the budget;
+    # rows each wider than the budget, one a block; a contraction of length 1
+    [(1000, 65, 65), (1, 65, 65), (5, 700, 400), (300, 1, 9)],
+)
+def test_blocked_product_is_the_product_within_roundoff(monkeypatch, rows, inner, cols):
+    # each entry is a sum of `inner` products, within gamma_inner of the exact
+    # sum relative to its sum of |terms| in any order or blocking (Higham,
+    # ch. 3), so the blocked and the whole product differ by at most twice that;
+    # every call does at most 2^18 multiply-adds, or is one row wider than that
+    generator = np.random.default_rng(rows + inner + cols)
+    a, b = generator.standard_normal((inner, rows)).T, generator.standard_normal((inner, cols))
+    sizes, matmul = [], np.matmul
+
+    def counted(x, y, **kwargs):
+        sizes.append((len(x), x.shape[1] * y.shape[1]))
+        return matmul(x, y, **kwargs)
+
+    monkeypatch.setattr(np, "matmul", counted)
+    out = np.empty((rows, cols))
+    assert _matmul_rows(a, b, out) is out
+    monkeypatch.undo()
+    assert sum(m for m, _ in sizes) == rows
+    assert all(m * width <= 2**18 or m == 1 for m, width in sizes)
+    bound = 2.0 * gamma(inner) * (np.abs(a) @ np.abs(b)) / (1.0 - gamma(inner))
+    assert np.all(np.abs(out - a @ b) <= bound)
 
 
 @pytest.mark.parametrize("dim,n", [(1, 64), (2, 32), (3, 16)])

@@ -1,5 +1,6 @@
 """Resolvent multiplier, kernel extraction and decay diagnostics."""
 import itertools
+import json
 import os
 import subprocess
 import sys
@@ -35,7 +36,17 @@ from helmlab.grid import multiplier_kernel, multiplier_values
 from helmlab.resolvent import exp_smoothstep
 from helmlab import resolvent
 
-from conftest import embed, half_norm, mirror, numpy_runs_x86_openblas, octant, quadrant, whole_kernel
+from conftest import (
+    embed,
+    gamma,
+    half_norm,
+    mirror,
+    numpy_runs_openblas,
+    numpy_runs_x86_openblas,
+    octant,
+    quadrant,
+    whole_kernel,
+)
 
 
 def symbol(mu, delta):
@@ -384,12 +395,6 @@ def full_quadrant_kernel(grid, values, absolute=False):
     return kernel.reshape((q,) * grid.dim)
 
 
-def gamma(m):
-    """gamma_m = m u / (1 - m u), u = eps/2: a product of m factors 1 + d_i, |d_i| <= u, lies within gamma_m of 1."""
-    u = np.finfo(float).eps / 2.0
-    return m * u / (1.0 - m * u)
-
-
 def assert_band_kernels_within_roundoff(grid, band_values, remainder_values):
     # Each kernel entry is a sum over the quadrant of terms m(k) prod_i C_i(a_i, k_i),
     # formed by dim products whose sums have length_i terms. In any order and
@@ -456,6 +461,74 @@ def test_band_decompose_is_within_roundoff_under_each_openblas_kernel(tmp_path, 
             assert_band_kernels_within_roundoff(build_grid(dim, 32.0, n), kernels["band"], kernels["remainder"])
 
 
+WORKER_SWITCHES_SCRIPT = """
+import json
+import os
+import time
+from helmlab import ResolventSpec, band_decompose, build_grid, compact_bump, disjoint_interaction
+
+
+def switches():
+    # voluntary and involuntary context switches of every thread but the main one
+    counts = {}
+    for task in os.listdir("/proc/self/task"):
+        if task != str(os.getpid()):
+            with open(f"/proc/self/task/{task}/status") as status:
+                counts[task] = [line for line in status if "ctxt_switches" in line]
+    return counts
+
+
+def settled():
+    # the workers' counts once they stop moving: a worker sleeps after its start-up spin
+    before = switches()
+    for _ in range(100):
+        time.sleep(0.2)
+        now = switches()
+        if now == before:
+            return now
+        before = now
+    raise SystemExit("the worker threads never settled")
+
+
+spec = ResolventSpec(s=1.0, delta=0.2)
+runs = [(f"band_decompose {n}^3", lambda n=n: band_decompose(spec, build_grid(3, 32.0, n))) for n in (64, 128)]
+grid = build_grid(3, 32.0, 128)
+for radius in (2.0, 4.0):
+    inner = compact_bump(grid, (0.0, 0.0, 0.0), radius)
+    outer = [(gap, compact_bump(grid, (2.0 * radius + gap + grid.spacing, 0.0, 0.0), radius)) for gap in (2.0, 4.0, 8.0)]
+    runs.append((f"disjoint_interaction radius {radius:g}", lambda u=inner, v=outer, r=radius: disjoint_interaction(u, v, spec, r)))
+woken = {}
+for name, run in runs:
+    before = settled()
+    run()
+    woken[name] = before != switches()
+print(json.dumps({"workers": len(before), "woken": woken}))
+"""
+
+
+@pytest.mark.skipif(
+    not sys.platform.startswith("linux") or not numpy_runs_openblas() or len(os.sched_getaffinity(0)) < 2,
+    reason="counts OpenBLAS worker threads in /proc/self/task, on 2 CPUs or more",
+)
+def test_kernel_commands_wake_no_blas_worker():
+    # OpenBLAS runs a GEMM of at most 65536 * 4 multiply-adds on its calling
+    # thread, so the kernel commands' products, made in row blocks below that,
+    # must leave OpenBLAS's worker asleep at 2 threads: at 3D 128^3 the whole
+    # first and later products of band_decompose and the box convolution of
+    # bumps of radius 4 exceed it. The bumps of radius 2 are the benchmark's.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run(
+        [sys.executable, "-c", WORKER_SWITCHES_SCRIPT],
+        capture_output=True, text=True, timeout=120,
+        env=dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS="2", OMP_NUM_THREADS="2"),
+    )
+    assert done.returncode == 0, done.stderr
+    report = json.loads(done.stdout)
+    assert report["workers"] >= 1
+    assert not any(report["woken"].values()), report["woken"]
+
+
 @pytest.mark.parametrize(
     "dim,half_width,n,corner",
     [(1, 32.0, 64, 13), (2, 32.0, 64, 13), (3, 32.0, 32, 13), (2, 8.0, 64, 4), (1, 32.0, 16, 9), (3, 32.0, 16, 9)],
@@ -478,11 +551,11 @@ def test_band_multiplier_is_zero_outside_its_corner(dim, half_width, n, corner):
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
 def test_band_cutoff_is_evaluated_only_on_its_corner(monkeypatch, dim):
-    # psi is taken on each slab's corner of c = 13 < n/2 + 1 = 17 wavenumbers
-    # per axis: c^dim nodes in 1D and 2D, where the one slab is the whole
-    # quadrant, and c^2 on each of the n/2 + 1 axis-1 slabs in 3D
+    # psi is taken on the corner of c = 13 < n/2 + 1 = 17 wavenumbers per
+    # axis alone, c^dim nodes: in 1D and 2D the one slab's corner, in 3D
+    # the corner of each of the first c axis-1 slabs, none past them
     grid = build_grid(dim, 32.0, 32)
-    q, c = 17, resolvent._band_corner(grid)
+    c = resolvent._band_corner(grid)
     assert c == 13
     cutoff, nodes = resolvent._band_cutoff, []
 
@@ -492,7 +565,7 @@ def test_band_cutoff_is_evaluated_only_on_its_corner(monkeypatch, dim):
 
     monkeypatch.setattr(resolvent, "_band_cutoff", counted)
     band_decompose(ResolventSpec(s=1.0, delta=0.2), grid)
-    assert sum(nodes) == (c * c * q if dim == 3 else c**dim)
+    assert sum(nodes) == c**dim
 
 
 @pytest.mark.parametrize("dim,n", [(1, 64), (2, 32), (3, 16)])

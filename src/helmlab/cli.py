@@ -6,10 +6,10 @@ says what it did on stdout. `main` makes the run's inputs and applies the
 hypothesis gate once for every command; a command gets them as one
 `_Run`, which holds the artifacts and the summary lines in memory until
 `finish` writes the artifacts, so a run that stops on an error writes
-nothing, and a closed stdout loses none of them. Outputs are
-deterministic for a fixed config and seed. Exit codes: 0 success,
-1 a required solve did not converge, 2 malformed config or a grid too
-large to allocate, 3 validity-range violation without --force, 4 a
+nothing, and a closed stdout loses none of them. No command draws random
+numbers, so outputs are deterministic for a fixed config. Exit codes: 0
+success, 1 a required solve did not converge, 2 malformed config or a grid
+too large to allocate, 3 validity-range violation without --force, 4 a
 numerical failure (any `NumericalError` or `ArithmeticError`: `main`
 makes numpy raise `FloatingPointError` on overflow, division by zero
 and invalid operations, and Python's float arithmetic raises its own),
@@ -54,7 +54,7 @@ from .config import (
     make_spec,
     render_config,
 )
-from .dual import limit_ground_state, random_initial_guess, solve_ground_state
+from .dual import limit_ground_state, solve_ground_state
 from .errors import ConfigError, InsufficientDataError, NumericalError
 from .grid import TorusGrid
 from .params import OUTSIDE_HYPOTHESES_MARKER, Exponents
@@ -208,10 +208,9 @@ def _cmd_interaction_check(run: _Run) -> int:
 
 def _cmd_solve(run: _Run) -> int:
     cfg, exps, grid, spec, Q = run.cfg, run.exps, run.grid, run.spec, run.Q
-    # one solve, from the solver's cold start on the sampled Q's largest node (where every
-    # family member of levels and sweep starts) or from seeded noise
-    init = random_initial_guess(grid, spec, cfg.seed) if cfg.init == "random" else None
-    gs = solve_ground_state(sample_Q(Q, grid, exps.eps), exps, spec, init=init, tol=cfg.tol, max_iter=cfg.max_iter)
+    # one solve, from the solver's cold start on the sampled Q's largest node, where every
+    # family member of levels and sweep starts
+    gs = solve_ground_state(sample_Q(Q, grid, exps.eps), exps, spec, tol=cfg.tol, max_iter=cfg.max_iter)
     row = {
         "level": gs.level, "residual": gs.fixed_point_residual, "iterations": gs.iterations, "converged": gs.converged,
         "quad_form": gs.state.quad_form, "nehari_defect": gs.state.nehari_residual, "scale_factor": exps.scale_factor,

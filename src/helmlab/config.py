@@ -129,7 +129,7 @@ class RunConfig:
     value: float = _key("coefficient.value", 1.0, _positive_float)
     tol: float = _key("solver.tol", 1e-6, _positive_float)
     max_iter: int = _key("solver.max_iter", 500, _positive_int, str)
-    init: str = _key("solver.init", "default", _parse_choice("default", "random"), str)
+    # no command reads the seed; the key stays so that configs which set it (criterion 11's) still parse
     seed: int = _key("solver.seed", 12345, _rule(int, lambda n: n >= 0, "must be a nonnegative integer"), str)
     k_values: tuple[float, ...] = _key("sweep.k_values", (2.0, 4.0, 8.0), _positive_floats, _render_float_list)
     eps_values: tuple[float, ...] = _key("sweep.eps_values", (0.5, 0.25, 0.125), _eps_values, _render_float_list)

@@ -180,9 +180,12 @@ def test_hopeless_config_process_ends_without_a_traceback(tmp_path):
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("key, value", [("solver.warm_start", "true"), ("output.precision", "12")])
+@pytest.mark.parametrize(
+    "key, value", [("solver.warm_start", "true"), ("output.precision", "12"), ("solver.init", "random")]
+)
 def test_removed_keys_are_unknown_keys(tmp_path, capsys, key, value):
-    # every family solve starts from the limit state, and CSV cells always carry 12 significant digits
+    # every family solve starts from the limit state, CSV cells always carry 12 significant
+    # digits, and solve always starts from the solver's cold start
     cfg = write_cfg(tmp_path, "old.cfg", f"{key} = {value}\n")
     assert main(["solve", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
     (line,) = capsys.readouterr().err.splitlines()
@@ -366,18 +369,6 @@ def test_solve_reports_a_warning_as_one_line(tmp_path, capsys):
     err = capsys.readouterr().err.splitlines()
     assert len([line for line in err if line.startswith("warning: coefficient maximum at (2.0, 0.0)")]) == 1
     assert not [line for line in err if ".py" in line]
-
-
-def test_random_start_is_reproducible(tmp_path):
-    # a seeded random start need not reach the default start's level; the same
-    # seed must give the same bytes
-    cfg = write_cfg(tmp_path, "r.cfg", "grid.points = 64\nsolver.init = random\nsolver.seed = 3\n")
-    for name in ("a", "b"):
-        assert main(["solve", "--config", cfg, "--out", str(tmp_path / name), "--force"]) == 0
-    first = (tmp_path / "a" / "ground_state.csv").read_bytes()
-    assert first == (tmp_path / "b" / "ground_state.csv").read_bytes()
-    columns, rows = read_rows(tmp_path / "a" / "ground_state.csv")
-    assert rows[0][columns.index("converged")] == "true"
 
 
 def test_stalled_solve_exits_nonzero(tmp_path):

@@ -6,11 +6,13 @@ integrals are plain quadrature sums weighted by the cell volume h^dim.
 
 Fourier multipliers are real and even, m(-xi) = m(xi), so they keep
 fields real and live on the half spectrum: the rfftn layout of shape
-(n,)*(dim-1) + (n//2+1,), as `multiplier_values` and the resolvent
-symbol return them. A multiplier even in each axis, as a radial one is,
-is determined by its values on the quadrant of non-negative wavenumbers,
-shape (n//2+1,)*dim, which `quadrant_slabs`, the one producer of |xi|,
-makes. The transform pair `apply_multiplier_values`
+(n,)*(dim-1) + (n//2+1,), as `multiplier_values` returns them. A radial
+multiplier is determined by its values on the quadrant of non-negative
+wavenumbers, shape (n//2+1,)*dim. This module owns that quadrant's |xi|
+slab layout: `quadrant_slabs` is the one producer of |xi|, and
+`TorusGrid._radial_half_spectrum` the one unfold of a function of |xi|
+from the slabs onto the half spectrum; `resolvent` owns the formulas.
+The transform pair `apply_multiplier_values`
 runs numpy's 1D transforms one axis at a time, in the order rfftn and
 irfftn use (forward: rfft on the last axis, then fft on axes
 dim-2 ... 0; inverse: ifft on axes 0 ... dim-2, then irfft on the last
@@ -19,13 +21,12 @@ the first pass allocated, so its result equals the n-D pair's bit for
 bit and its inputs are never written.
 `multiplier_kernel` applies radial multipliers, given as a function of
 |xi|, to the origin delta, whose spectrum is known, with no transform:
-it evaluates them on the quadrant one slab of |xi| at a time (the slabs
-`quadrant_slabs` makes) and sums cosines, one dense matrix per axis, at
-the non-negative node offsets it is asked for, the whole octant
+it evaluates them slab by slab and sums cosines, one dense matrix per
+axis, at the non-negative node offsets it is asked for, the whole octant
 0 ... n/2 or the offsets between two index boxes, each multiplier's sums
-only over the corner of wavenumbers it is returned on. No
-full-grid array is made, and no quadrant-sized one beyond the kernels
-and their intermediates.
+only over the corner of wavenumbers it is returned on. No full-grid
+array is made, and no quadrant-sized one beyond the kernels and their
+intermediates.
 `multiplier_values` checks evenness on the full spectrum before it
 keeps the half. The explicit `SpectralField` transforms stay complex,
 on the full spectrum, and check Hermitian symmetry. Geometry and
@@ -128,16 +129,15 @@ class TorusGrid:
         """|xi| on the quadrant of non-negative wavenumbers, shape (n//2+1,)*dim, in fresh slabs.
 
         The slabs hold at most (n//2+1)^2 values each, in the order
-        `multiplier_kernel` evaluates its multipliers on them: in 3D, one
-        axis-1 row at a time, shape (n//2+1, 1, n//2+1); in 1D and 2D,
-        the whole quadrant at once. Each slab is a new array, which its
-        reader may overwrite: the sum of squares, the last square added
-        and the square root taken in place, so a slab costs one
-        slab-sized array beside the buffer numpy's broadcasting add holds
-        while it runs, and no quadrant-sized array is made or cached. The wavenumbers j and
-        n - j are exact negatives, so |xi| is bitwise even in each axis
-        and the quadrant holds every value of the full spectrum. The one
-        producer of |xi|, for the kernels, `auto_delta` and the symbol.
+        `multiplier_kernel` reads them: in 3D, one axis-1 row at a time, shape
+        (n//2+1, 1, n//2+1); in 1D and 2D, the whole quadrant at once. Each
+        slab is a new array, which its reader may overwrite: the sum of
+        squares, the last square added and the square root taken in place, so
+        a slab costs one slab-sized array beside the buffer numpy's
+        broadcasting add holds while it runs, and no quadrant-sized array is
+        made or cached. The wavenumbers j and n - j are exact negatives, so
+        |xi| is bitwise even in each axis and the quadrant holds every value
+        of the full spectrum.
         """
         q = self.points_per_axis // 2 + 1
         *lead, last = [a * a for a in self._open_axes(self.frequency_axis[:q])]
@@ -153,6 +153,20 @@ class TorusGrid:
             norm[...] = head
             norm += last
             yield np.sqrt(norm, out=norm)
+
+    def _radial_half_spectrum(self, radial: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
+        """A function of |xi| on the half spectrum, shape (n,)*(dim-1) + (n//2+1,).
+
+        `radial` maps one slab of `quadrant_slabs` to its values, once per
+        slab, so once per quadrant node; the joined slabs' leading axes
+        unfold with j -> min(j, n - j), j and n - j being exact negatives,
+        so each value is bit for bit the one at that |xi| on the slabs.
+        Beside the result only quadrant-sized arrays are held.
+        """
+        n = self.points_per_axis
+        quadrant = np.concatenate([radial(norm) for norm in self.quadrant_slabs()], axis=min(self.dim - 1, 1))
+        fold = np.minimum(np.arange(n), n - np.arange(n))
+        return quadrant[np.ix_(*[fold] * (self.dim - 1))]
 
     def periodic_offsets(self, center) -> list[np.ndarray]:
         """Per axis, the signed torus offsets x_i - c in [-L, L) of the coordinate axis from a point."""
@@ -187,7 +201,7 @@ def _check_same_grid(a, b):
         raise NumericalError("fields live on different grids")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RealField:
     """Real-valued nodal samples on a TorusGrid."""
 
@@ -220,7 +234,7 @@ class RealField:
     __rmul__ = __mul__
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SpectralField:
     """Complex Fourier coefficients of a field, in FFT layout."""
 
@@ -341,9 +355,7 @@ def multiplier_kernel(
     c its leading extent and the same on every slab: n/2 + 1 for the
     whole slab, less for a multiplier that is 0 wherever some k_i >= c
     (so a 3D slab past the corner is not read, and may hold None there).
-    A function of |xi| is even in each axis, so its values on the
-    quadrant of non-negative wavenumbers, which the slabs make up,
-    determine it. The delta, 1/h^dim at `origin_index` = (n/2, ...), has the spectrum
+    The delta, 1/h^dim at `origin_index` = (n/2, ...), has the spectrum
     (-1)^(k_0 + ... + k_(dim-1)) / h^dim, so at the nodes n/2 +- a the
     kernel is the separable cosine sum
 

@@ -15,6 +15,8 @@ OUTSIDE_HYPOTHESES_MARKER = "outside paper hypotheses"
 
 @dataclass(frozen=True)
 class HypothesisCheck:
+    """One hypothesis of the paper: its name, whether it holds, the value tested and the range it must lie in."""
+
     name: str
     passed: bool
     value: float

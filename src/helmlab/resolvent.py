@@ -8,18 +8,24 @@ delta > 0 regularizes it to the real part of ((-Delta)^s - (1 + i*delta))^(-1),
 
 which is odd around the sphere, negative inside, positive outside, and
 bounded by 1/(2*delta). The kernel split K = K1 + K2 takes K1 through
-a fixed radial cutoff: 1 for ||xi| - 1| <= 1/6, 0 for ||xi| - 1| >= 1/4.
+a fixed radial cutoff psi: 1 for ||xi| - 1| <= 1/6, 0 for ||xi| - 1| >= 1/4,
+so psi is skipped on every slab of |xi| whose smallest |xi| is at least
+5/4, in 3D the slabs from the c-th on (`_band_corner`). This module owns
+the formulas, as functions of a slab of |xi|; `grid` owns the slab layout
+and its unfold onto the half spectrum.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-import itertools
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .errors import InsufficientDataError, NumericalError
 from .grid import TorusGrid, _check_same_grid, _matmul_rows, multiplier_kernel
+
+_BAND_INNER, _BAND_OUTER = 1.0 / 6.0, 1.0 / 4.0  # psi is 1 within _BAND_INNER of |xi| = 1, 0 past _BAND_OUTER
+_BAND_EDGE = 1.0 + _BAND_OUTER  # psi is exactly 0 from this |xi| on: its smoothstep argument is 1.0 there in floats
 
 
 @dataclass(frozen=True)
@@ -36,18 +42,8 @@ class ResolventSpec:
             raise ValueError("delta must be positive")
 
     def symbol_values(self, grid: TorusGrid) -> np.ndarray:
-        """Symbol on the grid's half spectrum, shape (n,)*(dim-1) + (n//2+1,).
-
-        The layout `apply_multiplier_values` takes, mirrored from the
-        symbol on the slabs of `grid.quadrant_slabs` by unfolding each
-        leading axis with j -> min(j, n - j): wavenumbers j and n - j are
-        exact negatives, so each value is bit for bit the kernel commands'
-        at that |xi|. Beside the result only quadrant-sized arrays are held.
-        """
-        n = grid.points_per_axis
-        quadrant = np.concatenate([self._symbol(norm) for norm in grid.quadrant_slabs()], axis=min(grid.dim - 1, 1))
-        fold = np.minimum(np.arange(n), n - np.arange(n))
-        return quadrant[np.ix_(*[fold] * (grid.dim - 1))]
+        """Symbol on the grid's half spectrum, shape (n,)*(dim-1) + (n//2+1,), as `apply_multiplier_values` takes it."""
+        return grid._radial_half_spectrum(self._symbol)
 
     def _symbol(self, norm: np.ndarray) -> np.ndarray:
         """The symbol at wavenumber magnitudes `norm`, computed in place in `norm`, which it returns.
@@ -118,23 +114,16 @@ def exp_smoothstep(t: np.ndarray) -> np.ndarray:
 
 
 def _band_cutoff(norm: np.ndarray) -> np.ndarray:
-    """Band cutoff psi: 1 for ||xi| - 1| <= 1/6, 0 for ||xi| - 1| >= 1/4, smooth between."""
-    return exp_smoothstep((np.abs(norm - 1.0) - 1.0 / 6.0) / (1.0 / 4.0 - 1.0 / 6.0))
+    """Band cutoff psi at wavenumber magnitudes `norm`: 1 near the unit sphere, 0 off the band, smooth between."""
+    return exp_smoothstep((np.abs(norm - 1.0) - _BAND_INNER) / (_BAND_OUTER - _BAND_INNER))
 
 
 def _band_corner(grid: TorusGrid) -> int:
-    """How many non-negative wavenumbers of an axis lie below 5/4, where the band cutoff psi ends.
-
-    psi is exactly 0 at |xi| >= 5/4, where its smoothstep argument is
-    1.0 in floats and only grows, and a node with some |xi_i| >= 5/4 has
-    |xi| >= 5/4, a root of a sum of squares being at least each root.
-    So psi, and any multiple of it, can be nonzero only on the corner of
-    the quadrant where every wavenumber index is below this count.
-    """
-    return int(np.count_nonzero(np.abs(grid.frequency_axis[: grid.points_per_axis // 2 + 1]) < 1.25))
+    """How many non-negative wavenumbers per axis lie below 5/4: psi is 0 off their corner, as |xi| >= each |xi_i|."""
+    return int(np.count_nonzero(np.abs(grid.frequency_axis[: grid.points_per_axis // 2 + 1]) < _BAND_EDGE))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EvenKernel:
     """A kernel even in each axis, held on its octant of non-negative node offsets.
 
@@ -152,7 +141,7 @@ class EvenKernel:
             raise ValueError(f"values shape {self.values.shape} is not the octant shape {shape}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BoxField:
     """A real field held on an index box of its grid and zero off it.
 
@@ -196,22 +185,20 @@ def band_decompose(spec: ResolventSpec, grid: TorusGrid) -> KernelBundle:
 
     K is the resolvent applied to the unit-mass discrete delta (value
     1/h^dim at the origin node), so that applying the resolvent symbol
-    to f equals the quadrature circular convolution of K with f. K1 carries the
-    propagating near-sphere modes and decays like the dimension's
-    far-field envelope; K2 = K - K1 carries everything else and decays
-    faster. The cutoff psi is fixed: 1 for ||xi| - 1| <= 1/6 and 0 for
-    ||xi| - 1| >= 1/4. The symbol m and psi are radial, hence even in
-    each axis, so m is evaluated on the quadrant of non-negative
-    wavenumbers alone, once per node, and psi and m*psi only on the
-    corner of wavenumbers below 5/4 on every axis, outside which psi is
-    exactly 0: on each slab's corner, and in 3D on the slabs below it.
-    K1 is the kernel of m*psi and K2 that of m - m*psi, each a cosine
-    sum on the octant of offsets 0 ... n/2
-    (`multiplier_kernel`), returned as an `EvenKernel`. K2's sums run
-    over the whole quadrant and K1's over the corner (13^3 of 65^3 nodes
-    at L = 32, n = 128). Both multipliers are functions of |xi|, which
-    `multiplier_kernel` gives them one slab at a time, so neither they
-    nor |xi| ever take a quadrant-sized array; psi is taken from the
+    to f equals the quadrature circular convolution of K with f. K1
+    carries the propagating near-sphere modes and decays like the
+    dimension's far-field envelope; K2 = K - K1 carries everything else
+    and decays faster. The symbol m and the cutoff psi are radial, hence
+    even in each axis, so m is evaluated on the quadrant of non-negative
+    wavenumbers alone, once per node, and psi and m*psi only on each
+    slab's corner of c wavenumbers below 5/4 per axis, skipping every
+    slab whose smallest |xi| is at least 5/4: in 3D those from the c-th
+    on. K1 is the kernel of m*psi and K2 that of m - m*psi, each a cosine
+    sum on the octant of offsets 0 ... n/2 (`multiplier_kernel`), returned
+    as an `EvenKernel`. K2's sums run over the whole quadrant and K1's
+    over the corner (13^3 of 65^3 nodes at L = 32, n = 128). Both
+    multipliers are evaluated one slab of |xi| at a time, so neither
+    they nor |xi| take a quadrant-sized array; psi is taken from the
     slab's corner before the symbol overwrites it. K2's later products
     run first, so at most two octant-sized arrays are held at once. No
     Fourier transform runs, and neither K itself nor any full-grid array
@@ -220,10 +207,9 @@ def band_decompose(spec: ResolventSpec, grid: TorusGrid) -> KernelBundle:
     """
     c = _band_corner(grid)
     corner = (slice(c),) * grid.dim
-    slabs = itertools.count()  # the slab's axis-1 wavenumber in 3D, else 0, as multiplier_kernel counts them
 
     def parts(norm):
-        if next(slabs) >= c:  # psi is 0 on the whole slab, where K1 is not read
+        if norm.min() >= _BAND_EDGE:  # psi is 0 on the whole slab, which is past the corner
             return None, spec._symbol(norm)
         cutoff = _band_cutoff(norm[corner])
         symbol = spec._symbol(norm)

@@ -17,7 +17,10 @@ from helmlab import (
     lq_norm,
 )
 from helmlab import (
+    BoxField,
     ConstantQ,
+    DualState,
+    EvenKernel,
     Exponents,
     ResolventSpec,
     compact_bump,
@@ -126,6 +129,27 @@ def test_spectral_field_validation():
     coeffs[1, 2] = complex(0.0, np.inf)
     with pytest.raises(ValueError, match="finite"):
         SpectralField(grid, coeffs)
+
+
+def test_array_records_compare_and_hash_by_identity():
+    # an array has no tolerance-free equality, so records that hold one are
+    # equal only to themselves; the records holding those stay comparable
+    grid = build_grid(2, 16.0, 8)
+    box = (np.arange(2), np.arange(3))
+    pairs = [
+        (RealField(grid, np.ones(grid.shape)), RealField(grid, np.ones(grid.shape))),
+        (SpectralField(grid, np.ones(grid.shape)), SpectralField(grid, np.ones(grid.shape))),
+        (EvenKernel(grid, np.ones((5, 5))), EvenKernel(grid, np.ones((5, 5)))),
+        (BoxField(grid, box, np.ones((2, 3))), BoxField(grid, box, np.ones((2, 3)))),
+    ]
+    a, b = pairs[0]
+    pairs.append((DualState(a, 1.0, 2.0, 0.0), DualState(b, 1.0, 2.0, 0.0)))
+    for a, b in pairs:
+        assert a == a and a != b
+        assert a in [a, b] and b not in [a]
+        assert len({a, b, a}) == 2 and hash(a) == hash(a)
+    assert DualState(a.v, 1.0, 2.0, 0.0) == DualState(a.v, 1.0, 2.0, 0.0)
+    assert build_grid(2, 16.0, 8) == grid
 
 
 def test_points_must_have_one_component_per_axis():
@@ -327,6 +351,10 @@ def test_quadrant_slabs_are_the_full_mesh_quadrant_bit_for_bit(dim, n):
     assert len(slabs) == (q if dim == 3 else 1)
     assert all(np.size(value) <= n for value in vars(grid).values())  # nothing quadrant-sized is cached
     assert np.array_equal(np.concatenate(slabs, axis=min(dim - 1, 1)), quadrant(half_norm(grid)))
+    # a function of |xi|, called once per slab, unfolds onto the whole half spectrum
+    seen = []
+    values = grid._radial_half_spectrum(lambda norm: seen.append(norm.shape) or norm)
+    assert seen == [slab.shape for slab in slabs] and np.array_equal(values, half_norm(grid))
 
 
 def test_a_quadrant_slab_costs_one_slab_and_one_ufunc_buffer():

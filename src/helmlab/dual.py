@@ -35,10 +35,7 @@ candidate, and mixes of the iterate toward the candidate at weights
 must stay in the positive cone and not raise the Nehari level beyond a
 slack. Over one levels + sweep cycle of the plane-concentration
 benchmark workload, 56 of 64 iterations accept the Anderson trial and 8
-the plain candidate. Over the test suite, run in one process, 3,214
-steps took the Anderson trial, 450 the plain candidate and 171 a mix
-(60 at 1/2, 81 at 1/4, 30 at 1/8), and 87 candidates left the cone.
-Over 3,000 solve, levels and sweep configs drawn as the config-space
+the plain candidate. Over 3,000 solve, levels and sweep configs drawn as the config-space
 test draws them, the counts were 9,047, 877 and 2,038 (667, 1,053,
 318), with 932 candidates outside the cone. When no trial is accepted,
 whether none lowers the level or every one left the cone, the solve
@@ -54,10 +51,14 @@ whose linearised residual r_k - D theta is what theta minimizes; D
 holds the m - 1 increments r_{j+1} - r_j between consecutive
 residuals. The history is three preallocated (m - 1) x N arrays whose
 rows hold the increments r_{j+1} - r_j, g_{j+1} - g_j and
-R(Q^(1/p) g_{j+1}) - R(Q^(1/p) g_j), next to the newest g_k,
-R(Q^(1/p) g_k) and r_k. Each new candidate overwrites the oldest row of
-all three, in rotation, and adds one row and column to the Gram matrix
-D^T D, computed by one product of the history with the new increment.
+R(Q^(1/p) g_{j+1}) - R(Q^(1/p) g_j). The newest g_k, R(Q^(1/p) g_k)
+and r_k are parked in the row that the next push overwrites, each once
+the iteration has read that row's increment, so the next candidate's
+increments are subtracted in place and no copy of the newest candidate
+lives outside the history. Each new candidate overwrites the oldest row
+of all three, in rotation, and adds one row and column to the Gram
+matrix D^T D, computed by one product of the history with the new
+increment.
 Theta solves D^T D theta = D^T r_k (Walker & Ni, SIAM J. Numer. Anal.
 49, 2011) by Gaussian elimination in Python floats, pivoting on the
 largest remaining diagonal entry; once that pivot is no larger than
@@ -86,6 +87,14 @@ c = sgn(w)|w|^(p-1), with w = Q^(1/p) R(Q^(1/p) v), has
 A(c) = int |w|^p = int c w since (p-1)p' = p. One w serves both the
 residual and the candidate, and the projected iterate t * c reuses
 R(Q^(1/p) c) from the projection of c: accepting a step costs no application.
+A projection scales the field and its resolved field in place, since
+every array the solver projects is its own; the public functions and
+the solve's start project a copy, so no caller's array is written. The
+plain step copies the candidate out of its history rows, and the mixes
+rebuild the unscaled candidate from the iterate by the candidate's own
+operations. A solve's peak is then the history, the iterate and its
+resolved field, Q^(1/p), the symbol and one resolvent application to
+the candidate: about 19.7 grid-sized arrays on 3D 32^3 and 2D 128^2.
 
 All of A(v), B(v), R(Q^(1/p) v) and the Nehari scale are computed by one
 private operator, built once per (coefficient, exponents, resolvent)
@@ -264,13 +273,16 @@ class _DualOperator:
         return DualState(v=v, energy=a / self.exps.p_dual - 0.5 * b, quad_form=b, nehari_residual=a - b)
 
     def project(self, c: np.ndarray, resolved: np.ndarray | None = None, a: float | None = None):
-        """Nehari-project raw values; returns (t, t*c, R(Q^(1/p) t*c), level).
+        """Nehari-project raw values in place; returns (t, t*c, R(Q^(1/p) t*c), level).
 
-        A refusal is (None, None, R(Q^(1/p) c), None): B(c) <= 0, or a
-        scale t that is 0 or not finite, since with p' near 2 the exponent
-        1/(2-p') is huge and (A/B)^(1/(2-p')) underflows or overflows.
-        A given `resolved` (R(Q^(1/p) c), as in `resolve`) or `a` (A(c))
-        is used in place of computing it.
+        t*c and its resolved field are `c` and R(Q^(1/p) c) scaled in
+        place, so `c` and a given `resolved` are written; the solver
+        projects only arrays of its own. A refusal is
+        (None, None, R(Q^(1/p) c), None), with `c` left as it was:
+        B(c) <= 0, or a scale t that is 0 or not finite, since with p'
+        near 2 the exponent 1/(2-p') is huge and (A/B)^(1/(2-p'))
+        underflows or overflows. A given `resolved` (R(Q^(1/p) c), as in
+        `resolve`) or `a` (A(c)) is used in place of computing it.
         """
         b, resolved = self.resolve(c, resolved)
         refusal = None, None, resolved, None
@@ -284,14 +296,17 @@ class _DualOperator:
             return refusal
         if not 0.0 < t < np.inf:
             return refusal
-        return t, t * c, t * resolved, (1.0 / self.exps.p_dual - 0.5) * t**self.exps.p_dual * a
+        c *= t
+        resolved *= t
+        return t, c, resolved, (1.0 / self.exps.p_dual - 0.5) * t**self.exps.p_dual * a
 
     def project_or_raise(self, values: np.ndarray):
-        """`project`, raising for a zero field, B(v) <= 0 or a scale outside the float range in place of a refusal.
+        """`project` of a copy, raising for a zero field, B(v) <= 0 or a scale outside the float range in place of a refusal.
 
-        The error reads B(v) off the refusal's R(Q^(1/p) v), so it costs no second transform.
+        `values` is not written. The error reads B(v) off the refusal's
+        R(Q^(1/p) v), so it costs no second transform.
         """
-        projected = self.project(values)
+        projected = self.project(values.copy())
         if projected[0] is not None:
             return projected
         if not np.any(values):
@@ -441,14 +456,15 @@ def solve_ground_state(
     del init
 
     # Anderson history: row j of each array holds one increment between
-    # consecutive projected candidates, written in rotation over the rows
+    # consecutive projected candidates, written in rotation over the rows;
+    # the row the next push overwrites holds the newest candidate itself
     slots = _ANDERSON_MEMORY - 1
     d_r = np.empty((slots, v.size))  # r_{j+1} - r_j
     d_g = np.empty((slots, v.size))  # g_{j+1} - g_j
     d_rg = np.empty((slots, v.size))  # R(Q^(1/p) g_{j+1}) - R(Q^(1/p) g_j)
     gram = np.empty((slots, slots))  # d_r d_r^T, one row and column per push
     pushes = 0
-    newest = None  # g_k, R(Q^(1/p) g_k) and r_k of the newest projected candidate
+    parked = False  # row pushes % slots holds g_k, R(Q^(1/p) g_k) and r_k of the newest projected candidate
     best = None
     for it in range(max_iter):
         a_v = energy / (1.0 / pd - 0.5)  # A(v) on the Nehari manifold
@@ -463,19 +479,20 @@ def solve_ground_state(
         del w  # no full-grid temporary is held through the trials
 
         # the step is the first trial that stays in the cone and does not
-        # raise the level beyond its slack, or None when no trial does
+        # raise the level beyond its slack, or None when no trial does;
+        # a projection scales the candidate in place
         step = None
-        projected_cand = op.project(cand, a=a_cand)
-        if projected_cand[0] is not None:
-            g, rg = projected_cand[1].ravel(), projected_cand[2].ravel()
+        t_cand, g, rg, level_cand = op.project(cand, a=a_cand)
+        del cand
+        if t_cand is not None:
+            g, rg = g.ravel(), rg.ravel()
             r = g - v.ravel()
-            if newest is not None:
-                row = pushes % slots
-                np.subtract(g, newest[0], out=d_g[row])
-                np.subtract(rg, newest[1], out=d_rg[row])
-                np.subtract(r, newest[2], out=d_r[row])
+            row = pushes % slots
+            if parked:  # the row holds the previous candidate: subtract it in place
+                np.subtract(g, d_g[row], out=d_g[row])
+                np.subtract(rg, d_rg[row], out=d_rg[row])
+                np.subtract(r, d_r[row], out=d_r[row])
                 pushes += 1
-            newest = (g, rg, r)
             filled = min(pushes, slots)
             theta = None
             if filled:  # every projected candidate after the first has just pushed `row`
@@ -483,28 +500,45 @@ def solve_ground_state(
                 gram[row, :filled] = gram[:filled, row] = np.einsum("ji,i->j", history, d_r[row], optimize=False)
                 rhs = np.einsum("ji,i->j", history, r, optimize=False)
                 theta = _solve_gram(gram[:filled, :filled].tolist(), rhs.tolist())
-            if theta is not None:
+            # park the candidate in the row the next push overwrites, each array
+            # once this iteration has read that row's increment; then only
+            # the history holds it
+            park = pushes % slots
+            parked = True
+            d_r[park] = r
+            del r
 
-                def combine(last, diffs):
-                    """last - theta . diffs on the grid, written over the product."""
-                    out = np.einsum("j,ji->i", theta, diffs[:filled], optimize=False)
-                    return np.subtract(last, out, out=out).reshape(grid.shape)
+            def combine(last, diffs):
+                """last - theta . diffs on the grid, written over the product."""
+                out = np.einsum("j,ji->i", theta, diffs[:filled], optimize=False)
+                return np.subtract(last, out, out=out).reshape(grid.shape)
 
-                # g_k - sum_j theta_j (g_{j+1} - g_j); R is linear, so the same
-                # theta on the resolved increments resolves it; the slack shrinks
-                # with the residual, so late extrapolations cannot wander back up in level
-                trial = op.project(combine(g, d_g), combine(rg, d_rg))
+            # g_k - sum_j theta_j (g_{j+1} - g_j); R is linear, so the same
+            # theta on the resolved increments resolves it
+            trial = None if theta is None else combine(g, d_g)
+            d_g[park] = g
+            resolved_trial = None if theta is None else combine(rg, d_rg)
+            d_rg[park] = rg
+            del g, rg
+            if trial is not None:
+                # the slack shrinks with the residual, so late extrapolations
+                # cannot wander back up in level
+                trial = op.project(trial, resolved_trial)
+                del resolved_trial
                 if trial[0] is not None and trial[3] <= energy + min(0.5, res * res) * abs(energy):
                     step = trial
-            if step is None and projected_cand[3] <= energy + 1e-12 * abs(energy):
-                step = projected_cand
+                del trial  # a refused trial's arrays are not held through the next tiers
+            if step is None and level_cand <= energy + 1e-12 * abs(energy):
+                # copied out of the rows, which the next push overwrites
+                step = t_cand, d_g[park].reshape(grid.shape).copy(), d_rg[park].reshape(grid.shape).copy(), level_cand
         if step is None and a_cand > 0.0:
             kappa = (a_v / a_cand) ** (1.0 / pd)
-            matched = kappa * cand
-            # R is linear: the candidate's projection, (t, t c, t R(Q^(1/p) c), level)
-            # or a refusal holding R(Q^(1/p) c), resolves the mixes
-            t_cand, _, resolved_cand, _ = projected_cand
-            resolved_cand = kappa * resolved_cand if t_cand is None else (kappa / t_cand) * resolved_cand
+            # the projection scaled c in place, so c is rebuilt from the iterate
+            # by the same operations; R is linear: the projection's t R(Q^(1/p) c),
+            # parked in the history, or a refusal's R(Q^(1/p) c) resolves the mixes
+            matched, _ = op.candidate(op.root * rw_v)
+            matched *= kappa
+            resolved_cand = kappa * rg if t_cand is None else (kappa / t_cand) * d_rg[park].reshape(grid.shape)
             for mix in (0.5, 0.25, 0.125):
                 trial = op.project(v + mix * (matched - v), rw_v + mix * (resolved_cand - rw_v))
                 if trial[0] is not None and trial[3] <= energy + 1e-12 * abs(energy):

@@ -358,17 +358,61 @@ def test_a_run_makes_its_coefficient_once(tmp_path, monkeypatch, command):
 
 
 def test_solve_reports_a_warning_as_one_line(tmp_path, capsys):
-    # the window at the default k = 8 is [-2, 2)^2 on 64 points: (2, 0) lies outside
-    # it, and (-2, 0) is node 0, inside it
+    # the window at the default k = 8 is [-2, 2)^2 on 64 points: the bumps at (2.5, 0)
+    # and (-1, 0) pull each other's maximum in by 0.0079, so one lies outside it
+    # and one inside
     cfg = write_cfg(
         tmp_path,
         "w.cfg",
-        "grid.points = 64\ncoefficient.centers = 2.0, 0.0; -2.0, 0.0\nsolver.max_iter = 5\n",
+        "grid.points = 64\ncoefficient.centers = 2.5, 0.0; -1.0, 0.0\nsolver.max_iter = 5\n",
     )
     main(["solve", "--config", cfg, "--out", str(tmp_path / "run"), "--force"])
     err = capsys.readouterr().err.splitlines()
-    assert len([line for line in err if line.startswith("warning: coefficient maximum at (2.0, 0.0)")]) == 1
+    assert len([line for line in err if line.startswith("warning: coefficient maximum at (2.4921")]) == 1
+    assert not [line for line in err if line.startswith("warning: coefficient maximum at (-0.99")]
     assert not [line for line in err if ".py" in line]
+
+
+MERGED_CUBE = readme_config(3).replace(
+    "coefficient.centers = 0.125, 0.125, 0.125", "coefficient.centers = 0.5, 0.0, 0.0; -0.5, 0.0, 0.0"
+)
+
+
+def test_levels_of_merged_bumps_start_from_their_one_maximum(tmp_path, capsys):
+    # unit bumps at (+-0.5, 0, 0) merge into one maximum at the origin, 0.5 + 2 e^(-1/8),
+    # not the 1.5 of a lone bump, so c_0 is the level at that sup and no row of the
+    # table sits below it by more than the solver's slack
+    sup = 0.5 + 2.0 * np.exp(-0.125)
+    cfg_path = write_cfg(tmp_path, "merged.cfg", MERGED_CUBE)
+    assert main(["validate-params", "--config", cfg_path]) == 0
+    assert f"sup Q {sup:g};" in capsys.readouterr().out
+    assert main(["levels", "--config", cfg_path, "--out", str(tmp_path / "levels")]) == 0
+    header, rows = read_rows(tmp_path / "levels" / "levels.csv")
+    cfg = parse_config_text(MERGED_CUBE)
+    grid, exps = make_grid(cfg), make_exponents(cfg)
+    c0 = helmlab.dual.limit_ground_state(sup, grid, exps, make_spec(cfg, grid), tol=cfg.tol, max_iter=cfg.max_iter).level
+    for row in rows:
+        assert float(row[header.index("c_0")]) == pytest.approx(c0, rel=1e-11)
+        assert float(row[header.index("gap_low")]) >= -1e-9 * c0
+
+
+def test_a_coefficient_above_its_supremum_is_a_one_line_exit_4(tmp_path, monkeypatch, capsys):
+    # a coefficient that reports the lone-bump sup 1.5 for the merged bumps samples
+    # above it at the origin, which sample_Q diagnoses as a missed maximum
+    class LoneBumpSup(helmlab.BumpOnBackgroundQ):
+        @property
+        def sup_value(self):
+            return self.background + self.amplitude
+
+    monkeypatch.setattr(helmlab.cli, "make_coefficient", lambda cfg: LoneBumpSup(**{
+        "background": cfg.background, "amplitude": cfg.amplitude, "width": cfg.width, "centers": cfg.centers
+    }))
+    cfg = write_cfg(tmp_path, "merged.cfg", MERGED_CUBE)
+    assert main(["solve", "--config", cfg, "--out", str(tmp_path / "run")]) == 4
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("numerical error: coefficient reaches ")
+    assert "above its computed supremum 1.5: a maximum was missed" in err[0]
+    assert not (tmp_path / "run").exists()
 
 
 def test_stalled_solve_exits_nonzero(tmp_path):

@@ -47,6 +47,57 @@ def test_bump_with_two_centers():
     assert v == pytest.approx(2.0, abs=1e-10)  # the other bump is 8 widths away
 
 
+def test_a_lone_bump_peaks_at_its_centre():
+    # mean shift from a lone centre takes no step: the mode is the centre and
+    # the sup background + amplitude, bit for bit
+    Q = BumpOnBackgroundQ(background=0.5, amplitude=1.0, width=1.0, centers=((0.125, 0.125, 0.125),))
+    assert Q.maxima == [(0.125, 0.125, 0.125)]
+    assert Q.sup_value == 1.5
+
+
+def test_overlapping_bumps_have_one_maximum_between_them():
+    # unit bumps at +-0.5 merge: one maximum, at the origin, of 0.5 + 2 e^(-1/8)
+    Q = BumpOnBackgroundQ(background=0.5, amplitude=1.0, width=1.0, centers=((0.5, 0.0, 0.0), (-0.5, 0.0, 0.0)))
+    [mode] = Q.maxima
+    assert max(map(abs, mode)) <= 1e-11
+    assert Q.sup_value == pytest.approx(0.5 + 2.0 * np.exp(-0.125), rel=1e-15)
+
+
+def test_bumps_two_widths_apart_merge_into_a_flat_maximum():
+    # at 2 widths apart the origin is a maximum flat to fourth order, where
+    # mean shift crawls: the stretched steps reach it within the merge distance
+    Q = BumpOnBackgroundQ(background=0.5, amplitude=1.0, width=1.0, centers=((1.0, 0.0), (-1.0, 0.0)))
+    [mode] = Q.maxima
+    assert max(map(abs, mode)) <= 1e-3
+    assert Q.sup_value == pytest.approx(0.5 + 2.0 * np.exp(-0.5), rel=1e-15)
+
+
+def test_bumps_four_widths_apart_peak_inside_their_centres():
+    # each maximum x solves x = 2 tanh(2x), at +-1.99865, and the sup is 1.500336,
+    # not 1.5: the other bump adds its tail
+    Q = BumpOnBackgroundQ(background=0.5, amplitude=1.0, width=1.0, centers=((2.0, 0.0), (-2.0, 0.0)))
+    (right, y0), (left, y1) = Q.maxima
+    assert (y0, y1) == (0.0, 0.0) and left == -right
+    assert right == pytest.approx(2.0 * np.tanh(2.0 * right), abs=1e-12)
+    assert right == pytest.approx(1.99865, abs=1e-5)
+    assert Q.sup_value == pytest.approx(1.500336, abs=1e-6)
+    assert Q.sup_value == float(Q.evaluate(np.array(right), np.array(0.0)))
+
+
+def test_sample_raises_on_a_value_above_the_supremum():
+    # a coefficient whose sup misses a maximum samples above it: NumericalError, not a wrong level
+    class LoneBumpSup(BumpOnBackgroundQ):
+        @property
+        def sup_value(self):
+            return self.background + self.amplitude
+
+    grid = build_grid(2, 4.0, 16)
+    centers = ((0.5, 0.0), (-0.5, 0.0))
+    with pytest.raises(NumericalError, match="above its computed supremum 1.5: a maximum was missed"):
+        sample_Q(LoneBumpSup(centers=centers), grid)
+    assert np.max(sample_Q(BumpOnBackgroundQ(centers=centers), grid).values) <= 0.5 + 2.0 * np.exp(-0.125)
+
+
 @pytest.mark.parametrize(
     "kwargs",
     [

@@ -273,6 +273,22 @@ def test_nehari_projection_fixes_points_on_manifold():
     assert np.allclose(again.v.values, state.v.values, atol=1e-12 * np.max(np.abs(state.v.values)))
 
 
+def test_projections_leave_the_callers_field_unchanged():
+    # a projection scales its field in place, so the public entries and the
+    # solve's start project a copy: the caller's array keeps its values, and
+    # cutoff_projection returns phi unscaled
+    grid = small_grid()
+    Qf = bump_field(grid)
+    v = cone_field(grid)
+    kept = v.values.copy()
+    assert nehari_scale(v, Qf, EXPS, SPEC) != 1.0  # so a scaled array would show
+    nehari_project(v, Qf, EXPS, SPEC)
+    phi, t, _ = cutoff_projection(v, (0.0, 0.0), Qf, EXPS, SPEC)
+    solve_ground_state(Qf, EXPS, SPEC, init=v, max_iter=3)
+    assert np.array_equal(v.values, kept)
+    assert t != 1.0 and nehari_scale(phi, Qf, EXPS, SPEC) == t
+
+
 def test_mountain_pass_profile_along_ray():
     grid = small_grid()
     Qf = bump_field(grid)
